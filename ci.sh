@@ -8,28 +8,33 @@
 #   2. cargo fmt --check;
 #   3. cargo clippy --workspace --all-targets -D warnings;
 #   4. cargo build --release;
-#   5. cargo test --workspace (tier-1 gate);
-#   6. cargo test --workspace with TSVD_THREADS=1 — the serial fallbacks of
-#      rt::pool must stay equivalent to the parallel paths;
-#   7. svd-update oracle battery — incremental truncated-SVD updates vs the
-#      exact-recompute oracle: subspace-angle and residual-drift bounds
-#      over long randomized streams, under default threads and
-#      TSVD_THREADS=1;
-#   8. tsvd-store fault battery — WAL torn-tail truncation, interior
-#      byte-flip corruption, and mutation fuzz, all through full recovery;
-#   9. serve/net env matrix — one leg per env combo over
-#      {TSVD_THREADS, TSVD_PIPELINE_DEPTH, TSVD_SVD_UPDATE, TSVD_TENANTS,
-#      TSVD_WAL}. Each leg runs the tsvd-serve package battery once (unit
-#      tests + codec property/fuzz tests + loopback equivalence + counter
-#      race audit) plus the root serve_equivalence, multi-client TCP soak,
-#      and multi-tenant suites — every tenant of a sharded server must
-#      stay bitwise-equal to the offline pipeline replay of its own subset
-#      under every combo. The `wal*` legs additionally run the durability
-#      suites: SIGKILL crash recovery from checkpoint + WAL replay, and
-#      journal-fed follower replicas over TCP. The `query*` legs pin the
-#      top-k serving equivalence suite (scan ≡ clustered ≡ naive, wire,
-#      router merge, follower) across thread/tenant env combos;
-#  10. bench smoke — every rt::bench target runs once, no timing paid,
+#   5. cargo test --workspace (tier-1 gate) — every suite once under the
+#      default env: unit tests, the svd-update oracle battery, the
+#      tsvd-store fault battery (torn tails, byte flips, fuzz), the whole
+#      tsvd-serve package battery and every root serving suite
+#      (serve_equivalence, net_soak, multi_tenant, recovery, follower,
+#      router_soak);
+#   6. the same with TSVD_THREADS=1 — the serial fallbacks of rt::pool must
+#      stay equivalent to the parallel paths;
+#   7. env matrix — only four env vars are read by anything, and each leg
+#      runs exactly the suites that read its var under a value steps 5–6
+#      did not already cover:
+#        svd-update, svd-update-serial — TSVD_SVD_UPDATE=1 (read by
+#          tsvd-core when a tree is built) flips every `Lazy` engine to the
+#          incremental repair tiers, so the full serve package battery and
+#          the root serving suites re-run, at default threads and at
+#          TSVD_THREADS=1: every tenant of a served host must stay
+#          bitwise-equal to the offline replay of its own subset;
+#        tenants3 — TSVD_TENANTS=3 (read by tests/multi_tenant.rs and
+#          tests/recovery.rs): three tenants on one graph through the TCP
+#          soak and through SIGKILL + checkpoint/WAL recovery;
+#        router-wal — TSVD_WAL=1 (read by tests/router_soak.rs): the
+#          multi-process router soak with every shard journaling through
+#          a WalStore;
+#        threads4 — TSVD_THREADS=4: the top-k serving equivalence suite
+#          (scan ≡ clustered ≡ naive, wire, router merge, follower) with
+#          more pool participants than this box has cores;
+#   8. bench smoke — every rt::bench target runs once, no timing paid,
 #      including the svd_update kernel/engine grid, the WAL
 #      append/recovery suite, and the top-k query grid (which asserts
 #      zero allocations per warm scan and recall@k == 1.0 even in smoke).
@@ -106,83 +111,30 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "svd-update oracle battery (default + TSVD_THREADS=1)"
-cargo test -q --test svd_update_oracle
-TSVD_THREADS=1 cargo test -q --test svd_update_oracle
+# Env matrix (header, step 7). The two svd-update legs share one battery:
+# the tsvd-serve package (unit tests, codec property/fuzz tests, loopback
+# equivalence, counter race audit, router fault battery, top-k equivalence)
+# plus every root serving suite, under the env assignments in "$@".
+serve_battery() {
+  env "$@" cargo test -q -p tsvd-serve
+  env "$@" cargo test -q --test serve_equivalence --test net_soak --test multi_tenant \
+    --test recovery --test follower --test router_soak
+}
 
-step "tsvd-store fault battery (torn tails, byte flips, fuzz)"
-cargo test -q -p tsvd-store
+step "env matrix: svd-update (TSVD_SVD_UPDATE=1)"
+serve_battery TSVD_SVD_UPDATE=1
 
-# Serve/net env matrix: `name|ENV=V [ENV=V ...]`. Each leg runs the full
-# tsvd-serve package battery (which already includes the net_props,
-# net_loopback, and race_audit integration tests — listing them again
-# would recompile and rerun them) plus the root-level serve_equivalence,
-# net_soak, and multi_tenant suites. The `tenants` leg scales the
-# multi-tenant soak to three tenants sharing one graph. The `wal*` legs
-# also run the root recovery (SIGKILL + checkpoint/WAL replay) and
-# follower (journal replication over TCP) suites — `wal-tenants` proves
-# kill-and-recover stays bitwise under three tenants. The `router*` legs
-# run the scale-out tier: the router fault battery plus the
-# multi-process SIGKILL soak (router + 2 shards + follower as real
-# child processes); `router-wal` re-runs the soak with every shard
-# journaling through the WAL store. The `query*` legs run the top-k
-# serving equivalence battery (blocked scan ≡ clustered index ≡ naive,
-# wire ≡ in-process, router merge ≡ per-range naive global answer,
-# follower stale-but-consistent) — the suite also rides every package
-# battery leg above; the explicit legs pin the required env coverage by
-# name, including TSVD_THREADS=4, which no other leg exercises.
-SERVE_MATRIX=(
-  "default|"
-  "serial|TSVD_THREADS=1"
-  "pipelined|TSVD_PIPELINE_DEPTH=1"
-  "pipelined-serial|TSVD_PIPELINE_DEPTH=1 TSVD_THREADS=1"
-  "svd-update|TSVD_SVD_UPDATE=1"
-  "svd-update-serial|TSVD_SVD_UPDATE=1 TSVD_THREADS=1"
-  "svd-update-pipelined|TSVD_SVD_UPDATE=1 TSVD_PIPELINE_DEPTH=1"
-  "tenants|TSVD_TENANTS=3"
-  "tenants-pipelined|TSVD_TENANTS=3 TSVD_PIPELINE_DEPTH=1"
-  "wal|TSVD_WAL=1"
-  "wal-tenants|TSVD_WAL=1 TSVD_TENANTS=3"
-  "router|"
-  "router-wal|TSVD_WAL=1"
-  "query|"
-  "query-serial|TSVD_THREADS=1"
-  "query-threads4|TSVD_THREADS=4"
-  "query-tenants|TSVD_TENANTS=3"
-)
-for leg in "${SERVE_MATRIX[@]}"; do
-  name="${leg%%|*}"
-  envs="${leg#*|}"
-  step "serve/net matrix: ${name}${envs:+ (${envs})}"
-  case "$name" in
-    router*)
-      # The router legs are additive: the package battery already ran in
-      # the default/wal legs, so these run only the router-specific
-      # suites (fault battery + multi-process soak).
-      # shellcheck disable=SC2086
-      env $envs cargo test -q -p tsvd-serve --test router_faults
-      # shellcheck disable=SC2086
-      env $envs cargo test -q --test router_soak
-      continue
-      ;;
-    query*)
-      # Additive like the router legs: only the top-k serving suite.
-      # shellcheck disable=SC2086
-      env $envs cargo test -q -p tsvd-serve --test query_equivalence
-      continue
-      ;;
-  esac
-  # shellcheck disable=SC2086
-  env $envs cargo test -q -p tsvd-serve
-  # shellcheck disable=SC2086
-  env $envs cargo test -q --test serve_equivalence --test net_soak --test multi_tenant
-  case "$name" in
-    wal*)
-      # shellcheck disable=SC2086
-      env $envs cargo test -q --test recovery --test follower
-      ;;
-  esac
-done
+step "env matrix: svd-update-serial (TSVD_SVD_UPDATE=1 TSVD_THREADS=1)"
+serve_battery TSVD_SVD_UPDATE=1 TSVD_THREADS=1
+
+step "env matrix: tenants3 (TSVD_TENANTS=3)"
+TSVD_TENANTS=3 cargo test -q --test multi_tenant --test recovery
+
+step "env matrix: router-wal (TSVD_WAL=1)"
+TSVD_WAL=1 cargo test -q --test router_soak
+
+step "env matrix: threads4 (TSVD_THREADS=4)"
+TSVD_THREADS=4 cargo test -q -p tsvd-serve --test query_equivalence
 
 step "bench smoke (1 iteration per benchmark)"
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench svd_kernels

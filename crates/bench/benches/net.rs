@@ -24,7 +24,7 @@ fn main() {
     let depths = [1usize, 8, 64];
     h.record_param("subset_size", s.subset.len() as u64);
     h.record_param(
-        "pipeline_depths",
+        "read_burst_depths",
         depths.iter().map(|&d| d as u64).collect::<Vec<u64>>(),
     );
 

@@ -13,7 +13,7 @@ use tsvd_datasets::DatasetConfig;
 use tsvd_graph::EdgeEvent;
 use tsvd_rt::bench::BenchHarness;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
-use tsvd_serve::{EmbeddingServer, FlushPipeline, ServeConfig, ShardedEngine, TenantHost};
+use tsvd_serve::{EmbeddingServer, ServeConfig, ShardedEngine, TenantHost};
 
 fn random_events(n_nodes: usize, len: usize, seed: u64) -> Vec<EdgeEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -90,44 +90,6 @@ fn main() {
             want
         });
         server.shutdown();
-    }
-
-    // Flush pipelining: a burst of windows back-to-back through the
-    // two-stage pipeline, ending in a drain — one iteration is the
-    // end-to-end latency of `pipeline_windows` windows. At depth 1 phase 1
-    // (PPR replay + row rebuild) of window k+1 overlaps phase 2 (Tree-SVD
-    // refresh) of window k; at depth 0 the same pipeline runs both phases
-    // serially, so the depth-0/depth-1 delta is the measured win. The
-    // accumulated overlap is recorded as a param next to the timings.
-    let pipeline_windows = 4usize;
-    h.record_param("pipeline_windows_per_iter", pipeline_windows as u64);
-    for depth in [0usize, 1] {
-        for &r in &shard_counts {
-            let engine = ShardedEngine::new(&g0, &s.subset, r, s.ppr_cfg, tree_cfg);
-            let mut pipe = FlushPipeline::new(engine, depth);
-            let mut overlap = 0.0f64;
-            let mut round = 0u64;
-            h.bench(&format!("flush_pipeline/depth_{depth}/shards_{r}"), || {
-                let mut epoch = 0u64;
-                for _ in 0..pipeline_windows {
-                    round += 1;
-                    let events = random_events(g0.num_nodes(), batch, round);
-                    for o in pipe.submit_window(&events) {
-                        overlap += o.overlapped_secs;
-                        epoch = o.epoch;
-                    }
-                }
-                if let Some(o) = pipe.drain() {
-                    overlap += o.overlapped_secs;
-                    epoch = o.epoch;
-                }
-                epoch
-            });
-            h.record_param(
-                &format!("overlapped_secs/depth_{depth}/shards_{r}"),
-                overlap,
-            );
-        }
     }
 
     // Multi-tenant fan-out: one window recorded once on the shared graph

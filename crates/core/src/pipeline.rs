@@ -37,8 +37,8 @@ impl PipelineTimings {
     }
 
     /// Seconds in phase 1 — PPR maintenance plus proximity-row rebuild.
-    /// This is the per-source-independent half of an update, the part a
-    /// pipelined server can overlap with the previous window's phase 2.
+    /// This is the per-source-independent half of an update, the part
+    /// `tsvd-serve` shards across PPR replicas.
     pub fn phase1_secs(&self) -> f64 {
         self.ppr_secs + self.rows_secs
     }

@@ -41,7 +41,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Number of pool participants: `TSVD_THREADS` env var if set, otherwise
 /// the machine's available parallelism (capped at 16 — the workloads here
@@ -365,99 +365,6 @@ where
     });
 }
 
-/// A handle to a computation started with [`background`]: join it (blocking
-/// or not) to take the result. Dropping the handle detaches the task — it
-/// still runs to completion, its result is discarded.
-pub struct TaskHandle<T> {
-    rx: mpsc::Receiver<std::thread::Result<T>>,
-}
-
-impl<T> TaskHandle<T> {
-    /// Block until the task finishes and return its result. A panic inside
-    /// the task is re-raised here (same contract as the pool primitives).
-    pub fn join(self) -> T {
-        match self.rx.recv() {
-            Ok(Ok(v)) => v,
-            Ok(Err(p)) => resume_unwind(p),
-            Err(_) => unreachable!("courier dropped the result channel"),
-        }
-    }
-
-    /// Non-blocking join: the result if the task has finished, otherwise
-    /// the handle back, untouched. Panics propagate as in `join`.
-    pub fn try_join(self) -> Result<T, TaskHandle<T>> {
-        match self.rx.try_recv() {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(p)) => resume_unwind(p),
-            Err(mpsc::TryRecvError::Empty) => Err(self),
-            Err(mpsc::TryRecvError::Disconnected) => {
-                unreachable!("courier dropped the result channel")
-            }
-        }
-    }
-}
-
-/// A boxed task body for a courier thread.
-type BgJob = Box<dyn FnOnce() + Send>;
-
-/// Parked courier threads, each represented by the sender of its job
-/// channel. A courier re-registers itself here after finishing a job, so
-/// steady-state `background` calls reuse threads instead of spawning.
-static IDLE_COURIERS: Mutex<Vec<mpsc::Sender<BgJob>>> = Mutex::new(Vec::new());
-
-fn courier_loop(tx: mpsc::Sender<BgJob>, rx: mpsc::Receiver<BgJob>) {
-    // The courier holds a clone of its own sender, so the channel never
-    // disconnects: couriers persist for the process lifetime, exactly like
-    // pool workers. Courier threads are *not* pool participants — a task
-    // body that calls a parallel primitive dispatches to the shared pool
-    // rather than running inline, which is what lets a backgrounded region
-    // and caller-side regions share the workers concurrently.
-    while let Ok(job) = rx.recv() {
-        job();
-        IDLE_COURIERS.lock().unwrap().push(tx.clone());
-    }
-}
-
-/// Run `f` concurrently with the caller and return a [`TaskHandle`] to its
-/// result. The task body runs on a dedicated courier thread (lazily
-/// spawned, reused across calls), **off** the pool: parallel primitives
-/// invoked inside `f` fan out to the shared pool normally, interleaving
-/// with any regions the caller dispatches meanwhile — both sides stay
-/// deterministic because every primitive places results by index.
-///
-/// This is the detached-region primitive behind pipelined flushes: phase 2
-/// of window `k` runs under `background` while the caller stages phase 1 of
-/// window `k+1`, and the join is the ordered commit point.
-pub fn background<T, F>(f: F) -> TaskHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let (res_tx, res_rx) = mpsc::channel();
-    let mut job: BgJob = Box::new(move || {
-        let _ = res_tx.send(catch_unwind(AssertUnwindSafe(f)));
-    });
-    loop {
-        let idle = IDLE_COURIERS.lock().unwrap().pop();
-        match idle {
-            Some(tx) => match tx.send(job) {
-                Ok(()) => return TaskHandle { rx: res_rx },
-                // Defensive: a dead courier's sender just falls out of the
-                // idle stack and we try the next one.
-                Err(mpsc::SendError(j)) => job = j,
-            },
-            None => break,
-        }
-    }
-    let (tx, rx) = mpsc::channel();
-    tx.send(job).expect("fresh courier channel");
-    std::thread::Builder::new()
-        .name("tsvd-courier".into())
-        .spawn(move || courier_loop(tx, rx))
-        .expect("spawn courier thread");
-    TaskHandle { rx: res_rx }
-}
-
 /// Run `f(range)` over disjoint contiguous chunks covering `0..n`, each at
 /// least `min_chunk` long (except possibly the last); serial (one chunk
 /// `0..n`) when `n ≤ min_chunk` or only one thread is available.
@@ -582,70 +489,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn background_returns_result_and_reuses_couriers() {
-        // Sequential tasks must work (and exercise courier reuse: after the
-        // first join an idle courier exists for the second call to claim).
-        for round in 0..16u64 {
-            let h = background(move || round * 3);
-            assert_eq!(h.join(), round * 3);
-        }
-        // Concurrent handles resolve independently, in any join order.
-        let a = background(|| 1u64);
-        let b = background(|| 2u64);
-        assert_eq!(b.join(), 2);
-        assert_eq!(a.join(), 1);
-    }
-
-    #[test]
-    fn background_try_join_round_trips() {
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let mut h = background(move || {
-            gate_rx.recv().unwrap();
-            7usize
-        });
-        // Not finished yet: the handle comes back.
-        h = match h.try_join() {
-            Ok(_) => panic!("task finished before the gate opened"),
-            Err(h) => h,
-        };
-        gate_tx.send(()).unwrap();
-        loop {
-            match h.try_join() {
-                Ok(v) => {
-                    assert_eq!(v, 7);
-                    break;
-                }
-                Err(back) => {
-                    h = back;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn background_panic_propagates_on_join() {
-        let h = background(|| -> usize { panic!("boom in courier") });
-        let r = catch_unwind(AssertUnwindSafe(|| h.join()));
-        assert!(r.is_err(), "task panic must reach the joiner");
-        // The courier machinery survives a panicked task.
-        assert_eq!(background(|| 5usize).join(), 5);
-    }
-
-    #[test]
-    fn background_task_can_use_pool_concurrently_with_caller() {
-        // The backgrounded body and the caller both dispatch pool regions at
-        // the same time; results must be placed by index on both sides.
-        let h = background(|| par_map(200, |i| i * 2));
-        let mine = par_map(200, |i| i * 3);
-        let theirs = h.join();
-        for i in 0..200 {
-            assert_eq!(theirs[i], i * 2);
-            assert_eq!(mine[i], i * 3);
-        }
     }
 
     #[test]

@@ -26,31 +26,12 @@ pub struct ServeConfig {
     pub flush_interval_ms: u64,
     /// Last-write-wins dedup of each window before applying it.
     pub coalesce: bool,
-    /// Flush pipelining depth: `0` runs each window's two phases serially
-    /// on the reactor's flush; `1` overlaps phase 1 (PPR replay + row
-    /// rebuild) of window `k+1` with phase 2 (Tree-SVD refresh) of window
-    /// `k` via [`crate::FlushPipeline`]. Published embeddings are bitwise
-    /// identical either way — this is purely a latency/throughput knob.
-    pub pipeline_depth: usize,
-    /// Whether the engines behind this server run the incremental SVD
-    /// update path. The actual switch lives in the Tree-SVD config
-    /// (`UpdatePolicy`, resolved against `TSVD_SVD_UPDATE` at
-    /// `DynamicTreeSvd` construction); this field mirrors the same env
-    /// default so the serving layer can report the mode in
-    /// [`crate::ServeStats`].
-    pub svd_update: bool,
     /// Per-tenant admission quota: the maximum number of submitted-but-not
     /// -yet-applied events a tenant may have pending. Submissions beyond it
     /// are rejected at admission (`SubmitError::QuotaExceeded`), which is
     /// the backpressure signal for that tenant's writers — other tenants
     /// are unaffected. `0` disables the quota (unbounded).
     pub tenant_quota: u64,
-    /// Mirror of the `TSVD_WAL` env toggle. The durability sink itself is
-    /// injected via `EmbeddingServer::start_with_store` (a config stays
-    /// `Copy` and cannot carry a path); this field records the intent so
-    /// test harnesses and binaries can branch on one knob when deciding
-    /// whether to attach a `tsvd-store` WAL to the server they start.
-    pub wal: bool,
     /// With a durability sink attached: write a full host checkpoint (and
     /// compact the WAL behind it) every this many flushed windows. `0`
     /// checkpoints only at shutdown. Ignored without a sink.
@@ -67,38 +48,10 @@ tsvd_rt::impl_json_struct!(ServeConfig {
     flush_max_events,
     flush_interval_ms,
     coalesce,
-    pipeline_depth,
-    svd_update,
     tenant_quota,
-    wal,
     checkpoint_every,
     journal_keep
 });
-
-/// Default pipeline depth: the `TSVD_PIPELINE_DEPTH` env var if set and
-/// parseable, else `0` (serial flushes). Read per call — not memoized —
-/// so test batteries can be swept under both modes by the CI driver.
-fn default_pipeline_depth() -> usize {
-    std::env::var("TSVD_PIPELINE_DEPTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Default incremental-SVD toggle: the `TSVD_SVD_UPDATE` env var, read per
-/// call like [`default_pipeline_depth`]. Same resolution the engine's
-/// `UpdatePolicy` applies.
-fn default_svd_update() -> bool {
-    tsvd_core::UpdatePolicy::svd_update_env()
-}
-
-/// Default WAL toggle: the `TSVD_WAL` env var, read per call like
-/// [`default_pipeline_depth`]; unset, empty, and `"0"` mean off.
-fn default_wal() -> bool {
-    std::env::var("TSVD_WAL")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -107,10 +60,7 @@ impl Default for ServeConfig {
             flush_max_events: 512,
             flush_interval_ms: 20,
             coalesce: true,
-            pipeline_depth: default_pipeline_depth(),
-            svd_update: default_svd_update(),
             tenant_quota: 0,
-            wal: default_wal(),
             checkpoint_every: 0,
             journal_keep: 0,
         }
@@ -136,10 +86,6 @@ impl ServeConfig {
             "flush window must hold ≥ 1 event"
         );
         assert!(self.flush_interval_ms >= 1, "flush deadline must be ≥ 1ms");
-        assert!(
-            self.pipeline_depth <= 1,
-            "pipeline depth > 1 is not supported"
-        );
     }
 }
 
@@ -221,16 +167,6 @@ mod tests {
     fn zero_window_rejected() {
         ServeConfig {
             flush_max_events: 0,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "depth > 1")]
-    fn deep_pipeline_rejected() {
-        ServeConfig {
-            pipeline_depth: 2,
             ..Default::default()
         }
         .validate();

@@ -9,11 +9,11 @@
 //!
 //! 1. **PPR + proximity rows** — per-source work: each source's push state
 //!    depends only on the graph and the event batch, never on other
-//!    sources. This phase shards perfectly: the engine records the batch
-//!    once ([`RecordedBatch`]), mutating its graph, then every shard
-//!    replays the identical record on its own contiguous row range of
-//!    `M_S` via [`SubsetPpr::apply_recorded`]. Per-row output is bitwise
-//!    what the unsharded `SubsetPpr` would produce.
+//!    sources. This phase shards perfectly: the batch is recorded once
+//!    ([`RecordedBatch`]), mutating the graph, then every shard replays the
+//!    identical record on its own contiguous row range of `M_S` via
+//!    [`SubsetPpr::apply_recorded`]. Per-row output is bitwise what the
+//!    unsharded `SubsetPpr` would produce.
 //! 2. **Lazy Tree-SVD refresh** — global: the factorisation mixes all rows,
 //!    so the engine keeps *one* [`DynamicTreeSvd`] over *one*
 //!    [`BlockedProximityMatrix`] that the shards write into. Same matrix
@@ -24,35 +24,23 @@
 //! the integration suite pin `server output ≡ offline replay` exactly
 //! rather than up to tolerance.
 //!
-//! The engine is synchronous and single-writer by design; the async
-//! mailbox/batching layer lives in [`crate::server`].
+//! # One window path
 //!
-//! # The stage/commit split
-//!
-//! Internally the engine is two halves with disjoint state, mirroring the
-//! two phases above:
-//!
-//! * [`EngineFront`] — shard PPR replicas. [`EngineFront::stage_recorded`]
-//!   runs phase 1 of one window against a recording captured by the shared
-//!   [`GraphIngest`] and produces a [`StagedWindow`]: the fresh proximity
-//!   rows in ascending global row order, ready to drain.
-//! * [`EngineBack`] — matrix + tree + embedding. [`EngineBack::commit`]
-//!   drains a staged window's rows into the matrix (the ordered
-//!   serialization point) and runs phase 2.
-//!
-//! `apply_batch` is exactly `commit(stage_recorded(record(events)))`; the
-//! split exists so [`crate::FlushPipeline`] can run staging of window `k+1`
-//! concurrently with the commit of window `k` without changing a single bit
-//! of output. The graph itself lives one level up, in
-//! [`GraphIngest`](crate::ingest::GraphIngest): a multi-tenant host records
-//! each batch once and replays the recording into every tenant's front,
-//! which is why the front no longer owns a graph.
+//! [`TenantEngine::apply_recorded`] is the only place `tsvd-serve` applies
+//! a window: both phases of Alg. 4, strictly in order, for one tenant's
+//! subset, against a recording captured by the shared
+//! [`GraphIngest`](crate::ingest::GraphIngest). The graph lives one level
+//! up, in the [`TenantHost`], which records each batch once and replays
+//! the recording into every tenant — so the engine owns no graph.
+//! [`ShardedEngine`] is the one-tenant host under a single-engine API.
+//! Everything here is synchronous and single-writer; the batching reactor
+//! lives in [`crate::server`].
 
 use std::time::Instant;
 
 use tsvd_core::{
     BlockedProximityMatrix, DynamicTreeSvd, Embedding, PipelineTimings, TaggedEmbedding,
-    TreeSvdConfig, UpdateStats,
+    TreeSvdConfig, UpdatePolicy, UpdateStats,
 };
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_linalg::CsrMatrix;
@@ -60,15 +48,8 @@ use tsvd_ppr::{PprConfig, RecordedBatch, SubsetPpr};
 use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use tsvd_rt::pool::par_for_each_mut;
 
-use crate::ingest::GraphIngest;
-
-/// Hard cap on the in-memory window log. The log exists for tests and
-/// offline-replay ground truth; it grows by one window per flush and is
-/// never drained, so a long-lived server must journal through the durable
-/// WAL (`tsvd-store`, `TSVD_WAL=1`) instead. Hitting the cap is a
-/// configuration error and panics rather than silently dropping windows —
-/// a truncated journal would break the "replay equals served" contract.
-pub(crate) const WINDOW_LOG_CAP: usize = 1 << 16;
+use crate::server::DEFAULT_TENANT;
+use crate::tenant::{TenantHost, TenantId};
 
 /// One pipeline replica: the PPR maintenance state for a contiguous row
 /// range `[start, start + ppr.len())` of `M_S`.
@@ -81,42 +62,13 @@ struct Shard {
     pending: Vec<(usize, Vec<(u32, f64)>)>,
 }
 
-/// Phase-1 half of the engine: the shard PPR replicas (one tenant's view).
-/// Everything [`EngineFront::stage_recorded`] touches lives here — none of
-/// it is read or written by [`EngineBack::commit`], which is the whole
-/// overlap argument of the pipelined flush.
-pub(crate) struct EngineFront {
+/// One tenant's whole update state: the shard PPR replicas of its subset,
+/// the global matrix they write into, the lazy Tree-SVD over it, the
+/// current embedding, and all cumulative accounting.
+pub(crate) struct TenantEngine {
+    pub(crate) id: TenantId,
     sources: Vec<u32>,
     shards: Vec<Shard>,
-    /// When enabled, every staged window is journaled in order — the exact
-    /// input an offline replay needs to reproduce this engine's state
-    /// bitwise (the soak test's ground-truth hook). Staging order equals
-    /// commit order (commits are strictly sequential), so the journal is
-    /// valid ground truth in pipelined mode too.
-    window_log: Option<Vec<Vec<EdgeEvent>>>,
-}
-
-/// Phase-1 output of one window: the fresh proximity rows, already in
-/// ascending global row order — exactly the `set_row` sequence the
-/// unsharded pipeline would perform, detached from the structures that
-/// perform it.
-pub(crate) struct StagedWindow {
-    rows: Vec<(usize, Vec<(u32, f64)>)>,
-    num_events: usize,
-    ppr_secs: f64,
-    rows_secs: f64,
-}
-
-impl StagedWindow {
-    /// Events in the staged (post-coalesce) window.
-    pub(crate) fn num_events(&self) -> usize {
-        self.num_events
-    }
-}
-
-/// Phase-2 half of the engine: the global matrix, the lazy Tree-SVD and
-/// the published embedding, plus all cumulative accounting.
-pub(crate) struct EngineBack {
     matrix: BlockedProximityMatrix,
     tree: DynamicTreeSvd,
     embedding: Embedding,
@@ -126,41 +78,80 @@ pub(crate) struct EngineBack {
     events_applied: u64,
 }
 
-/// Sharded dynamic subset-embedding engine (see module docs): a private
-/// [`GraphIngest`] plus one tenant's front/back halves — the single-tenant
-/// composition of the same parts `TenantHost` fans out across N tenants.
-pub struct ShardedEngine {
-    ingest: GraphIngest,
-    front: EngineFront,
-    back: EngineBack,
-}
+impl TenantEngine {
+    /// Build tenant `id`'s engine over `graph` for subset `sources`: shard
+    /// the rows into `num_shards` contiguous `SubsetPpr` replicas (clamped
+    /// to `|S|`) and run the initial factorisation, identically to
+    /// `TreeSvdPipeline::new(graph, sources, ppr_cfg, tree_cfg)` — shard
+    /// builds are per-source independent, and EqualMass block boundaries
+    /// are computed from the *full* concatenated row set.
+    pub(crate) fn build(
+        id: TenantId,
+        graph: &DynGraph,
+        sources: &[u32],
+        num_shards: usize,
+        ppr_cfg: PprConfig,
+        tree_cfg: TreeSvdConfig,
+    ) -> Self {
+        tree_cfg.validate();
+        assert!(num_shards >= 1, "need at least one shard");
+        assert!(!sources.is_empty(), "subset must be non-empty");
+        assert!(
+            sources.iter().all(|&s| (s as usize) < graph.num_nodes()),
+            "subset node out of range"
+        );
+        let r = num_shards.min(sources.len());
+        let per = sources.len().div_ceil(r);
+        let mut shards = Vec::with_capacity(r);
+        let mut start = 0usize;
+        while start < sources.len() {
+            let end = (start + per).min(sources.len());
+            shards.push(Shard {
+                start,
+                ppr: SubsetPpr::build(graph, &sources[start..end], ppr_cfg),
+                pending: Vec::new(),
+            });
+            start = end;
+        }
+        let rows: Vec<Vec<(u32, f64)>> = shards
+            .iter()
+            .flat_map(|sh| sh.ppr.proximity_rows())
+            .collect();
+        let matrix =
+            BlockedProximityMatrix::from_proximity_rows(graph.num_nodes(), &tree_cfg, &rows);
+        for sh in &mut shards {
+            sh.ppr.take_dirty_rows(); // initial build handled all rows
+        }
+        let mut tree = DynamicTreeSvd::new(tree_cfg);
+        let embedding = tree.build(&matrix);
+        TenantEngine {
+            id,
+            sources: sources.to_vec(),
+            shards,
+            matrix,
+            tree,
+            embedding,
+            timings: PipelineTimings::default(),
+            stats_total: UpdateStats::default(),
+            epoch: 0,
+            events_applied: 0,
+        }
+    }
 
-impl EngineFront {
-    /// Run phase 1 of one window: journal it and replay an already-captured
-    /// recording on every shard in parallel, then rebuild the dirty
-    /// proximity rows and hand them back in ascending global row order.
+    /// Apply one window from an already-captured recording — the sharded
+    /// equivalent of `TreeSvdPipeline::update`, and the only window path
+    /// in this crate.
     ///
-    /// `graph` must be the shared ingest graph *after*
-    /// [`GraphIngest::record`] mutated it for this window (the
-    /// `apply_recorded` contract), and `events` the window the recording
-    /// was captured from. Touches only front state — safe to run while a
-    /// previous window's [`EngineBack::commit`] is still in flight, and
-    /// the same `rec` can be replayed into any number of tenant fronts.
-    pub(crate) fn stage_recorded(
+    /// `graph` must be the shared ingest graph *after* the recording
+    /// mutated it (the `apply_recorded` contract) and `events` the window
+    /// the recording was captured from; the same `rec` can be replayed
+    /// into any number of tenants.
+    pub(crate) fn apply_recorded(
         &mut self,
         graph: &DynGraph,
         rec: &RecordedBatch,
         events: &[EdgeEvent],
-    ) -> StagedWindow {
-        if let Some(log) = &mut self.window_log {
-            assert!(
-                log.len() < WINDOW_LOG_CAP,
-                "in-memory window_log reached its cap of {WINDOW_LOG_CAP} windows; \
-                 long-lived servers must journal through the durable WAL \
-                 (TSVD_WAL=1 / EmbeddingServer::start_with_store) instead"
-            );
-            log.push(events.to_vec());
-        }
+    ) -> UpdateStats {
         // Phase 1a: replay the record on every shard's states in parallel
         // (shards outer, sources inner — nested regions run inline on pool
         // workers, so both levels stay busy).
@@ -171,10 +162,10 @@ impl EngineFront {
         let t1 = Instant::now();
 
         // Phase 1b: rebuild dirty proximity rows per shard in parallel,
-        // then concatenate them in ascending global row order — the same
-        // order the unsharded pipeline writes them, so version stamps (and
-        // thus the lazy layer's re-diff bookkeeping) match exactly when
-        // the commit drains them.
+        // then drain them into the matrix in ascending global row order —
+        // the same order the unsharded pipeline writes them, so version
+        // stamps (and thus the lazy layer's re-diff bookkeeping) match
+        // exactly.
         par_for_each_mut(&mut self.shards, |sh| {
             sh.pending.clear();
             for local in sh.ppr.take_dirty_rows() {
@@ -182,122 +173,23 @@ impl EngineFront {
                     .push((sh.start + local, sh.ppr.proximity_row(local)));
             }
         });
-        let mut rows = Vec::with_capacity(self.shards.iter().map(|sh| sh.pending.len()).sum());
         for sh in &mut self.shards {
-            rows.append(&mut sh.pending);
+            for (row, entries) in sh.pending.drain(..) {
+                self.matrix.set_row(row, &entries);
+            }
         }
-        StagedWindow {
-            rows,
-            num_events: events.len(),
-            ppr_secs: (t1 - t0).as_secs_f64(),
-            rows_secs: t1.elapsed().as_secs_f64(),
-        }
-    }
+        let t2 = Instant::now();
 
-    pub(crate) fn sources(&self) -> &[u32] {
-        &self.sources
-    }
-
-    pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Start journaling every staged window (idempotent).
-    pub(crate) fn enable_window_log(&mut self) {
-        if self.window_log.is_none() {
-            self.window_log = Some(Vec::new());
-        }
-    }
-
-    pub(crate) fn window_log(&self) -> Option<&[Vec<EdgeEvent>]> {
-        self.window_log.as_deref()
-    }
-}
-
-/// Build one tenant's pipeline halves over `graph` for subset `sources`:
-/// shard the rows into `num_shards` contiguous `SubsetPpr` replicas and run
-/// the initial factorisation, identically to
-/// `TreeSvdPipeline::new(graph, sources, ppr_cfg, tree_cfg)`.
-///
-/// Shared by [`ShardedEngine::new`] and `TenantHost` registration, so a
-/// tenant registered on a host and a standalone engine start from bitwise
-/// the same state.
-pub(crate) fn build_parts(
-    graph: &DynGraph,
-    sources: &[u32],
-    num_shards: usize,
-    ppr_cfg: PprConfig,
-    tree_cfg: TreeSvdConfig,
-) -> (EngineFront, EngineBack) {
-    tree_cfg.validate();
-    assert!(num_shards >= 1, "need at least one shard");
-    assert!(!sources.is_empty(), "subset must be non-empty");
-    assert!(
-        sources.iter().all(|&s| (s as usize) < graph.num_nodes()),
-        "subset node out of range"
-    );
-    let r = num_shards.min(sources.len());
-    let per = sources.len().div_ceil(r);
-    let mut shards = Vec::with_capacity(r);
-    let mut start = 0usize;
-    while start < sources.len() {
-        let end = (start + per).min(sources.len());
-        shards.push(Shard {
-            start,
-            ppr: SubsetPpr::build(graph, &sources[start..end], ppr_cfg),
-            pending: Vec::new(),
-        });
-        start = end;
-    }
-    let rows: Vec<Vec<(u32, f64)>> = shards
-        .iter()
-        .flat_map(|sh| sh.ppr.proximity_rows())
-        .collect();
-    let matrix = BlockedProximityMatrix::from_proximity_rows(graph.num_nodes(), &tree_cfg, &rows);
-    for sh in &mut shards {
-        sh.ppr.take_dirty_rows(); // initial build handled all rows
-    }
-    let mut tree = DynamicTreeSvd::new(tree_cfg);
-    let embedding = tree.build(&matrix);
-    (
-        EngineFront {
-            sources: sources.to_vec(),
-            shards,
-            window_log: None,
-        },
-        EngineBack {
-            matrix,
-            tree,
-            embedding,
-            timings: PipelineTimings::default(),
-            stats_total: UpdateStats::default(),
-            epoch: 0,
-            events_applied: 0,
-        },
-    )
-}
-
-impl EngineBack {
-    /// Run the commit of one staged window: drain its rows into the global
-    /// matrix (the ordered serialization point) and run phase 2, the lazy
-    /// Tree-SVD refresh. Commits must happen in staging order; the
-    /// [`crate::FlushPipeline`] enforces that by keeping at most one in
-    /// flight.
-    pub(crate) fn commit(&mut self, window: StagedWindow) -> UpdateStats {
-        let t0 = Instant::now();
-        for (row, entries) in &window.rows {
-            self.matrix.set_row(*row, entries);
-        }
-        let t1 = Instant::now();
+        // Phase 2: the global lazy Tree-SVD refresh.
         let (embedding, stats) = self.tree.update(&self.matrix);
         self.embedding = embedding;
-        self.timings.ppr_secs += window.ppr_secs;
-        self.timings.rows_secs += window.rows_secs + (t1 - t0).as_secs_f64();
-        self.timings.svd_secs += t1.elapsed().as_secs_f64();
+        self.timings.ppr_secs += (t1 - t0).as_secs_f64();
+        self.timings.rows_secs += (t2 - t1).as_secs_f64();
+        self.timings.svd_secs += t2.elapsed().as_secs_f64();
         self.timings.updates += 1;
         self.stats_total += stats;
         self.epoch += 1;
-        self.events_applied += window.num_events as u64;
+        self.events_applied += events.len() as u64;
         stats
     }
 
@@ -305,6 +197,10 @@ impl EngineBack {
     /// clonable snapshot ready to publish.
     pub(crate) fn tagged(&self) -> TaggedEmbedding {
         self.embedding.tagged(self.epoch)
+    }
+
+    pub(crate) fn embedding(&self) -> &Embedding {
+        &self.embedding
     }
 
     pub(crate) fn epoch(&self) -> u64 {
@@ -319,16 +215,30 @@ impl EngineBack {
         self.timings
     }
 
-    pub(crate) fn embedding(&self) -> &Embedding {
-        &self.embedding
+    pub(crate) fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+
+    pub(crate) fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Whether the tree's *resolved* policy (explicit config, or a `Lazy`
+    /// upgraded by `TSVD_SVD_UPDATE` at construction) runs the incremental
+    /// SVD repair tiers.
+    pub(crate) fn svd_update(&self) -> bool {
+        matches!(
+            self.tree.config().policy,
+            UpdatePolicy::LazyIncremental { .. }
+        )
     }
 }
 
-// Checkpoint serialisation of the engine halves. Scratch state is excluded
-// by construction: a shard's `pending` buffer only lives within one stage
-// call, and the front's `window_log` is the test-only journal the durable
-// WAL replaces — so a reloaded engine continues bitwise from the
-// serialised state.
+// Checkpoint serialisation. The `front` / `back` grouping is the on-disk
+// format older checkpoints were written in and is kept so they still
+// recover. Scratch state is excluded by construction (a shard's `pending`
+// buffer only lives within one `apply_recorded` call), so a reloaded
+// engine continues bitwise from the serialised state.
 impl ToJson for Shard {
     fn to_json(&self) -> Json {
         Json::object([("start", self.start.to_json()), ("ppr", self.ppr.to_json())])
@@ -345,51 +255,61 @@ impl FromJson for Shard {
     }
 }
 
-impl ToJson for EngineFront {
+impl ToJson for TenantEngine {
     fn to_json(&self) -> Json {
         Json::object([
-            ("sources", self.sources.to_json()),
-            ("shards", self.shards.to_json()),
+            ("id", self.id.to_json()),
+            (
+                "front",
+                Json::object([
+                    ("sources", self.sources.to_json()),
+                    ("shards", self.shards.to_json()),
+                ]),
+            ),
+            (
+                "back",
+                Json::object([
+                    ("matrix", self.matrix.to_json()),
+                    ("tree", self.tree.to_json()),
+                    ("embedding", self.embedding.to_json()),
+                    ("timings", self.timings.to_json()),
+                    ("stats_total", self.stats_total.to_json()),
+                    ("epoch", self.epoch.to_json()),
+                    ("events_applied", self.events_applied.to_json()),
+                ]),
+            ),
         ])
     }
 }
 
-impl FromJson for EngineFront {
+impl FromJson for TenantEngine {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(EngineFront {
-            sources: field(j, "sources")?,
-            shards: field(j, "shards")?,
-            window_log: None,
+        let part = |key: &str| {
+            j.get(key)
+                .ok_or_else(|| JsonError(format!("missing field '{key}'")))
+        };
+        let (front, back) = (part("front")?, part("back")?);
+        Ok(TenantEngine {
+            id: field(j, "id")?,
+            sources: field(front, "sources")?,
+            shards: field(front, "shards")?,
+            matrix: field(back, "matrix")?,
+            tree: field(back, "tree")?,
+            embedding: field(back, "embedding")?,
+            timings: field(back, "timings")?,
+            stats_total: field(back, "stats_total")?,
+            epoch: field(back, "epoch")?,
+            events_applied: field(back, "events_applied")?,
         })
     }
 }
 
-impl ToJson for EngineBack {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("matrix", self.matrix.to_json()),
-            ("tree", self.tree.to_json()),
-            ("embedding", self.embedding.to_json()),
-            ("timings", self.timings.to_json()),
-            ("stats_total", self.stats_total.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("events_applied", self.events_applied.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EngineBack {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(EngineBack {
-            matrix: field(j, "matrix")?,
-            tree: field(j, "tree")?,
-            embedding: field(j, "embedding")?,
-            timings: field(j, "timings")?,
-            stats_total: field(j, "stats_total")?,
-            epoch: field(j, "epoch")?,
-            events_applied: field(j, "events_applied")?,
-        })
-    }
+/// Sharded dynamic subset-embedding engine (see module docs): a
+/// [`TenantHost`] with exactly one tenant, under a single-engine API.
+/// Converting to and from a host ([`TenantHost::from_engine`],
+/// [`TenantHost::into_single_engine`]) is a move.
+pub struct ShardedEngine {
+    host: TenantHost,
 }
 
 impl ShardedEngine {
@@ -397,9 +317,7 @@ impl ShardedEngine {
     /// the rows over `num_shards` contiguous ranges (clamped to `|S|`).
     ///
     /// The initial factorisation is identical to
-    /// `TreeSvdPipeline::new(g, sources, ppr_cfg, tree_cfg)`: shard builds
-    /// are per-source independent, and EqualMass block boundaries are
-    /// computed from the *full* concatenated row set.
+    /// `TreeSvdPipeline::new(g, sources, ppr_cfg, tree_cfg)`.
     pub fn new(
         g: &DynGraph,
         sources: &[u32],
@@ -407,12 +325,30 @@ impl ShardedEngine {
         ppr_cfg: PprConfig,
         tree_cfg: TreeSvdConfig,
     ) -> Self {
-        let (front, back) = build_parts(g, sources, num_shards, ppr_cfg, tree_cfg);
-        ShardedEngine {
-            ingest: GraphIngest::new(g),
-            front,
-            back,
-        }
+        let mut host = TenantHost::new(g);
+        host.register(DEFAULT_TENANT, sources, num_shards, ppr_cfg, tree_cfg)
+            .expect("fresh host has no tenant ids to collide with");
+        ShardedEngine { host }
+    }
+
+    /// View a one-tenant host as an engine.
+    pub(crate) fn from_host(host: TenantHost) -> Self {
+        assert_eq!(
+            host.num_tenants(),
+            1,
+            "into_single_engine needs exactly one tenant, host has {}",
+            host.num_tenants()
+        );
+        ShardedEngine { host }
+    }
+
+    /// The one-tenant host underneath.
+    pub(crate) fn into_host(self) -> TenantHost {
+        self.host
+    }
+
+    fn tenant(&self) -> &TenantEngine {
+        &self.host.tenants()[0]
     }
 
     /// Start journaling every applied window (see `window_log`). Windows
@@ -420,10 +356,11 @@ impl ShardedEngine {
     /// first `apply_batch` for a complete journal.
     ///
     /// The in-memory journal is for tests and offline-replay ground truth
-    /// and is capped at [`WINDOW_LOG_CAP`] windows (exceeding it panics);
-    /// a long-lived server journals through the durable WAL instead.
+    /// and is capped at `WINDOW_LOG_CAP` (65 536) windows — exceeding it
+    /// panics; a long-lived server journals through the durable WAL
+    /// instead.
     pub fn enable_window_log(&mut self) {
-        self.front.enable_window_log();
+        self.host.enable_window_log();
     }
 
     /// The journaled windows, in application order (`None` if journaling
@@ -432,106 +369,82 @@ impl ShardedEngine {
     /// embedding bitwise — regardless of how submissions raced into flush
     /// windows.
     pub fn window_log(&self) -> Option<&[Vec<EdgeEvent>]> {
-        self.front.window_log()
+        self.host.window_log(self.tenant().id)
     }
 
     /// Apply one event batch and refresh the embedding — the sharded
     /// equivalent of `TreeSvdPipeline::update` on the engine's own graph.
-    /// Literally `commit(stage_recorded(record(events)))`: the serial
-    /// composition of ingest and the two pipeline stages.
     pub fn apply_batch(&mut self, events: &[EdgeEvent]) -> UpdateStats {
-        let rec = self.ingest.record(events);
-        let staged = self.front.stage_recorded(self.ingest.graph(), &rec, events);
-        self.back.commit(staged)
-    }
-
-    /// Split into ingest + the two pipeline halves (see module docs). Used
-    /// by [`crate::FlushPipeline`] to run the halves concurrently and by
-    /// `TenantHost` to share one ingest across tenants.
-    pub(crate) fn into_parts(self) -> (GraphIngest, EngineFront, EngineBack) {
-        (self.ingest, self.front, self.back)
-    }
-
-    /// Reassemble an engine from its parts.
-    pub(crate) fn from_parts(
-        ingest: GraphIngest,
-        front: EngineFront,
-        back: EngineBack,
-    ) -> ShardedEngine {
-        ShardedEngine {
-            ingest,
-            front,
-            back,
-        }
+        self.host.apply_batch(events)[0].1
     }
 
     /// The current embedding, tagged with the current epoch, as a cheaply
     /// clonable snapshot ready to publish.
     pub fn tagged(&self) -> TaggedEmbedding {
-        self.back.tagged()
+        self.tenant().tagged()
     }
 
     /// The current subset embedding.
     pub fn embedding(&self) -> &Embedding {
-        &self.back.embedding
+        self.tenant().embedding()
     }
 
     /// Number of batches applied so far (the published epoch counter).
     pub fn epoch(&self) -> u64 {
-        self.back.epoch
+        self.tenant().epoch
     }
 
     /// Total events handed to [`ShardedEngine::apply_batch`] so far.
     pub fn events_applied(&self) -> u64 {
-        self.back.events_applied
+        self.tenant().events_applied
     }
 
     /// Actual shard count `R` (after clamping to `|S|`).
     pub fn num_shards(&self) -> usize {
-        self.front.num_shards()
+        self.tenant().num_shards()
     }
 
     /// Row range `[start, end)` of shard `k`.
     pub fn shard_range(&self, k: usize) -> (usize, usize) {
-        let sh = &self.front.shards[k];
+        let sh = &self.tenant().shards[k];
         (sh.start, sh.start + sh.ppr.len())
     }
 
     /// The subset `S` in row order.
     pub fn sources(&self) -> &[u32] {
-        self.front.sources()
+        self.tenant().sources()
     }
 
     /// The engine's view of the graph (all applied batches included).
     pub fn graph(&self) -> &DynGraph {
-        self.ingest.graph()
+        self.host.graph()
     }
 
-    /// How many edge batches the engine's private ingest has recorded —
-    /// equal to [`epoch`](Self::epoch) for a standalone engine.
+    /// How many edge batches the engine's ingest has recorded — equal to
+    /// [`epoch`](Self::epoch) for a standalone engine.
     pub fn batches_recorded(&self) -> u64 {
-        self.ingest.batches_recorded()
+        self.host.batches_recorded()
     }
 
     /// Cumulative per-phase wall-clock across all applied batches.
     pub fn timings(&self) -> PipelineTimings {
-        self.back.timings
+        self.tenant().timings
     }
 
     /// Field-wise sum of every batch's [`UpdateStats`].
     pub fn total_stats(&self) -> UpdateStats {
-        self.back.stats_total
+        self.tenant().stats_total
     }
 
     /// The maintained proximity matrix as CSR (right embeddings, quality
     /// measurements).
     pub fn proximity_csr(&self) -> CsrMatrix {
-        self.back.matrix.to_csr()
+        self.tenant().matrix.to_csr()
     }
 
     /// The global blocked proximity matrix.
     pub fn matrix(&self) -> &BlockedProximityMatrix {
-        &self.back.matrix
+        &self.tenant().matrix
     }
 }
 

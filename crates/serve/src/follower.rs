@@ -22,20 +22,15 @@
 //! fails (the leader answers with a compaction error) and the follower
 //! must re-seed from a newer checkpoint.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::sync::Arc;
 
 use tsvd_graph::EdgeEvent;
 use tsvd_rt::json::{FromJson, Json};
 
-use tsvd_core::TaggedEmbedding;
-
 use crate::net::{NetClient, WindowsPull};
-use crate::query::{BufPool, QueryState};
 use crate::server::EmbeddingReader;
-use crate::snapshot::{EpochCell, EpochSnapshot};
+use crate::snapshot::Publisher;
 use crate::tenant::{TenantHost, TenantId};
 
 /// Why a follower could not catch up to the leader.
@@ -109,24 +104,12 @@ impl From<CatchUpError> for io::Error {
     }
 }
 
-struct FollowerCell {
-    id: TenantId,
-    cell: Arc<EpochCell>,
-    sources: Arc<Vec<u32>>,
-    index: Arc<HashMap<u32, usize>>,
-    /// Query-state refresh chain (same machinery as the leader's flush
-    /// pipeline): the previous epoch's state, the matrix it was built
-    /// over, and the norm-buffer recycling pool.
-    query: Arc<QueryState>,
-    prev_tagged: TaggedEmbedding,
-    bufs: BufPool,
-}
-
 /// A replica host that replays the leader's flush windows and serves
 /// wait-free reads at a possibly-stale-but-consistent epoch (module docs).
 pub struct Follower {
     host: TenantHost,
-    cells: Vec<FollowerCell>,
+    /// One publisher per tenant, in the host's slot order.
+    publishers: Vec<Publisher>,
 }
 
 impl Follower {
@@ -134,35 +117,8 @@ impl Follower {
     /// tenant's epoch as of the host — epoch 0 for a fresh build, the
     /// checkpoint epoch for a recovered one).
     pub fn new(host: TenantHost) -> Self {
-        let cells = host
-            .tenant_ids()
-            .into_iter()
-            .map(|id| {
-                let sources = Arc::new(host.sources(id).expect("own tenant").to_vec());
-                let index: Arc<HashMap<u32, usize>> =
-                    Arc::new(sources.iter().enumerate().map(|(i, &v)| (v, i)).collect());
-                let tagged = host.tagged(id).expect("own tenant");
-                let query = QueryState::build(&tagged);
-                let cell = Arc::new(EpochCell::new(EpochSnapshot::with_query(
-                    tagged.clone(),
-                    sources.clone(),
-                    index.clone(),
-                    host.events_applied(id).expect("own tenant"),
-                    host.timings(id).expect("own tenant"),
-                    query.clone(),
-                )));
-                FollowerCell {
-                    id,
-                    cell,
-                    sources,
-                    index,
-                    query,
-                    prev_tagged: tagged,
-                    bufs: BufPool::new(),
-                }
-            })
-            .collect();
-        Follower { host, cells }
+        let publishers = host.tenants().iter().map(Publisher::new).collect();
+        Follower { host, publishers }
     }
 
     /// The epoch this follower has applied and published (tenant epochs
@@ -181,8 +137,10 @@ impl Follower {
     ///
     /// [`ServerHandle::reader_for`]: crate::ServerHandle::reader_for
     pub fn reader(&self, tenant: TenantId) -> Option<EmbeddingReader> {
-        let c = self.cells.iter().find(|c| c.id == tenant)?;
-        Some(EmbeddingReader::from_cell(c.cell.clone()))
+        let slot = self.host.tenants().iter().position(|t| t.id == tenant)?;
+        Some(EmbeddingReader::from_cell(
+            self.publishers[slot].cell().clone(),
+        ))
     }
 
     /// The wrapped host (e.g. for offline comparison).
@@ -196,24 +154,14 @@ impl Follower {
         self.host
     }
 
-    /// Apply one of the leader's post-coalesce windows verbatim and
-    /// publish the resulting epoch on every tenant.
+    /// Apply one of the leader's post-coalesce windows verbatim,
+    /// publishing each tenant's resulting epoch as soon as that tenant's
+    /// refresh returns.
     pub fn apply_window(&mut self, events: &[EdgeEvent]) {
-        self.host.apply_batch(events);
-        for c in &mut self.cells {
-            let tagged = self.host.tagged(c.id).expect("own tenant");
-            let query = QueryState::refresh(&c.query, &c.prev_tagged, &tagged, &mut c.bufs);
-            c.cell.store(EpochSnapshot::with_query(
-                tagged.clone(),
-                c.sources.clone(),
-                c.index.clone(),
-                self.host.events_applied(c.id).expect("own tenant"),
-                self.host.timings(c.id).expect("own tenant"),
-                query.clone(),
-            ));
-            c.query = query;
-            c.prev_tagged = tagged;
-        }
+        let publishers = &mut self.publishers;
+        self.host.apply_batch_with(events, 0, |slot, engine, _| {
+            publishers[slot].publish(engine)
+        });
     }
 
     /// Pull windows from the leader until caught up to its journal head,
@@ -291,34 +239,19 @@ impl Follower {
                 self.host.tenant_ids()
             )));
         }
-        for c in &self.cells {
-            let theirs = host.sources(c.id).expect("id checked above");
-            if theirs != c.sources.as_slice() {
+        for (p, theirs) in self.publishers.iter().zip(host.tenants()) {
+            if theirs.sources() != p.sources() {
                 return Err(CatchUpError::SeedMismatch(format!(
                     "tenant {} subset differs from this follower's",
-                    c.id
+                    theirs.id
                 )));
             }
         }
         self.host = host;
         // Re-publish through the *existing* cells so readers handed out
-        // before the re-seed keep working. The query state is rebuilt
-        // from scratch — the incremental chain has no matrix to diff
-        // against across a checkpoint jump (results are identical either
-        // way; pruning is exact).
-        for c in &mut self.cells {
-            let tagged = self.host.tagged(c.id).expect("own tenant");
-            let query = QueryState::build(&tagged);
-            c.cell.store(EpochSnapshot::with_query(
-                tagged.clone(),
-                c.sources.clone(),
-                c.index.clone(),
-                self.host.events_applied(c.id).expect("own tenant"),
-                self.host.timings(c.id).expect("own tenant"),
-                query.clone(),
-            ));
-            c.query = query;
-            c.prev_tagged = tagged;
+        // before the re-seed keep working.
+        for (p, engine) in self.publishers.iter_mut().zip(self.host.tenants()) {
+            p.republish(engine);
         }
         Ok(self.epoch())
     }

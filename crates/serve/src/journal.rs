@@ -43,7 +43,7 @@ pub const JOURNAL_KEEP: usize = 4096;
 /// compact the log behind `epoch`.
 pub trait DurabilitySink: Send {
     /// Make the post-coalesce window for `epoch` durable. Called before
-    /// the window is recorded on the graph or staged on any tenant.
+    /// the window is recorded on the graph or applied to any tenant.
     fn append_window(&mut self, epoch: u64, events: &[EdgeEvent]) -> io::Result<()>;
 
     /// Persist a full host checkpoint at `epoch` (every window `≤ epoch`

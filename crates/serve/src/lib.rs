@@ -7,26 +7,29 @@
 //!
 //! Five pieces:
 //!
-//! * [`ShardedEngine`] — the update path. Subset rows are sharded across
-//!   `R` contiguous-range PPR replicas (phase 1 is per-source independent),
-//!   feeding one global lazy Tree-SVD. Output is **bitwise identical** to a
-//!   single [`TreeSvdPipeline`](tsvd_core::TreeSvdPipeline) at any `R` and
-//!   any `TSVD_THREADS` — sharding is a throughput knob, not an
+//! * [`TenantHost`] — the update path, and the only one. One host owns
+//!   **one** shared graph; N registered tenants each own a subset, shard
+//!   fan-out, and Tree-SVD state. [`TenantHost::apply_batch`] records each
+//!   edge batch on the shared graph exactly once and replays the recording
+//!   into every tenant — so the graph work is paid once, not N times —
+//!   while every tenant's embedding stays bitwise equal to its own offline
+//!   [`TreeSvdPipeline`](tsvd_core::TreeSvdPipeline) replay. The server,
+//!   followers and crash recovery all apply windows through this call.
+//! * [`ShardedEngine`] — a one-tenant host under a single-engine API.
+//!   Subset rows are sharded across `R` contiguous-range PPR replicas
+//!   (phase 1 is per-source independent), feeding one global lazy
+//!   Tree-SVD. Output is **bitwise identical** to a single pipeline at any
+//!   `R` and any `TSVD_THREADS` — sharding is a throughput knob, not an
 //!   approximation (see `engine` module docs for why this holds).
-//! * [`TenantHost`] — multi-subset tenancy. One host owns **one** shared
-//!   graph; N registered tenants each own a subset, shard fan-out, and
-//!   Tree-SVD state. Each edge batch is recorded on the shared graph
-//!   exactly once and the recording is replayed into every tenant — so the
-//!   graph work is paid once, not N times — while every tenant's embedding
-//!   stays bitwise equal to its own offline replay.
 //! * [`EmbeddingServer`] / [`ServerHandle`] / [`EmbeddingReader`] — the
 //!   asynchronous front. A dedicated reactor thread
-//!   ([`tsvd_rt::exec::EventLoop`] — no tokio; `std` only) batches incoming
-//!   [`EdgeEvent`](tsvd_graph::EdgeEvent)s per [`ServeConfig`] window
-//!   (count- or deadline-triggered, optionally last-write-wins coalesced)
-//!   and flushes them through every tenant's engine on the shared compute
-//!   pool, round-robin fair, with per-tenant admission quotas
-//!   ([`ServeConfig::tenant_quota`]) and per-tenant epoch publication.
+//!   ([`tsvd_rt::exec::EventLoop`] — no tokio; `std` only) owns the host,
+//!   batches incoming [`EdgeEvent`](tsvd_graph::EdgeEvent)s per
+//!   [`ServeConfig`] window (count- or deadline-triggered, optionally
+//!   last-write-wins coalesced) and applies each window serially, tenants
+//!   round-robin fair on the shared compute pool, with per-tenant
+//!   admission quotas ([`ServeConfig::tenant_quota`]) and per-tenant epoch
+//!   publication.
 //! * [`EpochCell`] / [`EpochSnapshot`] — the double buffer. Each flush
 //!   publishes a complete immutable snapshot via one `Arc` swap; readers
 //!   always observe a whole epoch (checksum-verifiable), never a torn mix,
@@ -59,7 +62,6 @@
 
 mod config;
 mod engine;
-mod flush;
 mod follower;
 mod ingest;
 mod journal;
@@ -73,7 +75,6 @@ mod tenant;
 
 pub use config::{RouterConfig, ServeConfig};
 pub use engine::ShardedEngine;
-pub use flush::{CommitOutcome, FlushPipeline};
 pub use follower::{CatchUpError, Follower};
 pub use ingest::GraphIngest;
 pub use journal::{DurabilitySink, JournalError, JournalWindows, WindowJournal, JOURNAL_KEEP};

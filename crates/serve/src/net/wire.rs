@@ -1300,11 +1300,6 @@ mod tests {
             flush_ms_last: 1.25,
             flush_ms_mean: 2.5,
             flush_ms_max: 0.1 + 0.2, // not exactly representable: bits must survive
-            pipeline_depth: 1,
-            windows_inflight: 1,
-            stage_ms_last: 0.75,
-            commit_ms_last: 1.5,
-            overlapped_secs: 0.1 + 0.7, // not exactly representable either
             svd_update: true,
             blocks_patched: 40,
             blocks_incremental: 9,

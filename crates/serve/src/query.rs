@@ -30,9 +30,9 @@
 //! **strictly** below the current k-th score — a tie must be scanned,
 //! because a tying row with a lower index wins under the canonical order.
 //!
-//! **Incremental maintenance.** The refresh runs alongside the flush
-//! pipeline's commit (it rides the same background courier, overlapping
-//! the next window's stage). Dirty rows are found by bitwise comparison
+//! **Incremental maintenance.** The refresh runs on the publish path,
+//! right after a tenant's Tree-SVD refresh returns (`Publisher::publish`,
+//! leader and follower alike). Dirty rows are found by bitwise comparison
 //! against the previous epoch's matrix — exact, and free of false
 //! positives under the lazy Tree-SVD policy where most epochs change few
 //! rows (an unchanged epoch reuses the whole index by `Arc` clone). Dirty
@@ -157,7 +157,7 @@ impl BufPool {
 
 /// Immutable per-epoch query state (module docs): cached norms plus the
 /// optional cluster index. Shared by `Arc` between the publish cell's
-/// snapshot and the pipeline's refresh chain.
+/// snapshot and the publisher's refresh chain.
 pub(crate) struct QueryState {
     norms: Arc<Vec<f64>>,
     inv_norms: Arc<Vec<f64>>,

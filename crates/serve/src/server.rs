@@ -1,6 +1,6 @@
 //! The serving front: a dedicated reactor thread that batches incoming
-//! edge events, drives every tenant's engine on flush, and publishes each
-//! tenant's new epoch through its own [`EpochCell`].
+//! edge events, applies each flushed window to a whole [`TenantHost`], and
+//! publishes each tenant's new epoch through its own [`EpochCell`].
 //!
 //! ```text
 //!  submit_batch_to(tenant)  ┌──────────────────────────────────────────────┐
@@ -8,11 +8,12 @@
 //!   Mailbox<Msg>            │   pending ── count/deadline ──▶ flush:       │
 //!   (per-tenant quota       │     coalesce (shared scratch, per-tenant     │
 //!    checked at admission)  │       applied/coalesced attribution)         │
-//!                           │     GraphIngest::record — ONCE per window    │
-//!                           │     round-robin over tenants:                │
-//!                           │       FlushPipeline::submit_recorded         │
-//!                           │         stage (pool) ∥ that tenant's commit  │
-//!                           │     → tenant EpochCell::store(EpochSnapshot) │
+//!                           │     WAL append (if a sink is attached)       │
+//!                           │     TenantHost::apply_batch:                 │
+//!                           │       record on the shared graph — ONCE      │
+//!                           │       round-robin over tenants:              │
+//!                           │         replay + refresh (pool)              │
+//!                           │         → tenant EpochCell::store(snapshot)  │
 //!  reader_for(tenant) ◀─────│                                              │
 //!   Arc swap load           └──────────────────────────────────────────────┘
 //! ```
@@ -33,35 +34,33 @@
 //! fully decoupled: [`EmbeddingReader::snapshot`] is an `Arc` clone under
 //! a nanoseconds-scale read lock and never waits on a flush.
 //!
-//! **Fairness:** each flush walks the tenants starting from a cursor that
-//! rotates by one per flush, so no tenant permanently stages first (first
-//! stager pays the cold pool) or last (last commit publishes latest). With
-//! [`ServeConfig::pipeline_depth`]` = 1` every tenant keeps at most one
-//! commit in flight on its own background courier — so with N tenants up
-//! to N commits overlap the staging of later tenants — and a short poll
-//! timer publishes committed epochs as they land. `flush_sync` and
-//! `shutdown` drain every tenant first, so their answers are exact in
-//! either mode, and published embeddings are bitwise identical at any
-//! depth.
+//! Flushes are serial: the reactor owns the host and runs each window to
+//! completion, so when `flush` returns every tenant serves the new epoch
+//! and `flush_sync`, checkpoints and `shutdown` need no draining. Within a
+//! window, tenant `k` is published as soon as its own refresh returns,
+//! before tenant `k + 1` starts its replay. **Fairness:** each flush walks
+//! the tenants starting from a cursor that rotates by one per flush, so no
+//! tenant permanently goes first (pays the cold pool) or last (publishes
+//! latest).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use tsvd_core::UpdateStats;
 use tsvd_graph::{CoalesceScratch, EdgeEvent};
 use tsvd_rt::exec::{Event, EventLoop, Flow, Mailbox, Timers};
+use tsvd_rt::json::ToJson;
 
 use crate::config::ServeConfig;
-use crate::engine::{EngineBack, EngineFront, ShardedEngine};
-use crate::flush::{CommitOutcome, FlushPipeline};
-use crate::ingest::GraphIngest;
+use crate::engine::{ShardedEngine, TenantEngine};
 use crate::journal::{DurabilitySink, JournalError, JournalWindows, WindowJournal, JOURNAL_KEEP};
-use crate::snapshot::{EpochCell, EpochSnapshot};
+use crate::snapshot::{EpochCell, EpochSnapshot, Publisher};
 use crate::stats::{HostStats, ServeStats, StatsReply};
-use crate::tenant::{host_json, TenantEngine, TenantHost, TenantId};
+use crate::tenant::{TenantHost, TenantId};
 
 /// Tenant id a single-engine server registers its engine under, and the id
 /// the tenant-unaware handle methods route to.
@@ -69,14 +68,6 @@ pub const DEFAULT_TENANT: TenantId = 0;
 
 /// Timer key for the deadline-triggered flush.
 const FLUSH_TIMER: u64 = 1;
-
-/// Timer key for polling in-flight pipelined commits.
-const COMMIT_TIMER: u64 = 2;
-
-/// Poll cadence for in-flight commits. Short enough to not add meaningful
-/// publish latency on top of a multi-millisecond refresh; the armed timer
-/// also keeps the reactor alive until every commit lands.
-const COMMIT_POLL: Duration = Duration::from_micros(500);
 
 /// Messages understood by the serving reactor.
 enum Msg {
@@ -87,10 +78,9 @@ enum Msg {
     /// Flush whatever is pending now; ack with the epoch watermark every
     /// tenant has then published.
     Flush(mpsc::Sender<u64>),
-    /// Serialise the host at a consistent cut (drain in-flight commits,
-    /// do NOT flush pending events) and send back `(epoch, host JSON)` —
-    /// what the `GetCheckpoint` wire request serves to re-seeding
-    /// followers.
+    /// Serialise the host as it stands (do NOT flush pending events) and
+    /// send back `(epoch, host JSON)` — what the `GetCheckpoint` wire
+    /// request serves to re-seeding followers.
     Snapshot(mpsc::Sender<(u64, String)>),
     /// Flush, stop the loop, and hand the host back.
     Shutdown(mpsc::Sender<TenantHost>),
@@ -150,18 +140,11 @@ struct Counters {
     /// Flushes executed (== epochs published since start).
     batches: AtomicU64,
     /// Flush wall-clock (trigger → publish), nanoseconds: cumulative /
-    /// last / worst. In pipelined mode this includes any time the window
-    /// waited behind the previous window's in-flight commit.
+    /// last / worst. With several tenants this includes the time the
+    /// window spent on the tenants walked before this one.
     flush_nanos_total: AtomicU64,
     flush_nanos_last: AtomicU64,
     flush_nanos_max: AtomicU64,
-    /// Phase wall-clock of the most recent published window, nanoseconds.
-    stage_nanos_last: AtomicU64,
-    commit_nanos_last: AtomicU64,
-    /// Cumulative stage/commit overlap across all windows, nanoseconds.
-    overlap_nanos_total: AtomicU64,
-    /// Gauge: windows staged but not yet published (0 or 1).
-    inflight: AtomicU64,
     /// Level-1 block repairs by tier, cumulative across shards/flushes:
     /// in-place patches, incremental updates, full refactorisations.
     blocks_patched: AtomicU64,
@@ -172,43 +155,29 @@ struct Counters {
 /// Host-level counters (shared-ingest scope, not per tenant).
 #[derive(Default)]
 struct HostCounters {
-    /// Mirror of `GraphIngest::batches_recorded`, published per flush.
+    /// Mirror of `TenantHost::batches_recorded`, published per flush.
     batches_recorded: AtomicU64,
-}
-
-/// Per staged window bookkeeping a tenant's reactor state needs when the
-/// window's commit outcome surfaces (possibly one flush later, in
-/// pipelined mode).
-struct WindowMeta {
-    /// When the flush that staged this window was triggered.
-    t_trigger: Instant,
-    /// Window events attributed to this tenant (its surviving submissions).
-    applied: u64,
-    /// This tenant's submissions dropped by coalescing of this window.
-    coalesced: u64,
 }
 
 /// Reactor-side per-tenant state (single-threaded: no locks needed).
 struct TenantState {
-    id: TenantId,
-    pipe: FlushPipeline,
-    /// Metadata of staged-but-unpublished windows, in staging order.
-    /// Commits complete in the same order, so pairing is a pop_front.
-    meta: VecDeque<WindowMeta>,
-    cell: Arc<EpochCell>,
+    publisher: Publisher,
     counters: Arc<Counters>,
-    sources: Arc<Vec<u32>>,
-    index: Arc<HashMap<u32, usize>>,
 }
 
 impl TenantState {
-    /// Account for and publish one committed window of this tenant.
-    fn complete(&mut self, o: &CommitOutcome) {
-        let meta = self
-            .meta
-            .pop_front()
-            .expect("commit outcome without staged-window metadata");
-        let nanos = meta.t_trigger.elapsed().as_nanos() as u64;
+    /// Account for and publish this tenant's refresh of one window:
+    /// `applied` of the window's events were this tenant's surviving
+    /// submissions, `coalesced` its submissions dropped by coalescing.
+    fn complete(
+        &mut self,
+        engine: &TenantEngine,
+        stats: &UpdateStats,
+        t_trigger: Instant,
+        applied: u64,
+        coalesced: u64,
+    ) {
+        let nanos = t_trigger.elapsed().as_nanos() as u64;
         // Counters first, publish second: once a reader observes the new
         // epoch in the cell, every counter already accounts for this flush
         // (`batches ≥ epoch`, `applied + coalesced` covers every published
@@ -217,38 +186,27 @@ impl TenantState {
         // before `last` is overwritten so `max ≥ last` holds for any
         // interleaved reader.
         let c = &self.counters;
-        c.applied.fetch_add(meta.applied, Ordering::Release);
-        c.coalesced.fetch_add(meta.coalesced, Ordering::Release);
+        c.applied.fetch_add(applied, Ordering::Release);
+        c.coalesced.fetch_add(coalesced, Ordering::Release);
         c.flush_nanos_total.fetch_add(nanos, Ordering::Release);
         c.flush_nanos_max.fetch_max(nanos, Ordering::Release);
         c.flush_nanos_last.store(nanos, Ordering::Release);
-        c.stage_nanos_last
-            .store((o.stage_secs * 1e9) as u64, Ordering::Release);
-        c.commit_nanos_last
-            .store((o.commit_secs * 1e9) as u64, Ordering::Release);
-        c.overlap_nanos_total
-            .fetch_add((o.overlapped_secs * 1e9) as u64, Ordering::Release);
         c.blocks_patched
-            .fetch_add(o.stats.blocks_patched as u64, Ordering::Release);
+            .fetch_add(stats.blocks_patched as u64, Ordering::Release);
         c.blocks_incremental
-            .fetch_add(o.stats.blocks_incremental as u64, Ordering::Release);
+            .fetch_add(stats.blocks_incremental as u64, Ordering::Release);
         c.blocks_refactored
-            .fetch_add(o.stats.blocks_recomputed as u64, Ordering::Release);
+            .fetch_add(stats.blocks_recomputed as u64, Ordering::Release);
         c.batches.fetch_add(1, Ordering::Release);
-        self.cell.store(EpochSnapshot::with_query(
-            o.tagged.clone(),
-            self.sources.clone(),
-            self.index.clone(),
-            o.events_applied,
-            o.timings,
-            o.query.clone(),
-        ));
+        self.publisher.publish(engine);
     }
 }
 
 /// Reactor-side state.
 struct Inner {
-    ingest: GraphIngest,
+    /// The whole host: shared graph + every tenant's engine.
+    host: TenantHost,
+    /// Publish side of each tenant, in the host's slot order.
     tenants: Vec<TenantState>,
     cfg: ServeConfig,
     /// The open (pre-coalesce) global window...
@@ -259,9 +217,9 @@ struct Inner {
     /// applied to the window map).
     scratch: CoalesceScratch,
     keep: Vec<bool>,
-    /// Round-robin cursor: which tenant stages first this flush.
+    /// Round-robin cursor: which tenant goes first this flush.
     rr: usize,
-    host: Arc<HostCounters>,
+    counters: Arc<HostCounters>,
     /// Durable write-ahead sink: every flushed window is appended (and
     /// fsync'd) here *before* it is recorded or any tenant commits, so a
     /// published epoch is always recoverable. `None` = no durability.
@@ -272,36 +230,16 @@ struct Inner {
 }
 
 impl Inner {
-    /// Reconcile the in-flight gauges and the commit poll timer with every
-    /// tenant's pipeline state.
-    fn sync_poll(&mut self, timers: &mut Timers) {
-        let mut any = false;
-        for t in &mut self.tenants {
-            let inflight = t.pipe.in_flight();
-            t.counters
-                .inflight
-                .store(inflight as u64, Ordering::Release);
-            any |= inflight;
-        }
-        if any {
-            if !timers.is_armed(COMMIT_TIMER) {
-                timers.arm_after(COMMIT_TIMER, COMMIT_POLL);
-            }
-        } else {
-            timers.cancel(COMMIT_TIMER);
-        }
-    }
-
     /// Flush the pending window: coalesce it (attributing survivors and
-    /// drops to their submitting tenants), record it **once** on the
-    /// shared graph, fan the recording out to every tenant round-robin,
-    /// and publish every window whose commit completed during this call.
+    /// drops to their submitting tenants), make it durable, and apply it
+    /// to the host — recorded **once** on the shared graph, then each
+    /// tenant in round-robin order replays it, refreshes and publishes.
     fn flush(&mut self, timers: &mut Timers) {
         timers.cancel(FLUSH_TIMER);
         if self.pending.is_empty() {
             return;
         }
-        let t0 = Instant::now();
+        let t_trigger = Instant::now();
         let raw = std::mem::take(&mut self.pending);
         let tags = std::mem::take(&mut self.pending_tags);
         let nt = self.tenants.len();
@@ -331,92 +269,41 @@ impl Inner {
         // A failed append is a broken durability guarantee, not a
         // recoverable condition: continuing would publish epochs a
         // recovery cannot reproduce.
-        let epoch = self.ingest.batches_recorded() + 1;
+        let epoch = self.host.batches_recorded() + 1;
         if let Some(sink) = &mut self.sink {
             if let Err(e) = sink.append_window(epoch, &window) {
                 panic!("WAL append for epoch {epoch} failed: {e}");
             }
         }
-        // Record once — the replay fan-out below never touches the graph.
-        let rec = self.ingest.record(&window);
-        self.host
+        // The recording mirror and the follower feed go first, so a rollup
+        // never shows an epoch the recording counter has not covered.
+        self.counters
             .batches_recorded
-            .store(self.ingest.batches_recorded(), Ordering::Release);
+            .store(epoch, Ordering::Release);
         self.journal.push(epoch, &window);
-        // Fairness: rotate which tenant stages first (and thus whose
-        // in-flight commit overlaps every later tenant's stage).
-        for k in 0..nt {
-            let slot = (self.rr + k) % nt;
-            let t = &mut self.tenants[slot];
-            t.meta.push_back(WindowMeta {
-                t_trigger: t0,
-                applied: applied[slot],
-                coalesced: coalesced[slot],
+        // Fairness: rotate which tenant goes first (and publishes first).
+        let tenants = &mut self.tenants;
+        self.host
+            .apply_batch_with(&window, self.rr, |slot, engine, stats| {
+                tenants[slot].complete(engine, &stats, t_trigger, applied[slot], coalesced[slot]);
             });
-            for o in t.pipe.submit_recorded(self.ingest.graph(), &rec, &window) {
-                t.complete(&o);
-            }
-        }
-        self.rr = (self.rr + 1) % nt.max(1);
-        self.sync_poll(timers);
-        self.maybe_checkpoint(timers, epoch);
-    }
-
-    /// Periodic checkpoint: every `cfg.checkpoint_every` flushed windows
-    /// (and only with a sink attached), drain the pipelines and hand the
-    /// full host serialisation to the sink, which compacts the WAL behind
-    /// the checkpointed epoch.
-    fn maybe_checkpoint(&mut self, timers: &mut Timers, epoch: u64) {
+        self.rr = (self.rr + 1) % nt;
+        // Periodic checkpoint: every `cfg.checkpoint_every` flushed
+        // windows (and only with a sink attached).
         let every = self.cfg.checkpoint_every;
-        if self.sink.is_none() || every == 0 || !epoch.is_multiple_of(every) {
-            return;
+        if every != 0 && epoch.is_multiple_of(every) {
+            self.checkpoint();
         }
-        // Checkpoint state must include every window ≤ epoch: join any
-        // in-flight commits first. This stalls the pipeline for one
-        // checkpoint — the price of a consistent cut.
-        self.drain();
-        self.sync_poll(timers);
-        self.checkpoint_now(epoch);
     }
 
-    /// Serialise the host at its current state. Pipelines must be drained
-    /// first — an in-flight commit would make the cut torn.
-    fn serialise_host(&self) -> tsvd_rt::json::Json {
-        let parts: Vec<(TenantId, &EngineFront, &EngineBack)> = self
-            .tenants
-            .iter()
-            .map(|t| (t.id, t.pipe.front(), t.pipe.back()))
-            .collect();
-        host_json(&self.ingest, &parts)
-    }
-
-    /// Serialise the host (pipelines must be drained) and write it through
-    /// the sink. Same failure policy as the append path.
-    fn checkpoint_now(&mut self, epoch: u64) {
-        let json = self.serialise_host();
+    /// Hand the full host serialisation to the sink (if one is attached),
+    /// which compacts the WAL behind the checkpointed epoch. Same failure
+    /// policy as the append path.
+    fn checkpoint(&mut self) {
         if let Some(sink) = &mut self.sink {
-            if let Err(e) = sink.checkpoint(epoch, &json) {
+            let epoch = self.host.batches_recorded();
+            if let Err(e) = sink.checkpoint(epoch, &self.host.to_json()) {
                 panic!("checkpoint at epoch {epoch} failed: {e}");
-            }
-        }
-    }
-
-    /// Poll every tenant's in-flight commit, publishing whatever landed.
-    fn poll_commits(&mut self) {
-        for t in &mut self.tenants {
-            if let Some(o) = t.pipe.try_complete() {
-                t.complete(&o);
-            }
-        }
-    }
-
-    /// Block until no tenant has a window in flight, publishing whatever
-    /// completes. After this, every tenant's served epoch reflects every
-    /// flushed window.
-    fn drain(&mut self) {
-        for t in &mut self.tenants {
-            while let Some(o) = t.pipe.drain() {
-                t.complete(&o);
             }
         }
     }
@@ -425,7 +312,7 @@ impl Inner {
     fn min_epoch(&self) -> u64 {
         self.tenants
             .iter()
-            .map(|t| t.cell.epoch())
+            .map(|t| t.publisher.cell().epoch())
             .min()
             .unwrap_or(0)
     }
@@ -459,6 +346,7 @@ struct TenantHandle {
     cell: Arc<EpochCell>,
     counters: Arc<Counters>,
     num_shards: usize,
+    svd_update: bool,
 }
 
 impl EmbeddingServer {
@@ -502,58 +390,38 @@ impl EmbeddingServer {
     ) -> ServerHandle {
         cfg.validate();
         assert!(host.num_tenants() >= 1, "host has no tenants registered");
-        let (ingest, engines) = host.into_parts();
-        let mut tenants = Vec::with_capacity(engines.len());
-        let mut handles = Vec::with_capacity(engines.len());
+        let mut tenants = Vec::with_capacity(host.num_tenants());
+        let mut handles = Vec::with_capacity(host.num_tenants());
         let mut ids = HashMap::new();
-        for (slot, t) in engines.into_iter().enumerate() {
-            let TenantEngine { id, front, back } = t;
-            let sources = Arc::new(front.sources().to_vec());
-            let index: Arc<HashMap<u32, usize>> =
-                Arc::new(sources.iter().enumerate().map(|(i, &v)| (v, i)).collect());
+        for (slot, engine) in host.tenants().iter().enumerate() {
+            // Epoch 0 (the initial factorisation) is served immediately.
+            let publisher = Publisher::new(engine);
             let counters = Arc::new(Counters::default());
-            let num_shards = front.num_shards();
-            // The pipeline owns the query-state refresh chain; epoch 0's
-            // snapshot shares its initial state instead of building twice.
-            let pipe = FlushPipeline::for_tenant(front, back, cfg.pipeline_depth);
-            let cell = Arc::new(EpochCell::new(EpochSnapshot::with_query(
-                // Epoch 0 (the initial factorisation) is served immediately.
-                pipe.back().tagged(),
-                sources.clone(),
-                index.clone(),
-                pipe.back().events_applied(),
-                pipe.back().timings(),
-                pipe.query(),
-            )));
-            ids.insert(id, slot);
+            ids.insert(engine.id, slot);
             handles.push(TenantHandle {
-                id,
-                cell: cell.clone(),
+                id: engine.id,
+                cell: publisher.cell().clone(),
                 counters: counters.clone(),
-                num_shards,
+                num_shards: engine.num_shards(),
+                svd_update: engine.svd_update(),
             });
             tenants.push(TenantState {
-                id,
-                pipe,
-                meta: VecDeque::new(),
-                cell,
+                publisher,
                 counters,
-                sources,
-                index,
             });
         }
         let host_counters = Arc::new(HostCounters::default());
         host_counters
             .batches_recorded
-            .store(ingest.batches_recorded(), Ordering::Release);
+            .store(host.batches_recorded(), Ordering::Release);
         let keep = if cfg.journal_keep == 0 {
             JOURNAL_KEEP
         } else {
             cfg.journal_keep
         };
-        let journal = Arc::new(WindowJournal::new(ingest.batches_recorded(), keep));
-        let inner = Inner {
-            ingest,
+        let journal = Arc::new(WindowJournal::new(host.batches_recorded(), keep));
+        let mut inner = Inner {
+            host,
             tenants,
             cfg,
             pending: Vec::new(),
@@ -561,7 +429,7 @@ impl EmbeddingServer {
             scratch: CoalesceScratch::new(),
             keep: Vec::new(),
             rr: 0,
-            host: host_counters.clone(),
+            counters: host_counters.clone(),
             sink,
             journal: journal.clone(),
         };
@@ -569,7 +437,6 @@ impl EmbeddingServer {
         let join = std::thread::Builder::new()
             .name("tsvd-serve".into())
             .spawn(move || {
-                let mut inner = inner;
                 let mut host_out: Option<mpsc::Sender<TenantHost>> = None;
                 ev.run(|timers, event| match event {
                     Event::Message(Msg::Events(slot, events)) => {
@@ -577,24 +444,15 @@ impl EmbeddingServer {
                         Flow::Continue
                     }
                     Event::Message(Msg::Flush(ack)) => {
-                        // Drain before acking: flush_sync promises the
-                        // returned watermark covers everything this handle
-                        // submitted, even windows still in flight.
                         inner.flush(timers);
-                        inner.drain();
-                        inner.sync_poll(timers);
                         let _ = ack.send(inner.min_epoch());
                         Flow::Continue
                     }
                     Event::Message(Msg::Snapshot(tx)) => {
-                        // Consistent cut at whatever is *recorded*: join
-                        // in-flight commits but leave pending (unflushed)
-                        // events pending — they belong to a later epoch.
-                        inner.drain();
-                        inner.sync_poll(timers);
-                        let epoch = inner.ingest.batches_recorded();
-                        let json = inner.serialise_host();
-                        let _ = tx.send((epoch, json.to_string()));
+                        // A cut at whatever is *recorded*: pending
+                        // (unflushed) events belong to a later epoch.
+                        let epoch = inner.host.batches_recorded();
+                        let _ = tx.send((epoch, inner.host.to_json().to_string()));
                         Flow::Continue
                     }
                     Event::Message(Msg::Shutdown(tx)) => {
@@ -606,38 +464,14 @@ impl EmbeddingServer {
                         inner.flush(timers);
                         Flow::Continue
                     }
-                    Event::Timer(COMMIT_TIMER) => {
-                        inner.poll_commits();
-                        inner.sync_poll(timers);
-                        Flow::Continue
-                    }
                     Event::Timer(_) => Flow::Continue,
                 });
-                // Publish any windows still in flight (the shutdown-with-
-                // staged-window drain), then hand the host back whole.
-                inner.drain();
                 // Clean shutdown checkpoints at the final epoch, so a
                 // restart seeds from here with nothing left to replay (and
                 // the sink can compact the whole WAL away).
-                if inner.sink.is_some() {
-                    let epoch = inner.ingest.batches_recorded();
-                    inner.checkpoint_now(epoch);
-                }
+                inner.checkpoint();
                 if let Some(tx) = host_out {
-                    let engines = inner
-                        .tenants
-                        .into_iter()
-                        .map(|t| {
-                            let (front, back, last) = t.pipe.into_tenant_parts();
-                            debug_assert!(last.is_none(), "drained pipeline had an outcome");
-                            TenantEngine {
-                                id: t.id,
-                                front,
-                                back,
-                            }
-                        })
-                        .collect();
-                    let _ = tx.send(TenantHost::from_parts(inner.ingest, engines));
+                    let _ = tx.send(inner.host);
                 }
             })
             .expect("spawn tsvd-serve reactor");
@@ -790,9 +624,10 @@ impl ServerHandle {
     }
 
     /// A consistent-cut serialisation of the whole host: `(epoch, host
-    /// JSON)` with every window ≤ `epoch` applied and nothing newer. The
-    /// reactor drains in-flight commits first (pending *unflushed* events
-    /// stay pending — they belong to a later epoch). This is what the
+    /// JSON)` with every window ≤ `epoch` applied and nothing newer
+    /// (pending *unflushed* events stay pending — they belong to a later
+    /// epoch) — byte-equal to `to_json()` of an offline [`TenantHost`]
+    /// that applied the same windows. This is what the
     /// `GetCheckpoint` wire request serves to re-seeding followers.
     /// `None` if the server is gone.
     pub fn checkpoint_json(&self) -> Option<(u64, String)> {
@@ -863,10 +698,6 @@ impl ServerHandle {
         // `last`, so this order guarantees `max ≥ last` in the result.
         let last_ns = c.flush_nanos_last.load(Ordering::Acquire);
         let max_ns = c.flush_nanos_max.load(Ordering::Acquire);
-        let stage_ns = c.stage_nanos_last.load(Ordering::Acquire);
-        let commit_ns = c.commit_nanos_last.load(Ordering::Acquire);
-        let overlap_ns = c.overlap_nanos_total.load(Ordering::Acquire);
-        let inflight = c.inflight.load(Ordering::Acquire);
         let blocks_patched = c.blocks_patched.load(Ordering::Acquire);
         let blocks_incremental = c.blocks_incremental.load(Ordering::Acquire);
         let blocks_refactored = c.blocks_refactored.load(Ordering::Acquire);
@@ -886,12 +717,7 @@ impl ServerHandle {
                 total_ns as f64 / batches as f64 / 1e6
             },
             flush_ms_max: max_ns as f64 / 1e6,
-            pipeline_depth: self.cfg.pipeline_depth,
-            windows_inflight: inflight,
-            stage_ms_last: stage_ns as f64 / 1e6,
-            commit_ms_last: commit_ns as f64 / 1e6,
-            overlapped_secs: overlap_ns as f64 / 1e9,
-            svd_update: self.cfg.svd_update,
+            svd_update: t.svd_update,
             blocks_patched,
             blocks_incremental,
             blocks_refactored,

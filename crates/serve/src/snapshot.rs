@@ -1,6 +1,7 @@
 //! Epoch snapshots and the double-buffered publish cell.
 //!
-//! The writer (the server's event loop) prepares a complete
+//! The writer (a `Publisher`, one per tenant — the server's event loop or
+//! a follower drives it) prepares a complete
 //! [`EpochSnapshot`] *off* any lock — materialising the embedding, the
 //! node→row index, and a content checksum — and then publishes it with a
 //! single pointer-sized [`Arc`] swap inside [`EpochCell::store`]. Readers
@@ -15,7 +16,8 @@ use std::sync::{Arc, RwLock};
 
 use tsvd_core::{PipelineTimings, TaggedEmbedding};
 
-use crate::query::{inv_norm_of, Metric, QueryState};
+use crate::engine::TenantEngine;
+use crate::query::{inv_norm_of, BufPool, Metric, QueryState};
 
 /// One immutable, internally consistent published state of the server:
 /// the embedding at some epoch plus the lookup structures to query it.
@@ -48,8 +50,8 @@ impl EpochSnapshot {
         Self::with_query(tagged, sources, index, events_applied, timings, query)
     }
 
-    /// Assemble a snapshot around an already-built query state (the flush
-    /// pipeline refreshes it incrementally alongside the commit).
+    /// Assemble a snapshot around an already-built query state (the
+    /// [`Publisher`] refreshes it incrementally from the previous epoch).
     pub(crate) fn with_query(
         tagged: TaggedEmbedding,
         sources: Arc<Vec<u32>>,
@@ -254,6 +256,93 @@ impl EpochCell {
     /// The published epoch, without touching the lock.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
+    }
+}
+
+/// One tenant's publish side — the only code that builds and stores
+/// served snapshots. Owns the tenant's [`EpochCell`], the subset lookup
+/// `Arc`s every snapshot shares, and the query-state refresh chain: the
+/// previous epoch's [`QueryState`], the matrix it was built over (an `Arc`
+/// pair — retaining it is two pointer bumps, no copy) and the norm-buffer
+/// recycling pool. The leader's reactor and a [`crate::Follower`] each
+/// hold one per tenant, so their readers get the identical wait-free
+/// interface.
+pub(crate) struct Publisher {
+    cell: Arc<EpochCell>,
+    sources: Arc<Vec<u32>>,
+    index: Arc<HashMap<u32, usize>>,
+    query: Arc<QueryState>,
+    tagged: TaggedEmbedding,
+    bufs: BufPool,
+}
+
+impl Publisher {
+    /// Publish `engine`'s current state as the cell's first snapshot
+    /// (epoch 0 for a fresh build, the checkpoint epoch after recovery).
+    pub(crate) fn new(engine: &TenantEngine) -> Self {
+        let sources = Arc::new(engine.sources().to_vec());
+        let index: Arc<HashMap<u32, usize>> =
+            Arc::new(sources.iter().enumerate().map(|(i, &v)| (v, i)).collect());
+        let tagged = engine.tagged();
+        let query = QueryState::build(&tagged);
+        let cell = Arc::new(EpochCell::new(EpochSnapshot::with_query(
+            tagged.clone(),
+            sources.clone(),
+            index.clone(),
+            engine.events_applied(),
+            engine.timings(),
+            query.clone(),
+        )));
+        Publisher {
+            cell,
+            sources,
+            index,
+            query,
+            tagged,
+            bufs: BufPool::new(),
+        }
+    }
+
+    /// Publish `engine`'s new epoch, refreshing the query state
+    /// incrementally from the previous one.
+    pub(crate) fn publish(&mut self, engine: &TenantEngine) {
+        let next = engine.tagged();
+        let query = QueryState::refresh(&self.query, &self.tagged, &next, &mut self.bufs);
+        self.store(engine, next, query);
+    }
+
+    /// Publish the state of a *replacement* engine (a follower re-seeded
+    /// from a checkpoint) through the existing cell, so readers handed out
+    /// earlier simply observe the jump. The query state is rebuilt from
+    /// scratch rather than diffed across the jump (results are identical
+    /// either way; pruning is exact).
+    pub(crate) fn republish(&mut self, engine: &TenantEngine) {
+        let next = engine.tagged();
+        let query = QueryState::build(&next);
+        self.store(engine, next, query);
+    }
+
+    fn store(&mut self, engine: &TenantEngine, tagged: TaggedEmbedding, query: Arc<QueryState>) {
+        self.cell.store(EpochSnapshot::with_query(
+            tagged.clone(),
+            self.sources.clone(),
+            self.index.clone(),
+            engine.events_applied(),
+            engine.timings(),
+            query.clone(),
+        ));
+        self.tagged = tagged;
+        self.query = query;
+    }
+
+    /// The cell readers load from.
+    pub(crate) fn cell(&self) -> &Arc<EpochCell> {
+        &self.cell
+    }
+
+    /// The published subset, in row order.
+    pub(crate) fn sources(&self) -> &[u32] {
+        &self.sources
     }
 }
 

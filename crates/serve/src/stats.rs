@@ -32,21 +32,10 @@ pub struct ServeStats {
     pub flush_ms_mean: f64,
     /// Worst flush wall-clock, milliseconds.
     pub flush_ms_max: f64,
-    /// Configured flush pipelining depth (0 = serial flushes).
-    pub pipeline_depth: usize,
-    /// Windows currently in flight in the flush pipeline (0 or 1): staged
-    /// and committing, but not yet published.
-    pub windows_inflight: u64,
-    /// Wall-clock of the most recent window's stage (phase 1), ms.
-    pub stage_ms_last: f64,
-    /// Wall-clock of the most recent window's commit (phase 2), ms.
-    pub commit_ms_last: f64,
-    /// Cumulative wall-clock during which a window's commit ran
-    /// concurrently with the next window's stage — the measured pipeline
-    /// overlap. Always 0 at `pipeline_depth = 0`.
-    pub overlapped_secs: f64,
-    /// Whether the incremental SVD update path is configured
-    /// (`TSVD_SVD_UPDATE` / `ServeConfig::svd_update`).
+    /// Whether this tenant's Tree-SVD runs the incremental SVD update
+    /// path: its *resolved* policy is `UpdatePolicy::LazyIncremental`,
+    /// whether set explicitly or upgraded from `Lazy` by
+    /// `TSVD_SVD_UPDATE` at construction.
     pub svd_update: bool,
     /// Level-1 blocks repaired by the in-place core patch, cumulative
     /// across shards and flushes. Nonzero only on the incremental path.
@@ -73,11 +62,6 @@ tsvd_rt::impl_json_struct!(ServeStats {
     flush_ms_last,
     flush_ms_mean,
     flush_ms_max,
-    pipeline_depth,
-    windows_inflight,
-    stage_ms_last,
-    commit_ms_last,
-    overlapped_secs,
     svd_update,
     blocks_patched,
     blocks_incremental,
@@ -182,11 +166,6 @@ mod tests {
             flush_ms_last: 1.5,
             flush_ms_mean: 2.0,
             flush_ms_max: 3.25,
-            pipeline_depth: 1,
-            windows_inflight: 1,
-            stage_ms_last: 0.75,
-            commit_ms_last: 1.25,
-            overlapped_secs: 0.125,
             svd_update: true,
             blocks_patched: 12,
             blocks_incremental: 5,

@@ -1,16 +1,19 @@
 //! Multi-subset tenancy: one shared graph, N per-subset engines.
 //!
 //! A [`TenantHost`] owns the single [`GraphIngest`] and a set of tenants,
-//! each a (front, back) engine pair over its own subset `S_t` at its own
-//! shard count. The edge-event stream is global — every window is recorded
-//! on the shared graph **once** and the recording replayed into every
-//! tenant's PPR shards — so each tenant's published embedding stays
-//! bitwise-equal to an offline [`TreeSvdPipeline`](tsvd_core) replay of
-//! the same windows with that tenant's subset.
+//! each a `TenantEngine` over its own subset `S_t` at its own shard count.
+//! The edge-event stream is global — every window is recorded on the
+//! shared graph **once** and the recording replayed into every tenant's
+//! PPR shards — so each tenant's published embedding stays bitwise-equal
+//! to an offline [`TreeSvdPipeline`](tsvd_core) replay of the same windows
+//! with that tenant's subset.
 //!
-//! The host is the synchronous, single-writer core; the batching reactor
-//! with fair cross-tenant scheduling lives in [`crate::server`]
-//! (`EmbeddingServer::start_host`).
+//! [`TenantHost::apply_batch`] is the one way `tsvd-serve` applies a
+//! window: the reactor ([`crate::server`]), the follower
+//! ([`crate::Follower`]), crash recovery (`tsvd-store`) and the
+//! single-engine facade ([`ShardedEngine`]) all go through it. The host is
+//! the synchronous, single-writer core; batching, admission and fair
+//! cross-tenant scheduling live in the reactor.
 
 use std::fmt;
 
@@ -19,7 +22,7 @@ use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
 use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
 
-use crate::engine::{build_parts, EngineBack, EngineFront, ShardedEngine};
+use crate::engine::{ShardedEngine, TenantEngine};
 use crate::ingest::GraphIngest;
 
 /// Identifies one tenant (subset) on a host — also the id carried in the
@@ -44,12 +47,6 @@ impl fmt::Display for TenantError {
 
 impl std::error::Error for TenantError {}
 
-pub(crate) struct TenantEngine {
-    pub(crate) id: TenantId,
-    pub(crate) front: EngineFront,
-    pub(crate) back: EngineBack,
-}
-
 /// One shared graph, N per-subset tenant engines (see module docs).
 pub struct TenantHost {
     ingest: GraphIngest,
@@ -65,14 +62,12 @@ impl TenantHost {
         }
     }
 
-    /// Wrap a standalone engine as a one-tenant host (its private ingest
-    /// becomes the shared one, so `batches_recorded` carries over).
+    /// Re-label a standalone engine's one-tenant host as tenant `id` (a
+    /// move: graph, `batches_recorded` and window log carry over).
     pub fn from_engine(engine: ShardedEngine, id: TenantId) -> Self {
-        let (ingest, front, back) = engine.into_parts();
-        TenantHost {
-            ingest,
-            tenants: vec![TenantEngine { id, front, back }],
-        }
+        let mut host = engine.into_host();
+        host.tenants[0].id = id;
+        host
     }
 
     /// Register tenant `id` over subset `sources` with `num_shards`
@@ -92,9 +87,14 @@ impl TenantHost {
         if self.tenants.iter().any(|t| t.id == id) {
             return Err(TenantError::DuplicateId(id));
         }
-        let (front, back) =
-            build_parts(self.ingest.graph(), sources, num_shards, ppr_cfg, tree_cfg);
-        self.tenants.push(TenantEngine { id, front, back });
+        self.tenants.push(TenantEngine::build(
+            id,
+            self.ingest.graph(),
+            sources,
+            num_shards,
+            ppr_cfg,
+            tree_cfg,
+        ));
         Ok(())
     }
 
@@ -120,93 +120,99 @@ impl TenantHost {
         self.ingest.batches_recorded()
     }
 
-    /// Start journaling applied windows on every tenant (idempotent).
-    /// Each tenant journals the same global windows; per-tenant journals
-    /// are the ground truth for that tenant's offline replay.
+    /// Start journaling applied windows (idempotent). The stream is
+    /// global, so the host keeps one journal, recorded where the graph is;
+    /// it is every tenant's ground truth for its offline replay. Capped at
+    /// `WINDOW_LOG_CAP` windows (exceeding it panics).
     pub fn enable_window_log(&mut self) {
-        for t in &mut self.tenants {
-            t.front.enable_window_log();
-        }
+        self.ingest.enable_window_log();
     }
 
-    /// Tenant `id`'s journaled windows (`None` if the tenant is unknown or
-    /// journaling was never enabled).
+    /// The journaled windows tenant `id` applied (`None` if the tenant is
+    /// unknown or journaling was never enabled).
     pub fn window_log(&self, id: TenantId) -> Option<&[Vec<EdgeEvent>]> {
-        self.tenant(id)?.front.window_log()
+        self.tenant(id)?;
+        self.ingest.window_log()
     }
 
     /// Apply one global event batch to every tenant: record once on the
-    /// shared graph, replay into each tenant's shards, commit each
-    /// tenant's refresh. Returns per-tenant `(id, stats)` in registration
-    /// order. The synchronous equivalent of one served flush window.
+    /// shared graph, then replay into and refresh each tenant in turn.
+    /// Returns per-tenant `(id, stats)` in registration order. The
+    /// synchronous equivalent of one served flush window.
     pub fn apply_batch(&mut self, events: &[EdgeEvent]) -> Vec<(TenantId, UpdateStats)> {
+        let mut out = Vec::with_capacity(self.tenants.len());
+        self.apply_batch_with(events, 0, |_, t, stats| out.push((t.id, stats)));
+        out
+    }
+
+    /// [`apply_batch`](Self::apply_batch) with a per-tenant hook: walk the
+    /// tenants starting at slot `first` (wrapping) and call
+    /// `committed(slot, engine, stats)` as soon as each tenant's refresh
+    /// returns — before the next tenant's replay starts, which is where
+    /// the serving paths publish that tenant's new epoch.
+    pub(crate) fn apply_batch_with(
+        &mut self,
+        events: &[EdgeEvent],
+        first: usize,
+        mut committed: impl FnMut(usize, &TenantEngine, UpdateStats),
+    ) {
         let rec = self.ingest.record(events);
         let graph = self.ingest.graph();
-        self.tenants
-            .iter_mut()
-            .map(|t| {
-                let staged = t.front.stage_recorded(graph, &rec, events);
-                (t.id, t.back.commit(staged))
-            })
-            .collect()
+        let n = self.tenants.len();
+        for k in 0..n {
+            let slot = (first + k) % n;
+            let t = &mut self.tenants[slot];
+            let stats = t.apply_recorded(graph, &rec, events);
+            committed(slot, t, stats);
+        }
     }
 
     /// Tenant `id`'s current embedding.
     pub fn embedding(&self, id: TenantId) -> Option<&Embedding> {
-        Some(self.tenant(id)?.back.embedding())
+        Some(self.tenant(id)?.embedding())
     }
 
     /// Tenant `id`'s current embedding tagged with its epoch.
     pub fn tagged(&self, id: TenantId) -> Option<TaggedEmbedding> {
-        Some(self.tenant(id)?.back.tagged())
+        Some(self.tenant(id)?.tagged())
     }
 
     /// Tenant `id`'s epoch (committed-window counter).
     pub fn epoch(&self, id: TenantId) -> Option<u64> {
-        Some(self.tenant(id)?.back.epoch())
+        Some(self.tenant(id)?.epoch())
     }
 
     /// Cumulative events applied to tenant `id`'s engine.
     pub fn events_applied(&self, id: TenantId) -> Option<u64> {
-        Some(self.tenant(id)?.back.events_applied())
+        Some(self.tenant(id)?.events_applied())
     }
 
     /// Tenant `id`'s cumulative per-phase wall-clock.
     pub fn timings(&self, id: TenantId) -> Option<PipelineTimings> {
-        Some(self.tenant(id)?.back.timings())
+        Some(self.tenant(id)?.timings())
     }
 
     /// Tenant `id`'s subset in row order.
     pub fn sources(&self, id: TenantId) -> Option<&[u32]> {
-        Some(self.tenant(id)?.front.sources())
+        Some(self.tenant(id)?.sources())
     }
 
     /// Tenant `id`'s actual shard count (after clamping to `|S|`).
     pub fn num_shards(&self, id: TenantId) -> Option<usize> {
-        Some(self.tenant(id)?.front.num_shards())
+        Some(self.tenant(id)?.num_shards())
     }
 
-    /// Collapse a one-tenant host back into a standalone engine.
+    /// View a one-tenant host as a standalone engine (a move).
     ///
     /// # Panics
     /// If the host has more or fewer than exactly one tenant.
-    pub fn into_single_engine(mut self) -> ShardedEngine {
-        assert_eq!(
-            self.tenants.len(),
-            1,
-            "into_single_engine needs exactly one tenant, host has {}",
-            self.tenants.len()
-        );
-        let t = self.tenants.pop().expect("checked above");
-        ShardedEngine::from_parts(self.ingest, t.front, t.back)
+    pub fn into_single_engine(self) -> ShardedEngine {
+        ShardedEngine::from_host(self)
     }
 
-    pub(crate) fn into_parts(self) -> (GraphIngest, Vec<TenantEngine>) {
-        (self.ingest, self.tenants)
-    }
-
-    pub(crate) fn from_parts(ingest: GraphIngest, tenants: Vec<TenantEngine>) -> Self {
-        TenantHost { ingest, tenants }
+    /// The tenant engines, in registration (slot) order.
+    pub(crate) fn tenants(&self) -> &[TenantEngine] {
+        &self.tenants
     }
 
     fn tenant(&self, id: TenantId) -> Option<&TenantEngine> {
@@ -214,49 +220,17 @@ impl TenantHost {
     }
 }
 
-fn tenant_json(id: TenantId, front: &EngineFront, back: &EngineBack) -> Json {
-    Json::object([
-        ("id", id.to_json()),
-        ("front", front.to_json()),
-        ("back", back.to_json()),
-    ])
-}
-
-/// Serialise a host checkpoint from borrowed parts — the reactor uses this
-/// while the engine halves live inside per-tenant flush pipelines, so the
-/// host never has to be reassembled just to checkpoint it. The shape is
-/// exactly `TenantHost::to_json`.
-pub(crate) fn host_json(
-    ingest: &GraphIngest,
-    tenants: &[(TenantId, &EngineFront, &EngineBack)],
-) -> Json {
-    Json::object([
-        ("graph", ingest.graph().to_json()),
-        ("batches_recorded", ingest.batches_recorded().to_json()),
-        (
-            "tenants",
-            Json::Arr(
-                tenants
-                    .iter()
-                    .map(|(id, f, b)| tenant_json(*id, f, b))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 // Checkpoint codec: the full host state — shared graph, record-once
-// counter, and every tenant's engine halves — round-trips losslessly, so
-// a host restored from a checkpoint continues bitwise (the same property
+// counter, and every tenant's engine — round-trips losslessly, so a host
+// restored from a checkpoint continues bitwise (the same property
 // `core::persist` gives a standalone `TreeSvdPipeline`).
 impl ToJson for TenantHost {
     fn to_json(&self) -> Json {
-        let parts: Vec<(TenantId, &EngineFront, &EngineBack)> = self
-            .tenants
-            .iter()
-            .map(|t| (t.id, &t.front, &t.back))
-            .collect();
-        host_json(&self.ingest, &parts)
+        Json::object([
+            ("graph", self.ingest.graph().to_json()),
+            ("batches_recorded", self.ingest.batches_recorded().to_json()),
+            ("tenants", self.tenants.to_json()),
+        ])
     }
 }
 
@@ -264,21 +238,9 @@ impl FromJson for TenantHost {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         let graph: DynGraph = field(j, "graph")?;
         let batches_recorded: u64 = field(j, "batches_recorded")?;
-        let tenants_json = j
-            .get("tenants")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError("missing field 'tenants'".into()))?;
-        let mut tenants = Vec::with_capacity(tenants_json.len());
-        for t in tenants_json {
-            tenants.push(TenantEngine {
-                id: field(t, "id")?,
-                front: field(t, "front")?,
-                back: field(t, "back")?,
-            });
-        }
         Ok(TenantHost {
             ingest: GraphIngest::restore(graph, batches_recorded),
-            tenants,
+            tenants: field(j, "tenants")?,
         })
     }
 }
@@ -403,6 +365,58 @@ mod tests {
         for (id, _, _) in &subsets {
             assert_eq!(host.epoch(*id).unwrap(), batches.len() as u64);
         }
+    }
+
+    /// The served path is the host path: a live server and a plain
+    /// engine fed the same windows agree bitwise *per window* — published
+    /// snapshot against `apply_batch` result — and in their cumulative
+    /// accounting once the server hands its engine back.
+    #[test]
+    fn served_windows_match_apply_batch_per_window() {
+        use crate::{EmbeddingServer, ServeConfig};
+
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 100;
+        let g = random_graph(&mut rng, n, 400);
+        let sources: Vec<u32> = (0..11).collect();
+        let ppr = PprConfig {
+            alpha: 0.2,
+            r_max: 1e-4,
+        };
+        let windows: Vec<Vec<EdgeEvent>> = (0..5).map(|_| random_batch(&mut rng, n, 24)).collect();
+
+        let mut serial = ShardedEngine::new(&g, &sources, 3, ppr, tree_cfg());
+        let server = EmbeddingServer::start(
+            ShardedEngine::new(&g, &sources, 3, ppr, tree_cfg()),
+            ServeConfig {
+                flush_max_events: usize::MAX,
+                flush_interval_ms: 60_000,
+                coalesce: false, // windows reach the engine verbatim
+                ..Default::default()
+            },
+        );
+        let reader = server.reader();
+        for (k, w) in windows.iter().enumerate() {
+            serial.apply_batch(w);
+            assert!(server.submit_batch(w.clone()));
+            assert_eq!(server.flush_sync(), k as u64 + 1);
+            let snap = reader.snapshot();
+            assert_eq!(snap.epoch(), serial.epoch());
+            assert_eq!(
+                snap.tagged()
+                    .left()
+                    .sub(&serial.embedding().left())
+                    .max_abs(),
+                0.0,
+                "window {k}: served snapshot diverged from apply_batch"
+            );
+        }
+        let served = server.shutdown();
+        assert_eq!(served.epoch(), 5);
+        assert_eq!(served.events_applied(), serial.events_applied());
+        assert_eq!(served.total_stats(), serial.total_stats());
+        assert_eq!(served.timings().updates, serial.timings().updates);
+        assert_eq!(served.embedding().sigma, serial.embedding().sigma);
     }
 
     #[test]

@@ -136,11 +136,6 @@ fn gen_message(g: &mut Gen) -> Message {
                 flush_ms_last: g.f64_in(0.0..1e4),
                 flush_ms_mean: g.f64_in(0.0..1e4),
                 flush_ms_max: g.f64_in(0.0..1e4),
-                pipeline_depth: g.usize_in(0..2),
-                windows_inflight: g.u64_in(0..2),
-                stage_ms_last: g.f64_in(0.0..1e4),
-                commit_ms_last: g.f64_in(0.0..1e4),
-                overlapped_secs: g.f64_in(0.0..1e3),
                 svd_update: g.u32_in(0..2) == 1,
                 blocks_patched: g.u64_in(0..1_000_000),
                 blocks_incremental: g.u64_in(0..1_000_000),

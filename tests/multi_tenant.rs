@@ -6,7 +6,7 @@
 //!    tenant. Each tenant's final embedding must be **bitwise identical**
 //!    to an offline single-pipeline replay of its own journal over its
 //!    own subset — at R ∈ {1, 3}, under whatever `TSVD_THREADS` /
-//!    `TSVD_PIPELINE_DEPTH` / `TSVD_SVD_UPDATE` the ci matrix sets.
+//!    `TSVD_SVD_UPDATE` the ci matrix sets.
 //! 2. **Quota backpressure over the wire.** A tenant over its submission
 //!    quota draws a tenant-level `Reply::Error` that leaves the
 //!    connection open and the other tenant unaffected.
@@ -406,4 +406,95 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
         assert_eq!(diff, 0.0, "tenant {t}: TCP-served state diverged");
         assert_eq!(host.graph().num_edges(), g.num_edges());
     }
+}
+
+/// The host JSON with every tenant's `back.timings` removed — the one
+/// wall-clock field of a checkpoint, different on every run by nature.
+fn without_timings(host_json: &str) -> String {
+    use tsvd_rt::json::Json;
+    let mut j = Json::parse(host_json).expect("host JSON parses");
+    let Json::Obj(top) = &mut j else {
+        panic!("host JSON is not an object")
+    };
+    let (_, Json::Arr(tenants)) = top.iter_mut().find(|(k, _)| k == "tenants").unwrap() else {
+        panic!("'tenants' is not an array")
+    };
+    for t in tenants {
+        let Json::Obj(fields) = t else {
+            panic!("tenant is not an object")
+        };
+        let (_, Json::Obj(back)) = fields.iter_mut().find(|(k, _)| k == "back").unwrap() else {
+            panic!("'back' is not an object")
+        };
+        let before = back.len();
+        back.retain(|(k, _)| k != "timings");
+        assert_eq!(back.len(), before - 1, "exactly one timings field");
+    }
+    j.to_string()
+}
+
+/// The reactor holds a whole `TenantHost`: on a live 2-tenant server, the
+/// checkpoint taken *between* flushes (with unflushed events pending) is
+/// byte-equal — wall-clock `timings` aside — to `to_json()` of an offline
+/// host that applied the same journal windows, and shutdown hands back
+/// that same host.
+#[test]
+fn live_checkpoint_is_byte_equal_to_offline_host_json() {
+    use tsvd_rt::json::ToJson;
+
+    let data = small_dataset();
+    let g0 = data.stream.snapshot(1);
+    let build = || {
+        let mut host = TenantHost::new(&g0);
+        host.register(0, &data.sample_subset(16, 5), 2, ppr_cfg(), tree_cfg())
+            .unwrap();
+        host.register(9, &data.sample_subset(12, 11), 1, ppr_cfg(), tree_cfg())
+            .unwrap();
+        host
+    };
+    let server = EmbeddingServer::start_host(
+        build(),
+        ServeConfig {
+            flush_max_events: usize::MAX,
+            flush_interval_ms: 60_000,
+            coalesce: true,
+            ..Default::default()
+        },
+    );
+    let mut offline = build();
+    let events: Vec<EdgeEvent> = data.stream.batch(2).iter().take(160).copied().collect();
+    let mut mirrored = 0u64; // journal windows already applied offline
+    for (i, chunk) in events.chunks(40).enumerate() {
+        server
+            .submit_batch_to(if i % 2 == 0 { 0 } else { 9 }, chunk.to_vec())
+            .expect("admission");
+        let epoch = server.flush_sync();
+        assert_eq!(epoch, (i + 1) as u64);
+        let pulled = server.journal_windows(mirrored, 8).expect("journal tail");
+        assert_eq!(pulled.windows.len(), 1, "one new window per flush");
+        offline.apply_batch(&pulled.windows[0]);
+        mirrored = epoch;
+
+        // Leave an event pending (it rides into the next window): the cut
+        // must stop at what is recorded.
+        assert!(server.submit(EdgeEvent::insert(1, 2 + i as u32)));
+        let (cut_epoch, live_json) = server.checkpoint_json().expect("server is running");
+        assert_eq!(cut_epoch, epoch, "cut includes an unflushed window");
+        assert_eq!(
+            without_timings(&live_json),
+            without_timings(&offline.to_json().to_string()),
+            "epoch {epoch}: live checkpoint differs from the offline host"
+        );
+    }
+    // Shutdown flushes the last pending event as one more window.
+    let tail = server.journal_windows(mirrored, 8);
+    assert!(tail.unwrap().windows.is_empty(), "nothing flushed yet");
+    let host = server.shutdown_host();
+    assert_eq!(host.batches_recorded(), mirrored + 1);
+    offline.apply_batch(&[EdgeEvent::insert(1, 2 + 3)]);
+    assert_eq!(
+        without_timings(&host.to_json().to_string()),
+        without_timings(&offline.to_json().to_string()),
+        "shutdown handed back a different host"
+    );
 }

@@ -126,7 +126,6 @@ fn recovery_child_server() {
         flush_max_events: 1 << 20, // flushes are driven by flush_sync below
         flush_interval_ms: 10_000,
         coalesce: true,
-        wal: true,
         checkpoint_every: 3,
         ..ServeConfig::default()
     };
@@ -229,7 +228,6 @@ fn clean_shutdown_checkpoints_and_restarts_without_replay() {
     let cfg = ServeConfig {
         flush_max_events: 1 << 20,
         flush_interval_ms: 10_000,
-        wal: true,
         ..ServeConfig::default()
     };
     let server = EmbeddingServer::start_host_with_store(host, cfg, Box::new(store));

@@ -181,14 +181,14 @@ fn count_triggered_windows_bitwise_equal_offline_replay() {
     assert_eq!(diff, 0.0, "count-triggered serving diverged from replay");
 }
 
-/// The pipelined-flush acceptance criterion: at every `(depth, R)` in
-/// `{0, 1} × {1, 3}` the server produces the **bitwise identical**
-/// embedding — equal to the offline replay of its own window journal and
-/// equal across all combinations. Windows are count-triggered (message
-/// granularity), so every run flushes the same boundaries; the run ends in
-/// `shutdown` with a staged tail window, which exercises the drain path.
+/// Shard-count sweep against the server's own journal: at `R ∈ {1, 3}`
+/// the server produces the **bitwise identical** embedding — equal to the
+/// offline replay of its own window journal and equal across both
+/// configurations. Windows are count-triggered (message granularity), so
+/// every run flushes the same boundaries; the run ends in `shutdown` with a
+/// pending tail window, which exercises shutdown's own final flush.
 #[test]
-fn pipelined_serving_bitwise_equals_serial_at_any_depth_and_shard_count() {
+fn count_triggered_serving_bitwise_equals_own_journal_at_any_shard_count() {
     let data = small_dataset();
     let subset = data.sample_subset(40, 11);
     let g0 = data.stream.snapshot(1);
@@ -201,72 +201,64 @@ fn pipelined_serving_bitwise_equals_serial_at_any_depth_and_shard_count() {
     let flush_max = 120usize;
 
     let mut reference: Option<(DenseMatrix, u64)> = None;
-    for depth in [0usize, 1] {
-        for num_shards in [1usize, 3] {
-            let mut engine = ShardedEngine::new(&g0, &subset, num_shards, ppr_cfg(), tree_cfg());
-            engine.enable_window_log();
-            let server = EmbeddingServer::start(
-                engine,
-                ServeConfig {
-                    num_shards,
-                    flush_max_events: flush_max,
-                    flush_interval_ms: 3_600_000, // count-triggered only
-                    coalesce: true,
-                    pipeline_depth: depth,
-                    ..Default::default()
-                },
-            );
-            for chunk in &chunks {
-                assert!(server.submit_batch(chunk.clone()));
-            }
-            let stats = server.stats();
-            assert_eq!(stats.pipeline_depth, depth);
-            if depth == 0 {
-                assert_eq!(stats.overlapped_secs, 0.0, "overlap at depth 0");
-                assert_eq!(stats.windows_inflight, 0, "in-flight window at depth 0");
-            }
-            // No flush_sync: shutdown drains the staged tail window itself.
-            let engine = server.shutdown();
-            assert!(engine.epoch() >= 4, "want several windows");
+    for num_shards in [1usize, 3] {
+        let mut engine = ShardedEngine::new(&g0, &subset, num_shards, ppr_cfg(), tree_cfg());
+        engine.enable_window_log();
+        let server = EmbeddingServer::start(
+            engine,
+            ServeConfig {
+                num_shards,
+                flush_max_events: flush_max,
+                flush_interval_ms: 3_600_000, // count-triggered only
+                coalesce: true,
+                ..Default::default()
+            },
+        );
+        for chunk in &chunks {
+            assert!(server.submit_batch(chunk.clone()));
+        }
+        // No flush_sync: shutdown flushes the pending tail window itself.
+        let engine = server.shutdown();
+        assert!(engine.epoch() >= 4, "want several windows");
 
-            // Ground truth: replay this run's own journal offline.
-            let log = engine.window_log().expect("journal enabled").to_vec();
-            assert_eq!(log.len() as u64, engine.epoch());
-            let mut g = g0.clone();
-            let mut pipe = TreeSvdPipeline::new(&g, &subset, ppr_cfg(), tree_cfg());
-            for window in &log {
-                pipe.update(&mut g, window);
-            }
-            let left = engine.embedding().left();
-            assert_eq!(
-                left.sub(&pipe.embedding().left()).max_abs(),
-                0.0,
-                "depth={depth} R={num_shards}: diverged from offline replay"
-            );
-            match &reference {
-                None => reference = Some((left, engine.epoch())),
-                Some((ref_left, ref_epoch)) => {
-                    assert_eq!(
-                        engine.epoch(),
-                        *ref_epoch,
-                        "depth={depth} R={num_shards}: window boundaries diverged"
-                    );
-                    assert_eq!(
-                        left.sub(ref_left).max_abs(),
-                        0.0,
-                        "depth={depth} R={num_shards}: diverged across configurations"
-                    );
-                }
+        // Ground truth: replay this run's own journal offline.
+        let log = engine.window_log().expect("journal enabled").to_vec();
+        assert_eq!(log.len() as u64, engine.epoch());
+        let mut g = g0.clone();
+        let mut pipe = TreeSvdPipeline::new(&g, &subset, ppr_cfg(), tree_cfg());
+        for window in &log {
+            pipe.update(&mut g, window);
+        }
+        let left = engine.embedding().left();
+        assert_eq!(
+            left.sub(&pipe.embedding().left()).max_abs(),
+            0.0,
+            "R={num_shards}: diverged from offline replay"
+        );
+        match &reference {
+            None => reference = Some((left, engine.epoch())),
+            Some((ref_left, ref_epoch)) => {
+                assert_eq!(
+                    engine.epoch(),
+                    *ref_epoch,
+                    "R={num_shards}: window boundaries diverged"
+                );
+                assert_eq!(
+                    left.sub(ref_left).max_abs(),
+                    0.0,
+                    "R={num_shards}: diverged across configurations"
+                );
             }
         }
     }
 }
 
-/// `flush_sync` racing an in-flight pipelined window must block until that
-/// window is published: after every ack the served epoch covers everything
-/// submitted, with zero pending events and nothing left in flight.
+/// `flush_sync` exactness under maximal window churn: with
+/// `flush_max_events = 1` every submission is its own window, and after
+/// every ack the served epoch covers everything submitted, with zero
+/// pending events.
 #[test]
-fn flush_sync_drains_inflight_pipelined_windows() {
+fn flush_sync_is_exact_when_every_submission_is_a_window() {
     let data = small_dataset();
     let subset = data.sample_subset(24, 17);
     let g0 = data.stream.snapshot(1);
@@ -282,12 +274,9 @@ fn flush_sync_drains_inflight_pipelined_windows() {
         engine,
         ServeConfig {
             num_shards: 2,
-            // Every submission is its own window: maximal staging/commit
-            // churn, so flush_sync keeps racing a window in flight.
             flush_max_events: 1,
             flush_interval_ms: 3_600_000,
             coalesce: true,
-            pipeline_depth: 1,
             ..Default::default()
         },
     );
@@ -299,15 +288,11 @@ fn flush_sync_drains_inflight_pipelined_windows() {
             server.flush_sync();
             let stats = server.stats();
             assert_eq!(stats.events_pending, 0, "flush_sync left events behind");
-            assert_eq!(
-                stats.windows_inflight, 0,
-                "flush_sync left a window in flight"
-            );
             assert_eq!(stats.epoch, stats.batches_flushed);
             assert_eq!(stats.events_applied + stats.events_coalesced, submitted);
         }
     }
-    // End on unflushed submissions: shutdown's own drain finishes the job.
+    // End on unflushed submissions: shutdown's own flush finishes the job.
     let engine = server.shutdown();
     let log = engine.window_log().unwrap().to_vec();
     assert_eq!(log.iter().map(|w| w.len() as u64).sum::<u64>(), submitted);

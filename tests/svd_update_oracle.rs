@@ -277,13 +277,18 @@ fn sharded_engine_and_server_run_incremental_policy() {
             flush_max_events: 60,
             flush_interval_ms: 3_600_000,
             coalesce: false,
-            pipeline_depth: 0,
             ..Default::default()
         },
     );
     assert!(server.submit_batch(events.clone()));
     server.flush_sync();
     let stats = server.stats();
+    // The stat reports the tenant's resolved tree policy — explicit here —
+    // not the `TSVD_SVD_UPDATE` env default.
+    assert!(
+        stats.svd_update,
+        "explicit LazyIncremental must report true"
+    );
     let engine = server.shutdown();
     let totals = engine.total_stats();
     assert_eq!(stats.blocks_patched, totals.blocks_patched as u64);
