@@ -8,6 +8,10 @@
 #   2. cargo fmt --check;
 #   3. cargo clippy --workspace --all-targets -D warnings;
 #   4. cargo build --release;
+#   4b. the frozen end-to-end benchmark (`tsvd-e2e/`, a package of its own
+#      that BENCHMARK.json's command builds against this workspace) —
+#      compiled and smoke-tested here, so a crate-API change that breaks
+#      it fails in ci.sh and not in the pipeline that runs the benchmark;
 #   5. cargo test --workspace (tier-1 gate) — every suite once under the
 #      default env: unit tests, the svd-update oracle battery, the
 #      tsvd-store fault battery (torn tails, byte flips, fuzz), the whole
@@ -32,12 +36,12 @@
 #          multi-process router soak with every shard journaling through
 #          a WalStore;
 #        threads4 — TSVD_THREADS=4: the top-k serving equivalence suite
-#          (scan ≡ clustered ≡ naive, wire, router merge, follower) with
+#          (scan ≡ naive, wire, router merge, follower) with
 #          more pool participants than this box has cores;
 #   8. bench smoke — every rt::bench target runs once, no timing paid,
 #      including the svd_update kernel/engine grid, the WAL
 #      append/recovery suite, and the top-k query grid (which asserts
-#      zero allocations per warm scan and recall@k == 1.0 even in smoke).
+#      zero allocations per warm scan even in smoke).
 #
 # A per-step wall-clock summary is printed at the end.
 #
@@ -104,6 +108,9 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 
 step "cargo build --release"
 cargo build --release -q
+
+step "tsvd-e2e: build + unit tests + --smoke against this workspace"
+cargo test --release -q --manifest-path tsvd-e2e/Cargo.toml
 
 step "cargo test --workspace"
 cargo test --workspace -q

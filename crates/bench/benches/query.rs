@@ -1,18 +1,13 @@
-//! Top-k query serving benchmark: the tier-1 blocked scan against the
-//! naive score-everything-and-sort reference at the kernel level, and the
-//! tier-2 clustered index against the forced scan at the snapshot level —
-//! the grid over `n × d × k` that locates the scan/index crossover
-//! recorded in EXPERIMENTS.md.
+//! Top-k query serving benchmark over an `n × d × k` grid: the blocked
+//! scan against the naive score-everything-and-sort reference at the
+//! kernel level, and `EpochSnapshot::top_k` — the same scan behind the
+//! node lookup, the thread-local scratch and the row→node mapping — at
+//! the snapshot level.
 //!
-//! Two extra checks ride along:
-//!
-//! * a counting `#[global_allocator]` asserts the serial scan kernel
-//!   performs **zero** allocations per query once its scratch is warm
-//!   (the per-epoch norms are cached on the snapshot; the kernel itself
-//!   must never touch the heap);
-//! * recall@k of the clustered tier against the naive exact answer is
-//!   computed with `tsvd-eval` and recorded per grid cell — the pruning
-//!   bound is exact, so anything below 1.0 is a bug, not a knob.
+//! One extra check rides along: a counting `#[global_allocator]` asserts
+//! the serial scan kernel performs **zero** allocations per query once
+//! its scratch is warm (the per-epoch norms are cached on the snapshot;
+//! the kernel itself must never touch the heap).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -20,7 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tsvd_core::{Embedding, PipelineTimings};
-use tsvd_eval::metrics::recall_at_k;
 use tsvd_linalg::topk::{topk_scan, topk_scan_naive, Hit, ScanScratch};
 use tsvd_linalg::DenseMatrix;
 use tsvd_rt::bench::{black_box, BenchHarness};
@@ -53,9 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Row-major matrix of `centers` fuzzy clusters — data the tier-2 index
-/// can actually exploit, like a real embedding (random uniform data has
-/// no cluster structure and benchmarks the index's worst case only).
+/// Row-major matrix of `√rows` fuzzy clusters — grouped like a real
+/// embedding, whose nodes sit near their community's centre, so the heap
+/// sees runs of near-tied scores and not the uniform-random best case.
 fn clustered_data(seed: u64, rows: usize, dim: usize) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let centers = (rows as f64).sqrt() as usize;
@@ -81,8 +75,8 @@ fn query_vec(seed: u64, dim: usize) -> Vec<f64> {
 }
 
 /// Wrap raw row-major data as a published snapshot (σ = 1 so the left
-/// embedding is the data verbatim): the query state — norms + cluster
-/// index — is built at construction, exactly like a real publish.
+/// embedding is the data verbatim): the row norms are computed at
+/// construction, exactly like a real publish.
 fn snapshot_of(data: &[f64], rows: usize, dim: usize) -> EpochSnapshot {
     let mut u = DenseMatrix::zeros(rows, dim);
     for r in 0..rows {
@@ -194,45 +188,16 @@ fn main() {
         h.record_param("scan_allocs_per_warm_query", 0u64);
     }
 
-    // ── Snapshot level: forced tier-1 scan vs tier-2 clustered index ─
-    // The published-snapshot path both tiers actually serve from, with
-    // recall@k of the clustered answer against the naive exact answer
-    // recorded per cell (the bound is exact: recall must be 1.0).
+    // ── Snapshot level: the published-snapshot path queries serve from ─
     for &n in &ns {
         for &d in &dims {
             let data = clustered_data(n as u64 ^ (d as u64) << 7, n, d);
             let snap = snapshot_of(&data, n, d);
-            assert!(snap.has_cluster_index());
             let probe = (n / 3) as u32;
             for &k in &ks {
-                h.bench(&format!("snap_scan/n{n}/d{d}/k{k}"), || {
-                    black_box(snap.top_k_scan(black_box(probe), k, Metric::Dot))
-                });
-                h.bench(&format!("snap_clustered/n{n}/d{d}/k{k}"), || {
+                h.bench(&format!("snap_top_k/n{n}/d{d}/k{k}"), || {
                     black_box(snap.top_k(black_box(probe), k, Metric::Dot))
                 });
-                let exact: Vec<u32> = topk_scan_naive(
-                    &data,
-                    n,
-                    d,
-                    &data[probe as usize * d..(probe as usize + 1) * d],
-                    k,
-                    Some(probe),
-                    1.0,
-                    None,
-                )
-                .into_iter()
-                .map(|hit| hit.row)
-                .collect();
-                let got: Vec<u32> = snap
-                    .top_k(probe, k, Metric::Dot)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(node, _)| node)
-                    .collect();
-                let recall = recall_at_k(&got, &exact);
-                assert_eq!(recall, 1.0, "clustered recall@{k} below exact at n{n}/d{d}");
-                h.record_param(&format!("recall/n{n}/d{d}/k{k}"), recall);
             }
         }
     }

@@ -119,22 +119,6 @@ pub fn precision_at_k(scores: &[(f64, bool)], k: usize) -> f64 {
     hits as f64 / k as f64
 }
 
-/// Recall@k of a retrieved neighbor list against the exact top-k.
-///
-/// `retrieved` and `exact` are plain node-id lists (the serving tier's
-/// answer and a ground-truth scan, in any order); the score is the
-/// fraction of `exact` that appears in `retrieved`. Duplicates in
-/// `retrieved` count once. Returns 1.0 for an empty ground truth — an
-/// empty ask is trivially answered.
-pub fn recall_at_k(retrieved: &[u32], exact: &[u32]) -> f64 {
-    if exact.is_empty() {
-        return 1.0;
-    }
-    let got: std::collections::HashSet<u32> = retrieved.iter().copied().collect();
-    let hits = exact.iter().filter(|n| got.contains(n)).count();
-    hits as f64 / exact.len() as f64
-}
-
 /// Average precision (the area under the precision–recall curve as each
 /// positive is encountered walking down the ranking). Returns 0 when there
 /// are no positives.
@@ -261,18 +245,6 @@ mod tests {
         let good = vec![(0.9, true), (0.8, true), (0.2, false), (0.1, false)];
         let bad = vec![(0.9, false), (0.8, false), (0.2, true), (0.1, true)];
         assert!(average_precision(&good) > average_precision(&bad));
-    }
-
-    #[test]
-    fn recall_at_k_counts_overlap_orderless() {
-        assert_eq!(recall_at_k(&[3, 1, 2], &[1, 2, 3]), 1.0);
-        assert_eq!(recall_at_k(&[3, 9, 2], &[1, 2, 3]), 2.0 / 3.0);
-        assert_eq!(recall_at_k(&[], &[1, 2]), 0.0);
-        // Duplicate retrieved ids count once.
-        assert_eq!(recall_at_k(&[1, 1, 1], &[1, 2]), 0.5);
-        // Empty ground truth is trivially recalled.
-        assert_eq!(recall_at_k(&[], &[]), 1.0);
-        assert_eq!(recall_at_k(&[7], &[]), 1.0);
     }
 
     #[test]

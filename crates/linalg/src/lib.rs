@@ -23,7 +23,7 @@
 //!   three-tier update policy;
 //! * [`sketch`] — Frequent-Directions matrix sketching (the FREDE baseline);
 //! * [`topk`] — cache-blocked, deterministic top-k similarity scan (the
-//!   serving layer's tier-1 query kernel);
+//!   serving layer's query kernel);
 //! * [`rng`] — Gaussian sampling via Box–Muller on top of `rand`.
 //!
 //! All numerics are `f64`. Matrices are small enough in this system

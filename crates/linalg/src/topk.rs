@@ -1,6 +1,6 @@
 //! Cache-blocked top-k similarity scan over a row-major matrix.
 //!
-//! The serving layer's tier-1 query kernel: given a query vector `q` and a
+//! The serving layer's query kernel: given a query vector `q` and a
 //! row-major matrix (the live embedding), find the `k` rows with the
 //! largest dot/cosine score. The matrix is walked in **panels** of rows
 //! sized so a panel plus the query stays inside L1/L2, and inside each
@@ -78,29 +78,10 @@ impl TopK {
     /// Clear kept hits and set the capacity to `k`, reusing the buffer.
     pub fn reset(&mut self, k: usize) {
         self.heap.clear();
-        if self.heap.capacity() < k {
-            self.heap.reserve(k);
-        }
+        // Exact, so a reused buffer never holds more than the largest `k`
+        // it was ever reset to (`reserve` may round up).
+        self.heap.reserve_exact(k);
         self.k = k;
-    }
-
-    /// Number of hits currently kept.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The worst kept hit once `k` hits are held (`None` while filling):
-    /// the pruning threshold for index tiers.
-    pub fn worst(&self) -> Option<Hit> {
-        if self.k > 0 && self.heap.len() == self.k {
-            Some(self.heap[0])
-        } else {
-            None
-        }
     }
 
     /// Offer one candidate; keeps it iff it beats the current worst (or
@@ -308,6 +289,11 @@ fn scan_range(
 /// written into `out`, best hit first, bitwise identical at any thread
 /// count and to [`topk_scan_naive`]. `q_scale`/`row_scale` implement
 /// cosine scoring (`None` = plain dot product).
+///
+/// `k` comes off the wire (≤ 2^20) and `scratch` lives as long as its
+/// thread, so heaps are sized by the rows they can be offered (`k.min(rows)`
+/// to merge, `k.min(hi − lo)` per panel), not by `k`: a heap with room for
+/// every row it is offered keeps them all, so the hits are unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn topk_scan(
     data: &[f64],
@@ -329,7 +315,7 @@ pub fn topk_scan(
     let pr = panel_rows(dim);
     let npanels = rows.div_ceil(pr).max(1);
     if scratch.serial || npanels == 1 || pool::num_threads() <= 1 {
-        scratch.global.reset(k);
+        scratch.global.reset(k.min(rows));
         scan_range(
             data,
             dim,
@@ -351,13 +337,13 @@ pub fn topk_scan(
         scratch.panels.push(PanelTask {
             lo: 0,
             hi: 0,
-            topk: TopK::new(k),
+            topk: TopK::new(0),
         });
     }
     for (p, t) in scratch.panels.iter_mut().enumerate() {
         t.lo = p * pr;
         t.hi = ((p + 1) * pr).min(rows);
-        t.topk.reset(k);
+        t.topk.reset(k.min(t.hi - t.lo));
     }
     let ScanScratch { panels, global, .. } = scratch;
     pool::par_for_each_mut(panels, |t| {
@@ -373,44 +359,11 @@ pub fn topk_scan(
             &mut t.topk,
         );
     });
-    global.reset(k);
+    global.reset(k.min(rows));
     for t in panels.iter() {
         global.merge_from(&t.topk);
     }
     global.drain_sorted_into(out);
-}
-
-/// Gather-variant scan: offer only the rows listed in `rows_list` (an
-/// index tier's surviving cluster members) to `topk`. Same scoring and
-/// determinism contract as [`topk_scan`]; always serial.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_rows_into(
-    data: &[f64],
-    dim: usize,
-    rows_list: &[u32],
-    q: &[f64],
-    exclude: Option<u32>,
-    q_scale: f64,
-    row_scale: Option<&[f64]>,
-    topk: &mut TopK,
-) {
-    for &r in rows_list {
-        let r = r as usize;
-        let row = &data[r * dim..(r + 1) * dim];
-        let mut acc = 0.0f64;
-        for j in 0..dim {
-            acc += q[j] * row[j];
-        }
-        let row_u = r as u32;
-        if exclude == Some(row_u) {
-            continue;
-        }
-        let score = match row_scale {
-            Some(rs) => (acc * q_scale) * rs[r],
-            None => acc,
-        };
-        topk.offer(score, row_u);
-    }
 }
 
 /// The naive reference: score every row with a plain per-row dot loop,
@@ -494,14 +447,13 @@ mod tests {
     fn heap_k_zero_and_short_input() {
         let mut tk = TopK::new(0);
         tk.offer(1.0, 0);
-        assert!(tk.is_empty());
+        assert!(tk.heap.is_empty());
         let mut tk = TopK::new(10);
         tk.offer(1.0, 3);
         tk.offer(2.0, 1);
-        assert_eq!(tk.len(), 2);
-        assert!(tk.worst().is_none(), "not full yet");
         let mut out = Vec::new();
         tk.drain_sorted_into(&mut out);
+        assert_eq!(out.len(), 2);
         assert_eq!(out[0].row, 1);
     }
 
@@ -620,21 +572,40 @@ mod tests {
         }
     }
 
+    /// A wire-sized `k` over a small matrix: same hits as `k = rows`, and
+    /// no heap of the (thread-lifetime) scratch reserves more than the
+    /// rows it can be offered — on the serial path and on the panel path.
     #[test]
-    fn gather_scan_over_all_rows_matches_full_scan() {
-        let rows = 97;
-        let dim = 12;
-        let (data, q) = random_data(23, rows, dim);
-        let all: Vec<u32> = (0..rows as u32).collect();
-        let mut tk = TopK::new(9);
-        tk.reset(9);
-        scan_rows_into(&data, dim, &all, &q, Some(3), 1.0, None, &mut tk);
-        let mut out = Vec::new();
-        tk.drain_sorted_into(&mut out);
-        let naive = topk_scan_naive(&data, rows, dim, &q, 9, Some(3), 1.0, None);
-        assert_eq!(out.len(), naive.len());
-        for (a, b) in out.iter().zip(&naive) {
-            assert_eq!((a.row, a.score.to_bits()), (b.row, b.score.to_bits()));
+    fn oversized_k_is_clamped_to_the_rows_on_offer() {
+        let rows = 100;
+        let dim = 128; // panel_rows(128) = 32 → four panels
+        let (data, q) = random_data(41, rows, dim);
+        let want = topk_scan_naive(&data, rows, dim, &q, rows, Some(7), 1.0, None);
+        assert_eq!(want.len(), rows - 1);
+        for serial in [true, false] {
+            let mut scratch = ScanScratch::new();
+            scratch.serial = serial;
+            let mut got = Vec::new();
+            topk_scan(
+                &data,
+                rows,
+                dim,
+                &q,
+                1 << 20,
+                Some(7),
+                1.0,
+                None,
+                &mut scratch,
+                &mut got,
+            );
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!((a.row, a.score.to_bits()), (b.row, b.score.to_bits()));
+            }
+            assert!(scratch.global.heap.capacity() <= rows);
+            for t in &scratch.panels {
+                assert!(t.topk.heap.capacity() <= t.hi - t.lo);
+            }
         }
     }
 

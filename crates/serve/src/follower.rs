@@ -158,7 +158,7 @@ impl Follower {
     /// publishing each tenant's resulting epoch as soon as that tenant's
     /// refresh returns.
     pub fn apply_window(&mut self, events: &[EdgeEvent]) {
-        let publishers = &mut self.publishers;
+        let publishers = &self.publishers;
         self.host.apply_batch_with(events, 0, |slot, engine, _| {
             publishers[slot].publish(engine)
         });
@@ -250,8 +250,8 @@ impl Follower {
         self.host = host;
         // Re-publish through the *existing* cells so readers handed out
         // before the re-seed keep working.
-        for (p, engine) in self.publishers.iter_mut().zip(self.host.tenants()) {
-            p.republish(engine);
+        for (p, engine) in self.publishers.iter().zip(self.host.tenants()) {
+            p.publish(engine);
         }
         Ok(self.epoch())
     }

@@ -33,7 +33,10 @@
 //! * [`EpochCell`] / [`EpochSnapshot`] — the double buffer. Each flush
 //!   publishes a complete immutable snapshot via one `Arc` swap; readers
 //!   always observe a whole epoch (checksum-verifiable), never a torn mix,
-//!   and never wait on a flush.
+//!   and never wait on a flush. A snapshot also answers top-k similarity
+//!   ([`EpochSnapshot::top_k`], [`Metric`]) — one blocked scan over its
+//!   rows, with the row norms cosine needs computed when it is assembled
+//!   (see the [`query`] module docs).
 //! * [`net`] — the network front. A hermetic length-prefixed wire protocol
 //!   (`std::net` only) carries the full server API; [`NetFront`] accepts
 //!   TCP or in-process loopback connections with bounded per-connection

@@ -1,10 +1,10 @@
 //! Epoch snapshots and the double-buffered publish cell.
 //!
 //! The writer (a `Publisher`, one per tenant — the server's event loop or
-//! a follower drives it) prepares a complete
-//! [`EpochSnapshot`] *off* any lock — materialising the embedding, the
-//! node→row index, and a content checksum — and then publishes it with a
-//! single pointer-sized [`Arc`] swap inside [`EpochCell::store`]. Readers
+//! a follower drives it) prepares a complete [`EpochSnapshot`] *off* any
+//! lock — materialising the embedding, the node→row index, the row norms
+//! top-k queries scale by, and a content checksum — and then publishes it
+//! with a single pointer-sized [`Arc`] swap inside [`EpochCell::store`]. Readers
 //! clone the current `Arc` under a read lock held for nanoseconds and then
 //! work entirely on their private snapshot: they never block the writer,
 //! never see a half-written epoch, and an in-flight reader keeps its whole
@@ -17,7 +17,7 @@ use std::sync::{Arc, RwLock};
 use tsvd_core::{PipelineTimings, TaggedEmbedding};
 
 use crate::engine::TenantEngine;
-use crate::query::{inv_norm_of, BufPool, Metric, QueryState};
+use crate::query::{inv_norm_of, Metric, QueryState};
 
 /// One immutable, internally consistent published state of the server:
 /// the embedding at some epoch plus the lookup structures to query it.
@@ -29,16 +29,16 @@ pub struct EpochSnapshot {
     events_applied: u64,
     timings: PipelineTimings,
     checksum: f64,
-    /// Per-epoch top-k query state (cached row norms + cluster index),
-    /// built at publish time — never per query.
+    /// Cached row norms for top-k queries, computed at assembly — never
+    /// per query. Behind an `Arc` so cloning a snapshot stays pointer bumps.
     query: Arc<QueryState>,
 }
 
 impl EpochSnapshot {
     /// Assemble a snapshot. `sources[i]` must be the node whose embedding
-    /// is row `i` — the engine's subset order. Builds the per-epoch query
-    /// state from scratch; publish paths that maintain it incrementally
-    /// use [`EpochSnapshot::with_query`] instead.
+    /// is row `i` — the engine's subset order. Computes the row norms and
+    /// the checksum from `tagged` alone: nothing is carried over from any
+    /// earlier epoch.
     pub fn new(
         tagged: TaggedEmbedding,
         sources: Arc<Vec<u32>>,
@@ -46,22 +46,9 @@ impl EpochSnapshot {
         events_applied: u64,
         timings: PipelineTimings,
     ) -> Self {
-        let query = QueryState::build(&tagged);
-        Self::with_query(tagged, sources, index, events_applied, timings, query)
-    }
-
-    /// Assemble a snapshot around an already-built query state (the
-    /// [`Publisher`] refreshes it incrementally from the previous epoch).
-    pub(crate) fn with_query(
-        tagged: TaggedEmbedding,
-        sources: Arc<Vec<u32>>,
-        index: Arc<HashMap<u32, usize>>,
-        events_applied: u64,
-        timings: PipelineTimings,
-        query: Arc<QueryState>,
-    ) -> Self {
         assert_eq!(sources.len(), tagged.num_rows(), "sources/rows mismatch");
         let checksum = Self::checksum_of(&tagged);
+        let query = Arc::new(QueryState::build(&tagged));
         EpochSnapshot {
             tagged,
             sources,
@@ -144,33 +131,23 @@ impl EpochSnapshot {
         nodes.iter().map(|&u| self.get(u)).collect()
     }
 
-    /// The `k` subset nodes most similar to `node` by embedding dot
-    /// product, descending (excluding `node` itself; ties broken by
-    /// ascending row). `None` if `node` is not in the subset. Equivalent
-    /// to [`top_k`](Self::top_k) with [`Metric::Dot`].
-    pub fn top_k_similar(&self, node: u32, k: usize) -> Option<Vec<(u32, f64)>> {
-        self.top_k(node, k, Metric::Dot)
-    }
-
     /// The `k` subset nodes most similar to `node` under `metric`,
     /// descending, excluding `node` itself; ties broken by ascending row
     /// (the canonical deterministic order — identical at any thread
-    /// count). Served by the cluster index when this epoch carries one,
-    /// with bitwise-identical results either way. `None` if `node` is not
-    /// in the subset.
+    /// count). `None` if `node` is not in the subset.
     pub fn top_k(&self, node: u32, k: usize, metric: Metric) -> Option<Vec<(u32, f64)>> {
         let row = self.row_of(node)?;
         let q = self.tagged.row(row);
-        Some(self.run_top_k(q, k, metric, Some(row as u32), false))
+        Some(self.run_top_k(q, k, metric, Some(row as u32)))
     }
 
-    /// [`top_k`](Self::top_k) forced through the tier-1 blocked scan,
-    /// bypassing the cluster index — results are bitwise identical; only
-    /// the work differs. Exposed for equivalence testing and benchmarks.
+    /// Delegate kept only because the frozen benchmark
+    /// (`tsvd-e2e/src/trace.rs`, which this repo's PRs may not edit) calls
+    /// it beside `top_k`; there is one top-k path and this is it. The next
+    /// benchmark PR drops the call and this method with it.
+    #[doc(hidden)]
     pub fn top_k_scan(&self, node: u32, k: usize, metric: Metric) -> Option<Vec<(u32, f64)>> {
-        let row = self.row_of(node)?;
-        let q = self.tagged.row(row);
-        Some(self.run_top_k(q, k, metric, Some(row as u32), true))
+        self.top_k(node, k, metric)
     }
 
     /// Top-k against an arbitrary query vector (`q.len() == dim`),
@@ -187,7 +164,7 @@ impl EpochSnapshot {
         exclude: Option<u32>,
     ) -> Vec<(u32, f64)> {
         let exclude_row = exclude.and_then(|node| self.row_of(node)).map(|r| r as u32);
-        self.run_top_k(q, k, metric, exclude_row, false)
+        self.run_top_k(q, k, metric, exclude_row)
     }
 
     fn run_top_k(
@@ -196,10 +173,9 @@ impl EpochSnapshot {
         k: usize,
         metric: Metric,
         exclude_row: Option<u32>,
-        force_scan: bool,
     ) -> Vec<(u32, f64)> {
         self.query
-            .top_k_rows(&self.tagged, q, k, metric, exclude_row, force_scan)
+            .top_k_rows(&self.tagged, q, k, metric, exclude_row)
             .into_iter()
             .map(|h| (self.sources[h.row as usize], h.score))
             .collect()
@@ -208,11 +184,6 @@ impl EpochSnapshot {
     /// Cached per-row L2 norms (computed once at publish).
     pub fn norms(&self) -> &[f64] {
         self.query.norms()
-    }
-
-    /// Whether this epoch carries a tier-2 cluster index.
-    pub fn has_cluster_index(&self) -> bool {
-        self.query.has_clusters()
     }
 
     /// The canonical inverse norm used for cosine scoring — exposed so
@@ -260,20 +231,14 @@ impl EpochCell {
 }
 
 /// One tenant's publish side — the only code that builds and stores
-/// served snapshots. Owns the tenant's [`EpochCell`], the subset lookup
-/// `Arc`s every snapshot shares, and the query-state refresh chain: the
-/// previous epoch's [`QueryState`], the matrix it was built over (an `Arc`
-/// pair — retaining it is two pointer bumps, no copy) and the norm-buffer
-/// recycling pool. The leader's reactor and a [`crate::Follower`] each
-/// hold one per tenant, so their readers get the identical wait-free
-/// interface.
+/// served snapshots. Owns the tenant's [`EpochCell`] and the subset lookup
+/// `Arc`s every snapshot shares; it holds nothing of any published epoch.
+/// The leader's reactor and a [`crate::Follower`] each hold one per tenant,
+/// so their readers get the identical wait-free interface.
 pub(crate) struct Publisher {
     cell: Arc<EpochCell>,
     sources: Arc<Vec<u32>>,
     index: Arc<HashMap<u32, usize>>,
-    query: Arc<QueryState>,
-    tagged: TaggedEmbedding,
-    bufs: BufPool,
 }
 
 impl Publisher {
@@ -283,56 +248,36 @@ impl Publisher {
         let sources = Arc::new(engine.sources().to_vec());
         let index: Arc<HashMap<u32, usize>> =
             Arc::new(sources.iter().enumerate().map(|(i, &v)| (v, i)).collect());
-        let tagged = engine.tagged();
-        let query = QueryState::build(&tagged);
-        let cell = Arc::new(EpochCell::new(EpochSnapshot::with_query(
-            tagged.clone(),
-            sources.clone(),
-            index.clone(),
-            engine.events_applied(),
-            engine.timings(),
-            query.clone(),
-        )));
+        let cell = Arc::new(EpochCell::new(Self::snapshot_of(engine, &sources, &index)));
         Publisher {
             cell,
             sources,
             index,
-            query,
-            tagged,
-            bufs: BufPool::new(),
         }
     }
 
-    /// Publish `engine`'s new epoch, refreshing the query state
-    /// incrementally from the previous one.
-    pub(crate) fn publish(&mut self, engine: &TenantEngine) {
-        let next = engine.tagged();
-        let query = QueryState::refresh(&self.query, &self.tagged, &next, &mut self.bufs);
-        self.store(engine, next, query);
+    /// Publish `engine`'s current state through the cell: the next epoch
+    /// of the engine this publisher was built over, or the state of a
+    /// *replacement* engine over the same subset (a follower re-seeded
+    /// from a checkpoint — readers handed out earlier simply observe the
+    /// jump).
+    pub(crate) fn publish(&self, engine: &TenantEngine) {
+        self.cell
+            .store(Self::snapshot_of(engine, &self.sources, &self.index));
     }
 
-    /// Publish the state of a *replacement* engine (a follower re-seeded
-    /// from a checkpoint) through the existing cell, so readers handed out
-    /// earlier simply observe the jump. The query state is rebuilt from
-    /// scratch rather than diffed across the jump (results are identical
-    /// either way; pruning is exact).
-    pub(crate) fn republish(&mut self, engine: &TenantEngine) {
-        let next = engine.tagged();
-        let query = QueryState::build(&next);
-        self.store(engine, next, query);
-    }
-
-    fn store(&mut self, engine: &TenantEngine, tagged: TaggedEmbedding, query: Arc<QueryState>) {
-        self.cell.store(EpochSnapshot::with_query(
-            tagged.clone(),
-            self.sources.clone(),
-            self.index.clone(),
+    fn snapshot_of(
+        engine: &TenantEngine,
+        sources: &Arc<Vec<u32>>,
+        index: &Arc<HashMap<u32, usize>>,
+    ) -> EpochSnapshot {
+        EpochSnapshot::new(
+            engine.tagged(),
+            sources.clone(),
+            index.clone(),
             engine.events_applied(),
             engine.timings(),
-            query.clone(),
-        ));
-        self.tagged = tagged;
-        self.query = query;
+        )
     }
 
     /// The cell readers load from.
@@ -392,14 +337,14 @@ mod tests {
         let s = snapshot(1, 1.0);
         // Rows grow with index, so node 30 (largest row) is most similar
         // to everything under plain dot product.
-        let top = s.top_k_similar(10, 2).unwrap();
+        let top = s.top_k(10, 2, Metric::Dot).unwrap();
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, 30);
         assert_eq!(top[1].0, 20);
         assert!(top[0].1 >= top[1].1);
-        assert!(s.top_k_similar(99, 2).is_none());
+        assert!(s.top_k(99, 2, Metric::Dot).is_none());
         // k larger than the subset truncates gracefully.
-        assert_eq!(s.top_k_similar(10, 100).unwrap().len(), 2);
+        assert_eq!(s.top_k(10, 100, Metric::Dot).unwrap().len(), 2);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Equivalence battery for the top-k serving tiers: every path that can
-//! answer a top-k query must produce the *bitwise identical* neighbor
-//! list — the tiers trade work, never answers.
+//! Equivalence battery for top-k serving: every route a top-k query can
+//! take to the scan must produce the *bitwise identical* neighbor list.
 //!
-//! * Tier-1 blocked scan ≡ tier-2 clustered index ≡ a naive reference
-//!   reimplemented here, across epochs of dirty-row churn (the cluster
-//!   index is refreshed incrementally on the flush path; the reference
-//!   is rebuilt from scratch each epoch).
+//! * `EpochSnapshot::top_k` ≡ a naive reference reimplemented here,
+//!   across epochs of dirty-row churn.
+//! * The row norms a snapshot carries are the canonical norms of its own
+//!   rows at every epoch, on the leader and on a follower through both of
+//!   its publish routes (checkpoint re-seed, journal replay).
 //! * The wire path (`NetClient::top_k` → `NetFront`) ≡ the in-process
 //!   snapshot call.
 //! * The router's scatter-gather merge ≡ a single unsharded process,
@@ -13,7 +13,7 @@
 //! * A follower replica serves *stale-but-consistent* top-k: its answer
 //!   matches the offline replay at its own epoch, not the leader's.
 //!
-//! The suite runs under the ci matrix at `TSVD_THREADS ∈ {1, 4}` — the
+//! The suite runs under the ci matrix at `TSVD_THREADS ∈ {1, default, 4}` — the
 //! deterministic total order (score descending by `total_cmp`, ties by
 //! ascending row) must not depend on the thread count.
 
@@ -21,15 +21,13 @@ use tsvd_core::{Level1Method, PartitionStrategy, TreeSvdConfig, UpdatePolicy};
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
+use tsvd_serve::net::wire::MAX_TOP_K;
 use tsvd_serve::net::{ClientConfig, NetClient, TcpTransport};
 use tsvd_serve::{
-    EmbeddingServer, EpochSnapshot, Follower, Metric, NetFront, Router, RouterConfig, RouterFront,
-    ServeConfig, ShardEndpoint, ShardMap, ShardedEngine, TenantHost,
+    CatchUpError, EmbeddingServer, EpochSnapshot, Follower, Metric, NetFront, Router, RouterConfig,
+    RouterFront, ServeConfig, ShardEndpoint, ShardMap, ShardedEngine, TenantHost,
 };
 
-/// Large enough that the full subset crosses the cluster-index floor
-/// (64 rows) while a 3-way shard split stays below it per range — so the
-/// router test exercises mixed tiers across shards.
 const SUBSET: u32 = 96;
 
 fn fixed_graph() -> DynGraph {
@@ -79,9 +77,8 @@ fn serve_cfg() -> ServeConfig {
     }
 }
 
-/// Churn windows that touch only a handful of subset nodes each — the
-/// incremental index refresh must reassign exactly the dirty rows and
-/// still land bitwise on the from-scratch rebuild.
+/// Churn windows that touch only a handful of subset nodes each, so most
+/// rows (and their norms) carry over unchanged from epoch to epoch.
 fn churn(k: u32) -> Vec<EdgeEvent> {
     vec![
         EdgeEvent::insert(k % SUBSET, 100 + k),
@@ -93,8 +90,8 @@ fn churn(k: u32) -> Vec<EdgeEvent> {
 
 /// The naive reference: score every row with the same sequential dot
 /// reduction, sort by the canonical total order, truncate. Rebuilt from
-/// the snapshot's own rows, so any tier that diverges from it diverges
-/// from the data it was serving.
+/// the snapshot's own rows, so an answer that diverges from it diverges
+/// from the data it was served from.
 fn naive_top_k(
     snap: &EpochSnapshot,
     node: u32,
@@ -139,10 +136,10 @@ fn assert_bitwise_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
     }
 }
 
-/// Tier-1, tier-2, and the naive reference agree bitwise at every epoch
-/// of a dirty-row churn stream, for both metrics and several k.
+/// `top_k` and the naive reference agree bitwise at every epoch of a
+/// dirty-row churn stream, for both metrics and several k.
 #[test]
-fn scan_clustered_and_naive_agree_across_churn() {
+fn top_k_and_naive_agree_across_churn() {
     let g = fixed_graph();
     let sub = subset();
     let server = EmbeddingServer::start_host(range_host(&g, &sub), serve_cfg());
@@ -155,25 +152,15 @@ fn scan_clustered_and_naive_agree_across_churn() {
         }
         let snap = reader.snapshot();
         assert_eq!(snap.epoch(), epoch as u64);
-        assert!(
-            snap.has_cluster_index(),
-            "{SUBSET} rows must carry the tier-2 index"
-        );
         for &node in &[0u32, 17, 95] {
             for &k in &[1usize, 5, 13, SUBSET as usize + 10] {
                 for metric in [Metric::Dot, Metric::Cosine] {
                     let want = naive_top_k(&snap, node, k, metric).unwrap();
-                    let scan = snap.top_k_scan(node, k, metric).unwrap();
+                    let got = snap.top_k(node, k, metric).unwrap();
                     assert_bitwise_eq(
-                        &scan,
+                        &got,
                         &want,
-                        &format!("epoch {epoch} node {node} k {k} {metric:?}: scan vs naive"),
-                    );
-                    let auto = snap.top_k(node, k, metric).unwrap();
-                    assert_bitwise_eq(
-                        &auto,
-                        &want,
-                        &format!("epoch {epoch} node {node} k {k} {metric:?}: clustered vs naive"),
+                        &format!("epoch {epoch} node {node} k {k} {metric:?}: top_k vs naive"),
                     );
                 }
             }
@@ -182,6 +169,87 @@ fn scan_clustered_and_naive_agree_across_churn() {
         assert!(snap.top_k(SUBSET + 5, 3, Metric::Dot).is_none());
     }
     server.shutdown_host();
+}
+
+/// The norms `snap` carries are bitwise the canonical (sequential-sum)
+/// norms of its own rows, and cosine `top_k` — the metric that reads
+/// them — is bitwise the naive answer.
+fn assert_norms_canonical_and_cosine_naive(snap: &EpochSnapshot, what: &str) {
+    assert!(snap.verify(), "{what}: checksum");
+    let tagged = snap.tagged();
+    assert_eq!(
+        snap.norms().len(),
+        tagged.num_rows(),
+        "{what}: norms length"
+    );
+    for r in 0..tagged.num_rows() {
+        let mut sum = 0.0f64;
+        for &x in tagged.row(r) {
+            sum += x * x;
+        }
+        assert_eq!(
+            snap.norms()[r].to_bits(),
+            sum.sqrt().to_bits(),
+            "{what}: norm of row {r}"
+        );
+    }
+    for &node in &[0u32, 17, 95] {
+        for &k in &[5usize, SUBSET as usize + 10] {
+            let want = naive_top_k(snap, node, k, Metric::Cosine).unwrap();
+            let got = snap.top_k(node, k, Metric::Cosine).unwrap();
+            assert_bitwise_eq(&got, &want, &format!("{what} node {node} k {k}: cosine"));
+        }
+    }
+}
+
+/// Every published snapshot's norms describe that snapshot's rows and
+/// nothing older: at every epoch of a churn stream on the leader, and on a
+/// follower that first jumps epochs by re-seeding from the leader's
+/// checkpoint (publishing a replacement engine through the cells it
+/// already handed out) and then replays the journal window by window.
+#[test]
+fn norms_follow_every_publish_on_leader_and_follower() {
+    let g = fixed_graph();
+    let sub = subset();
+    let cfg = ServeConfig {
+        journal_keep: 2,
+        ..serve_cfg()
+    };
+    let server = EmbeddingServer::start_host(range_host(&g, &sub), cfg);
+    let reader = server.reader();
+    let front = NetFront::start(server);
+    let addr = front.listen("127.0.0.1:0").unwrap().to_string();
+    let mut client = NetClient::connect(TcpTransport::new(addr), ClientConfig::default()).unwrap();
+
+    let mut follower = Follower::new(range_host(&g, &sub));
+    let freader = follower.reader(0).unwrap();
+    assert_norms_canonical_and_cosine_naive(&reader.snapshot(), "leader epoch 0");
+    assert_norms_canonical_and_cosine_naive(&freader.snapshot(), "follower epoch 0");
+
+    for epoch in 1..=5u64 {
+        client.submit_events(churn(epoch as u32)).unwrap();
+        client.flush().unwrap();
+        let snap = reader.snapshot();
+        assert_eq!(snap.epoch(), epoch);
+        assert_norms_canonical_and_cosine_naive(&snap, &format!("leader epoch {epoch}"));
+
+        // The follower sits out epochs 1–2, so at 3 the two-window journal
+        // no longer reaches it and only a re-seed can bring it level;
+        // epochs 4 and 5 then arrive by plain journal replay.
+        if epoch == 3 {
+            assert!(matches!(
+                follower.catch_up(&mut client, 16),
+                Err(CatchUpError::Compacted { .. })
+            ));
+        }
+        if epoch >= 3 {
+            assert_eq!(follower.catch_up_or_reseed(&mut client, 16).unwrap(), epoch);
+            let fsnap = freader.snapshot();
+            assert_eq!(fsnap.epoch(), epoch);
+            assert_norms_canonical_and_cosine_naive(&fsnap, &format!("follower epoch {epoch}"));
+        }
+    }
+    front.shutdown_host();
 }
 
 /// The wire path answers bitwise what the in-process snapshot answers,
@@ -206,6 +274,12 @@ fn wire_top_k_matches_in_process() {
         assert_bitwise_eq(&got, &want, &format!("wire vs in-process ({metric:?})"));
     }
     assert_eq!(client.top_k(SUBSET + 5, 3, Metric::Dot).unwrap(), None);
+
+    // The largest k the wire accepts is answered with every other row.
+    let want = snap.top_k(17, SUBSET as usize, Metric::Dot).unwrap();
+    assert_eq!(want.len(), SUBSET as usize - 1);
+    let got = client.top_k(17, MAX_TOP_K, Metric::Dot).unwrap().unwrap();
+    assert_bitwise_eq(&got, &want, "wire k = MAX_TOP_K vs in-process k = rows");
 
     front.shutdown_host();
 }

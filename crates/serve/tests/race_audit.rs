@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use tsvd_core::{Embedding, TreeSvdConfig};
 use tsvd_graph::{DynGraph, EdgeEvent};
@@ -54,13 +54,18 @@ fn stats_invariants_hold_under_concurrent_submit_and_flush() {
         },
     ));
     let stop = Arc::new(AtomicBool::new(false));
+    // Every sampler meets the main thread here after its first sample, so
+    // the flush loop starts with all three mid-loop; without the rendezvous
+    // all 30 windows can be over before any sampler has been scheduled.
+    let sampling = Arc::new(Barrier::new(4));
 
     let samplers: Vec<_> = (0..3)
         .map(|_| {
             let server = server.clone();
             let stop = stop.clone();
+            let sampling = sampling.clone();
             std::thread::spawn(move || {
-                let mut samples = 0u64;
+                let mut first = true;
                 while !stop.load(Ordering::Acquire) {
                     let s = server.stats();
                     assert!(
@@ -87,9 +92,10 @@ fn stats_invariants_hold_under_concurrent_submit_and_flush() {
                         s.flush_ms_max,
                         s.flush_ms_last
                     );
-                    samples += 1;
+                    if std::mem::take(&mut first) {
+                        sampling.wait();
+                    }
                 }
-                samples
             })
         })
         .collect();
@@ -115,14 +121,16 @@ fn stats_invariants_hold_under_concurrent_submit_and_flush() {
         })
     };
 
+    sampling.wait();
     for _ in 0..30 {
         server.submit_batch(vec![EdgeEvent::insert(1, 2), EdgeEvent::delete(1, 2)]);
         server.flush_sync();
     }
     stop.store(true, Ordering::Release);
     submitter.join().unwrap();
-    let total: u64 = samplers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(total > 0, "samplers never ran");
+    for sampler in samplers {
+        sampler.join().unwrap();
+    }
 
     let server = Arc::into_inner(server).expect("all clones joined");
     server.shutdown();

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use tree_svd::datasets::DatasetConfig;
 use tree_svd::prelude::*;
+use tree_svd::serve::Metric;
 
 fn main() {
     let mut cfg = DatasetConfig::patent();
@@ -71,7 +72,7 @@ fn main() {
                 while !stop.load(Ordering::Relaxed) {
                     let snap = reader.snapshot();
                     assert!(snap.verify(), "torn epoch observed");
-                    let _neighbours = snap.top_k_similar(probe, 5);
+                    let _neighbours = snap.top_k(probe, 5, Metric::Dot);
                     queries.fetch_add(1, Ordering::Relaxed);
                 }
             })
