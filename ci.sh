@@ -36,11 +36,16 @@
 #          multi-process router soak with every shard journaling through
 #          a WalStore;
 #        threads4 — TSVD_THREADS=4: the top-k serving equivalence suite
-#          (scan ≡ naive, wire, router merge, follower) with
-#          more pool participants than this box has cores;
-#   8. bench smoke — every rt::bench target runs once, no timing paid,
-#      including the svd_update kernel/engine grid, the WAL
-#      append/recovery suite, and the top-k query grid (which asserts
+#          (scan ≡ naive, wire, router merge, follower) and the window
+#          path's bitwise pins (patch path ≡ whole-row composition, the
+#          pre-patch golden) with more pool participants than this box
+#          has cores;
+#   8. bench smoke — every registered rt::bench target (all eleven
+#      `[[bench]]` entries of crates/bench) runs once, no timing paid:
+#      the PPR push cells (incl. the in-place two-event update and the
+#      whole-subset replay + row drain), the dynamic-update and
+#      factorisation comparisons, the svd_update kernel/engine grid, the
+#      WAL append/recovery suite, and the top-k query grid (which asserts
 #      zero allocations per warm scan even in smoke).
 #
 # A per-step wall-clock summary is printed at the end.
@@ -142,8 +147,12 @@ TSVD_WAL=1 cargo test -q --test router_soak
 
 step "env matrix: threads4 (TSVD_THREADS=4)"
 TSVD_THREADS=4 cargo test -q -p tsvd-serve --test query_equivalence
+TSVD_THREADS=4 cargo test -q --test window_delta
 
 step "bench smoke (1 iteration per benchmark)"
+TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench forward_push
+TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench dynamic_update
+TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench tree_svd
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench svd_kernels
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench svd_update
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench pool_dispatch

@@ -11,7 +11,7 @@
 use crate::pair::EmbeddingPair;
 use tsvd_graph::{Direction, DynGraph, EdgeEvent};
 use tsvd_linalg::DenseMatrix;
-use tsvd_ppr::dynamic::{dynamic_update, record_events};
+use tsvd_ppr::dynamic::{batch_endpoints, dynamic_update, record_events};
 use tsvd_ppr::{forward_push, PprConfig, PprState};
 use tsvd_rt::pool::{par_for_each_mut, par_map};
 
@@ -110,10 +110,19 @@ impl DynPpe {
         if recorded.is_empty() {
             return 0;
         }
+        let endpoints = batch_endpoints(&recorded);
         let cfg = self.cfg;
         let g_ref: &DynGraph = g;
         par_for_each_mut(&mut self.states, |st| {
-            dynamic_update(g_ref, Direction::Out, cfg.alpha, cfg.r_max, st, &recorded);
+            dynamic_update(
+                g_ref,
+                Direction::Out,
+                cfg.alpha,
+                cfg.r_max,
+                st,
+                &recorded,
+                &endpoints,
+            );
         });
         let mut rehashed = 0;
         for i in 0..self.sources.len() {

@@ -6,12 +6,14 @@
 //!
 //! * extracting block `j` as a [`CsrMatrix`] for its SVD;
 //! * replacing one source's row when its PPR changes (only the blocks whose
-//!   content actually differs are touched);
+//!   content actually differs are re-normed and re-stamped), or patching
+//!   just the columns that moved (only the cells they fall in are read);
 //! * exact incremental bookkeeping of `‖B_j‖_F²` per block and a version
 //!   counter per `(row, block)` that lets the dynamic layer compute
 //!   `‖D_j‖_F` by diffing only changed cells.
 
 use tsvd_linalg::CsrMatrix;
+use tsvd_ppr::RowUpdate;
 
 /// Blocked sparse `|S| × n` proximity matrix with norm/version tracking.
 #[derive(Debug, Clone)]
@@ -217,19 +219,79 @@ impl BlockedProximityMatrix {
         }
         self.clock += 1;
         for (j, new_cell) in per_block.into_iter().enumerate() {
-            let old_cell = &mut self.cells[i][j];
-            if *old_cell == new_cell {
-                continue;
-            }
-            let old_sq: f64 = old_cell.iter().map(|e| e.1 * e.1).sum();
-            let new_sq: f64 = new_cell.iter().map(|e| e.1 * e.1).sum();
-            self.block_normsq[j] += new_sq - old_sq;
-            if self.block_normsq[j] < 0.0 {
-                self.block_normsq[j] = 0.0; // rounding guard
-            }
-            *old_cell = new_cell;
-            self.versions[i][j] = self.clock;
+            self.replace_cell(i, j, new_cell);
         }
+    }
+
+    /// Edit row `i` in place: `patch` lists global columns (sorted
+    /// ascending) with their new value, `None` removing the entry; every
+    /// column not listed keeps its content. Leaves the matrix in exactly
+    /// the state — cells, norms, version stamps, clock — that
+    /// [`set_row`](Self::set_row) with the patched row would, at the cost
+    /// of the cells the listed columns fall in rather than of the row.
+    pub fn patch_row(&mut self, i: usize, patch: &[(u32, Option<f64>)]) {
+        debug_assert!(
+            patch.windows(2).all(|w| w[0].0 < w[1].0),
+            "patch not sorted"
+        );
+        assert!(
+            patch.iter().all(|e| e.1.is_none_or(f64::is_finite)),
+            "row {i} contains a non-finite value"
+        );
+        self.clock += 1;
+        let mut rest = patch;
+        while let Some(&(first, _)) = rest.first() {
+            assert!(
+                (first as usize) < self.num_cols,
+                "column {first} out of range"
+            );
+            let j = self.block_of_col(first);
+            let (lo, hi) = (self.bounds[j], self.bounds[j + 1]);
+            let (here, later) = rest.split_at(rest.partition_point(|e| e.0 < hi));
+            rest = later;
+            // Merge the cell with its share of the patch.
+            let old_cell = &self.cells[i][j];
+            let mut new_cell = Vec::with_capacity(old_cell.len() + here.len());
+            let mut old = old_cell.iter().copied().peekable();
+            for &(col, value) in here {
+                let c = col - lo;
+                while let Some(e) = old.next_if(|e| e.0 < c) {
+                    new_cell.push(e);
+                }
+                old.next_if(|e| e.0 == c);
+                if let Some(v) = value {
+                    new_cell.push((c, v));
+                }
+            }
+            new_cell.extend(old);
+            self.replace_cell(i, j, new_cell);
+        }
+    }
+
+    /// Apply one drained [`RowUpdate`] to row `i` — the row-refresh step
+    /// shared by the offline pipeline and the serving engine.
+    pub fn apply_row_update(&mut self, i: usize, update: &RowUpdate) {
+        match update {
+            RowUpdate::Whole(entries) => self.set_row(i, entries),
+            RowUpdate::Patch(patch) => self.patch_row(i, patch),
+        }
+    }
+
+    /// Install `new_cell` as cell `(i, j)`; if its content differs, re-norm
+    /// the block and stamp the cell with the current clock.
+    fn replace_cell(&mut self, i: usize, j: usize, new_cell: Vec<(u32, f64)>) {
+        let old_cell = &mut self.cells[i][j];
+        if *old_cell == new_cell {
+            return;
+        }
+        let old_sq: f64 = old_cell.iter().map(|e| e.1 * e.1).sum();
+        let new_sq: f64 = new_cell.iter().map(|e| e.1 * e.1).sum();
+        self.block_normsq[j] += new_sq - old_sq;
+        if self.block_normsq[j] < 0.0 {
+            self.block_normsq[j] = 0.0; // rounding guard
+        }
+        *old_cell = new_cell;
+        self.versions[i][j] = self.clock;
     }
 
     /// The sparse cell `(row, block)`: sorted `(local_col, value)` pairs.
@@ -427,6 +489,51 @@ mod tests {
         m.set_row(0, &[(0, 1.0), (8, 2.0)]);
         assert_eq!(m.cell_version(0, 0), v0, "untouched block keeps its stamp");
         assert!(m.cell_version(0, 1) > v1);
+    }
+
+    #[test]
+    fn patch_row_edits_only_the_cells_it_names() {
+        let mut m = BlockedProximityMatrix::new(2, 12, 3); // [0,4) [4,8) [8,12)
+        m.set_row(0, &[(1, 2.0), (5, 1.0), (6, 3.0), (9, 4.0)]);
+        let stamps: Vec<u64> = (0..3).map(|j| m.cell_version(0, j)).collect();
+        // Overwrite one column, remove one, insert one — all in block 1;
+        // rewrite a block-2 value with the bits it already has.
+        m.patch_row(
+            0,
+            &[(4, Some(0.5)), (5, Some(7.0)), (6, None), (9, Some(4.0))],
+        );
+        assert_eq!(m.cell(0, 0), &[(1, 2.0)]);
+        assert_eq!(m.cell(0, 1), &[(0, 0.5), (1, 7.0)]);
+        assert_eq!(m.cell(0, 2), &[(1, 4.0)]);
+        assert_eq!(m.cell_version(0, 0), stamps[0], "unnamed cell untouched");
+        assert!(m.cell_version(0, 1) > stamps[1]);
+        assert_eq!(
+            m.cell_version(0, 2),
+            stamps[2],
+            "bit-equal rewrite: no stamp"
+        );
+        for j in 0..3 {
+            let want = m.block_csr(j).frobenius_norm_sq();
+            assert!((m.block_norm_sq(j) - want).abs() < 1e-12, "block {j}");
+        }
+        // Removing a column that is not stored changes nothing but the clock.
+        let before = m.cell_version(0, 0);
+        m.patch_row(0, &[(2, None)]);
+        assert_eq!(m.cell_version(0, 0), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn patch_rejects_out_of_range_column() {
+        let mut m = BlockedProximityMatrix::new(1, 5, 2);
+        m.patch_row(0, &[(1, Some(1.0)), (5, None)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn patch_rejects_non_finite_values() {
+        let mut m = BlockedProximityMatrix::new(1, 5, 1);
+        m.patch_row(0, &[(1, Some(f64::INFINITY))]);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use tsvd_ppr::{PprConfig, SubsetPpr};
 pub struct PipelineTimings {
     /// Seconds in Dynamic Forward-Push (Algorithm 2) across all updates.
     pub ppr_secs: f64,
-    /// Seconds rebuilding dirty proximity rows (log transform + blocking).
+    /// Seconds refreshing dirty proximity rows (log transform + blocking,
+    /// of the touched columns or of the whole row).
     pub rows_secs: f64,
     /// Seconds in the lazy Tree-SVD refresh (diffing + SVDs + merges).
     pub svd_secs: f64,
@@ -166,16 +167,15 @@ impl TreeSvdPipeline {
     }
 
     /// Phase 1 of [`TreeSvdPipeline::update`]: dynamic PPR refresh plus
-    /// proximity-row rebuilds, without touching the factorisation. Exposed
+    /// proximity-row refreshes, without touching the factorisation. Exposed
     /// separately so experiments can charge the (shared) PPR-maintenance
     /// cost fairly to every method that reuses this matrix.
     pub fn apply_events(&mut self, g: &mut DynGraph, events: &[EdgeEvent]) {
         let t0 = std::time::Instant::now();
         self.ppr.update(g, events);
         let t1 = std::time::Instant::now();
-        for i in self.ppr.take_dirty_rows() {
-            let row = self.ppr.proximity_row(i);
-            self.matrix.set_row(i, &row);
+        for (i, update) in self.ppr.drain_row_updates() {
+            self.matrix.apply_row_update(i, &update);
         }
         self.timings.ppr_secs += (t1 - t0).as_secs_f64();
         self.timings.rows_secs += t1.elapsed().as_secs_f64();

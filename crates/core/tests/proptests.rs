@@ -7,6 +7,7 @@ use tsvd_core::{
 };
 use tsvd_linalg::svd::exact_svd;
 use tsvd_rt::check::{Checker, Gen};
+use tsvd_rt::json::ToJson;
 use tsvd_rt::{ensure, ensure_eq};
 
 fn checker() -> Checker {
@@ -175,6 +176,60 @@ fn update_stats_are_consistent() {
         ensure!(stats.blocks_changed <= blocks);
         if stats.blocks_recomputed == 0 {
             ensure_eq!(stats.merges_recomputed, 0);
+        }
+        Ok(())
+    });
+}
+
+/// `patch_row` is `set_row` with the patched row, byte for byte: two
+/// matrices driven through the same random edit sequence — one by column
+/// patches, one by whole rows — serialise to equal JSON (cells,
+/// `block_normsq`, `versions`, `clock`) after every step. Patches insert
+/// new columns, overwrite with new and with bit-equal values, remove
+/// present and absent columns, and regularly empty a whole cell.
+#[test]
+fn patch_row_equals_set_row_with_the_patched_row() {
+    checker().run("patch_row_equals_set_row_with_the_patched_row", |g| {
+        let (rows, cols, blocks, initial, _) = matrix_and_updates(g);
+        let mut patched = BlockedProximityMatrix::new(rows, cols, blocks);
+        let mut whole = BlockedProximityMatrix::new(rows, cols, blocks);
+        let mut truth = initial;
+        for (i, row) in truth.iter().enumerate() {
+            patched.set_row(i, row);
+            whole.set_row(i, row);
+        }
+        for step in 0..g.usize_in(1..24) {
+            let i = g.usize_in(0..rows);
+            let mut patch: Vec<(u32, Option<f64>)> = Vec::new();
+            if g.prob(0.2) {
+                // Empty one block of the row outright.
+                let (lo, hi) = whole.block_range(g.usize_in(0..blocks));
+                patch.extend((lo..hi).map(|c| (c, None)));
+            } else {
+                for (c, v) in g.sparse_row(cols as u32, cols.min(6), 0.1..5.0) {
+                    let held = truth[i].iter().find(|e| e.0 == c).map(|e| e.1);
+                    patch.push(match g.usize_in(0..3) {
+                        0 => (c, None),
+                        1 if held.is_some() => (c, held), // same bits
+                        _ => (c, Some(v)),
+                    });
+                }
+            }
+            let row = &mut truth[i];
+            for &(c, v) in &patch {
+                row.retain(|e| e.0 != c);
+                if let Some(v) = v {
+                    row.push((c, v));
+                }
+            }
+            row.sort_unstable_by_key(|e| e.0);
+            patched.patch_row(i, &patch);
+            whole.set_row(i, row);
+            ensure_eq!(
+                patched.to_json().to_string(),
+                whole.to_json().to_string(),
+                "step {step}"
+            );
         }
         Ok(())
     });

@@ -4,7 +4,10 @@
 //! pair that *exactly* restores the push invariant
 //! `π_s = p_s + Σ_v r_s(v)·π_v` with respect to the post-event graph; a
 //! single re-push at the end of the batch then drives residues back under
-//! `r_max` (both signs). Total cost `O(|Δ| + 1/r_max)` per source.
+//! `r_max` (both signs). Total cost `O(|Δ| + 1/r_max)` per source — and for
+//! a source the batch does not reach, `O(|Δ|)` hash probes and nothing else:
+//! the re-push looks for work at the batch's endpoints only (see
+//! [`dynamic_update`]), never across the state's whole residue vector.
 //!
 //! The paper's pseudocode assumes the updated endpoint has non-zero degree
 //! on both sides of the event. Degree transitions through zero interact with
@@ -19,7 +22,7 @@
 //!
 //! Both are verified against exact PPR in the property tests below.
 
-use crate::push::forward_push;
+use crate::push::push_from_candidates;
 use crate::state::PprState;
 use tsvd_graph::{Direction, DynGraph, EdgeEvent, EventKind};
 
@@ -120,8 +123,44 @@ pub fn adjust_for_event(state: &mut PprState, ev: &RecordedEvent, alpha: f64) {
     }
 }
 
+/// The nodes a recorded batch can have made push-worthy: every event's two
+/// endpoints, ascending, without duplicates. Both directions of one batch
+/// share the set (the reverse recording swaps `u` and `v`).
+pub fn batch_endpoints(recorded: &[RecordedEvent]) -> Vec<u32> {
+    let mut endpoints: Vec<u32> = recorded.iter().flat_map(|ev| [ev.u, ev.v]).collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    endpoints
+}
+
 /// Full dynamic update of one source state: replay the recorded batch, then
 /// re-push on the updated graph (Algorithm 2 lines 8–11).
+///
+/// `endpoints` is [`batch_endpoints`] of `recorded` (or any ascending,
+/// duplicate-free superset), computed once per batch and shared by every
+/// source.
+///
+/// # The convergence precondition
+///
+/// `state` must have been converged before the batch: no node push-worthy
+/// (`|r(w)|/deg(w) > r_max`, the test every push in this crate ends on)
+/// with respect to the graph as it was before `recorded` was applied. Every
+/// state this crate hands out satisfies it — a fresh push, and every
+/// earlier `dynamic_update`, ends on exactly that condition — provided the
+/// state has seen every batch the graph has. (The dense fresh push tests
+/// `r > r_max·deg` where everything else tests `r/deg > r_max`; the two
+/// can disagree only for a residue within one rounding of the threshold,
+/// which the debug check below would report.)
+///
+/// Under it, a node `w` can be push-worthy after the adjustments only if
+/// the batch changed `r(w)` or `deg(w)`. [`adjust_for_event`] writes
+/// residue at `ev.u` and `ev.v` only, and an event changes the
+/// push-direction degree of `ev.u` only, so every push-worthy node is an
+/// endpoint. That is what lets the re-push seed its frontier from
+/// `endpoints` instead of sorting the state's whole residue vector, at no
+/// change to a single bit of the result (the argument is completed at
+/// `push::push_from_candidates`, and debug builds check the conclusion
+/// against a full scan on every call).
 pub fn dynamic_update(
     g_after: &DynGraph,
     dir: Direction,
@@ -129,17 +168,19 @@ pub fn dynamic_update(
     r_max: f64,
     state: &mut PprState,
     recorded: &[RecordedEvent],
+    endpoints: &[u32],
 ) {
     for ev in recorded {
         adjust_for_event(state, ev, alpha);
     }
-    forward_push(g_after, dir, alpha, r_max, state);
+    push_from_candidates(g_after, dir, alpha, r_max, state, endpoints);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::exact_ppr_row;
+    use crate::push::forward_push;
     use tsvd_rt::rng::SliceRandom;
     use tsvd_rt::rng::StdRng;
     use tsvd_rt::rng::{Rng, SeedableRng};
@@ -248,7 +289,15 @@ mod tests {
             }
         }
         let (fwd, _) = record_events(&mut g, &events);
-        dynamic_update(&g, Direction::Out, ALPHA, r_max, &mut st, &fwd);
+        dynamic_update(
+            &g,
+            Direction::Out,
+            ALPHA,
+            r_max,
+            &mut st,
+            &fwd,
+            &batch_endpoints(&fwd),
+        );
         // Compare the dynamic estimate to exact PPR on the final graph:
         // error per node is bounded by total-residue × max-π ≤ residue mass.
         let truth = exact_ppr_row(&g, Direction::Out, s, ALPHA, 1e-13);

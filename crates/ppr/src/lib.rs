@@ -33,4 +33,4 @@ mod subset;
 pub use proximity::proximity_row;
 pub use push::{forward_push, forward_push_fresh, FreshPushWorkspace};
 pub use state::PprState;
-pub use subset::{PprConfig, RecordedBatch, SubsetPpr};
+pub use subset::{PprConfig, RecordedBatch, RowUpdate, SubsetPpr};

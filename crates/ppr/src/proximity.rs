@@ -8,6 +8,23 @@
 
 use crate::state::PprState;
 
+/// `ln(p / r_max)` where that is positive — the stored value of a column
+/// whose clamped forward + reverse estimate is `p` — else `None` (the
+/// column is not stored).
+#[inline]
+fn log_scaled(p: f64, r_max: f64) -> Option<f64> {
+    let scaled = p / r_max;
+    (scaled > 1.0).then(|| scaled.ln())
+}
+
+/// One column of [`proximity_row`], straight from the two estimate maps:
+/// the same clamp, the same sum (two terms, so the order they are met in
+/// cannot matter; a clamped-away term adds an exact `0.0`) and the same
+/// transform, hence the same bits.
+pub(crate) fn proximity_entry(fwd: &PprState, bwd: &PprState, r_max: f64, v: u32) -> Option<f64> {
+    log_scaled(fwd.estimate(v).max(0.0) + bwd.estimate(v).max(0.0), r_max)
+}
+
 /// Build the sparse proximity row for one source from its forward and
 /// reverse push states. Returns `(node, value)` pairs sorted by node id.
 ///
@@ -33,9 +50,8 @@ pub fn proximity_row(fwd: &PprState, bwd: &PprState, r_max: f64) -> Vec<(u32, f6
         while iter.peek().is_some_and(|&(v2, _)| v2 == v) {
             p += iter.next().unwrap().1;
         }
-        let scaled = p / r_max;
-        if scaled > 1.0 {
-            out.push((v, scaled.ln()));
+        if let Some(value) = log_scaled(p, r_max) {
+            out.push((v, value));
         }
     }
     out
@@ -84,6 +100,18 @@ mod tests {
         // Node 1: only the positive bwd part counts → 0.2 ≤ 1 → dropped.
         assert_eq!(row.len(), 1);
         assert_eq!(row[0].0, 2);
+    }
+
+    #[test]
+    fn single_entries_match_the_whole_row_bitwise() {
+        let fwd = state_with(0, &[(1, 0.4), (2, 0.1), (4, -0.3), (6, 0.004), (7, 0.3)]);
+        let bwd = state_with(0, &[(1, 0.2), (3, 0.3), (4, 0.002), (6, 0.007), (7, -0.1)]);
+        let row = proximity_row(&fwd, &bwd, 0.01);
+        for v in 0..9u32 {
+            let want = row.iter().find(|e| e.0 == v).map(|e| e.1.to_bits());
+            let got = proximity_entry(&fwd, &bwd, 0.01, v).map(f64::to_bits);
+            assert_eq!(got, want, "column {v}");
+        }
     }
 
     #[test]

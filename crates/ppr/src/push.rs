@@ -1,8 +1,10 @@
 //! Forward-Push (Algorithm 1) with signed residues.
 //!
-//! The same routine serves the static build (fresh one-hot residue) and the
+//! The same push loop serves the static build (fresh one-hot residue) and the
 //! re-push phase of the dynamic update (arbitrary signed residues left by the
-//! per-event adjustments — Algorithm 2 lines 8–11 push both signs).
+//! per-event adjustments — Algorithm 2 lines 8–11 push both signs). The two
+//! differ only in how the initial frontier is found: [`forward_push`] scans
+//! every residue key, the dynamic update hands over the batch's endpoints.
 
 use crate::state::PprState;
 use std::collections::VecDeque;
@@ -15,29 +17,86 @@ use tsvd_graph::{Direction, DynGraph};
 /// estimate — the α-decay walk terminates where it stands — whenever
 /// `|r_s(u)| > r_max`.
 ///
-/// Cost: `O(total pushed mass / (α·r_max))`; for a fresh one-hot residue
-/// this is the classic `O(1/(α·r_max))`.
+/// This is the *key-scanning* seeder: it makes no assumption about where
+/// the residue sits, so the initial frontier is found by walking every
+/// residue key in ascending order. It serves fresh sparse pushes (the
+/// DynPPE build) and arbitrary hand-made residue profiles; the dynamic
+/// update, which knows where residue moved, seeds through
+/// [`push_from_candidates`] instead. Both run the same push loop.
+///
+/// Cost: `O(|r| log |r| + total pushed mass / (α·r_max))`; for a fresh
+/// one-hot residue this is the classic `O(1/(α·r_max))`.
 pub fn forward_push(g: &DynGraph, dir: Direction, alpha: f64, r_max: f64, state: &mut PprState) {
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-    assert!(r_max > 0.0, "r_max must be positive");
-    // Take the state's scratch buffers for the duration of the push: the
-    // dynamic path re-pushes every source in every window on residue sets
-    // of a handful of nodes, where a fresh seed Vec + frontier VecDeque per
-    // call is pure allocator traffic. Capacity persists across pushes.
+    // Take the state's seed buffer for the duration of the push; capacity
+    // persists across pushes.
     let mut seeds = std::mem::take(&mut state.scratch.seeds);
-    let mut queue = std::mem::take(&mut state.scratch.queue);
-    debug_assert!(seeds.is_empty() && queue.is_empty(), "scratch not clean");
-    // Seed the queue with every node currently holding residue. For a fresh
-    // state this is just the source; after dynamic adjustments it is the
-    // handful of touched endpoints plus whatever survived earlier pushes.
+    debug_assert!(seeds.is_empty(), "scratch not clean");
     seeds.extend(state.r.keys().copied());
     seeds.sort_unstable(); // deterministic order regardless of hash state
-    for &u in &seeds {
+    push_loop(g, dir, alpha, r_max, state, &seeds);
+    seeds.clear();
+    state.scratch.seeds = seeds;
+}
+
+/// [`forward_push`] for a state whose push-worthy nodes are all known to
+/// lie in `candidates` (ascending, no duplicates) — the *endpoint* seeder
+/// of the dynamic update.
+///
+/// # Why the result is bitwise that of `forward_push`
+///
+/// `forward_push`'s initial frontier is "every residue key, ascending,
+/// kept if it exceeds the threshold". A node can only exceed the threshold
+/// if it holds residue, so when every exceeding node is a candidate,
+/// "every candidate, ascending, kept if it exceeds" is the same sequence of
+/// nodes; from an equal frontier the shared loop performs the same pushes
+/// in the same order. The precondition is the caller's to establish (see
+/// [`crate::dynamic::dynamic_update`]); debug builds verify it with the
+/// full scan this function exists to avoid.
+pub(crate) fn push_from_candidates(
+    g: &DynGraph,
+    dir: Direction,
+    alpha: f64,
+    r_max: f64,
+    state: &mut PprState,
+    candidates: &[u32],
+) {
+    debug_assert!(
+        candidates.windows(2).all(|w| w[0] < w[1]),
+        "candidates not strictly ascending"
+    );
+    debug_assert!(
+        state
+            .residues()
+            .all(|(u, r)| !exceeds(g, dir, r_max, u, r) || candidates.binary_search(&u).is_ok()),
+        "source {}: a push-worthy node lies outside the candidates — the state \
+         was not converged before the batch",
+        state.source
+    );
+    push_loop(g, dir, alpha, r_max, state, candidates);
+}
+
+/// The one push loop: seed the frontier with the `seeds` that exceed the
+/// threshold, in the order given, then push until it drains.
+fn push_loop(
+    g: &DynGraph,
+    dir: Direction,
+    alpha: f64,
+    r_max: f64,
+    state: &mut PprState,
+    seeds: &[u32],
+) {
+    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+    assert!(r_max > 0.0, "r_max must be positive");
+    // The frontier lives on the state: the dynamic path re-pushes every
+    // source in every window on a handful of nodes, where a fresh VecDeque
+    // per call is pure allocator traffic.
+    let mut queue = std::mem::take(&mut state.scratch.queue);
+    debug_assert!(queue.is_empty(), "scratch not clean");
+    for &u in seeds {
         if exceeds(g, dir, r_max, u, state.residue(u)) {
             queue.push_back(u);
         }
     }
-    seeds.clear();
     while let Some(u) = queue.pop_front() {
         let r_u = state.residue(u);
         if !exceeds(g, dir, r_max, u, r_u) {
@@ -55,7 +114,6 @@ pub fn forward_push(g: &DynGraph, dir: Direction, alpha: f64, r_max: f64, state:
             queue.push_back(u);
         }
     }
-    state.scratch.seeds = seeds;
     state.scratch.queue = queue;
 }
 

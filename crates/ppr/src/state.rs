@@ -10,7 +10,8 @@ use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
 /// Both vectors are sparse hash maps — forward push touches `O(1/r_max)`
 /// nodes, a vanishing fraction of the graph. The `dirty` flag is set by any
 /// mutation and cleared by the consumer (the proximity-matrix layer uses it
-/// to rebuild only the rows that changed).
+/// to refresh only the rows that changed, and `touched` to refresh only the
+/// columns of those rows that changed).
 #[derive(Debug, Clone)]
 pub struct PprState {
     /// The source node `s`.
@@ -19,9 +20,24 @@ pub struct PprState {
     pub(crate) r: HashMap<u32, f64>,
     /// Set whenever `p` changes; cleared via [`PprState::clear_dirty`].
     pub dirty: bool,
+    /// Which estimates moved since `dirty` was last cleared. Working memory
+    /// like `scratch`: empty between windows, excluded from serialisation.
+    pub(crate) touched: Touched,
     /// Reusable push working memory (seed sort + frontier queue). Purely
     /// transient: always empty between pushes, excluded from serialisation.
     pub(crate) scratch: PushScratch,
+}
+
+/// The columns of `p` written since the dirty flag was last cleared.
+#[derive(Debug, Clone)]
+pub(crate) enum Touched {
+    /// Every write since the last clear, in write order, duplicates and
+    /// all; a superset of the columns whose estimate differs from what the
+    /// consumer last saw.
+    Cols(Vec<u32>),
+    /// No consumer has seen this state's estimates yet (fresh, reset, or
+    /// decoded while dirty): there is nothing to patch against.
+    All,
 }
 
 /// Per-state scratch buffers for [`crate::push::forward_push`], kept on the
@@ -33,9 +49,9 @@ pub(crate) struct PushScratch {
     pub(crate) queue: VecDeque<u32>,
 }
 
-// Manual JSON impls (not `impl_json_struct!`): `scratch` is working memory,
-// not state — it is skipped on encode and default-initialised on decode, so
-// the wire format is unchanged from the pre-scratch derive.
+// Manual JSON impls (not `impl_json_struct!`): `scratch` and `touched` are
+// working memory, not state — skipped on encode and re-initialised on
+// decode, so the wire format is unchanged from the pre-scratch derive.
 impl ToJson for PprState {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -49,11 +65,19 @@ impl ToJson for PprState {
 
 impl FromJson for PprState {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let dirty: bool = field(j, "dirty")?;
         Ok(PprState {
             source: field(j, "source")?,
             p: field(j, "p")?,
             r: field(j, "r")?,
-            dirty: field(j, "dirty")?,
+            dirty,
+            // The list was not saved, so a state saved dirty can only be
+            // refreshed whole.
+            touched: if dirty {
+                Touched::All
+            } else {
+                Touched::Cols(Vec::new())
+            },
             scratch: PushScratch::default(),
         })
     }
@@ -69,6 +93,7 @@ impl PprState {
             p: HashMap::new(),
             r,
             dirty: true,
+            touched: Touched::All,
             scratch: PushScratch::default(),
         }
     }
@@ -80,6 +105,7 @@ impl PprState {
         self.r.clear();
         self.r.insert(self.source, 1.0);
         self.dirty = true;
+        self.touched = Touched::All;
     }
 
     /// Current estimate `p_s(u)` of `π_s(u)`.
@@ -119,9 +145,23 @@ impl PprState {
         self.r.values().map(|v| v.abs()).sum()
     }
 
-    /// Clear the dirty flag, returning its previous value.
+    /// Clear the dirty flag (and the touched-column list that goes with
+    /// it), returning the flag's previous value.
     pub fn clear_dirty(&mut self) -> bool {
+        match &mut self.touched {
+            Touched::Cols(cols) => cols.clear(),
+            Touched::All => self.touched = Touched::Cols(Vec::new()),
+        }
         std::mem::replace(&mut self.dirty, false)
+    }
+
+    /// Record a write to `p(u)`.
+    #[inline]
+    fn touch(&mut self, u: u32) {
+        self.dirty = true;
+        if let Touched::Cols(cols) = &mut self.touched {
+            cols.push(u);
+        }
     }
 
     #[inline]
@@ -134,7 +174,7 @@ impl PprState {
         if *e == 0.0 {
             self.p.remove(&u);
         }
-        self.dirty = true;
+        self.touch(u);
     }
 
     #[inline]
@@ -144,7 +184,7 @@ impl PprState {
             if *e == 0.0 {
                 self.p.remove(&u);
             }
-            self.dirty = true;
+            self.touch(u);
         }
     }
 
@@ -206,20 +246,53 @@ mod tests {
     }
 
     #[test]
-    fn json_skips_scratch_and_round_trips() {
+    fn json_skips_scratch_and_touched_and_round_trips() {
         let mut s = PprState::new(3);
+        s.clear_dirty();
         s.add_p(1, 0.25);
         s.add_r(2, -0.5);
         s.scratch.seeds.push(9); // dirty scratch must not leak into JSON
         s.scratch.queue.push_back(9);
+        assert!(matches!(&s.touched, Touched::Cols(c) if c == &[1]));
         let j = Json::parse(&s.to_json().to_string()).unwrap();
         assert!(j.get("scratch").is_none(), "scratch serialized");
+        assert!(j.get("touched").is_none(), "touched serialized");
         let back = PprState::from_json(&j).unwrap();
         assert_eq!(back.source, 3);
         assert_eq!(back.estimate(1), 0.25);
         assert_eq!(back.residue(2), -0.5);
         assert_eq!(back.dirty, s.dirty);
         assert!(back.scratch.seeds.is_empty() && back.scratch.queue.is_empty());
+        // Saved dirty, the list is gone: only a whole-row refresh is safe.
+        assert!(matches!(back.touched, Touched::All));
+        // Saved clean (the only way a checkpoint is ever written): empty.
+        s.clear_dirty();
+        let clean = PprState::from_json(&s.to_json()).unwrap();
+        assert!(matches!(&clean.touched, Touched::Cols(c) if c.is_empty()));
+        assert_eq!(s.to_json().to_string(), clean.to_json().to_string());
+    }
+
+    #[test]
+    fn touched_lists_every_estimate_write_until_cleared() {
+        let mut s = PprState::new(1);
+        assert!(
+            matches!(s.touched, Touched::All),
+            "nothing to patch against"
+        );
+        s.add_p(4, 0.5);
+        assert!(matches!(s.touched, Touched::All), "still unseen");
+        assert!(s.clear_dirty());
+        s.add_p(9, 0.1);
+        s.scale_p(4, 2.0);
+        s.scale_p(7, 2.0); // absent: not a write
+        s.add_p(9, -0.1); // removed again: still a write
+        s.add_r(5, 0.3); // residues are not part of the row
+        assert!(matches!(&s.touched, Touched::Cols(c) if c == &[9, 4, 9]));
+        assert!(s.clear_dirty());
+        assert!(matches!(&s.touched, Touched::Cols(c) if c.is_empty()));
+        s.add_p(2, 0.2);
+        s.reset();
+        assert!(matches!(s.touched, Touched::All), "reset forgets the row");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Subset PPR maintenance: forward + reverse push states for every source
 //! in `S`, kept current across snapshots.
 
-use crate::dynamic::{dynamic_update, record_events, RecordedEvent};
-use crate::proximity::proximity_row;
+use crate::dynamic::{batch_endpoints, dynamic_update, record_events, RecordedEvent};
+use crate::proximity::{proximity_entry, proximity_row};
 use crate::push::FreshPushWorkspace;
-use crate::state::PprState;
+use crate::state::{PprState, Touched};
 use tsvd_graph::{Direction, DynGraph, EdgeEvent};
 use tsvd_rt::pool::{par_for_each_mut, par_map, par_map_init};
 
@@ -18,6 +18,22 @@ use tsvd_rt::pool::{par_for_each_mut, par_map, par_map_init};
 pub struct RecordedBatch {
     fwd: Vec<RecordedEvent>,
     bwd: Vec<RecordedEvent>,
+    /// [`batch_endpoints`] of either list: where a converged state can have
+    /// become push-worthy. Built once here, shared by every source of every
+    /// `SubsetPpr` the batch is replayed into.
+    endpoints: Vec<u32>,
+}
+
+/// How one dirty proximity row changed since the dirty flags were last
+/// cleared — what [`SubsetPpr::drain_row_updates`] hands the matrix layer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowUpdate {
+    /// The whole row, as [`SubsetPpr::proximity_row`] builds it.
+    Whole(Vec<(u32, f64)>),
+    /// Only the columns that can differ, ascending, each with its new
+    /// value (`None`: the column is not stored). Every other column of the
+    /// row is what it was at the previous drain.
+    Patch(Vec<(u32, Option<f64>)>),
 }
 
 impl RecordedBatch {
@@ -26,7 +42,12 @@ impl RecordedBatch {
     /// absent edges) are dropped.
     pub fn record(g: &mut DynGraph, events: &[EdgeEvent]) -> Self {
         let (fwd, bwd) = record_events(g, events);
-        RecordedBatch { fwd, bwd }
+        let endpoints = batch_endpoints(&fwd);
+        RecordedBatch {
+            fwd,
+            bwd,
+            endpoints,
+        }
     }
 
     /// `true` when no event changed the graph (replay is a no-op).
@@ -176,17 +197,65 @@ impl SubsetPpr {
     /// independent and bitwise-deterministic, so splitting `S` across
     /// several `SubsetPpr` instances and calling this on each yields
     /// exactly the states a single [`SubsetPpr::update`] would.
+    ///
+    /// Every state must have seen every batch applied to `g` since it was
+    /// built (the convergence precondition of
+    /// [`dynamic_update`](crate::dynamic::dynamic_update)): a source the
+    /// batch does not reach then costs `2·|Δ|` hash probes per direction.
     pub fn apply_recorded(&mut self, g: &DynGraph, rec: &RecordedBatch) {
         if rec.is_empty() {
             return;
         }
         let cfg = self.cfg;
-        par_for_each_mut(&mut self.fwd, |st| {
-            dynamic_update(g, Direction::Out, cfg.alpha, cfg.r_max, st, &rec.fwd);
+        // Both directions in one pool region: per-state results are
+        // independent, and a state the batch misses is ~1 µs of work, so a
+        // second dispatch + barrier would cost more than what it runs.
+        let fwd = self.fwd.iter_mut().map(|st| (st, Direction::Out, &rec.fwd));
+        let bwd = self.bwd.iter_mut().map(|st| (st, Direction::In, &rec.bwd));
+        let mut work: Vec<_> = fwd.chain(bwd).collect();
+        par_for_each_mut(&mut work, |(st, dir, recorded)| {
+            dynamic_update(g, *dir, cfg.alpha, cfg.r_max, st, recorded, &rec.endpoints);
         });
-        par_for_each_mut(&mut self.bwd, |st| {
-            dynamic_update(g, Direction::In, cfg.alpha, cfg.r_max, st, &rec.bwd);
-        });
+    }
+
+    /// What changed in every row whose proximity row may have changed since
+    /// the flags were last cleared, as `(row, update)` in ascending row
+    /// order. Clears the flags, like [`SubsetPpr::take_dirty_rows`] — which
+    /// reports the same rows and stays the way to rebuild them whole.
+    ///
+    /// A row is patched when the two states wrote fewer estimates since the
+    /// last drain than a rebuild would have to walk; otherwise (a burst
+    /// that rewrote most of the row, or a state no consumer has seen yet)
+    /// it comes back whole. Either way, applying the update to a matrix row
+    /// that held the previous drain's content yields exactly
+    /// `proximity_row(row)`.
+    pub fn drain_row_updates(&mut self) -> Vec<(usize, RowUpdate)> {
+        let r_max = self.cfg.r_max;
+        let mut updates = Vec::new();
+        for (i, (fwd, bwd)) in self.fwd.iter_mut().zip(&mut self.bwd).enumerate() {
+            if !(fwd.dirty || bwd.dirty) {
+                continue;
+            }
+            let update = match (&fwd.touched, &bwd.touched) {
+                (Touched::Cols(f), Touched::Cols(b))
+                    if f.len() + b.len() < fwd.estimate_nnz() + bwd.estimate_nnz() =>
+                {
+                    let mut cols: Vec<u32> = f.iter().chain(b).copied().collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    RowUpdate::Patch(
+                        cols.into_iter()
+                            .map(|v| (v, proximity_entry(fwd, bwd, r_max, v)))
+                            .collect(),
+                    )
+                }
+                _ => RowUpdate::Whole(proximity_row(fwd, bwd, r_max)),
+            };
+            fwd.clear_dirty();
+            bwd.clear_dirty();
+            updates.push((i, update));
+        }
+        updates
     }
 
     /// Row indices whose proximity row may have changed since the flags were
@@ -305,6 +374,106 @@ mod tests {
         ppr.update(&mut g, &[EdgeEvent::insert(2, 29)]);
         let dirty = ppr.take_dirty_rows();
         assert!(dirty.contains(&0), "source 2's own row must change");
+    }
+
+    /// Apply drained updates to plain sorted rows (what the matrix layer
+    /// does cell by cell).
+    fn apply(row: &mut Vec<(u32, f64)>, update: RowUpdate) {
+        match update {
+            RowUpdate::Whole(entries) => *row = entries,
+            RowUpdate::Patch(patch) => {
+                for (c, v) in patch {
+                    row.retain(|e| e.0 != c);
+                    row.extend(v.map(|v| (c, v)));
+                }
+                row.sort_unstable_by_key(|e| e.0);
+            }
+        }
+    }
+
+    #[test]
+    fn drained_updates_reproduce_proximity_rows_bitwise() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut g = random_graph(&mut rng, 80, 400);
+        let cfg = PprConfig {
+            alpha: 0.2,
+            r_max: 1e-4,
+        };
+        let sources: Vec<u32> = (0..16).collect();
+        let mut ppr = SubsetPpr::build(&g, &sources, cfg);
+        // Nothing has seen the fresh states: every row comes back whole.
+        let first = ppr.drain_row_updates();
+        assert_eq!(first.len(), sources.len());
+        assert!(first.iter().all(|(_, u)| matches!(u, RowUpdate::Whole(_))));
+        let mut rows: Vec<Vec<(u32, f64)>> = first
+            .into_iter()
+            .map(|(_, u)| match u {
+                RowUpdate::Whole(r) => r,
+                RowUpdate::Patch(_) => unreachable!(),
+            })
+            .collect();
+        assert!(ppr.drain_row_updates().is_empty(), "flags cleared");
+        let (mut patches, mut wholes) = (0usize, 0usize);
+        for window in 0..60 {
+            // Small windows patch; every tenth is a burst that rewrites
+            // most of every row and must fall back to whole rows.
+            let len = if window % 10 == 9 {
+                150
+            } else {
+                1 + window % 3
+            };
+            let events: Vec<EdgeEvent> = (0..len)
+                .map(|_| {
+                    let u = rng.gen_range(0..80) as u32;
+                    let v = rng.gen_range(0..80) as u32;
+                    if rng.gen_bool(0.7) {
+                        EdgeEvent::insert(u, v)
+                    } else {
+                        EdgeEvent::delete(u, v)
+                    }
+                })
+                .collect();
+            ppr.update(&mut g, &events);
+            for (i, update) in ppr.drain_row_updates() {
+                match &update {
+                    RowUpdate::Patch(p) => {
+                        patches += 1;
+                        assert!(p.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+                    }
+                    RowUpdate::Whole(_) => wholes += 1,
+                }
+                apply(&mut rows[i], update);
+            }
+            for (i, row) in rows.iter().enumerate() {
+                let want = ppr.proximity_row(i);
+                let bits = |r: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    r.iter().map(|e| (e.0, e.1.to_bits())).collect()
+                };
+                assert_eq!(bits(row), bits(&want), "window {window} row {i}");
+            }
+        }
+        assert!(
+            patches > 50 && wholes > 10,
+            "{patches} patches, {wholes} whole"
+        );
+    }
+
+    #[test]
+    fn take_dirty_rows_and_the_drain_report_the_same_rows() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut g = random_graph(&mut rng, 40, 160);
+        let mut a = SubsetPpr::build(&g, &[0, 3, 9, 27], PprConfig::default());
+        a.take_dirty_rows();
+        let mut b = a.clone();
+        let rec = RecordedBatch::record(&mut g, &[EdgeEvent::insert(3, 38)]);
+        a.apply_recorded(&g, &rec);
+        b.apply_recorded(&g, &rec);
+        let drained: Vec<usize> = a.drain_row_updates().into_iter().map(|u| u.0).collect();
+        assert_eq!(drained, b.take_dirty_rows());
+        assert!(
+            b.drain_row_updates().is_empty(),
+            "take_dirty_rows clears both"
+        );
     }
 
     #[test]

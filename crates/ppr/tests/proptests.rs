@@ -3,7 +3,7 @@
 //! arbitrary graphs and event sequences.
 
 use tsvd_graph::{Direction, DynGraph, EdgeEvent};
-use tsvd_ppr::dynamic::{adjust_for_event, record_events};
+use tsvd_ppr::dynamic::{adjust_for_event, batch_endpoints, dynamic_update, record_events};
 use tsvd_ppr::exact::exact_ppr_row;
 use tsvd_ppr::{forward_push, forward_push_fresh, PprState};
 use tsvd_rt::check::{Checker, Gen};
@@ -132,4 +132,74 @@ fn reverse_direction_is_ppr_of_transpose() {
         }
         Ok(())
     });
+}
+
+/// The two maps of a state (estimates, then residues) as sorted
+/// `(node, bits)` lists.
+fn state_bits(st: &PprState) -> [Vec<(u32, u64)>; 2] {
+    let sorted = |it: &mut dyn Iterator<Item = (u32, f64)>| {
+        let mut v: Vec<(u32, u64)> = it.map(|(k, x)| (k, x.to_bits())).collect();
+        v.sort_unstable();
+        v
+    };
+    [sorted(&mut st.estimates()), sorted(&mut st.residues())]
+}
+
+/// The endpoint-seeded re-push is the key-scanning one, bit for bit: over
+/// streams of windows (1–64 events: inserts, deletes of edges that exist,
+/// self-loops, no-ops, on graphs sparse enough that degrees pass through 0
+/// and 1 all the time), in both directions, `dynamic_update` and "adjust,
+/// then `forward_push`" leave equal `p` and `r` after every window.
+#[test]
+fn endpoint_seeded_update_equals_key_scanning_push_bitwise() {
+    Checker::new(48).run(
+        "endpoint_seeded_update_equals_key_scanning_push_bitwise",
+        |gen| {
+            let n = gen.usize_in(3..24);
+            let edges: Vec<(u32, u32)> = gen.vec(0..40, |g| {
+                (g.u32_in(0..n as u32), g.u32_in(0..n as u32)) // self-loops included
+            });
+            let source = gen.u32_in(0..n as u32);
+            let r_max = 10f64.powi(-(gen.u32_in(2..6) as i32));
+            let mut g = DynGraph::from_edges(n, &edges);
+            let mut seeded = [Direction::Out, Direction::In].map(|dir| {
+                let mut st = PprState::new(source);
+                forward_push(&g, dir, ALPHA, r_max, &mut st);
+                (dir, st)
+            });
+            let mut scanned = seeded.clone();
+            for window in 0..gen.usize_in(1..12) {
+                let live: Vec<(u32, u32)> = g.edges().collect();
+                let events: Vec<EdgeEvent> = gen.vec(1..65, |g| {
+                    if !live.is_empty() && g.prob(0.4) {
+                        // Mostly real deletes; a repeat within the window
+                        // is a no-op the recorder must drop.
+                        let (u, v) = live[g.usize_in(0..live.len())];
+                        EdgeEvent::delete(u, v)
+                    } else if g.prob(0.1) {
+                        EdgeEvent::delete(g.u32_in(0..n as u32), g.u32_in(0..n as u32))
+                    } else {
+                        EdgeEvent::insert(g.u32_in(0..n as u32), g.u32_in(0..n as u32))
+                    }
+                });
+                let recorded = record_events(&mut g, &events);
+                let endpoints = batch_endpoints(&recorded.0);
+                ensure!(endpoints == batch_endpoints(&recorded.1));
+                for (k, rec) in [&recorded.0, &recorded.1].into_iter().enumerate() {
+                    let (dir, st) = &mut seeded[k];
+                    dynamic_update(&g, *dir, ALPHA, r_max, st, rec, &endpoints);
+                    let (dir, reference) = &mut scanned[k];
+                    for ev in rec {
+                        adjust_for_event(reference, ev, ALPHA);
+                    }
+                    forward_push(&g, *dir, ALPHA, r_max, reference);
+                    ensure!(
+                        state_bits(st) == state_bits(reference),
+                        "window {window}, direction {k}: states diverged"
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
 }

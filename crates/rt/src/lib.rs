@@ -18,12 +18,15 @@
 //! failing seed on error; [`bench`] never samples timers for control flow;
 //! [`pool`] — the persistent work-stealing pool every parallel region in
 //! the workspace dispatches through — places results by index so outputs
-//! are bitwise identical for every thread count; [`exec`] is the hermetic
+//! are bitwise identical for every thread count (and keeps its participants
+//! on separate CPUs, `cpu.rs`, so that timings do not depend on where the
+//! kernel happened to wake a worker); [`exec`] is the hermetic
 //! single-threaded event loop (mailbox + keyed deadlines, no tokio) that
 //! the serving layer sequences its batching and flushing on.
 
 pub mod bench;
 pub mod check;
+mod cpu;
 pub mod exec;
 pub mod json;
 pub mod pool;

@@ -28,6 +28,11 @@
 //!   worker runs its region inline on that worker (caller-runs fallback).
 //!   The outer region already occupies the pool; nesting therefore cannot
 //!   deadlock and does not oversubscribe.
+//! * **Placement** — the kernel places the threads, except that a worker
+//!   woken onto a CPU another participant of the same region is already on
+//!   moves to an unclaimed one first (see `cpu.rs` for the measurement that
+//!   made this necessary: the guest kernel left caller and worker stacked
+//!   on one of two CPUs for over a second).
 //! * **Panic propagation** — participant panics are caught, the first
 //!   payload is stored on the job, and the caller re-raises it after every
 //!   participant has left the region (so borrowed inputs are never touched
@@ -41,7 +46,10 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Condvar, Mutex, OnceLock};
+
+use crate::cpu;
 
 /// Number of pool participants: `TSVD_THREADS` env var if set, otherwise
 /// the machine's available parallelism (capped at 16 — the workloads here
@@ -141,7 +149,11 @@ fn worker_loop(pool: &'static Pool, slot: usize) {
         // SAFETY: the job record outlives every injected copy — the caller
         // retracts unclaimed copies and blocks until `pending` reaches zero
         // before its stack frame unwinds.
-        unsafe { (*job.0).run(slot) };
+        let job = unsafe { &*job.0 };
+        if let Some(free) = cpu::claim(&job.cpus) {
+            cpu::move_to(free);
+        }
+        job.run(slot);
     }
 }
 
@@ -161,6 +173,9 @@ struct Job {
     /// Injected copies not yet finished (retracted copies are subtracted).
     pending: Mutex<usize>,
     done: Condvar,
+    /// CPUs (bit `c` = CPU `c`) the region's participants are on, the
+    /// caller's first: a worker that wakes on a claimed one moves away.
+    cpus: AtomicU64,
     /// First participant panic, re-raised by the caller.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
@@ -201,6 +216,7 @@ fn run_participants(f: &(dyn Fn(usize) + Sync)) {
         f: f_static,
         pending: Mutex::new(pool.workers),
         done: Condvar::new(),
+        cpus: AtomicU64::new(cpu::caller_claim()),
         panic: Mutex::new(None),
     };
     let jref = JobRef(&job);

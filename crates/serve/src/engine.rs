@@ -44,7 +44,7 @@ use tsvd_core::{
 };
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_linalg::CsrMatrix;
-use tsvd_ppr::{PprConfig, RecordedBatch, SubsetPpr};
+use tsvd_ppr::{PprConfig, RecordedBatch, RowUpdate, SubsetPpr};
 use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use tsvd_rt::pool::par_for_each_mut;
 
@@ -57,9 +57,9 @@ struct Shard {
     /// Global row index of this shard's first source.
     start: usize,
     ppr: SubsetPpr,
-    /// Scratch: `(global_row, fresh_row)` pairs produced by the parallel
+    /// Scratch: `(local_row, update)` pairs produced by the parallel
     /// refresh, drained serially into the global matrix.
-    pending: Vec<(usize, Vec<(u32, f64)>)>,
+    pending: Vec<(usize, RowUpdate)>,
 }
 
 /// One tenant's whole update state: the shard PPR replicas of its subset,
@@ -161,21 +161,18 @@ impl TenantEngine {
         });
         let t1 = Instant::now();
 
-        // Phase 1b: rebuild dirty proximity rows per shard in parallel,
-        // then drain them into the matrix in ascending global row order —
-        // the same order the unsharded pipeline writes them, so version
-        // stamps (and thus the lazy layer's re-diff bookkeeping) match
-        // exactly.
+        // Phase 1b: work out what changed in each dirty proximity row per
+        // shard in parallel (the touched columns, or the whole row), then
+        // drain the updates into the matrix in ascending global row order —
+        // the same order, through the same two calls, as the unsharded
+        // pipeline, so version stamps (and thus the lazy layer's re-diff
+        // bookkeeping) match exactly.
         par_for_each_mut(&mut self.shards, |sh| {
-            sh.pending.clear();
-            for local in sh.ppr.take_dirty_rows() {
-                sh.pending
-                    .push((sh.start + local, sh.ppr.proximity_row(local)));
-            }
+            sh.pending = sh.ppr.drain_row_updates();
         });
         for sh in &mut self.shards {
-            for (row, entries) in sh.pending.drain(..) {
-                self.matrix.set_row(row, &entries);
+            for (local, update) in sh.pending.drain(..) {
+                self.matrix.apply_row_update(sh.start + local, &update);
             }
         }
         let t2 = Instant::now();

@@ -189,13 +189,17 @@ impl WalStore {
 
 impl DurabilitySink for WalStore {
     /// Append one frame and fsync it. When this returns `Ok`, the window
-    /// is durable: [`recover`] will replay it.
+    /// is durable: [`recover`] will replay it. A window too large for one
+    /// frame ([`wal::WAL_MAX_PAYLOAD`]) is refused with
+    /// [`io::ErrorKind::InvalidInput`] before a byte is written.
     fn append_window(&mut self, epoch: u64, events: &[EdgeEvent]) -> io::Result<()> {
         assert_eq!(
             epoch, self.next_epoch,
             "WAL appends must be contiguous (expected epoch {}, got {epoch})",
             self.next_epoch
         );
+        let mut buf = Vec::new();
+        wal::encode_frame(epoch, events, &mut buf)?;
         let rotate = match &self.seg {
             None => true,
             Some(seg) => seg.written >= self.cfg.segment_bytes,
@@ -203,8 +207,6 @@ impl DurabilitySink for WalStore {
         if rotate {
             self.open_segment(epoch)?;
         }
-        let mut buf = Vec::with_capacity(wal::WAL_HEADER_LEN + 4 + events.len() * 9);
-        wal::encode_frame(epoch, events, &mut buf);
         let seg = self.seg.as_mut().expect("segment just opened");
         seg.file.write_all(&buf)?;
         seg.file.sync_data()?;
@@ -484,6 +486,28 @@ mod tests {
         let a = live.tagged(0).unwrap();
         let b = rec2.host.tagged(0).unwrap();
         assert_eq!(a.left().sub(b.left()).max_abs(), 0.0);
+    }
+
+    #[test]
+    fn an_oversized_window_is_refused_before_a_byte_is_written() {
+        let dir = tmpdir("oversized");
+        let live = small_host();
+        let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
+        store.append_window(1, &window(0)).unwrap();
+        let segment_len = || fs::metadata(wal::segment_path(&dir, 1)).unwrap().len();
+        let before = segment_len();
+        // One event more than a frame can carry (≈ 90 MB of events; the
+        // refusal comes before anything is encoded).
+        let too_many = (wal::WAL_MAX_PAYLOAD as usize - 4) / 9 + 1;
+        let err = store
+            .append_window(2, &vec![EdgeEvent::insert(0, 1); too_many])
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(segment_len(), before, "segment grew");
+        assert_eq!(store.next_epoch(), 2, "the epoch was not consumed");
+        // The store is still good: the same epoch takes a window that fits.
+        store.append_window(2, &window(1)).unwrap();
+        assert_eq!(read_windows(&dir).unwrap().len(), 2);
     }
 
     #[test]

@@ -64,15 +64,45 @@ pub const WAL_HEADER_LEN: usize = 24;
 /// corrupt by definition, long before allocation.
 pub const WAL_MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Append one frame for `epoch` carrying `events` to `out`.
-pub fn encode_frame(epoch: u64, events: &[EdgeEvent], out: &mut Vec<u8>) {
+/// Payload length of a frame carrying `n` events, if it fits under `cap` —
+/// computed in `usize` with checked steps, so no event count can wrap its
+/// way past the check.
+fn payload_len(n: usize, cap: u32) -> Option<u32> {
+    let len = n.checked_mul(9)?.checked_add(4)?;
+    u32::try_from(len).ok().filter(|&len| len <= cap)
+}
+
+/// Append one frame for `epoch` carrying `events` to `out`, or refuse with
+/// [`io::ErrorKind::InvalidInput`], leaving `out` as it was, when the
+/// window's payload would exceed [`WAL_MAX_PAYLOAD`] — a frame
+/// [`scan_segment`] would reject as corrupt must never be written.
+pub fn encode_frame(epoch: u64, events: &[EdgeEvent], out: &mut Vec<u8>) -> io::Result<()> {
+    encode_frame_capped(epoch, events, WAL_MAX_PAYLOAD, out)
+}
+
+/// [`encode_frame`] against an explicit payload cap (the boundary is unit
+/// tested at a cap a test can afford to fill).
+fn encode_frame_capped(
+    epoch: u64,
+    events: &[EdgeEvent],
+    cap: u32,
+    out: &mut Vec<u8>,
+) -> io::Result<()> {
+    let payload_len = payload_len(events.len(), cap).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "window of {} events exceeds the {cap}-byte WAL frame payload cap",
+                events.len()
+            ),
+        )
+    })?;
     let start = out.len();
+    out.reserve(WAL_HEADER_LEN + payload_len as usize);
     out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
     out.push(WAL_VERSION);
     out.push(FRAME_WINDOW);
     out.extend_from_slice(&epoch.to_le_bytes());
-    let payload_len = 4 + events.len() as u32 * 9;
-    debug_assert!(payload_len <= WAL_MAX_PAYLOAD, "window exceeds frame cap");
     out.extend_from_slice(&payload_len.to_le_bytes());
     out.extend_from_slice(&[0u8; 8]); // checksum backfilled below
     let payload_start = out.len();
@@ -90,6 +120,7 @@ pub fn encode_frame(epoch: u64, events: &[EdgeEvent], out: &mut Vec<u8>) {
         &out[payload_start..],
     );
     out[start + 16..start + 24].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Result of scanning one segment.
@@ -265,7 +296,7 @@ mod tests {
 
     fn frame_bytes(epoch: u64, events: &[EdgeEvent]) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_frame(epoch, events, &mut out);
+        encode_frame(epoch, events, &mut out).unwrap();
         out
     }
 
@@ -280,9 +311,9 @@ mod tests {
     #[test]
     fn frames_round_trip_including_empty_windows() {
         let mut buf = Vec::new();
-        encode_frame(1, &[ev(0), ev(1), ev(2)], &mut buf);
-        encode_frame(2, &[], &mut buf);
-        encode_frame(3, &[ev(7)], &mut buf);
+        encode_frame(1, &[ev(0), ev(1), ev(2)], &mut buf).unwrap();
+        encode_frame(2, &[], &mut buf).unwrap();
+        encode_frame(3, &[ev(7)], &mut buf).unwrap();
         let s = scan_segment("t", &buf, true).unwrap();
         assert!(!s.torn);
         assert_eq!(s.valid_len, buf.len() as u64);
@@ -290,6 +321,38 @@ mod tests {
         assert_eq!(s.frames[0], (1, vec![ev(0), ev(1), ev(2)]));
         assert_eq!(s.frames[1], (2, vec![]));
         assert_eq!(s.frames[2], (3, vec![ev(7)]));
+    }
+
+    #[test]
+    fn payload_length_is_checked_without_wrapping() {
+        let fits = ((WAL_MAX_PAYLOAD - 4) / 9) as usize;
+        assert_eq!(
+            payload_len(fits, WAL_MAX_PAYLOAD),
+            Some(4 + 9 * fits as u32)
+        );
+        assert_eq!(payload_len(fits + 1, WAL_MAX_PAYLOAD), None);
+        // `4 + n as u32 * 9` wraps to a small number here and used to pass.
+        assert_eq!(
+            payload_len((u32::MAX as usize + 6) / 9, WAL_MAX_PAYLOAD),
+            None
+        );
+        assert_eq!(payload_len(usize::MAX, WAL_MAX_PAYLOAD), None);
+        assert_eq!(payload_len(0, WAL_MAX_PAYLOAD), Some(4));
+    }
+
+    #[test]
+    fn a_window_at_the_cap_round_trips_and_one_more_is_refused() {
+        let cap = 4 + 9 * 50;
+        let events: Vec<EdgeEvent> = (0..51).map(ev).collect();
+        let mut buf = frame_bytes(1, &[ev(0)]);
+        encode_frame_capped(2, &events[..50], cap, &mut buf).unwrap();
+        let s = scan_segment("t", &buf, true).unwrap();
+        assert_eq!(s.frames.len(), 2);
+        assert_eq!(s.frames[1], (2, events[..50].to_vec()));
+        let before = buf.clone();
+        let err = encode_frame_capped(3, &events, cap, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(buf, before, "a refused window writes nothing");
     }
 
     #[test]
@@ -355,7 +418,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x57A1);
         let mut buf = Vec::new();
         for e in 1..5u64 {
-            encode_frame(e, &[ev(e as u32), ev(e as u32 + 9)], &mut buf);
+            encode_frame(e, &[ev(e as u32), ev(e as u32 + 9)], &mut buf).unwrap();
         }
         for _ in 0..2000 {
             let mut bad = buf.clone();
