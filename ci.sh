@@ -14,12 +14,17 @@
 #      it fails in ci.sh and not in the pipeline that runs the benchmark;
 #   5. cargo test --workspace (tier-1 gate) — every suite once under the
 #      default env: unit tests, the svd-update oracle battery, the
-#      tsvd-store fault battery (torn tails, byte flips, fuzz), the whole
-#      tsvd-serve package battery and every root serving suite
-#      (serve_equivalence, net_soak, multi_tenant, recovery, follower,
-#      router_soak);
+#      tsvd-store fault battery (WAL: torn tails, byte flips, fuzz;
+#      checkpoints: every truncation and every single-byte flip of the
+#      newest file, re-sealed garbage into the decoder), the checkpoint
+#      round-trip properties, the whole tsvd-serve package battery and
+#      every root serving suite (serve_equivalence, net_soak, multi_tenant,
+#      recovery, follower, router_soak);
 #   6. the same with TSVD_THREADS=1 — the serial fallbacks of rt::pool must
 #      stay equivalent to the parallel paths;
+#   6b. the tsvd-store package (unit tests + fault_injection) once more
+#      with --release: what a decoder refuses must not depend on overflow
+#      checks or a `debug_assert!` that an optimised build compiles out;
 #   7. env matrix — only four env vars are read by anything, and each leg
 #      runs exactly the suites that read its var under a value steps 5–6
 #      did not already cover:
@@ -36,16 +41,19 @@
 #          multi-process router soak with every shard journaling through
 #          a WalStore;
 #        threads4 — TSVD_THREADS=4: the top-k serving equivalence suite
-#          (scan ≡ naive, wire, router merge, follower) and the window
+#          (scan ≡ naive, wire, router merge, follower), the window
 #          path's bitwise pins (patch path ≡ whole-row composition, the
-#          pre-patch golden) with more pool participants than this box
-#          has cores;
+#          pre-patch golden) and the checkpoint round trip (encoded bytes
+#          must not depend on the thread count) with more pool
+#          participants than this box has cores;
 #   8. bench smoke — every registered rt::bench target (all eleven
 #      `[[bench]]` entries of crates/bench) runs once, no timing paid:
 #      the PPR push cells (incl. the in-place two-event update and the
 #      whole-subset replay + row drain), the dynamic-update and
 #      factorisation comparisons, the svd_update kernel/engine grid, the
-#      WAL append/recovery suite, and the top-k query grid (which asserts
+#      WAL append/recovery suite with its checkpoint-format cells (JSON
+#      vs binary write and load of a `base`-shape host: ≈ 1 s to build,
+#      ≈ 2 s for the JSON pair), and the top-k query grid (which asserts
 #      zero allocations per warm scan even in smoke).
 #
 # A per-step wall-clock summary is printed at the end.
@@ -123,6 +131,9 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
+step "cargo test -p tsvd-store --release (decoder bounds without debug checks)"
+cargo test --release -q -p tsvd-store
+
 # Env matrix (header, step 7). The two svd-update legs share one battery:
 # the tsvd-serve package (unit tests, codec property/fuzz tests, loopback
 # equivalence, counter race audit, router fault battery, top-k equivalence)
@@ -147,7 +158,7 @@ TSVD_WAL=1 cargo test -q --test router_soak
 
 step "env matrix: threads4 (TSVD_THREADS=4)"
 TSVD_THREADS=4 cargo test -q -p tsvd-serve --test query_equivalence
-TSVD_THREADS=4 cargo test -q --test window_delta
+TSVD_THREADS=4 cargo test -q --test window_delta --test checkpoint_codec
 
 step "bench smoke (1 iteration per benchmark)"
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench forward_push

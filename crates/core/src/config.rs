@@ -71,71 +71,17 @@ pub enum UpdatePolicy {
     All,
 }
 
-// `UpdatePolicy` mixes unit and struct variants, which the unit-only
-// `impl_json_enum!` macro cannot express, so its codec is written out in the
-// externally-tagged form: unit variants as bare strings, struct variants as
-// single-key objects (`{"Lazy":{"delta":0.65}}`).
-impl tsvd_rt::json::ToJson for UpdatePolicy {
-    fn to_json(&self) -> tsvd_rt::json::Json {
-        use tsvd_rt::json::Json;
-        match self {
-            UpdatePolicy::Lazy { delta } => {
-                Json::object([("Lazy", Json::object([("delta", delta.to_json())]))])
-            }
-            UpdatePolicy::LazyIncremental {
-                delta,
-                patch_budget,
-                refactor_budget,
-            } => Json::object([(
-                "LazyIncremental",
-                Json::object([
-                    ("delta", delta.to_json()),
-                    ("patch_budget", patch_budget.to_json()),
-                    ("refactor_budget", refactor_budget.to_json()),
-                ]),
-            )]),
-            UpdatePolicy::LazyNnz { threshold } => Json::object([(
-                "LazyNnz",
-                Json::object([("threshold", threshold.to_json())]),
-            )]),
-            UpdatePolicy::ChangedOnly => Json::Str("ChangedOnly".to_string()),
-            UpdatePolicy::All => Json::Str("All".to_string()),
-        }
-    }
-}
-
-impl tsvd_rt::json::FromJson for UpdatePolicy {
-    fn from_json(j: &tsvd_rt::json::Json) -> Result<Self, tsvd_rt::json::JsonError> {
-        use tsvd_rt::json::{field, Json, JsonError};
-        match j {
-            Json::Str(s) => match s.as_str() {
-                "ChangedOnly" => Ok(UpdatePolicy::ChangedOnly),
-                "All" => Ok(UpdatePolicy::All),
-                other => Err(JsonError(format!("unknown UpdatePolicy variant `{other}`"))),
-            },
-            Json::Obj(pairs) if pairs.len() == 1 => {
-                let (tag, body) = &pairs[0];
-                match tag.as_str() {
-                    "Lazy" => Ok(UpdatePolicy::Lazy {
-                        delta: field(body, "delta")?,
-                    }),
-                    "LazyIncremental" => Ok(UpdatePolicy::LazyIncremental {
-                        delta: field(body, "delta")?,
-                        patch_budget: field(body, "patch_budget")?,
-                        refactor_budget: field(body, "refactor_budget")?,
-                    }),
-                    "LazyNnz" => Ok(UpdatePolicy::LazyNnz {
-                        threshold: field(body, "threshold")?,
-                    }),
-                    other => Err(JsonError(format!("unknown UpdatePolicy variant `{other}`"))),
-                }
-            }
-            _ => Err(JsonError(
-                "expected UpdatePolicy string or single-key object".into(),
-            )),
-        }
-    }
-}
+tsvd_rt::impl_json_enum!(UpdatePolicy {
+    Lazy { delta },
+    LazyIncremental {
+        delta,
+        patch_budget,
+        refactor_budget
+    },
+    LazyNnz { threshold },
+    ChangedOnly,
+    All
+});
 
 impl UpdatePolicy {
     /// Default relative-delta budget for the in-place core patch tier.
@@ -349,11 +295,50 @@ mod tests {
     }
 
     #[test]
-    fn lazy_incremental_round_trips_and_validates() {
+    fn every_policy_round_trips_through_both_codecs() {
+        use tsvd_rt::bin::{decode_all, Encode};
         use tsvd_rt::json::{FromJson, Json, ToJson};
+        // The JSON text is an on-disk format (checkpoints written before
+        // the binary one still load): externally tagged, as serde wrote it.
+        let cases = [
+            (
+                UpdatePolicy::Lazy { delta: 0.65 },
+                r#"{"Lazy":{"delta":0.65}}"#,
+            ),
+            (
+                UpdatePolicy::LazyIncremental {
+                    delta: 0.65,
+                    patch_budget: 0.1,
+                    refactor_budget: 0.3,
+                },
+                r#"{"LazyIncremental":{"delta":0.65,"patch_budget":0.1,"refactor_budget":0.3}}"#,
+            ),
+            (
+                UpdatePolicy::LazyNnz { threshold: 2.0 },
+                r#"{"LazyNnz":{"threshold":2.0}}"#,
+            ),
+            (UpdatePolicy::ChangedOnly, r#""ChangedOnly""#),
+            (UpdatePolicy::All, r#""All""#),
+        ];
+        for (index, (p, text)) in cases.into_iter().enumerate() {
+            assert_eq!(p.to_json().to_string(), text);
+            let j = Json::parse(text).unwrap();
+            assert_eq!(UpdatePolicy::from_json(&j).unwrap(), p);
+            let mut bytes = Vec::new();
+            p.encode(&mut bytes);
+            assert_eq!(bytes[0] as usize, index, "variant tags follow list order");
+            assert_eq!(decode_all::<UpdatePolicy>(&bytes).unwrap(), p);
+        }
+        for bad in [r#""Lazy""#, r#"{"All":{}}"#, r#""Eager""#, "[]"] {
+            let j = Json::parse(bad).unwrap();
+            assert!(UpdatePolicy::from_json(&j).is_err(), "accepted {bad}");
+        }
+        assert!(decode_all::<UpdatePolicy>(&[5]).is_err());
+    }
+
+    #[test]
+    fn lazy_incremental_validates() {
         let p = UpdatePolicy::lazy_incremental(0.65);
-        let j = Json::parse(&p.to_json().to_string()).unwrap();
-        assert_eq!(UpdatePolicy::from_json(&j).unwrap(), p);
         TreeSvdConfig {
             policy: p,
             ..Default::default()

@@ -10,7 +10,8 @@
 //! incremental updates from where it stopped.
 
 use crate::pipeline::TreeSvdPipeline;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use tsvd_rt::json::{FromJson, Json, JsonError, ToJson};
 
@@ -65,6 +66,16 @@ impl From<JsonError> for PersistError {
 /// mix. Failures surface as [`PersistError::Atomic`]; single-writer only
 /// (concurrent writers to one `path` race on the same temp name).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    atomic_write_with(path, |w| w.write_all(bytes))
+}
+
+/// [`atomic_write`] for content produced piece by piece: `fill` writes the
+/// file through a buffered writer, so nothing has to hold the whole of it
+/// in memory first. Same guarantees, same failure reporting.
+pub fn atomic_write_with(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), PersistError> {
     let file_name = path.file_name().ok_or_else(|| PersistError::Atomic {
         stage: "write",
         source: std::io::Error::new(
@@ -82,8 +93,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
         dir.join(name)
     };
     let write = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        fill(&mut w)?;
+        // `into_inner` flushes; dropping the writer would discard the error.
+        let f = w.into_inner().map_err(|e| e.into_error())?;
         f.sync_all()
     })();
     if let Err(source) = write {
@@ -232,5 +245,26 @@ mod tests {
         // before anything could touch the (equally nonexistent) target.
         let err = atomic_write(Path::new("/nonexistent/tsvd/state.json"), b"x").unwrap_err();
         assert!(matches!(err, PersistError::Atomic { stage: "write", .. }));
+    }
+
+    #[test]
+    fn a_streamed_write_that_fails_midway_keeps_the_old_file_and_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("tsvd_atomic_with_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        atomic_write_with(&path, |w| {
+            w.write_all(b"first ")?;
+            w.write_all(b"version")
+        })
+        .unwrap();
+        let err = atomic_write_with(&path, |w| {
+            w.write_all(b"half of the sec")?;
+            Err(std::io::Error::other("encoder gave up"))
+        })
+        .unwrap_err();
+        assert!(matches!(err, PersistError::Atomic { stage: "write", .. }));
+        assert_eq!(std::fs::read(&path).unwrap(), b"first version");
+        assert!(!dir.join("state.bin.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,8 +2,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
-
 /// The local-push state of one PPR source: sparse estimate (`p`) and residue
 /// (`r`) vectors, per Algorithm 1 of the paper.
 ///
@@ -49,39 +47,17 @@ pub(crate) struct PushScratch {
     pub(crate) queue: VecDeque<u32>,
 }
 
-// Manual JSON impls (not `impl_json_struct!`): `scratch` and `touched` are
-// working memory, not state — skipped on encode and re-initialised on
-// decode, so the wire format is unchanged from the pre-scratch derive.
-impl ToJson for PprState {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("source".to_string(), self.source.to_json()),
-            ("p".to_string(), self.p.to_json()),
-            ("r".to_string(), self.r.to_json()),
-            ("dirty".to_string(), self.dirty.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PprState {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let dirty: bool = field(j, "dirty")?;
-        Ok(PprState {
-            source: field(j, "source")?,
-            p: field(j, "p")?,
-            r: field(j, "r")?,
-            dirty,
-            // The list was not saved, so a state saved dirty can only be
-            // refreshed whole.
-            touched: if dirty {
-                Touched::All
-            } else {
-                Touched::Cols(Vec::new())
-            },
-            scratch: PushScratch::default(),
-        })
-    }
-}
+// `scratch` and `touched` are working memory, not state: neither codec
+// writes them. The touched-column list was not saved, so a state saved
+// dirty can only be refreshed whole.
+tsvd_rt::impl_json_struct!(PprState { source, p, r, dirty } transient {
+    touched: if dirty {
+        Touched::All
+    } else {
+        Touched::Cols(Vec::new())
+    },
+    scratch: PushScratch::default(),
+});
 
 impl PprState {
     /// Fresh state for `source`: `p = 0`, `r = 1_s` (one-hot residue).
@@ -246,7 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn json_skips_scratch_and_touched_and_round_trips() {
+    fn both_codecs_skip_scratch_and_touched_and_round_trip() {
+        use tsvd_rt::bin::{decode_all, Encode};
+        use tsvd_rt::json::{FromJson, Json, ToJson};
+
         let mut s = PprState::new(3);
         s.clear_dirty();
         s.add_p(1, 0.25);
@@ -270,6 +249,21 @@ mod tests {
         let clean = PprState::from_json(&s.to_json()).unwrap();
         assert!(matches!(&clean.touched, Touched::Cols(c) if c.is_empty()));
         assert_eq!(s.to_json().to_string(), clean.to_json().to_string());
+
+        // The binary codec reads the same field list and the same rule:
+        // source · p · r (key-sorted runs) · dirty, and nothing else.
+        let mut bytes = Vec::new();
+        s.encode(&mut bytes);
+        assert_eq!(bytes.len(), 4 + (4 + 12) + (4 + 2 * 12) + 1);
+        let clean: PprState = decode_all(&bytes).unwrap();
+        assert!(matches!(&clean.touched, Touched::Cols(c) if c.is_empty()));
+        assert!(clean.scratch.seeds.is_empty() && clean.scratch.queue.is_empty());
+        assert_eq!(s.to_json().to_string(), clean.to_json().to_string());
+        s.add_p(5, 0.5);
+        bytes.clear();
+        s.encode(&mut bytes);
+        let dirty: PprState = decode_all(&bytes).unwrap();
+        assert!(dirty.dirty && matches!(dirty.touched, Touched::All));
     }
 
     #[test]

@@ -113,6 +113,20 @@ impl Json {
         }
     }
 
+    /// Remove every object field named `key`, at any depth — how a test
+    /// compares two exports up to a field that legitimately differs (wall
+    /// clocks, say).
+    pub fn remove_key(&mut self, key: &str) {
+        match self {
+            Json::Obj(pairs) => {
+                pairs.retain(|(k, _)| k != key);
+                pairs.iter_mut().for_each(|(_, v)| v.remove_key(key));
+            }
+            Json::Arr(items) => items.iter_mut().for_each(|v| v.remove_key(key)),
+            _ => {}
+        }
+    }
+
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
@@ -708,9 +722,11 @@ impl<K: JsonKey + std::hash::Hash + Eq, V: FromJson, S: std::hash::BuildHasher +
     }
 }
 
-/// Generate [`ToJson`]/[`FromJson`] for a struct with named fields — the
-/// replacement for `#[derive(Serialize, Deserialize)]`. Invoke in the
-/// module defining the struct (private fields are fine).
+/// Generate both codecs — [`ToJson`]/[`FromJson`] and
+/// [`Encode`](crate::bin::Encode)/[`Decode`](crate::bin::Decode) — for a
+/// struct with named fields from **one** field list: the replacement for
+/// `#[derive(Serialize, Deserialize)]`. Invoke in the module defining the
+/// struct (private fields are fine).
 ///
 /// ```
 /// # use tsvd_rt::impl_json_struct;
@@ -718,9 +734,25 @@ impl<K: JsonKey + std::hash::Hash + Eq, V: FromJson, S: std::hash::BuildHasher +
 /// struct Point { x: f64, y: f64 }
 /// impl_json_struct!(Point { x, y });
 /// ```
+///
+/// Working memory that is not state goes in a `transient` tail: those
+/// fields are written by neither codec and rebuilt on decode from the
+/// given expressions, which may name the saved fields.
+///
+/// ```
+/// # use tsvd_rt::impl_json_struct;
+/// struct Row { cells: Vec<f64>, dirty: bool, scratch: Vec<f64>, stale: bool }
+/// impl_json_struct!(Row { cells, dirty } transient {
+///     scratch: Vec::new(),
+///     stale: dirty,
+/// });
+/// ```
 #[macro_export]
 macro_rules! impl_json_struct {
     ($ty:ident { $($field:ident),* $(,)? }) => {
+        $crate::impl_json_struct!($ty { $($field),* } transient {});
+    };
+    ($ty:ident { $($field:ident),* $(,)? } transient { $($extra:ident : $init:expr),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::Json::Obj(vec![
@@ -731,35 +763,121 @@ macro_rules! impl_json_struct {
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(j: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                Ok($ty {
-                    $($field: $crate::json::field(j, stringify!($field))?,)*
-                })
+                $(let $field = $crate::json::field(j, stringify!($field))?;)*
+                Ok($ty { $($field,)* $($extra: $init,)* })
+            }
+        }
+        impl $crate::bin::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::bin::Encode::encode(&self.$field, out);)*
+            }
+        }
+        impl $crate::bin::Decode for $ty {
+            // Every field takes at least one byte.
+            const MIN_BYTES: usize = <[&str]>::len(&[$(stringify!($field)),*]);
+            fn decode(c: &mut $crate::bin::Cursor<'_>) -> Result<Self, $crate::bin::BinError> {
+                $(let $field = $crate::bin::Decode::decode(c).map_err(|e| {
+                    $crate::bin::BinError(format!(
+                        "{}.{}: {}", stringify!($ty), stringify!($field), e.0
+                    ))
+                })?;)*
+                Ok($ty { $($field,)* $($extra: $init,)* })
             }
         }
     };
 }
 
-/// Generate [`ToJson`]/[`FromJson`] for an enum of unit variants,
-/// serialised as the variant-name string (serde's externally-tagged form).
+/// Generate both codecs for an enum from one variant list. Variants are
+/// unit (`A`) or carry named fields (`B { x, y }`).
+///
+/// JSON is serde's externally-tagged form: a unit variant is its name as a
+/// string, a struct variant a single-key object (`{"B":{"x":1,"y":2}}`).
+/// Binary is one byte — the variant's position in the list — followed by
+/// its fields, so **append new variants, never reorder**.
 #[macro_export]
 macro_rules! impl_json_enum {
-    ($ty:ident { $($var:ident),* $(,)? }) => {
+    ($ty:ident { $($var:ident $({ $($f:ident),* $(,)? })?),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 match self {
-                    $($ty::$var => $crate::json::Json::Str(stringify!($var).to_string()),)*
+                    $($ty::$var $({ $($f),* })? => {
+                        let name = stringify!($var).to_string();
+                        $crate::impl_json_enum!(@to_json name $({ $($f),* })?)
+                    })*
                 }
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(j: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                match j.as_str() {
-                    $(Some(stringify!($var)) => Ok($ty::$var),)*
-                    _ => Err($crate::json::JsonError(format!(
-                        "expected one of the {} variants, got {j}", stringify!($ty)
+                let (tag, body) = match j {
+                    $crate::json::Json::Str(s) => (s.as_str(), None),
+                    $crate::json::Json::Obj(pairs) if pairs.len() == 1 => {
+                        (pairs[0].0.as_str(), Some(&pairs[0].1))
+                    }
+                    _ => return Err($crate::json::JsonError(format!(
+                        "expected a {} variant (string or single-key object), got {j}",
+                        stringify!($ty)
                     ))),
-                }
+                };
+                $(if tag == stringify!($var) {
+                    return $crate::impl_json_enum!(@from_json $ty $var body $({ $($f),* })?);
+                })*
+                Err($crate::json::JsonError(format!(
+                    "unknown {} variant `{tag}`", stringify!($ty)
+                )))
             }
+        }
+        impl $crate::bin::Encode for $ty {
+            #[allow(unused_assignments)]
+            fn encode(&self, out: &mut Vec<u8>) {
+                let mut index = 0u8;
+                $(if let $ty::$var $({ $($f),* })? = self {
+                    out.push(index);
+                    $($($crate::bin::Encode::encode($f, out);)*)?
+                    return;
+                }
+                index += 1;)*
+                unreachable!("every variant is listed");
+            }
+        }
+        impl $crate::bin::Decode for $ty {
+            const MIN_BYTES: usize = 1;
+            #[allow(unused_assignments)]
+            fn decode(c: &mut $crate::bin::Cursor<'_>) -> Result<Self, $crate::bin::BinError> {
+                let tag = <u8 as $crate::bin::Decode>::decode(c)?;
+                let mut index = 0u8;
+                $(if tag == index {
+                    return Ok($ty::$var $({ $($f: $crate::bin::Decode::decode(c)?),* })?);
+                }
+                index += 1;)*
+                Err($crate::bin::BinError(format!(
+                    "{} has no variant {tag}", stringify!($ty)
+                )))
+            }
+        }
+    };
+    (@to_json $name:ident) => { $crate::json::Json::Str($name) };
+    (@to_json $name:ident { $($f:ident),* }) => {
+        $crate::json::Json::Obj(vec![($name, $crate::json::Json::Obj(vec![
+            $((stringify!($f).to_string(), $crate::json::ToJson::to_json($f)),)*
+        ]))])
+    };
+    (@from_json $ty:ident $var:ident $body:ident) => {
+        match $body {
+            None => Ok($ty::$var),
+            Some(_) => Err($crate::json::JsonError(format!(
+                "{} variant `{}` carries no fields", stringify!($ty), stringify!($var)
+            ))),
+        }
+    };
+    (@from_json $ty:ident $var:ident $body:ident { $($f:ident),* }) => {
+        match $body {
+            Some(body) => Ok($ty::$var {
+                $($f: $crate::json::field(body, stringify!($f))?,)*
+            }),
+            None => Err($crate::json::JsonError(format!(
+                "{} variant `{}` needs its fields", stringify!($ty), stringify!($var)
+            ))),
         }
     };
 }
@@ -920,6 +1038,96 @@ mod tests {
         // field_or_default replaces #[serde(default)].
         let d: Rec = field_or_default(&Json::parse("{}").unwrap(), "absent").unwrap();
         assert_eq!(d, Rec::default());
+    }
+
+    #[test]
+    fn one_field_list_feeds_both_codecs() {
+        use crate::bin::{decode_all, Encode};
+
+        #[derive(Debug, PartialEq)]
+        struct Row {
+            cells: Vec<(u32, f64)>,
+            dirty: bool,
+            scratch: Vec<f64>,
+            stale: bool,
+        }
+        impl_json_struct!(Row { cells, dirty } transient {
+            scratch: Vec::new(),
+            stale: dirty,
+        });
+
+        #[derive(Debug, PartialEq)]
+        enum Rule {
+            Never,
+            Above { threshold: f64, streak: u32 },
+            Always,
+        }
+        impl_json_enum!(Rule {
+            Never,
+            Above { threshold, streak },
+            Always
+        });
+
+        let row = Row {
+            cells: vec![(4, 0.5)],
+            dirty: true,
+            scratch: vec![9.0], // working memory: written by neither codec
+            stale: false,
+        };
+        let rebuilt = Row {
+            cells: vec![(4, 0.5)],
+            dirty: true,
+            scratch: vec![],
+            stale: true,
+        };
+        assert_eq!(
+            row.to_json().to_string(),
+            r#"{"cells":[[4,0.5]],"dirty":true}"#
+        );
+        assert_eq!(Row::from_json(&row.to_json()).unwrap(), rebuilt);
+        let mut bytes = Vec::new();
+        row.encode(&mut bytes);
+        assert_eq!(bytes.len(), 4 + 12 + 1);
+        assert_eq!(decode_all::<Row>(&bytes).unwrap(), rebuilt);
+        let err = decode_all::<Row>(&bytes[..5]).unwrap_err();
+        assert!(err.0.starts_with("Row.cells:"), "{err}");
+
+        let rules = [
+            (Rule::Never, r#""Never""#, vec![0u8]),
+            (
+                Rule::Above {
+                    threshold: 1.0,
+                    streak: 2,
+                },
+                r#"{"Above":{"threshold":1.0,"streak":2}}"#,
+                [&[1u8][..], &1.0f64.to_le_bytes(), &2u32.to_le_bytes()].concat(),
+            ),
+            (Rule::Always, r#""Always""#, vec![2u8]),
+        ];
+        for (rule, text, bin) in rules {
+            assert_eq!(rule.to_json().to_string(), text);
+            assert_eq!(Rule::from_json(&Json::parse(text).unwrap()).unwrap(), rule);
+            let mut bytes = Vec::new();
+            rule.encode(&mut bytes);
+            assert_eq!(bytes, bin);
+            assert_eq!(decode_all::<Rule>(&bytes).unwrap(), rule);
+        }
+        for bad in [r#""Above""#, r#"{"Never":{}}"#, r#"{"Above":{"streak":2}}"#] {
+            assert!(
+                Rule::from_json(&Json::parse(bad).unwrap()).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(decode_all::<Rule>(&[3]).is_err());
+        assert!(decode_all::<Rule>(&[1, 0]).is_err());
+    }
+
+    #[test]
+    fn remove_key_reaches_every_depth() {
+        let mut v = Json::parse(r#"{"t":1,"a":[{"t":2,"b":3},[{"t":4}]],"c":{"t":{"t":5},"d":6}}"#)
+            .unwrap();
+        v.remove_key("t");
+        assert_eq!(v.to_string(), r#"{"a":[{"b":3},[{}]],"c":{"d":6}}"#);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! is no usable crate stack in the offline build environment. This crate is
 //! where that commitment lands for the *infrastructure* dependencies the
 //! seed still declared: it replaces `rand` ([`rng`]), `serde`/`serde_json`
-//! ([`json`]), `proptest` ([`check`]), and `criterion` ([`bench`]) with
+//! ([`json`], and [`bin`] for state that is saved more often than it is
+//! read by a person), `proptest` ([`check`]), and `criterion` ([`bench`]) with
 //! in-tree implementations small enough to audit and deterministic by
 //! construction. The workspace builds hermetically: `cargo build` touches no
 //! registry, no network, no vendored sources.
@@ -25,6 +26,7 @@
 //! the serving layer sequences its batching and flushing on.
 
 pub mod bench;
+pub mod bin;
 pub mod check;
 mod cpu;
 pub mod exec;

@@ -45,11 +45,12 @@ use tsvd_core::{
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_linalg::CsrMatrix;
 use tsvd_ppr::{PprConfig, RecordedBatch, RowUpdate, SubsetPpr};
+use tsvd_rt::bin::{decode_all, BinError, Cursor, Decode, Encode};
 use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use tsvd_rt::pool::par_for_each_mut;
 
 use crate::server::DEFAULT_TENANT;
-use crate::tenant::{TenantHost, TenantId};
+use crate::tenant::{HostSection, TenantHost, TenantId};
 
 /// One pipeline replica: the PPR maintenance state for a contiguous row
 /// range `[start, start + ppr.len())` of `M_S`.
@@ -231,48 +232,50 @@ impl TenantEngine {
     }
 }
 
-// Checkpoint serialisation. The `front` / `back` grouping is the on-disk
-// format older checkpoints were written in and is kept so they still
-// recover. Scratch state is excluded by construction (a shard's `pending`
-// buffer only lives within one `apply_recorded` call), so a reloaded
-// engine continues bitwise from the serialised state.
-impl ToJson for Shard {
-    fn to_json(&self) -> Json {
-        Json::object([("start", self.start.to_json()), ("ppr", self.ppr.to_json())])
-    }
-}
+// Checkpoint codecs. Scratch state is excluded by construction (a shard's
+// `pending` buffer only lives within one `apply_recorded` call), so a
+// reloaded engine continues bitwise from the saved state.
+tsvd_rt::impl_json_struct!(Shard { start, ppr } transient {
+    pending: Vec::new()
+});
 
-impl FromJson for Shard {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Shard {
-            start: field(j, "start")?,
-            ppr: field(j, "ppr")?,
-            pending: Vec::new(),
-        })
-    }
-}
-
+// The engine is the one struct whose two formats are not the same list
+// read twice: the JSON keeps the `front` / `back` grouping older
+// checkpoints were written in (so they still recover), and the binary form
+// is cut into sections so that nothing ever holds more than one of them.
+// Both writers take the struct apart with an exhaustive pattern and both
+// readers build it with a struct literal, so a field added later does not
+// compile until all four know it.
 impl ToJson for TenantEngine {
     fn to_json(&self) -> Json {
+        let TenantEngine {
+            id,
+            sources,
+            shards,
+            matrix,
+            tree,
+            embedding,
+            timings,
+            stats_total,
+            epoch,
+            events_applied,
+        } = self;
         Json::object([
-            ("id", self.id.to_json()),
+            ("id", id.to_json()),
             (
                 "front",
-                Json::object([
-                    ("sources", self.sources.to_json()),
-                    ("shards", self.shards.to_json()),
-                ]),
+                Json::object([("sources", sources.to_json()), ("shards", shards.to_json())]),
             ),
             (
                 "back",
                 Json::object([
-                    ("matrix", self.matrix.to_json()),
-                    ("tree", self.tree.to_json()),
-                    ("embedding", self.embedding.to_json()),
-                    ("timings", self.timings.to_json()),
-                    ("stats_total", self.stats_total.to_json()),
-                    ("epoch", self.epoch.to_json()),
-                    ("events_applied", self.events_applied.to_json()),
+                    ("matrix", matrix.to_json()),
+                    ("tree", tree.to_json()),
+                    ("embedding", embedding.to_json()),
+                    ("timings", timings.to_json()),
+                    ("stats_total", stats_total.to_json()),
+                    ("epoch", epoch.to_json()),
+                    ("events_applied", events_applied.to_json()),
                 ]),
             ),
         ])
@@ -298,6 +301,86 @@ impl FromJson for TenantEngine {
             epoch: field(back, "epoch")?,
             events_applied: field(back, "events_applied")?,
         })
+    }
+}
+
+impl TenantEngine {
+    /// This tenant's part of [`TenantHost::encode_sections`]: one
+    /// [`HostSection::Shard`] per PPR replica, the matrix, the tree, and
+    /// everything small in [`HostSection::Rest`] — `timings`, the only
+    /// wall-clock state, last.
+    pub(crate) fn encode_sections<E>(
+        &self,
+        buf: &mut Vec<u8>,
+        emit: &mut impl FnMut(HostSection, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let TenantEngine {
+            id,
+            sources,
+            shards,
+            matrix,
+            tree,
+            embedding,
+            timings,
+            stats_total,
+            epoch,
+            events_applied,
+        } = self;
+        let mut whole = |section, value: &dyn Encode, buf: &mut Vec<u8>| {
+            buf.clear();
+            value.encode(buf);
+            emit(section, buf)
+        };
+        for shard in shards {
+            whole(HostSection::Shard, shard, buf)?;
+        }
+        whole(HostSection::Matrix, matrix, buf)?;
+        whole(HostSection::Tree, tree, buf)?;
+        buf.clear();
+        id.encode(buf);
+        sources.encode(buf);
+        embedding.encode(buf);
+        stats_total.encode(buf);
+        epoch.encode(buf);
+        events_applied.encode(buf);
+        timings.encode(buf);
+        emit(HostSection::Rest, buf)
+    }
+
+    /// Inverse of [`encode_sections`](Self::encode_sections) for a tenant
+    /// saved with `num_shards` replicas: `next(section, buf)` loads the
+    /// next section into `buf`, failing if it is not a `section`.
+    pub(crate) fn decode_sections<E: From<BinError>>(
+        num_shards: u32,
+        buf: &mut Vec<u8>,
+        next: &mut impl FnMut(HostSection, &mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        // Grown one verified section at a time, never sized from the count.
+        let mut shards = Vec::new();
+        for _ in 0..num_shards {
+            next(HostSection::Shard, buf)?;
+            shards.push(decode_all::<Shard>(buf)?);
+        }
+        next(HostSection::Matrix, buf)?;
+        let matrix = decode_all(buf)?;
+        next(HostSection::Tree, buf)?;
+        let tree = decode_all(buf)?;
+        next(HostSection::Rest, buf)?;
+        let mut c = Cursor::new(buf);
+        let engine = TenantEngine {
+            id: Decode::decode(&mut c)?,
+            sources: Decode::decode(&mut c)?,
+            shards,
+            matrix,
+            tree,
+            embedding: Decode::decode(&mut c)?,
+            stats_total: Decode::decode(&mut c)?,
+            epoch: Decode::decode(&mut c)?,
+            events_applied: Decode::decode(&mut c)?,
+            timings: Decode::decode(&mut c)?,
+        };
+        c.finish()?;
+        Ok(engine)
     }
 }
 

@@ -28,7 +28,8 @@ use std::io;
 use std::sync::RwLock;
 
 use tsvd_graph::EdgeEvent;
-use tsvd_rt::json::Json;
+
+use crate::tenant::TenantHost;
 
 /// How many recent windows the in-memory journal retains for followers.
 pub const JOURNAL_KEEP: usize = 4096;
@@ -39,16 +40,18 @@ pub const JOURNAL_KEEP: usize = 4096;
 /// durable — a crash immediately after must recover it. The reactor treats
 /// an `Err` as a failed durability guarantee and panics (a server that
 /// silently outruns its WAL would publish epochs a recovery cannot
-/// reproduce). `checkpoint` receives the full host serialisation and may
-/// compact the log behind `epoch`.
+/// reproduce). `checkpoint` is handed the live host itself — the reactor
+/// is single-threaded, so nothing mutates it meanwhile and nothing needs
+/// to be copied out first — and may compact the log behind `epoch`.
 pub trait DurabilitySink: Send {
     /// Make the post-coalesce window for `epoch` durable. Called before
     /// the window is recorded on the graph or applied to any tenant.
     fn append_window(&mut self, epoch: u64, events: &[EdgeEvent]) -> io::Result<()>;
 
-    /// Persist a full host checkpoint at `epoch` (every window `≤ epoch`
-    /// applied, none beyond) and optionally compact the log behind it.
-    fn checkpoint(&mut self, epoch: u64, host: &Json) -> io::Result<()>;
+    /// Persist a full checkpoint of `host` at `epoch` (every window
+    /// `≤ epoch` applied, none beyond) and optionally compact the log
+    /// behind it.
+    fn checkpoint(&mut self, epoch: u64, host: &TenantHost) -> io::Result<()>;
 }
 
 /// Typed failure of a journal read.

@@ -87,4 +87,4 @@ pub use router::{ReadSession, Router, RouterError, RouterFront, ShardEndpoint, S
 pub use server::{EmbeddingReader, EmbeddingServer, ServerHandle, SubmitError, DEFAULT_TENANT};
 pub use snapshot::{EpochCell, EpochSnapshot};
 pub use stats::{HostStats, RouterStats, ServeStats, StatsReply};
-pub use tenant::{TenantError, TenantHost, TenantId};
+pub use tenant::{HostSection, TenantError, TenantHost, TenantId};

@@ -41,7 +41,7 @@ use crate::tenant::{TenantHost, TenantId};
 use super::transport::{pipe, Duplex, Transport};
 use super::wire::{
     read_frame_until, write_frame, CheckpointReply, EmbeddingReply, Message, Reply, Request,
-    RowsReply, TopKReply, WindowsReply,
+    RowsReply, TopKReply, WindowsReply, MAX_PAYLOAD,
 };
 
 /// Poll interval for stop-flag checks in blocking reads and accept loops.
@@ -542,13 +542,54 @@ fn execute(shared: &FrontShared, tenant: u32, req: Request) -> (Reply, bool) {
         },
         Request::GetCheckpoint => match &*shared.handle.read().unwrap() {
             Some(h) => match h.checkpoint_json() {
-                Some((epoch, host)) => (
-                    Reply::Checkpoint(Box::new(CheckpointReply { epoch, host })),
-                    false,
-                ),
+                Some((epoch, host)) => (checkpoint_reply(epoch, host, MAX_PAYLOAD as usize), false),
                 None => (Reply::Error("server is shut down".into()), true),
             },
             None => (Reply::Error("server is shut down".into()), true),
         },
+    }
+}
+
+/// The `Checkpoint` reply for a host serialisation, or a typed error when
+/// its payload (`u64 epoch`, `u32 len`, the text) would exceed `cap` —
+/// `wire::encode_frame` guards [`MAX_PAYLOAD`] with a `debug_assert!`
+/// only, so in a release build an oversized reply would go out as a frame
+/// every peer rejects. The cap is a parameter so that a test can reach it
+/// without a 64 MiB host; paging the reply is roadmap item 2(b).
+fn checkpoint_reply(epoch: u64, host: String, cap: usize) -> Reply {
+    let payload = 12 + host.len();
+    if payload > cap {
+        return Reply::Error(format!(
+            "checkpoint exceeds the frame cap: a {payload}-byte payload against {cap} \
+             (re-seed this replica from a checkpoint file instead)"
+        ));
+    }
+    Reply::Checkpoint(Box::new(CheckpointReply { epoch, host }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::wire::encode_frame;
+    use super::*;
+
+    #[test]
+    fn a_checkpoint_over_the_frame_cap_is_a_typed_error_not_an_undecodable_frame() {
+        let cap = 4096;
+        // Exactly at the cap: a Checkpoint whose frame payload is the cap —
+        // which also pins the `12 + len` here to what the codec writes.
+        let fits = checkpoint_reply(7, "x".repeat(cap - 12), cap);
+        let mut frame = Vec::new();
+        encode_frame(1, 0, &Message::Reply(fits), &mut frame);
+        let payload_len = u32::from_le_bytes(frame[16..20].try_into().unwrap()) as usize;
+        assert_eq!(payload_len, cap);
+        assert_eq!(frame.len(), 28 + cap);
+        // One byte more: refused, with both numbers in the message.
+        match checkpoint_reply(7, "x".repeat(cap - 11), cap) {
+            Reply::Error(why) => {
+                assert!(why.starts_with("checkpoint exceeds the frame cap"), "{why}");
+                assert!(why.contains("4097") && why.contains("4096"), "{why}");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
     }
 }

@@ -296,13 +296,13 @@ impl Inner {
         }
     }
 
-    /// Hand the full host serialisation to the sink (if one is attached),
-    /// which compacts the WAL behind the checkpointed epoch. Same failure
-    /// policy as the append path.
+    /// Hand the host to the sink (if one is attached), which writes it out
+    /// and compacts the WAL behind the checkpointed epoch. Nothing
+    /// publishes while it does. Same failure policy as the append path.
     fn checkpoint(&mut self) {
         if let Some(sink) = &mut self.sink {
             let epoch = self.host.batches_recorded();
-            if let Err(e) = sink.checkpoint(epoch, &self.host.to_json()) {
+            if let Err(e) = sink.checkpoint(epoch, &self.host) {
                 panic!("checkpoint at epoch {epoch} failed: {e}");
             }
         }

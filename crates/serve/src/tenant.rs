@@ -20,6 +20,7 @@ use std::fmt;
 use tsvd_core::{Embedding, PipelineTimings, TaggedEmbedding, TreeSvdConfig, UpdateStats};
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
+use tsvd_rt::bin::{BinError, Cursor, Decode, Encode};
 use tsvd_rt::json::{field, FromJson, Json, JsonError, ToJson};
 
 use crate::engine::{ShardedEngine, TenantEngine};
@@ -220,16 +221,63 @@ impl TenantHost {
     }
 }
 
-// Checkpoint codec: the full host state — shared graph, record-once
+/// The sections a host's binary encoding is cut into, in the order
+/// [`TenantHost::encode_sections`] writes them: one [`Graph`], then per
+/// tenant its [`Shard`]s, [`Matrix`], [`Tree`] and [`Rest`]. The
+/// discriminant is the tag byte a container stores in front of each.
+///
+/// [`Graph`]: HostSection::Graph
+/// [`Shard`]: HostSection::Shard
+/// [`Matrix`]: HostSection::Matrix
+/// [`Tree`]: HostSection::Tree
+/// [`Rest`]: HostSection::Rest
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum HostSection {
+    /// The shared graph, the record-once counter, and each tenant's shard
+    /// count (what tells a reader how many sections follow).
+    Graph = b'G',
+    /// One PPR replica of one tenant: its row range and the `(p, r)` push
+    /// state of every source in it, both directions — two thirds of a
+    /// checkpoint's bytes.
+    Shard = b'P',
+    /// A tenant's blocked proximity matrix.
+    Matrix = b'M',
+    /// A tenant's dynamic Tree-SVD: block caches and the level factors.
+    Tree = b'T',
+    /// Everything small of a tenant: id, sources, embedding, counters, and
+    /// last the cumulative wall-clock `timings` (32 bytes).
+    Rest = b'R',
+}
+
+impl HostSection {
+    /// Every section kind, in first-appearance order.
+    pub const ALL: [HostSection; 5] = [
+        HostSection::Graph,
+        HostSection::Shard,
+        HostSection::Matrix,
+        HostSection::Tree,
+        HostSection::Rest,
+    ];
+
+    /// The section kind a tag byte names.
+    pub fn from_tag(tag: u8) -> Option<HostSection> {
+        Self::ALL.into_iter().find(|s| *s as u8 == tag)
+    }
+}
+
+// Checkpoint codecs: the full host state — shared graph, record-once
 // counter, and every tenant's engine — round-trips losslessly, so a host
 // restored from a checkpoint continues bitwise (the same property
-// `core::persist` gives a standalone `TreeSvdPipeline`).
+// `core::persist` gives a standalone `TreeSvdPipeline`). The in-memory
+// window log is not part of it: the durable WAL replaces it.
 impl ToJson for TenantHost {
     fn to_json(&self) -> Json {
+        let TenantHost { ingest, tenants } = self;
         Json::object([
-            ("graph", self.ingest.graph().to_json()),
-            ("batches_recorded", self.ingest.batches_recorded().to_json()),
-            ("tenants", self.tenants.to_json()),
+            ("graph", ingest.graph().to_json()),
+            ("batches_recorded", ingest.batches_recorded().to_json()),
+            ("tenants", tenants.to_json()),
         ])
     }
 }
@@ -241,6 +289,64 @@ impl FromJson for TenantHost {
         Ok(TenantHost {
             ingest: GraphIngest::restore(graph, batches_recorded),
             tenants: field(j, "tenants")?,
+        })
+    }
+}
+
+impl TenantHost {
+    /// Encode the host as a sequence of [`HostSection`]s, one at a time
+    /// into `buf` (cleared and refilled per section — its capacity ends up
+    /// the largest section, not the host), handing each to `emit`. The
+    /// bytes are a function of the host's state alone: equal hosts give
+    /// equal sections at any thread count, in any process.
+    ///
+    /// This is what a checkpoint file is made of (`tsvd-store` adds the
+    /// framing and the checksums); [`to_json`](ToJson::to_json) remains
+    /// the readable export of the same state.
+    pub fn encode_sections<E>(
+        &self,
+        buf: &mut Vec<u8>,
+        mut emit: impl FnMut(HostSection, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let TenantHost { ingest, tenants } = self;
+        buf.clear();
+        ingest.graph().encode(buf);
+        ingest.batches_recorded().encode(buf);
+        let shard_counts: Vec<u32> = tenants.iter().map(|t| t.num_shards() as u32).collect();
+        shard_counts.encode(buf);
+        emit(HostSection::Graph, buf)?;
+        for t in tenants {
+            t.encode_sections(buf, &mut emit)?;
+        }
+        Ok(())
+    }
+
+    /// Rebuild a host from the sections [`encode_sections`] produced:
+    /// `next(section, buf)` must load the next section's bytes into `buf`
+    /// and fail if it is not a `section` (or there is none). Every section
+    /// must be consumed exactly; a host that does not decode is an error,
+    /// never a panic.
+    ///
+    /// [`encode_sections`]: Self::encode_sections
+    pub fn decode_sections<E: From<BinError>>(
+        mut next: impl FnMut(HostSection, &mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<TenantHost, E> {
+        let mut buf = Vec::new();
+        next(HostSection::Graph, &mut buf)?;
+        let mut c = Cursor::new(&buf);
+        let graph = DynGraph::decode(&mut c)?;
+        let batches_recorded = u64::decode(&mut c)?;
+        let shard_counts = Vec::<u32>::decode(&mut c)?;
+        c.finish()?;
+        let mut tenants = Vec::new();
+        for num_shards in shard_counts {
+            tenants.push(TenantEngine::decode_sections(
+                num_shards, &mut buf, &mut next,
+            )?);
+        }
+        Ok(TenantHost {
+            ingest: GraphIngest::restore(graph, batches_recorded),
+            tenants,
         })
     }
 }

@@ -15,9 +15,10 @@
 //! ```text
 //!   reactor flush:   append_window(epoch, window)   [fsync]   ── WAL
 //!                    └─ then record + stage + commit + publish
-//!   checkpoint:      atomic JSON snapshot of the whole TenantHost
+//!   checkpoint:      the live TenantHost streamed, section by section,
+//!                    into an atomic checkpoint-<epoch>.bin
 //!                    └─ then drop WAL segments entirely ≤ epoch
-//!   recovery:        load latest valid checkpoint
+//!   recovery:        load the newest checkpoint that verifies
 //!                    └─ replay WAL frames after it, verbatim
 //! ```
 //!
@@ -29,9 +30,18 @@
 //!   (FNV-1a/LE framing, same idiom as `serve::net::wire`), with the
 //!   torn-tail discipline: a truncated final frame is a clean stop, a
 //!   corrupted interior frame is a typed [`StoreError::Corrupt`].
-//! * [`checkpoint`] — `checkpoint-<epoch>.json` snapshots written via
-//!   `tsvd_core::atomic_write` (tmp + rename), latest-valid-wins load
-//!   with fallback, and the compaction rule.
+//! * [`checkpoint`] — `checkpoint-<epoch>.bin`: a binary, checksummed
+//!   file of sections (graph, then per tenant its PPR shards, matrix, tree
+//!   and the rest) encoded straight from the live host through one reused
+//!   section buffer and written tmp + fsync + rename; each section is
+//!   verified before it is decoded. **One writer, two readers:** every
+//!   production path writes this format, and loading takes the newest
+//!   epoch across `.bin` and the `.json` files earlier versions wrote
+//!   (same epoch in both: binary first, JSON as its fallback), falling
+//!   back to older checkpoints while the newest fails to load — which is
+//!   how a directory written before the format existed keeps recovering;
+//!   its first compaction afterwards removes the `.json`. The module docs
+//!   have the byte layout and the compaction rule.
 //! * [`WalStore`] — the [`DurabilitySink`] implementation the serving
 //!   reactor drives ([`EmbeddingServer::start_with_store`]); [`recover`]
 //!   rebuilds a host from disk and returns a store positioned to append.
@@ -47,7 +57,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use tsvd_graph::EdgeEvent;
-use tsvd_rt::json::{FromJson, Json, ToJson};
+use tsvd_rt::bin::BinError;
+use tsvd_rt::json::Json;
 use tsvd_serve::{DurabilitySink, TenantHost};
 
 /// Where and how a store keeps its files.
@@ -118,6 +129,13 @@ impl From<io::Error> for StoreError {
     }
 }
 
+/// A checkpoint section that verified but does not decode.
+impl From<BinError> for StoreError {
+    fn from(e: BinError) -> StoreError {
+        StoreError::BadCheckpoint(e.0)
+    }
+}
+
 struct OpenSegment {
     file: File,
     written: u64,
@@ -143,11 +161,7 @@ impl WalStore {
     /// pre-warmed host checkpoints at its current epoch). Refuses a
     /// directory that already holds store files — recover those instead.
     pub fn create(cfg: StoreConfig, host: &TenantHost) -> Result<WalStore, StoreError> {
-        Self::create_at(cfg, host.batches_recorded(), &host.to_json())
-    }
-
-    /// [`WalStore::create`] from an already-serialised host at `epoch`.
-    pub fn create_at(cfg: StoreConfig, epoch: u64, host: &Json) -> Result<WalStore, StoreError> {
+        let epoch = host.batches_recorded();
         fs::create_dir_all(&cfg.dir)?;
         if !checkpoint::list_checkpoints(&cfg.dir)?.is_empty()
             || !wal::list_segments(&cfg.dir)?.is_empty()
@@ -215,15 +229,31 @@ impl DurabilitySink for WalStore {
         Ok(())
     }
 
-    /// Write the checkpoint atomically, then compact: drop older
-    /// checkpoints and every WAL segment whose frames all fall at or
-    /// before `epoch` (the last segment is always kept — it is the append
-    /// tail).
-    fn checkpoint(&mut self, epoch: u64, host: &Json) -> io::Result<()> {
+    /// Stream the host into `checkpoint-<epoch>.bin` atomically, then
+    /// compact: drop older checkpoints and every WAL segment whose frames
+    /// all fall at or before `epoch` (the last segment is always kept — it
+    /// is the append tail).
+    fn checkpoint(&mut self, epoch: u64, host: &TenantHost) -> io::Result<()> {
         checkpoint::write_checkpoint(&self.cfg.dir, epoch, host)
             .map_err(|e| io::Error::other(e.to_string()))?;
-        checkpoint::compact(&self.cfg.dir, epoch)?;
-        Ok(())
+        checkpoint::compact(&self.cfg.dir, epoch)
+    }
+}
+
+impl WalStore {
+    /// **Kept for the frozen benchmark only**: `tsvd-e2e/src/trace.rs`
+    /// calls `store.checkpoint(epoch, &host_json)` on a `WalStore`, and an
+    /// inherent method is what that call resolves to. Writes the JSON
+    /// format earlier versions wrote
+    /// ([`checkpoint::write_json_checkpoint`]) and compacts. Everything
+    /// else checkpoints through [`DurabilitySink::checkpoint`], which takes
+    /// the host itself; the `[benchmark]` PR that moves the trace's pass B
+    /// onto the engine deletes this.
+    #[doc(hidden)]
+    pub fn checkpoint(&mut self, epoch: u64, host: &Json) -> io::Result<()> {
+        checkpoint::write_json_checkpoint(&self.cfg.dir, epoch, host)
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        checkpoint::compact(&self.cfg.dir, epoch)
     }
 }
 
@@ -243,20 +273,15 @@ pub struct Recovered {
     pub store: WalStore,
 }
 
-/// Rebuild a host from `cfg.dir`: load the latest valid checkpoint, then
-/// replay every WAL window after it through the host's engines. A torn
-/// final frame (the crash tail) is truncated away; interior corruption is
-/// a typed [`StoreError::Corrupt`].
+/// Rebuild a host from `cfg.dir`: load the newest checkpoint that
+/// verifies ([`checkpoint::load_checkpoint`] — either format, older ones
+/// as fallback), then replay every WAL window after it through the host's
+/// engines. A torn final frame (the crash tail) is truncated away, and so
+/// is the temp file of a checkpoint the crash interrupted; interior
+/// corruption is a typed [`StoreError::Corrupt`].
 pub fn recover(cfg: StoreConfig) -> Result<Recovered, StoreError> {
-    let (ck_epoch, host_json) = checkpoint::load_latest(&cfg.dir)?;
-    let mut host = TenantHost::from_json(&host_json)
-        .map_err(|e| StoreError::BadCheckpoint(format!("host decode failed: {e:?}")))?;
-    if host.batches_recorded() != ck_epoch {
-        return Err(StoreError::BadCheckpoint(format!(
-            "checkpoint named epoch {ck_epoch} but its host is at {}",
-            host.batches_recorded()
-        )));
-    }
+    checkpoint::remove_stale_tmp(&cfg.dir)?;
+    let (ck_epoch, mut host) = checkpoint::load_checkpoint(&cfg.dir)?;
     let windows = scan_log(&cfg.dir, true)?;
     let mut replayed = 0u64;
     for (epoch, events) in &windows {
@@ -345,25 +370,39 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
+/// Fixtures the unit tests of this crate share.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use tsvd_core::{Level1Method, PartitionStrategy, TreeSvdConfig, UpdatePolicy};
-    use tsvd_graph::DynGraph;
-    use tsvd_ppr::PprConfig;
+pub(crate) mod testutil {
+    use std::fs;
+    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    use tsvd_core::{Level1Method, PartitionStrategy, TreeSvdConfig, UpdatePolicy};
+    use tsvd_graph::{DynGraph, EdgeEvent};
+    use tsvd_ppr::PprConfig;
+    use tsvd_rt::json::ToJson;
+    use tsvd_serve::TenantHost;
+
+    /// A fresh, empty directory unique to this process, thread and `tag`.
+    pub fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
             "tsvd-store-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&d);
+        fs::create_dir_all(&d).unwrap();
         d
     }
 
-    fn tree_cfg() -> TreeSvdConfig {
-        TreeSvdConfig {
+    /// One tenant, six sources in two shards, on a 40-node ring-with-chords.
+    pub fn small_host() -> TenantHost {
+        let mut g = DynGraph::with_nodes(40);
+        for i in 0..40u32 {
+            g.insert_edge(i, (i + 1) % 40);
+            g.insert_edge(i, (i + 7) % 40);
+        }
+        let mut h = TenantHost::new(&g);
+        let tree = TreeSvdConfig {
             dim: 6,
             branching: 2,
             num_blocks: 4,
@@ -373,32 +412,55 @@ mod tests {
             policy: UpdatePolicy::Lazy { delta: 0.4 },
             partition: PartitionStrategy::EqualWidth,
             seed: 3,
-        }
-    }
-
-    fn small_host() -> TenantHost {
-        let mut g = DynGraph::with_nodes(40);
-        for i in 0..40u32 {
-            g.insert_edge(i, (i + 1) % 40);
-            g.insert_edge(i, (i + 7) % 40);
-        }
-        let mut h = TenantHost::new(&g);
+        };
         h.register(
             0,
             &(0..6).collect::<Vec<_>>(),
             2,
             PprConfig::default(),
-            tree_cfg(),
+            tree,
         )
         .unwrap();
         h
     }
 
-    fn window(k: u32) -> Vec<EdgeEvent> {
+    pub fn window(k: u32) -> Vec<EdgeEvent> {
         vec![
             EdgeEvent::insert(k % 40, (k * 3 + 11) % 40),
             EdgeEvent::delete(k % 40, (k + 1) % 40),
         ]
+    }
+
+    /// The host's whole readable export — graph, PPR states, matrix, tree
+    /// caches, embedding, counters — minus the wall-clock `timings`, the
+    /// only state two hosts fed the same windows do not share. `rt::json`
+    /// writes every `f64` so that it re-parses to the same bits, so equal
+    /// strings are equal states, bit for bit.
+    pub fn state(host: &TenantHost) -> String {
+        let mut j = host.to_json();
+        j.remove_key("timings");
+        j.to_string()
+    }
+
+    /// [`state`] equality. (Comparing embeddings alone would pass
+    /// vacuously wherever the lazy rule never fired.)
+    pub fn bits_equal(a: &TenantHost, b: &TenantHost) -> bool {
+        state(a) == state(b)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::{bits_equal, small_host, tmpdir, window};
+    use super::*;
+    use checkpoint::Format;
+
+    fn checkpoints(dir: &Path) -> Vec<(u64, Format)> {
+        checkpoint::list_checkpoints(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(e, f, _)| (e, f))
+            .collect()
     }
 
     #[test]
@@ -417,13 +479,7 @@ mod tests {
         assert_eq!(rec.windows_replayed, 5);
         assert_eq!(rec.host.batches_recorded(), 5);
         assert_eq!(rec.store.next_epoch(), 6);
-        let a = live.tagged(0).unwrap();
-        let b = rec.host.tagged(0).unwrap();
-        assert_eq!(
-            a.left().sub(b.left()).max_abs(),
-            0.0,
-            "recovered embedding diverged"
-        );
+        assert!(bits_equal(&live, &rec.host), "recovered embedding diverged");
     }
 
     #[test]
@@ -438,7 +494,7 @@ mod tests {
             store.append_window(k as u64 + 1, &w).unwrap();
             live.apply_batch(&w);
             if k == 3 {
-                store.checkpoint(4, &live.to_json()).unwrap();
+                DurabilitySink::checkpoint(&mut store, 4, &live).unwrap();
             }
         }
         // At checkpoint time segments 1..=3 hold only epochs ≤ 4 and are
@@ -449,18 +505,11 @@ mod tests {
             .map(|(s, _)| s)
             .collect();
         assert_eq!(starts, vec![4, 5, 6]);
-        let cks: Vec<u64> = checkpoint::list_checkpoints(&dir)
-            .unwrap()
-            .into_iter()
-            .map(|(e, _)| e)
-            .collect();
-        assert_eq!(cks, vec![4]);
+        assert_eq!(checkpoints(&dir), vec![(4, Format::Bin)]);
         let rec = recover(StoreConfig::new(&dir)).unwrap();
         assert_eq!(rec.checkpoint_epoch, 4);
         assert_eq!(rec.windows_replayed, 2);
-        let a = live.tagged(0).unwrap();
-        let b = rec.host.tagged(0).unwrap();
-        assert_eq!(a.left().sub(b.left()).max_abs(), 0.0);
+        assert!(bits_equal(&live, &rec.host));
     }
 
     #[test]
@@ -483,9 +532,7 @@ mod tests {
         assert_eq!(all.last().unwrap().0, 4);
         let rec2 = recover(StoreConfig::new(&dir)).unwrap();
         assert_eq!(rec2.host.batches_recorded(), 4);
-        let a = live.tagged(0).unwrap();
-        let b = rec2.host.tagged(0).unwrap();
-        assert_eq!(a.left().sub(b.left()).max_abs(), 0.0);
+        assert!(bits_equal(&live, &rec2.host));
     }
 
     #[test]
@@ -523,9 +570,34 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_torn_mid_write_is_swept_and_recovery_uses_the_valid_one() {
+        let dir = tmpdir("stale-tmp");
+        let mut live = small_host();
+        let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
+        for k in 0..3u32 {
+            let w = window(k);
+            store.append_window(k as u64 + 1, &w).unwrap();
+            live.apply_batch(&w);
+        }
+        drop(store);
+        // What a kill between the temp file's create and its rename leaves:
+        // the first part of a checkpoint for epoch 3, under the temp name.
+        let mut torn = Vec::new();
+        checkpoint::write_host(&mut torn, 3, &live).unwrap();
+        torn.truncate(torn.len() / 3);
+        let tmp = dir.join("checkpoint-00000000000000000003.bin.tmp");
+        fs::write(&tmp, &torn).unwrap();
+
+        let rec = recover(StoreConfig::new(&dir)).unwrap();
+        assert_eq!((rec.checkpoint_epoch, rec.windows_replayed), (0, 3));
+        assert!(bits_equal(&live, &rec.host));
+        assert!(!tmp.exists(), "the torn temp file outlived recovery");
+        assert_eq!(checkpoints(&dir), vec![(0, Format::Bin)]);
+    }
+
+    #[test]
     fn recover_on_empty_dir_is_typed() {
         let dir = tmpdir("empty");
-        fs::create_dir_all(&dir).unwrap();
         match recover(StoreConfig::new(&dir)) {
             Err(StoreError::NoCheckpoint) => {}
             other => panic!("expected NoCheckpoint, got {:?}", other.err()),

@@ -15,11 +15,19 @@
 //!    submitting tenant, the host rollup accounts for all of them, and
 //!    every tenant's journal replays bitwise. `TSVD_TENANTS` scales the
 //!    tenant count (default 2).
+//! 4. **A live checkpoint is the offline host.** Between flushes, with
+//!    unflushed events pending, both exports of a live 2-tenant server —
+//!    the `GetCheckpoint` JSON and the binary checkpoint file its store
+//!    wrote — equal, as bytes, what an offline host fed the same journal
+//!    windows produces (wall-clock `timings` aside).
 
 use std::time::Duration;
 
 use tree_svd::prelude::*;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
+use tsvd_serve::HostSection;
+use tsvd_store::checkpoint::{self, Format, SectionReader};
+use tsvd_store::{StoreConfig, WalStore};
 
 fn small_dataset() -> SyntheticDataset {
     let mut cfg = DatasetConfig::youtube();
@@ -497,4 +505,122 @@ fn live_checkpoint_is_byte_equal_to_offline_host_json() {
         without_timings(&offline.to_json().to_string()),
         "shutdown handed back a different host"
     );
+}
+
+/// The verified sections of a binary checkpoint with the wall-clock part
+/// of every tenant's `timings` zeroed — the binary [`without_timings`]. A
+/// `Rest` section ends with `timings`: three `f64` seconds, then the
+/// update count (which is state, and stays).
+fn sections_without_timings(file: &[u8]) -> Vec<(HostSection, Vec<u8>)> {
+    let mut reader = SectionReader::open(file).expect("a checkpoint header");
+    let (mut buf, mut out) = (Vec::new(), Vec::new());
+    while let Some(section) = reader.next_section(&mut buf).expect("a whole section") {
+        if section == HostSection::Rest {
+            let end = buf.len() - 8;
+            buf[end - 24..end].fill(0);
+        }
+        out.push((section, buf.clone()));
+    }
+    out
+}
+
+/// The twin of the test above for the format checkpoints are written in:
+/// on a live 2-tenant server with a store attached, the checkpoint file of
+/// each epoch — read back *between* flushes, an unflushed event pending —
+/// is, section by section and byte for byte (wall-clock `timings` aside),
+/// the encoding of an offline host that applied the same journal windows.
+#[test]
+fn live_checkpoint_file_is_byte_equal_to_offline_host_encoding() {
+    let data = small_dataset();
+    let g0 = data.stream.snapshot(1);
+    let build = || {
+        let mut host = TenantHost::new(&g0);
+        host.register(0, &data.sample_subset(16, 5), 2, ppr_cfg(), tree_cfg())
+            .unwrap();
+        host.register(9, &data.sample_subset(12, 11), 1, ppr_cfg(), tree_cfg())
+            .unwrap();
+        host
+    };
+    let dir = std::env::temp_dir().join(format!("tsvd-live-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let host = build();
+    let store = WalStore::create(StoreConfig::new(&dir), &host).expect("fresh store");
+    let server = EmbeddingServer::start_host_with_store(
+        host,
+        ServeConfig {
+            flush_max_events: usize::MAX,
+            flush_interval_ms: 60_000,
+            coalesce: true,
+            checkpoint_every: 1,
+            ..Default::default()
+        },
+        Box::new(store),
+    );
+    let mut offline = build();
+    let file_of = |epoch: u64| {
+        std::fs::read(checkpoint::checkpoint_path(&dir, epoch, Format::Bin))
+            .unwrap_or_else(|e| panic!("checkpoint file of epoch {epoch}: {e}"))
+    };
+    let encoding_of = |host: &TenantHost| {
+        let mut bytes = Vec::new();
+        checkpoint::write_host(&mut bytes, host.batches_recorded(), host).unwrap();
+        bytes
+    };
+    // Epoch 0 — written by `create`, before the server existed.
+    assert_eq!(
+        sections_without_timings(&file_of(0)),
+        sections_without_timings(&encoding_of(&offline))
+    );
+    let events: Vec<EdgeEvent> = data.stream.batch(2).iter().take(160).copied().collect();
+    for (i, chunk) in events.chunks(40).enumerate() {
+        server
+            .submit_batch_to(if i % 2 == 0 { 0 } else { 9 }, chunk.to_vec())
+            .expect("admission");
+        let epoch = server.flush_sync();
+        assert_eq!(epoch, (i + 1) as u64);
+        let pulled = server.journal_windows(epoch - 1, 8).expect("journal tail");
+        assert_eq!(pulled.windows.len(), 1, "one new window per flush");
+        offline.apply_batch(&pulled.windows[0]);
+
+        // An event left pending rides into the next window; the file on
+        // disk was cut at what is recorded.
+        assert!(server.submit(EdgeEvent::insert(1, 2 + i as u32)));
+        let live = file_of(epoch);
+        assert_eq!(live[12..20], epoch.to_le_bytes(), "header epoch");
+        let (live, want) = (
+            sections_without_timings(&live),
+            sections_without_timings(&encoding_of(&offline)),
+        );
+        let tags: Vec<u8> = live.iter().map(|(s, _)| *s as u8).collect();
+        assert_eq!(tags, b"GPPMTRPMTR", "graph, then 2 + 1 shards' tenants");
+        for (k, (a, b)) in live.iter().zip(&want).enumerate() {
+            assert!(
+                a == b,
+                "epoch {epoch}: section {k} ({:?}) of the live checkpoint differs",
+                a.0
+            );
+        }
+        assert_eq!(live.len(), want.len());
+        // Compaction keeps exactly the newest.
+        let kept: Vec<u64> = checkpoint::list_checkpoints(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(e, _, _)| e)
+            .collect();
+        assert_eq!(kept, vec![epoch]);
+    }
+    // Shutdown flushes the pending event as one more window and
+    // checkpoints the host it hands back.
+    let host = server.shutdown_host();
+    offline.apply_batch(&[EdgeEvent::insert(1, 2 + 3)]);
+    assert_eq!(host.batches_recorded(), 5);
+    assert_eq!(
+        sections_without_timings(&file_of(5)),
+        sections_without_timings(&encoding_of(&offline))
+    );
+    assert_eq!(
+        sections_without_timings(&encoding_of(&host)),
+        sections_without_timings(&file_of(5))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,6 +12,12 @@
 //! [`TreeSvdPipeline`], and both must match the recovered host bit for
 //! bit. Tenant count follows `TSVD_TENANTS` (default 2; the CI matrix runs
 //! 3).
+//!
+//! Checkpoints are binary (`checkpoint-<E>.bin`), so both legs above run
+//! on them; two further tests pin what a directory written *before* that
+//! format does: a `.json`-only directory recovers bitwise and migrates on
+//! its next checkpoint, and one epoch present in both formats recovers
+//! from either file.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -20,7 +26,8 @@ use std::time::{Duration, Instant};
 use tree_svd::prelude::*;
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
-use tsvd_serve::{EmbeddingServer, ServeConfig, TenantHost};
+use tsvd_serve::{DurabilitySink, EmbeddingServer, ServeConfig, TenantHost};
+use tsvd_store::checkpoint::{self, Format};
 use tsvd_store::{read_windows, recover, StoreConfig, WalStore};
 
 const NODES: usize = 120;
@@ -245,6 +252,116 @@ fn clean_shutdown_checkpoints_and_restarts_without_replay() {
         let a = rec.host.tagged(t).unwrap();
         let b = live.tagged(t).unwrap();
         assert_eq!(a.left().sub(b.left()).max_abs(), 0.0, "tenant {t} drifted");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The host's whole readable export minus the wall-clock `timings` (the
+/// only state two hosts fed the same windows do not share); `rt::json`
+/// round-trips every `f64` bitwise, so equal strings are equal states —
+/// graph, PPR states, matrix, tree caches, every tenant's embedding.
+fn state(host: &TenantHost) -> String {
+    use tsvd_rt::json::ToJson;
+    let mut j = host.to_json();
+    j.remove_key("timings");
+    j.to_string()
+}
+
+fn checkpoints_in(dir: &Path) -> Vec<(u64, Format)> {
+    checkpoint::list_checkpoints(dir)
+        .unwrap()
+        .into_iter()
+        .map(|(e, f, _)| (e, f))
+        .collect()
+}
+
+/// A store directory as the commit before the binary format left it — one
+/// `checkpoint-<E>.json` and the WAL behind it — recovers bitwise; the
+/// next checkpoint written is `.bin`, and its compaction removes the
+/// `.json`: a directory migrates by being used.
+#[test]
+fn a_json_only_directory_recovers_bitwise_and_migrates_on_its_next_checkpoint() {
+    use tsvd_rt::json::ToJson;
+
+    let dir = std::env::temp_dir().join(format!("tsvd-legacy-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = base_graph();
+    let mut live = build_host(&g, 2);
+    let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
+    for k in 0..5u64 {
+        let window = batch(k);
+        store.append_window(k + 1, &window).unwrap();
+        live.apply_batch(&window);
+        if k == 2 {
+            // The compatibility call writes the old format's bytes (and
+            // compacts the epoch-0 `.bin` away), leaving what the parent
+            // commit's server would have left after its checkpoint at 3.
+            store.checkpoint(3, &live.to_json()).unwrap();
+        }
+    }
+    drop(store);
+    assert_eq!(checkpoints_in(&dir), vec![(3, Format::Json)]);
+
+    let rec = recover(StoreConfig::new(&dir)).expect("recovery from a .json-only directory");
+    assert_eq!((rec.checkpoint_epoch, rec.windows_replayed), (3, 2));
+    assert!(state(&rec.host) == state(&live), "recovered != live");
+
+    // Serve one more window from the recovered state and shut down: the
+    // shutdown checkpoint is binary and nothing of the old format is left.
+    let cfg = ServeConfig {
+        flush_max_events: 1 << 20,
+        flush_interval_ms: 10_000,
+        coalesce: false,
+        ..ServeConfig::default()
+    };
+    let server = EmbeddingServer::start_host_with_store(rec.host, cfg, Box::new(rec.store));
+    server.submit_batch(batch(5));
+    assert_eq!(server.flush_sync(), 6);
+    let served = server.shutdown_host();
+    live.apply_batch(&batch(5));
+    assert_eq!(checkpoints_in(&dir), vec![(6, Format::Bin)]);
+    let rec = recover(StoreConfig::new(&dir)).unwrap();
+    assert_eq!((rec.checkpoint_epoch, rec.windows_replayed), (6, 0));
+    assert!(state(&served) == state(&live), "served != offline");
+    assert!(state(&rec.host) == state(&live), "recovered != offline");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One epoch in both formats (what the frozen trace's store probe leaves
+/// at toy sizes, where its JSON checkpoint lands on epoch 0 beside the
+/// binary one `create` wrote): the binary file is read; damaged, the JSON
+/// one is; either way recovery lands on the same bits.
+#[test]
+fn one_epoch_in_both_formats_recovers_from_either() {
+    use tsvd_rt::json::ToJson;
+
+    let dir = std::env::temp_dir().join(format!("tsvd-both-formats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = base_graph();
+    let mut live = build_host(&g, 3);
+    let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
+    store.checkpoint(0, &live.to_json()).unwrap();
+    for k in 0..3u64 {
+        let window = batch(k);
+        store.append_window(k + 1, &window).unwrap();
+        live.apply_batch(&window);
+    }
+    drop(store);
+    assert_eq!(
+        checkpoints_in(&dir),
+        vec![(0, Format::Json), (0, Format::Bin)]
+    );
+    for damage_the_binary_one in [false, true] {
+        if damage_the_binary_one {
+            let path = checkpoint::checkpoint_path(&dir, 0, Format::Bin);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 1;
+            std::fs::write(&path, bytes).unwrap();
+        }
+        let rec = recover(StoreConfig::new(&dir)).expect("recovery");
+        assert_eq!((rec.checkpoint_epoch, rec.windows_replayed), (0, 3));
+        assert!(state(&rec.host) == state(&live), "recovered != live");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
