@@ -22,9 +22,11 @@
 #      recovery, follower, router_soak);
 #   6. the same with TSVD_THREADS=1 — the serial fallbacks of rt::pool must
 #      stay equivalent to the parallel paths;
-#   6b. the tsvd-store package (unit tests + fault_injection) once more
-#      with --release: what a decoder refuses must not depend on overflow
-#      checks or a `debug_assert!` that an optimised build compiles out;
+#   6b. the tsvd-store package (unit tests + fault_injection) and the wire
+#      codec's property battery (tsvd-serve's net_props: round trips,
+#      every byte flip, truncations, fuzz) once more with --release: what
+#      a decoder refuses must not depend on overflow checks or a
+#      `debug_assert!` that an optimised build compiles out;
 #   7. env matrix — only four env vars are read by anything, and each leg
 #      runs exactly the suites that read its var under a value steps 5–6
 #      did not already cover:
@@ -131,8 +133,9 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "cargo test -p tsvd-store --release (decoder bounds without debug checks)"
+step "release decoders: tsvd-store + wire net_props (bounds without debug checks)"
 cargo test --release -q -p tsvd-store
+cargo test --release -q -p tsvd-serve --test net_props
 
 # Env matrix (header, step 7). The two svd-update legs share one battery:
 # the tsvd-serve package (unit tests, codec property/fuzz tests, loopback

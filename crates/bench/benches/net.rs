@@ -1,14 +1,16 @@
-//! Network-front benchmark: frame-codec cost, request round-trip latency
-//! over the in-process loopback and real TCP, and pipelined read
-//! throughput at depth 1/8/64 — the depths are recorded in the bench JSON
-//! (`params`) so latency-vs-throughput trade-offs are comparable across
-//! runs.
+//! Network-front benchmark: frame-codec cost (a 64 × 16 reply and the
+//! 8 × 64 `GetRows` reply of the end-to-end `read_mostly` workload, 4 156
+//! bytes), the frame checksum alone (v2's byte-at-a-time FNV-1a against
+//! v3's word fold, same frame), request round-trip latency over the
+//! in-process loopback and real TCP, and pipelined read throughput at depth
+//! 1/8/16/64 — the depths are recorded in the bench JSON (`params`) so
+//! latency-vs-throughput trade-offs are comparable across runs.
 
 use tsvd_bench::setup::standard_setup;
 use tsvd_core::TreeSvdConfig;
 use tsvd_datasets::DatasetConfig;
 use tsvd_rt::bench::BenchHarness;
-use tsvd_serve::net::wire::{self, Message, Reply, Request, RowsReply};
+use tsvd_serve::net::wire::{self, Message, Reply, Request, RowsReply, HEADER_LEN};
 use tsvd_serve::{ClientConfig, EmbeddingServer, NetClient, NetFront, ServeConfig, TcpTransport};
 
 fn main() {
@@ -21,27 +23,45 @@ fn main() {
     let tree_cfg = TreeSvdConfig { ..s.tree_cfg };
 
     let mut h = BenchHarness::from_args("net");
-    let depths = [1usize, 8, 64];
+    let depths = [1usize, 8, 16, 64];
     h.record_param("subset_size", s.subset.len() as u64);
     h.record_param(
         "read_burst_depths",
         depths.iter().map(|&d| d as u64).collect::<Vec<u64>>(),
     );
 
-    // Pure codec: encode+decode a realistic 64×16 rows reply, no I/O.
-    let rows_reply = Message::Reply(Reply::Rows(RowsReply {
-        epoch: 7,
-        checksum_bits: 0x1234_5678_9abc_def0,
-        dim: 16,
-        rows: (0..64)
-            .map(|r| Some((0..16).map(|c| (r * 16 + c) as f64 * 0.25).collect()))
-            .collect(),
-    }));
-    h.bench("codec_encode_decode/rows_64x16", || {
-        let mut buf = Vec::new();
-        wire::encode_frame(1, 0, &rows_reply, &mut buf);
-        let (frame, used) = wire::decode_frame(&buf).expect("own frame");
-        (frame.request_id, used)
+    // Pure codec: encode+decode a rows reply, no I/O.
+    let rows_reply = |rows: usize, dim: usize| {
+        Message::Reply(Reply::Rows(RowsReply {
+            epoch: 7,
+            checksum_bits: 0x1234_5678_9abc_def0,
+            dim: dim as u32,
+            rows: (0..rows)
+                .map(|r| Some((0..dim).map(|c| (r * dim + c) as f64 * 0.25).collect()))
+                .collect(),
+        }))
+    };
+    for (name, rows, dim) in [("rows_64x16", 64, 16), ("rows_8x64", 8, 64)] {
+        let reply = rows_reply(rows, dim);
+        h.bench(&format!("codec_encode_decode/{name}"), || {
+            let mut buf = Vec::new();
+            wire::encode_frame(1, 0, &reply, &mut buf);
+            let (frame, used) = wire::decode_frame(&buf).expect("own frame");
+            (frame.request_id, used)
+        });
+    }
+
+    // The frame checksum alone, over the 4 156-byte frame of one 8 × 64
+    // reply: what v2 sealed frames with against what v3 does.
+    let mut frame = Vec::new();
+    wire::encode_frame(1, 0, &rows_reply(8, 64), &mut frame);
+    assert_eq!(frame.len(), 4156);
+    let (header_tail, payload) = (&frame[2..20], &frame[HEADER_LEN..]);
+    h.bench("frame_checksum/fnv1a/4156B", || {
+        wire::fnv1a64(wire::fnv1a64(wire::FNV_OFFSET, header_tail), payload)
+    });
+    h.bench("frame_checksum/fold/4156B", || {
+        wire::frame_checksum(header_tail, payload)
     });
 
     let engine = tsvd_serve::ShardedEngine::new(&g0, &s.subset, 2, s.ppr_cfg, tree_cfg);

@@ -24,7 +24,7 @@
 //! applied the batch, and a blind resend would double-apply events. The
 //! caller decides (e.g. by comparing `stats().events_submitted`).
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 use tsvd_graph::EdgeEvent;
 
@@ -33,8 +33,8 @@ use crate::stats::StatsReply;
 
 use super::transport::{Duplex, Transport};
 use super::wire::{
-    encode_frame, read_frame, write_frame, CheckpointReply, EmbeddingReply, Message, Reply,
-    Request, RowsReply, WindowsReply,
+    CheckpointReply, EmbeddingReply, Frame, FrameReader, FrameWriter, Message, Reply, Request,
+    RowsReply, WindowsReply,
 };
 
 /// Typed outcome of a journal pull ([`NetClient::pull_windows`]): either a
@@ -77,6 +77,42 @@ impl Default for ClientConfig {
     }
 }
 
+/// One open connection: a transport's [`Duplex`] behind the buffered
+/// framing layer.
+struct Conn {
+    reader: FrameReader<Box<dyn Read + Send>>,
+    writer: FrameWriter<Box<dyn Write + Send>>,
+}
+
+impl Conn {
+    fn new(duplex: Duplex) -> Conn {
+        Conn {
+            reader: FrameReader::new(duplex.reader),
+            writer: FrameWriter::new(duplex.writer),
+        }
+    }
+
+    /// Buffer one request frame (no I/O).
+    fn push(&mut self, id: u64, tenant: u32, req: &Request) -> io::Result<()> {
+        Ok(self
+            .writer
+            .push(id, tenant, &Message::Request(req.clone()))?)
+    }
+
+    /// Write one request frame.
+    fn send(&mut self, id: u64, tenant: u32, req: &Request) -> io::Result<()> {
+        self.push(id, tenant, req)?;
+        self.writer.flush()
+    }
+
+    /// The next frame, which must exist.
+    fn next_frame(&mut self) -> io::Result<Frame> {
+        self.reader
+            .read_frame()?
+            .ok_or_else(|| closed("server closed connection"))
+    }
+}
+
 /// A connection to a [`NetFront`](super::NetFront) over some transport.
 ///
 /// Methods take `&mut self`: a client is a single ordered request stream
@@ -85,7 +121,7 @@ impl Default for ClientConfig {
 pub struct NetClient {
     transport: Box<dyn Transport>,
     cfg: ClientConfig,
-    conn: Option<Duplex>,
+    conn: Option<Conn>,
     next_id: u64,
     reconnects: u64,
     last_epoch: u64,
@@ -97,7 +133,7 @@ impl NetClient {
     /// Open a connection immediately.
     pub fn connect(transport: impl Transport + 'static, cfg: ClientConfig) -> io::Result<Self> {
         let transport: Box<dyn Transport> = Box::new(transport);
-        let conn = transport.open()?;
+        let conn = Conn::new(transport.open()?);
         Ok(NetClient {
             transport,
             cfg,
@@ -236,10 +272,11 @@ impl NetClient {
         }
     }
 
-    /// Pipeline `requests` over the connection: all frames are written
-    /// back-to-back before any reply is read, then replies are collected
-    /// in order. One round-trip latency for the whole batch. Not retried
-    /// (a failure mid-batch leaves an unknown prefix applied).
+    /// Pipeline `requests` over the connection: all frames leave in one
+    /// write before any reply is read, then replies are collected in
+    /// order (the server answers such a burst with one write too). One
+    /// round-trip latency for the whole batch. Not retried (a failure
+    /// mid-batch leaves an unknown prefix applied).
     pub fn pipeline(&mut self, requests: &[Request]) -> io::Result<Vec<Reply>> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -249,22 +286,14 @@ impl NetClient {
         let raw = {
             let tenant = self.cfg.tenant;
             let conn = self.conn()?;
-            let mut buf = Vec::new();
-            for (i, req) in requests.iter().enumerate() {
-                encode_frame(
-                    first + i as u64,
-                    tenant,
-                    &Message::Request(req.clone()),
-                    &mut buf,
-                );
-            }
             let io = (|| {
-                conn.writer.write_all(&buf)?;
+                for (i, req) in requests.iter().enumerate() {
+                    conn.push(first + i as u64, tenant, req)?;
+                }
                 conn.writer.flush()?;
                 let mut raw = Vec::with_capacity(requests.len());
                 for i in 0..requests.len() {
-                    let frame = read_frame(&mut conn.reader)?
-                        .ok_or_else(|| closed("server closed mid-pipeline"))?;
+                    let frame = conn.next_frame()?;
                     let want = first + i as u64;
                     if frame.request_id != want {
                         return Err(protocol(format!(
@@ -310,7 +339,7 @@ impl NetClient {
         self.next_id += 1;
         let tenant = self.cfg.tenant;
         let conn = self.conn()?;
-        match write_frame(&mut conn.writer, id, tenant, &Message::Request(req.clone())) {
+        match conn.send(id, tenant, req) {
             Ok(()) => Ok(id),
             Err(e) => {
                 self.disconnect();
@@ -332,8 +361,7 @@ impl NetClient {
                 .conn
                 .as_mut()
                 .ok_or_else(|| closed("no connection holds the in-flight request"))?;
-            let frame =
-                read_frame(&mut conn.reader)?.ok_or_else(|| closed("server closed connection"))?;
+            let frame = conn.next_frame()?;
             if frame.request_id != id && frame.request_id != 0 {
                 return Err(protocol(format!(
                     "reply id {} does not match dispatched id {id}",
@@ -377,9 +405,9 @@ impl NetClient {
 
     // ------------------------------------------------------------ internals
 
-    fn conn(&mut self) -> io::Result<&mut Duplex> {
+    fn conn(&mut self) -> io::Result<&mut Conn> {
         if self.conn.is_none() {
-            self.conn = Some(self.transport.open()?);
+            self.conn = Some(Conn::new(self.transport.open()?));
             self.reconnects += 1;
         }
         Ok(self.conn.as_mut().expect("connection just opened"))
@@ -391,9 +419,8 @@ impl NetClient {
         self.next_id += 1;
         let tenant = self.cfg.tenant;
         let conn = self.conn()?;
-        write_frame(&mut conn.writer, id, tenant, &Message::Request(req.clone()))?;
-        let frame =
-            read_frame(&mut conn.reader)?.ok_or_else(|| closed("server closed connection"))?;
+        conn.send(id, tenant, req)?;
+        let frame = conn.next_frame()?;
         if frame.request_id != id && frame.request_id != 0 {
             return Err(protocol(format!(
                 "reply id {} does not match request id {id}",

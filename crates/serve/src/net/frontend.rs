@@ -5,11 +5,23 @@
 //! [`rt::exec`](tsvd_rt::exec) reactor:
 //!
 //! ```text
-//!  socket ──▶ reader thread ──▶ bounded Mailbox<ConnMsg> ──▶ dispatcher
-//!             (decode frames)    (cap 256: backpressure)     (EventLoop:
-//!                                                             execute +
-//!  socket ◀───────────────────────────────────────────────── write reply)
+//!  socket ──▶ reader thread ─────▶ bounded Mailbox<ConnMsg> ──▶ dispatcher
+//!             (FrameReader, one     (cap 256 requests:           (EventLoop:
+//!              64 KiB buffer:        backpressure)                execute, encode
+//!              decode, tag each                                   into FrameWriter;
+//!              request "more is                                   write on an
+//!              buffered behind me")                               untagged request)
+//!  socket ◀────────────────────────────────── one write_all per burst ──┘
 //! ```
+//!
+//! The reader thread tags each request with whether another whole frame
+//! already sits in its buffer. The dispatcher appends each reply to one
+//! reused buffer and writes it out when the request was untagged (nothing
+//! more is waiting, so **a lone request is never held back**), when the
+//! buffer passes 64 KiB, and before running a request that can block
+//! ([`Request::may_block`]). A pipelined burst of 16 `GetRows` is
+//! therefore one `read` in and one `write` out. The tag travels with the
+//! request, so the mailbox stays bounded in requests, not bytes.
 //!
 //! The bounded mailbox is the backpressure boundary: when a client floods
 //! requests faster than flushes complete, the mailbox fills, the reader
@@ -21,7 +33,7 @@
 //! Reads (both the server's and the loopback pipes') carry a short timeout
 //! so every blocking loop observes the stop flag promptly; a frame in
 //! flight is never torn by the timeout (see
-//! [`wire::read_frame_until`](super::wire::read_frame_until)).
+//! [`FrameReader::read_frame_until`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -40,8 +52,8 @@ use crate::tenant::{TenantHost, TenantId};
 
 use super::transport::{pipe, Duplex, Transport};
 use super::wire::{
-    read_frame_until, write_frame, CheckpointReply, EmbeddingReply, Message, Reply, Request,
-    RowsReply, TopKReply, WindowsReply, MAX_PAYLOAD,
+    CheckpointReply, EmbeddingReply, FrameReader, FrameWriter, Message, Reply, Request, RowsReply,
+    TopKReply, WindowsReply, MAX_PAYLOAD,
 };
 
 /// Poll interval for stop-flag checks in blocking reads and accept loops.
@@ -55,8 +67,14 @@ const LOOPBACK_PIPE_CAP: usize = 64 * 1024;
 
 /// What the connection reader thread hands to the dispatcher.
 enum ConnMsg {
-    /// A decoded request: id, tenant (from the frame header), request.
-    Request(u64, u32, Request),
+    /// A decoded request: id, tenant (from the frame header), the request,
+    /// and whether another whole frame was already buffered behind it.
+    Request {
+        id: u64,
+        tenant: u32,
+        req: Request,
+        more: bool,
+    },
     /// The byte stream is unusable (corrupt frame / protocol violation):
     /// report to the peer, then close.
     Corrupt(String),
@@ -311,21 +329,24 @@ fn spawn_connection(shared: Arc<FrontShared>, duplex: Duplex) {
     let registry = shared.clone();
     let jh = std::thread::Builder::new()
         .name(format!("tsvd-net-conn-{n}"))
-        .spawn(move || serve_connection(shared, duplex))
+        .spawn(move || serve_connection(shared, duplex, MAX_PAYLOAD as usize))
         .expect("spawn tsvd-net-conn");
     registry.conns.lock().unwrap().push(jh);
 }
 
 /// Serve one connection to completion: decode requests on a reader
-/// thread, execute them in order on this thread's event loop, write each
-/// reply back. Returns when the peer disconnects, a protocol violation
-/// occurs, a write fails, or the front stops.
-fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex) {
+/// thread, execute them in order on this thread's event loop, and write
+/// the replies back one burst at a time (see the module docs). Replies
+/// over `cap` payload bytes are answered with a typed error instead.
+/// Returns when the peer disconnects, a protocol violation occurs, a write
+/// fails, or the front stops.
+fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex, cap: usize) {
     let Duplex {
-        reader: mut r,
-        writer: mut w,
+        reader: r,
+        writer: w,
         peer: _peer,
     } = duplex;
+    let mut out = FrameWriter::with_cap(w, cap);
     let conn_stop = Arc::new(AtomicBool::new(false));
     let (mailbox, ev) = EventLoop::<ConnMsg>::bounded(CONN_MAILBOX_CAP);
 
@@ -337,14 +358,20 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex) {
             let should_stop = || {
                 reader_stop.load(Ordering::Acquire) || reader_shared.stop.load(Ordering::Acquire)
             };
+            let mut r = FrameReader::new(r);
             loop {
-                match read_frame_until(&mut r, should_stop) {
+                match r.read_frame_until(should_stop) {
                     Ok(Some(frame)) => match frame.message {
                         Message::Request(req) => {
                             // Bounded send: blocks when the dispatcher is
                             // behind — the backpressure path.
-                            if !mailbox.send(ConnMsg::Request(frame.request_id, frame.tenant, req))
-                            {
+                            let msg = ConnMsg::Request {
+                                id: frame.request_id,
+                                tenant: frame.tenant,
+                                req,
+                                more: r.has_buffered_frame(),
+                            };
+                            if !mailbox.send(msg) {
                                 break;
                             }
                         }
@@ -368,9 +395,20 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex) {
         .expect("spawn tsvd-net-read");
 
     ev.run(|_timers, event| match event {
-        Event::Message(ConnMsg::Request(id, tenant, req)) => {
+        Event::Message(ConnMsg::Request {
+            id,
+            tenant,
+            req,
+            more,
+        }) => {
+            // What is buffered goes out before anything that can block.
+            if req.may_block() && out.flush().is_err() {
+                conn_stop.store(true, Ordering::Release);
+                return Flow::Stop;
+            }
             let (reply, close) = execute(&shared, tenant, req);
-            if write_frame(&mut w, id, tenant, &Message::Reply(reply)).is_err() || close {
+            out.push_reply(id, tenant, reply);
+            if close || out.end_reply(more).is_err() {
                 conn_stop.store(true, Ordering::Release);
                 Flow::Stop
             } else {
@@ -378,15 +416,17 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex) {
             }
         }
         Event::Message(ConnMsg::Corrupt(what)) => {
-            // Best-effort connection-level error (request id 0), then close.
-            let _ = write_frame(&mut w, 0, 0, &Message::Reply(Reply::Error(what)));
+            // Best-effort connection-level error (request id 0), written
+            // with whatever is buffered ahead of it; then close.
+            out.push_reply(0, 0, Reply::Error(what));
             conn_stop.store(true, Ordering::Release);
             Flow::Stop
         }
         Event::Timer(_) => Flow::Continue,
     });
     conn_stop.store(true, Ordering::Release);
-    drop(w); // EOF towards the client
+    let _ = out.flush(); // nothing answered stays behind
+    drop(out); // EOF towards the client
     let _ = reader_jh.join();
 }
 
@@ -542,7 +582,10 @@ fn execute(shared: &FrontShared, tenant: u32, req: Request) -> (Reply, bool) {
         },
         Request::GetCheckpoint => match &*shared.handle.read().unwrap() {
             Some(h) => match h.checkpoint_json() {
-                Some((epoch, host)) => (checkpoint_reply(epoch, host, MAX_PAYLOAD as usize), false),
+                Some((epoch, host)) => (
+                    Reply::Checkpoint(Box::new(CheckpointReply { epoch, host })),
+                    false,
+                ),
                 None => (Reply::Error("server is shut down".into()), true),
             },
             None => (Reply::Error("server is shut down".into()), true),
@@ -550,46 +593,215 @@ fn execute(shared: &FrontShared, tenant: u32, req: Request) -> (Reply, bool) {
     }
 }
 
-/// The `Checkpoint` reply for a host serialisation, or a typed error when
-/// its payload (`u64 epoch`, `u32 len`, the text) would exceed `cap` —
-/// `wire::encode_frame` guards [`MAX_PAYLOAD`] with a `debug_assert!`
-/// only, so in a release build an oversized reply would go out as a frame
-/// every peer rejects. The cap is a parameter so that a test can reach it
-/// without a 64 MiB host; paging the reply is roadmap item 2(b).
-fn checkpoint_reply(epoch: u64, host: String, cap: usize) -> Reply {
-    let payload = 12 + host.len();
-    if payload > cap {
-        return Reply::Error(format!(
-            "checkpoint exceeds the frame cap: a {payload}-byte payload against {cap} \
-             (re-seed this replica from a checkpoint file instead)"
-        ));
-    }
-    Reply::Checkpoint(Box::new(CheckpointReply { epoch, host }))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::wire::encode_frame;
+    use std::io::Write;
+
+    use tsvd_core::TreeSvdConfig;
+    use tsvd_graph::{DynGraph, EdgeEvent};
+    use tsvd_ppr::PprConfig;
+
+    use super::super::transport::PipeWriter;
+    use super::super::wire::decode_frame;
     use super::*;
+    use crate::{ClientConfig, EmbeddingServer, NetClient, ServeConfig};
 
     #[test]
     fn a_checkpoint_over_the_frame_cap_is_a_typed_error_not_an_undecodable_frame() {
         let cap = 4096;
-        // Exactly at the cap: a Checkpoint whose frame payload is the cap —
-        // which also pins the `12 + len` here to what the codec writes.
-        let fits = checkpoint_reply(7, "x".repeat(cap - 12), cap);
+        let checkpoint = |len: usize| {
+            Reply::Checkpoint(Box::new(CheckpointReply {
+                epoch: 7,
+                host: "x".repeat(len),
+            }))
+        };
         let mut frame = Vec::new();
-        encode_frame(1, 0, &Message::Reply(fits), &mut frame);
+        let mut w = FrameWriter::with_cap(&mut frame, cap);
+        // Exactly at the cap: a Checkpoint whose frame payload is the cap —
+        // `u64 epoch`, `u32 len`, then the text.
+        w.push_reply(1, 0, checkpoint(cap - 12));
+        w.flush().unwrap();
         let payload_len = u32::from_le_bytes(frame[16..20].try_into().unwrap()) as usize;
         assert_eq!(payload_len, cap);
         assert_eq!(frame.len(), 28 + cap);
-        // One byte more: refused, with both numbers in the message.
-        match checkpoint_reply(7, "x".repeat(cap - 11), cap) {
-            Reply::Error(why) => {
-                assert!(why.starts_with("checkpoint exceeds the frame cap"), "{why}");
+        // One byte more: refused on the same request id, with both numbers
+        // in the message.
+        frame.clear();
+        let mut w = FrameWriter::with_cap(&mut frame, cap);
+        w.push_reply(1, 0, checkpoint(cap - 11));
+        w.flush().unwrap();
+        let (f, used) = decode_frame(&frame).unwrap();
+        assert_eq!((f.request_id, used), (1, frame.len()));
+        match f.message {
+            Message::Reply(Reply::Error(why)) => {
+                assert!(why.starts_with("reply exceeds the frame cap"), "{why}");
                 assert!(why.contains("4097") && why.contains("4096"), "{why}");
             }
             other => panic!("expected an error reply, got {other:?}"),
         }
+    }
+
+    /// A served test host: eight subset rows, flushed only on request.
+    fn front() -> NetFront {
+        let mut g = DynGraph::with_nodes(40);
+        for u in 0..40u32 {
+            g.insert_edge(u, (u + 1) % 40);
+            g.insert_edge(u, (u * 7 + 3) % 40);
+        }
+        let sources: Vec<u32> = (0..8).collect();
+        let tree = TreeSvdConfig {
+            dim: 4,
+            num_blocks: 2,
+            ..Default::default()
+        };
+        let engine = ShardedEngine::new(&g, &sources, 1, PprConfig::default(), tree);
+        let cfg = ServeConfig {
+            flush_max_events: 1 << 20,
+            flush_interval_ms: 60_000,
+            ..Default::default()
+        };
+        NetFront::start(EmbeddingServer::start(engine, cfg))
+    }
+
+    /// One `write` per call: the served epoch when it happened, and how
+    /// many frames it carried.
+    type WriteLog = Arc<Mutex<Vec<(u64, usize)>>>;
+
+    /// The server's end of an in-memory connection, logging every write.
+    struct LoggedWriter {
+        inner: PipeWriter,
+        reader: EmbeddingReader,
+        log: WriteLog,
+    }
+
+    impl Write for LoggedWriter {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            let mut frames = 0;
+            let mut at = 0;
+            while at < bytes.len() {
+                at += decode_frame(&bytes[at..]).expect("whole frames").1;
+                frames += 1;
+            }
+            // Logged before the bytes go out, so the log is complete by the
+            // time the client has read the replies.
+            let epoch = self.reader.snapshot().epoch();
+            self.log.lock().unwrap().push((epoch, frames));
+            self.inner.write_all(bytes)?;
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A transport handing out one prepared connection, then refusing:
+    /// a client over it cannot survive a server-side close by reconnecting.
+    struct Once(Mutex<Option<Duplex>>);
+
+    impl Transport for Once {
+        fn open(&self) -> io::Result<Duplex> {
+            self.0.lock().unwrap().take().ok_or_else(|| {
+                io::Error::new(io::ErrorKind::ConnectionRefused, "one connection only")
+            })
+        }
+    }
+
+    /// A client on a connection `front` serves with payload cap `cap`,
+    /// and the log of the server's writes on it.
+    fn connect(front: &NetFront, cap: usize) -> (NetClient, WriteLog) {
+        let (c2s_w, c2s_r) = pipe(LOOPBACK_PIPE_CAP, Some(POLL));
+        let (s2c_w, s2c_r) = pipe(1 << 20, Some(Duration::from_secs(10)));
+        let log = WriteLog::default();
+        let shared = front.shared.clone();
+        let server_end = Duplex {
+            reader: Box::new(c2s_r),
+            writer: Box::new(LoggedWriter {
+                inner: s2c_w,
+                reader: shared.readers[&0].clone(),
+                log: log.clone(),
+            }),
+            peer: "test".into(),
+        };
+        let registry = shared.clone();
+        let jh = std::thread::spawn(move || serve_connection(shared, server_end, cap));
+        registry.conns.lock().unwrap().push(jh);
+        let client_end = Duplex {
+            reader: Box::new(s2c_r),
+            writer: Box::new(c2s_w),
+            peer: "test".into(),
+        };
+        let client =
+            NetClient::connect(Once(Mutex::new(Some(client_end))), ClientConfig::default());
+        (client.unwrap(), log)
+    }
+
+    fn writes(log: &WriteLog) -> Vec<(u64, usize)> {
+        log.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn a_pipelined_burst_is_answered_with_one_write() {
+        let front = front();
+        let (mut client, log) = connect(&front, MAX_PAYLOAD as usize);
+        let burst: Vec<Request> = (0..16).map(|i| Request::GetRows(vec![i % 8, 3])).collect();
+        assert_eq!(client.pipeline(&burst).unwrap().len(), 16);
+        assert_eq!(writes(&log), [(0, 16)]);
+        drop(client);
+        front.shutdown();
+    }
+
+    #[test]
+    fn sequential_round_trips_are_never_held_back() {
+        let front = front();
+        let (mut client, log) = connect(&front, MAX_PAYLOAD as usize);
+        for i in 0..16 {
+            client.get_rows(&[i % 8]).unwrap();
+        }
+        assert_eq!(writes(&log), vec![(0, 1); 16]);
+        drop(client);
+        front.shutdown();
+    }
+
+    #[test]
+    fn replies_ahead_of_a_flush_are_written_before_it_runs() {
+        let front = front();
+        let (mut client, log) = connect(&front, MAX_PAYLOAD as usize);
+        client
+            .submit_events(vec![EdgeEvent::insert(0, 20)])
+            .unwrap();
+        let replies = client
+            .pipeline(&[
+                Request::GetRows(vec![0]),
+                Request::Flush,
+                Request::GetRows(vec![0]),
+            ])
+            .unwrap();
+        assert!(matches!(replies[1], Reply::FlushAck { epoch: 1 }));
+        // The submit ack; the first rows reply alone, written while epoch 0
+        // was still served (the flush had not run); then the flush ack and
+        // the read behind it, together.
+        assert_eq!(writes(&log), [(0, 1), (0, 1), (1, 2)]);
+        drop(client);
+        front.shutdown();
+    }
+
+    #[test]
+    fn an_over_cap_reply_is_a_typed_error_and_the_connection_stays_open() {
+        let front = front();
+        // 8 rows × 4 f64s alone are 256 payload bytes: GetEmbedding is over.
+        let (mut client, log) = connect(&front, 200);
+        let err = client.get_embedding().unwrap_err();
+        assert!(
+            err.to_string().contains("reply exceeds the frame cap"),
+            "{err}"
+        );
+        // Same connection (the transport cannot reopen it): still served.
+        client.ping().unwrap();
+        assert_eq!(client.get_rows(&[1]).unwrap().rows.len(), 1);
+        assert_eq!(client.reconnects(), 0);
+        assert_eq!(writes(&log).len(), 3);
+        drop(client);
+        front.shutdown();
     }
 }

@@ -2,9 +2,11 @@
 //! protocol (`std::net` only — no external deps, per the workspace
 //! hermeticity gate).
 //!
-//! * [`wire`] — frame codec: length-prefixed, versioned, FNV-checksummed
+//! * [`wire`] — frame codec: length-prefixed, versioned, checksummed
 //!   frames; `f64`s travel as raw bits so replies are bitwise identical to
-//!   in-process values. See the module docs for the byte-level spec.
+//!   in-process values. See the module docs for the byte-level spec. Also
+//!   the buffered stream halves every connection uses
+//!   ([`FrameReader`](wire::FrameReader) and the crate's `FrameWriter`).
 //! * [`transport`] — the [`Transport`] abstraction: [`TcpTransport`] for
 //!   real sockets, plus a bounded in-memory pipe behind
 //!   [`LoopbackTransport`] for deterministic in-process testing.

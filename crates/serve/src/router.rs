@@ -86,8 +86,7 @@ use tsvd_graph::EdgeEvent;
 
 use crate::config::RouterConfig;
 use crate::net::wire::{
-    fnv1a64, read_frame_until, write_frame, Message, Reply, Request, RowsReply, TopKReply,
-    FNV_OFFSET,
+    fnv1a64, FrameReader, FrameWriter, Message, Reply, Request, RowsReply, TopKReply, FNV_OFFSET,
 };
 use crate::net::{ClientConfig, NetClient, TcpTransport};
 use crate::query::Metric;
@@ -1234,46 +1233,47 @@ impl RouterFront {
 /// One router connection: read frames, execute (reads over this
 /// connection's own [`ReadSession`]; writes against the shared router
 /// under its lock), write replies. Synchronous per connection;
-/// concurrency comes from multiple connections.
-fn serve_connection(inner: Arc<FrontInner>, mut reader: impl io::Read, mut writer: impl io::Write) {
+/// concurrency comes from multiple connections. Replies follow the wire
+/// layer's coalescing contract: one write per pipelined burst, nothing
+/// held back behind a lone request, and what is buffered goes out before
+/// a request that can block.
+fn serve_connection(inner: Arc<FrontInner>, reader: impl io::Read, writer: impl io::Write) {
     let should_stop = {
         let inner = inner.clone();
         move || inner.stop.load(Ordering::Acquire)
     };
     let mut session = ReadSession::new(inner.shared.clone());
+    let mut reader = FrameReader::new(reader);
+    let mut out = FrameWriter::new(writer);
     loop {
-        match read_frame_until(&mut reader, &should_stop) {
+        match reader.read_frame_until(&should_stop) {
             Ok(Some(frame)) => {
                 let (reply, close) = match frame.message {
-                    Message::Request(req) => execute(&inner, &mut session, frame.tenant, req),
+                    Message::Request(req) => {
+                        if req.may_block() && out.flush().is_err() {
+                            break;
+                        }
+                        execute(&inner, &mut session, frame.tenant, req)
+                    }
                     Message::Reply(_) => (
                         Reply::Error("reply-direction frame on the request path".into()),
                         true,
                     ),
                 };
-                let wrote = write_frame(
-                    &mut writer,
-                    frame.request_id,
-                    frame.tenant,
-                    &Message::Reply(reply),
-                );
-                if wrote.is_err() || close {
+                out.push_reply(frame.request_id, frame.tenant, reply);
+                if close || out.end_reply(reader.has_buffered_frame()).is_err() {
                     break;
                 }
             }
             Ok(None) => break, // clean EOF or stop
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = write_frame(
-                    &mut writer,
-                    0,
-                    0,
-                    &Message::Reply(Reply::Error(e.to_string())),
-                );
+                out.push_reply(0, 0, Reply::Error(e.to_string()));
                 break;
             }
             Err(_) => break,
         }
     }
+    let _ = out.flush(); // nothing answered stays behind
 }
 
 /// Execute one request. Reads (`GetRows`, `TopK`) run on this

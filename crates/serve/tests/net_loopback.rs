@@ -10,7 +10,7 @@ use tsvd_core::TreeSvdConfig;
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
-use tsvd_serve::net::wire::{self, Message, Reply, Request};
+use tsvd_serve::net::wire::{self, FrameReader, Message, Reply, Request, WIRE_VERSION};
 use tsvd_serve::net::Transport;
 use tsvd_serve::{ClientConfig, EmbeddingServer, NetClient, NetFront, ServeConfig, ShardedEngine};
 
@@ -188,6 +188,46 @@ fn pipelined_requests_execute_in_order_with_one_round_trip_per_batch() {
 }
 
 #[test]
+fn pipelined_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
+    let g = base_graph();
+    let server = EmbeddingServer::start(engine(&g, 2), manual_flush(2));
+    let front = NetFront::start(server);
+    let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
+    client.submit_events(event_chunks().remove(0)).unwrap();
+    assert_eq!(client.flush().unwrap(), 1);
+
+    // 16 different node lists, so a reply out of order cannot match.
+    let lists: Vec<Vec<u32>> = (0..16u32)
+        .map(|i| (0..8).map(|j| (i * 5 + j * 3) % 14).collect())
+        .collect();
+    let burst: Vec<Request> = lists.iter().cloned().map(Request::GetRows).collect();
+    let replies = client.pipeline(&burst).unwrap();
+    assert_eq!(replies.len(), 16);
+    for (nodes, reply) in lists.iter().zip(&replies) {
+        let Reply::Rows(piped) = reply else {
+            panic!("expected Rows, got {reply:?}");
+        };
+        let single = client.get_rows(nodes).unwrap();
+        assert_eq!((piped.epoch, single.epoch), (1, 1));
+        assert_eq!(piped.checksum_bits, single.checksum_bits);
+        assert_eq!(piped.dim, single.dim);
+        let bits = |r: &wire::RowsReply| -> Vec<Option<Vec<u64>>> {
+            r.rows
+                .iter()
+                .map(|row| {
+                    row.as_ref()
+                        .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                })
+                .collect()
+        };
+        assert_eq!(bits(piped), bits(&single), "nodes {nodes:?}");
+    }
+
+    drop(client);
+    front.shutdown();
+}
+
+#[test]
 fn client_reconnects_and_retries_idempotent_calls() {
     let g = base_graph();
     let server = EmbeddingServer::start(engine(&g, 1), manual_flush(1));
@@ -221,24 +261,37 @@ fn corrupt_frame_draws_connection_error_then_close() {
     let server = EmbeddingServer::start(engine(&g, 1), manual_flush(1));
     let front = NetFront::start(server);
 
-    // Talk raw bytes through the transport, bypassing the client.
+    // Talk raw bytes through the transport, bypassing the client: three
+    // good frames and a corrupt one, all in the same write.
     let lb = front.loopback();
     let mut duplex = lb.open().unwrap();
     let mut buf = Vec::new();
+    for id in 1..=3 {
+        wire::encode_frame(id, 0, &Message::Request(Request::Ping), &mut buf);
+    }
+    let bad = buf.len();
     wire::encode_frame(9, 0, &Message::Request(Request::Ping), &mut buf);
-    buf[20] ^= 0x40; // corrupt the checksum field
+    buf[bad + 20] ^= 0x40; // corrupt the checksum field
     duplex.writer.write_all(&buf).unwrap();
     duplex.writer.flush().unwrap();
 
-    let frame = wire::read_frame(&mut duplex.reader).unwrap().unwrap();
+    // The frames ahead of the bad one are answered, in order…
+    let mut replies = FrameReader::new(&mut duplex.reader);
+    for id in 1..=3 {
+        let frame = replies.read_frame().unwrap().unwrap();
+        assert_eq!(frame.request_id, id);
+        assert_eq!(frame.message, Message::Reply(Reply::Pong));
+    }
+    // …then the connection-level error…
+    let frame = replies.read_frame().unwrap().unwrap();
     assert_eq!(frame.request_id, 0, "connection-level error uses id 0");
     assert!(
         matches!(frame.message, Message::Reply(Reply::Error(_))),
         "expected an error reply, got {:?}",
         frame.message
     );
-    // After reporting, the server closes: clean EOF.
-    assert!(wire::read_frame(&mut duplex.reader).unwrap().is_none());
+    // …and after reporting, the server closes: clean EOF.
+    assert!(replies.read_frame().unwrap().is_none());
 
     // The front is still healthy for well-behaved clients.
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
@@ -254,31 +307,35 @@ fn old_version_frame_draws_connection_error_then_close() {
     let server = EmbeddingServer::start(engine(&g, 1), manual_flush(1));
     let front = NetFront::start(server);
 
-    // A well-formed v2 frame downgraded to v1: the version check fires
-    // before the checksum, so negotiation fails closed at the first frame.
+    // A well-formed current frame downgraded to v1 or v2: the version
+    // check fires before the checksum, so negotiation fails closed at the
+    // first frame.
     let lb = front.loopback();
-    let mut duplex = lb.open().unwrap();
-    let mut buf = Vec::new();
-    wire::encode_frame(9, 0, &Message::Request(Request::Ping), &mut buf);
-    buf[2] = 1; // stamp the previous wire version
-    duplex.writer.write_all(&buf).unwrap();
-    duplex.writer.flush().unwrap();
+    for old in 1..WIRE_VERSION {
+        let mut duplex = lb.open().unwrap();
+        let mut buf = Vec::new();
+        wire::encode_frame(9, 0, &Message::Request(Request::Ping), &mut buf);
+        buf[2] = old; // stamp a previous wire version
+        duplex.writer.write_all(&buf).unwrap();
+        duplex.writer.flush().unwrap();
 
-    let frame = wire::read_frame(&mut duplex.reader).unwrap().unwrap();
-    assert_eq!(frame.request_id, 0, "connection-level error uses id 0");
-    assert_eq!(frame.tenant, 0, "connection-level error is tenant-less");
-    assert!(
-        matches!(frame.message, Message::Reply(Reply::Error(_))),
-        "expected an error reply, got {:?}",
-        frame.message
-    );
-    assert!(wire::read_frame(&mut duplex.reader).unwrap().is_none());
+        let mut replies = FrameReader::new(&mut duplex.reader);
+        let frame = replies.read_frame().unwrap().unwrap();
+        assert_eq!(frame.request_id, 0, "connection-level error uses id 0");
+        assert_eq!(frame.tenant, 0, "connection-level error is tenant-less");
+        match &frame.message {
+            Message::Reply(Reply::Error(why)) => {
+                assert!(why.contains(&format!("version {old}")), "{why}")
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert!(replies.read_frame().unwrap().is_none());
+    }
 
     // The front is still healthy for current-version clients.
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
     client.ping().unwrap();
     drop(client);
-    drop(duplex);
     front.shutdown();
 }
 

@@ -15,8 +15,9 @@ use tsvd_graph::EdgeEvent;
 use tsvd_rt::check::{Checker, Gen};
 use tsvd_rt::{ensure, ensure_eq};
 use tsvd_serve::net::wire::{
-    decode_frame, encode_frame, fnv1a64, CheckpointReply, EmbeddingReply, Message, Reply, Request,
-    RowsReply, TopKReply, WindowsReply, WireError, FNV_OFFSET, HEADER_LEN, MAX_PAYLOAD, MAX_TOP_K,
+    decode_frame, encode_frame, frame_checksum, CheckpointReply, EmbeddingReply, Message, Reply,
+    Request, RowsReply, TopKReply, WindowsReply, WireError, HEADER_LEN, MAX_PAYLOAD, MAX_TOP_K,
+    WIRE_VERSION,
 };
 use tsvd_serve::{HostStats, Metric, ServeStats, StatsReply};
 
@@ -291,8 +292,9 @@ fn prop_tenant_id_byte_flips_are_rejected() {
 
 #[test]
 fn prop_old_version_frames_are_rejected_from_header_alone() {
-    // Version negotiation fails closed: a v1 (or any non-current) version
-    // byte is rejected as BadVersion before the payload is even looked at.
+    // Version negotiation fails closed: a v1, v2 (or any non-current)
+    // version byte is rejected as BadVersion before the payload is even
+    // looked at.
     Checker::new(200).run("wire_bad_version", |g| {
         let msg = gen_message(g);
         let mut buf = Vec::new();
@@ -340,7 +342,7 @@ fn prop_fuzz_bytes_never_panic_decoder() {
         if g.bool() && bytes.len() >= HEADER_LEN {
             bytes[0..2].copy_from_slice(&0x5654u16.to_le_bytes());
             if g.bool() {
-                bytes[2] = 2; // valid version
+                bytes[2] = WIRE_VERSION;
             }
             if g.bool() {
                 // In-range announced length; checksum still random.
@@ -361,7 +363,7 @@ fn oversized_announcement_is_rejected_without_allocation() {
     // header. (If it tried to allocate, this test would OOM, not fail.)
     let mut buf = vec![0u8; HEADER_LEN];
     buf[0..2].copy_from_slice(&0x5654u16.to_le_bytes());
-    buf[2] = 2;
+    buf[2] = WIRE_VERSION;
     buf[3] = 0x01;
     buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
@@ -392,7 +394,7 @@ fn checkpoint_body_length_beyond_payload_rejected_before_allocation() {
     );
     // The length field sits right after the u64 epoch in the payload.
     buf[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-    let crc = fnv1a64(fnv1a64(FNV_OFFSET, &buf[2..20]), &buf[HEADER_LEN..]);
+    let crc = frame_checksum(&buf[2..20], &buf[HEADER_LEN..]);
     buf[20..28].copy_from_slice(&crc.to_le_bytes());
     assert_eq!(
         decode_frame(&buf),

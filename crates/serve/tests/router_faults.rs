@@ -26,7 +26,7 @@ use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 use tsvd_serve::net::wire::{
-    encode_frame, read_frame, Message, Reply, Request, RowsReply, TopKReply,
+    encode_frame, FrameReader, Message, Reply, Request, RowsReply, TopKReply,
 };
 use tsvd_serve::net::{ClientConfig, NetClient, TcpTransport};
 use tsvd_serve::{
@@ -244,7 +244,8 @@ fn scripted_shard(dim: usize) -> String {
             while let Ok((mut stream, _)) = listener.accept() {
                 conn_no += 1;
                 let corrupt = conn_no == 1;
-                while let Ok(Some(frame)) = read_frame(&mut stream) {
+                let mut frames = FrameReader::new(stream.try_clone().unwrap());
+                while let Ok(Some(frame)) = frames.read_frame() {
                     if corrupt {
                         // Not a frame at all: wrong magic, then noise.
                         let _ = stream.write_all(&[0xDE; 64]);
@@ -623,7 +624,8 @@ fn stalling_shard(
                 let write_seen = write_seen.clone();
                 let sub = sub.clone();
                 thread::spawn(move || {
-                    while let Ok(Some(frame)) = read_frame(&mut stream) {
+                    let mut frames = FrameReader::new(stream.try_clone().unwrap());
+                    while let Ok(Some(frame)) = frames.read_frame() {
                         let reply = match frame.message {
                             Message::Request(Request::SubmitEvents(events)) => {
                                 write_seen.store(true, Ordering::Release);
@@ -786,6 +788,61 @@ fn divergent_quota_rejection_rides_the_failover_ladder() {
     assert_eq!(router.flush().unwrap(), 1);
     assert_shard_matches_offline(&g, map.sources_of(0), &a0, 1);
 
+    front0.shutdown_host();
+    front1.shutdown_host();
+}
+
+/// A 16-deep pipeline through the router's front is answered in request
+/// order, each reply bitwise the single call for the same nodes at the
+/// same epoch — coalescing the replies into one write changes no byte.
+#[test]
+fn a_pipeline_through_the_router_front_is_the_single_calls_in_order() {
+    let g = fixed_graph();
+    let sub = subset();
+    let map = ShardMap::even_split(&sub, 2);
+    let (front0, a0) = spawn_shard(&g, map.sources_of(0), serve_cfg());
+    let (front1, a1) = spawn_shard(&g, map.sources_of(1), serve_cfg());
+    let mut router = Router::connect(
+        map,
+        vec![
+            ShardEndpoint::leader_only(&a0),
+            ShardEndpoint::leader_only(&a1),
+        ],
+        RouterConfig::default(),
+    )
+    .unwrap();
+    router.submit(window(0)).unwrap();
+    assert_eq!(router.flush().unwrap(), 1);
+    let front = RouterFront::start(router);
+    let addr = front.listen("127.0.0.1:0").unwrap().to_string();
+    let mut client = direct_client(&addr);
+
+    // 16 different node lists across both ranges, so a reply out of order
+    // cannot match its single call.
+    let lists: Vec<Vec<u32>> = (0..16u32)
+        .map(|i| (0..5).map(|j| (i + j * 5) % 12).collect())
+        .collect();
+    let burst: Vec<Request> = lists.iter().cloned().map(Request::GetRows).collect();
+    let replies = client.pipeline(&burst).unwrap();
+    assert_eq!(replies.len(), 16);
+    for (nodes, reply) in lists.iter().zip(&replies) {
+        let Reply::Rows(piped) = reply else {
+            panic!("expected Rows, got {reply:?}");
+        };
+        let single = client.get_rows(nodes).unwrap();
+        assert_eq!((piped.epoch, single.epoch), (1, 1));
+        assert_eq!(piped.checksum_bits, single.checksum_bits);
+        let bits = |r: &RowsReply| -> Vec<Vec<u64>> {
+            r.rows
+                .iter()
+                .map(|row| row.as_ref().unwrap().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(piped), bits(&single), "nodes {nodes:?}");
+    }
+
+    drop(client);
+    front.shutdown().unwrap();
     front0.shutdown_host();
     front1.shutdown_host();
 }
