@@ -26,7 +26,11 @@
 #      codec's property battery (tsvd-serve's net_props: round trips,
 #      every byte flip, truncations, fuzz) once more with --release: what
 #      a decoder refuses must not depend on overflow checks or a
-#      `debug_assert!` that an optimised build compiles out;
+#      `debug_assert!` that an optimised build compiles out; and the
+#      top-k kernel's tests (tsvd-linalg `topk`: batch ≡ naive per query,
+#      bitwise) plus the top-k serving equivalence suite with --release,
+#      because the vectorised form of the batch scan exists only in
+#      optimised builds;
 #   7. env matrix — only four env vars are read by anything, and each leg
 #      runs exactly the suites that read its var under a value steps 5–6
 #      did not already cover:
@@ -43,11 +47,13 @@
 #          multi-process router soak with every shard journaling through
 #          a WalStore;
 #        threads4 — TSVD_THREADS=4: the top-k serving equivalence suite
-#          (scan ≡ naive, wire, router merge, follower), the window
-#          path's bitwise pins (patch path ≡ whole-row composition, the
-#          pre-patch golden) and the checkpoint round trip (encoded bytes
-#          must not depend on the thread count) with more pool
-#          participants than this box has cores;
+#          (scan ≡ naive, wire, router merge, follower — the scan itself
+#          no longer reads the pool, but the flushes that publish the
+#          snapshots it scans do), the window path's bitwise pins (patch
+#          path ≡ whole-row composition, the pre-patch golden) and the
+#          checkpoint round trip (encoded bytes must not depend on the
+#          thread count) with more pool participants than this box has
+#          cores;
 #   8. bench smoke — every registered rt::bench target (all eleven
 #      `[[bench]]` entries of crates/bench) runs once, no timing paid:
 #      the PPR push cells (incl. the in-place two-event update and the
@@ -56,7 +62,7 @@
 #      WAL append/recovery suite with its checkpoint-format cells (JSON
 #      vs binary write and load of a `base`-shape host: ≈ 1 s to build,
 #      ≈ 2 s for the JSON pair), and the top-k query grid (which asserts
-#      zero allocations per warm scan even in smoke).
+#      zero allocations per warm scan and warm batch even in smoke).
 #
 # A per-step wall-clock summary is printed at the end.
 #
@@ -133,9 +139,11 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "release decoders: tsvd-store + wire net_props (bounds without debug checks)"
+step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence"
 cargo test --release -q -p tsvd-store
 cargo test --release -q -p tsvd-serve --test net_props
+cargo test --release -q -p tsvd-linalg topk
+cargo test --release -q -p tsvd-serve --test query_equivalence
 
 # Env matrix (header, step 7). The two svd-update legs share one battery:
 # the tsvd-serve package (unit tests, codec property/fuzz tests, loopback

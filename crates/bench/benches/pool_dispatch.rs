@@ -3,7 +3,11 @@
 //!
 //! The interesting regime is *small batches* — the per-update fan-outs of
 //! Algorithms 2 and 4, where the parallel region body is microseconds and
-//! per-region thread spawn/join used to dominate. The spawn variant below
+//! per-region thread spawn/join used to dominate. The `tiny_10x1us` cell
+//! is the smallest such region: ten chunks of ≈ 1 µs, the shape a
+//! 600-row top-k scan had when it was split into 64-row panels over the
+//! pool. The pool's median minus the serial median there is what one
+//! dispatch costs, recorded as the `tiny_region_dispatch_ns` param. The spawn variant below
 //! reproduces the seed's `tsvd_graph::par::par_map` verbatim so the two
 //! sides dispatch the same chunked index loop and differ only in how the
 //! worker threads come to exist.
@@ -53,6 +57,9 @@ where
         .collect()
 }
 
+/// `busy_work` rounds in ≈ 1 µs: one chunk of the `tiny_10x1us` region.
+const TINY_ROUNDS: usize = 300;
+
 /// A few hundred nanoseconds of integer work — the scale of one dynamic
 /// forward-push touch-up on a quiet source.
 fn busy_work(i: usize, rounds: usize) -> u64 {
@@ -79,6 +86,28 @@ fn main() {
         h.bench(&format!("serial/batch_{batch}"), || {
             (0..batch).map(|i| busy_work(i, 100)).collect::<Vec<u64>>()
         });
+    }
+    let tiny = "tiny_10x1us";
+    h.bench(&format!("pool_par_map/{tiny}"), || {
+        pool::par_map(10, |i| busy_work(i, TINY_ROUNDS))
+    });
+    h.bench(&format!("serial/{tiny}"), || {
+        (0..10)
+            .map(|i| busy_work(i, TINY_ROUNDS))
+            .collect::<Vec<u64>>()
+    });
+    let median = |name: String| {
+        h.results()
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.median_ns)
+    };
+    // Absent when a name filter skipped either cell.
+    if let (Some(pooled), Some(serial)) = (
+        median(format!("pool_par_map/{tiny}")),
+        median(format!("serial/{tiny}")),
+    ) {
+        h.record_param("tiny_region_dispatch_ns", pooled - serial);
     }
     h.finish();
 }

@@ -2,12 +2,15 @@
 //! scan against the naive score-everything-and-sort reference at the
 //! kernel level, and `EpochSnapshot::top_k` — the same scan behind the
 //! node lookup, the thread-local scratch and the row→node mapping — at
-//! the snapshot level.
+//! the snapshot level. At the serving shape (`n ∈ {300, 600}`, `d = 64`,
+//! `k = 10`) the batch entry scoring `m ∈ {1, 16}` queries in one call
+//! sits beside `m` single-query scans: what a pipelined run of `m`
+//! `TopK` requests costs the front one way and the other.
 //!
 //! One extra check rides along: a counting `#[global_allocator]` asserts
-//! the serial scan kernel performs **zero** allocations per query once
-//! its scratch is warm (the per-epoch norms are cached on the snapshot;
-//! the kernel itself must never touch the heap).
+//! the scan kernel — single query and batch — performs **zero**
+//! allocations per call once its scratch is warm (the per-epoch norms are
+//! cached on the snapshot; the kernel itself must never touch the heap).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -15,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tsvd_core::{Embedding, PipelineTimings};
-use tsvd_linalg::topk::{topk_scan, topk_scan_naive, Hit, ScanScratch};
+use tsvd_linalg::topk::{topk_scan, topk_scan_batch, topk_scan_naive, Hit, ScanQuery, ScanScratch};
 use tsvd_linalg::DenseMatrix;
 use tsvd_rt::bench::{black_box, BenchHarness};
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
@@ -153,7 +156,56 @@ fn main() {
         }
     }
 
-    // ── Zero-allocation assertion on the serial kernel path ──────────
+    // ── Serving shape: one batch of m queries vs m single scans ──────
+    let (d, k) = (64usize, 10usize);
+    let ms = [1usize, 16];
+    h.record_param(
+        "batch_m_grid",
+        ms.iter().map(|&m| m as u64).collect::<Vec<u64>>(),
+    );
+    for n in [300usize, 600] {
+        let data = clustered_data(n as u64 ^ 0xBA7C, n, d);
+        // Node queries, as a pipelined run sends them: rows of the matrix.
+        let probes: Vec<usize> = (0..16).map(|i| (i * 37 + 5) % n).collect();
+        for &m in &ms {
+            let queries: Vec<ScanQuery> = probes[..m]
+                .iter()
+                .map(|&r| ScanQuery {
+                    q: &data[r * d..(r + 1) * d],
+                    k,
+                    exclude: Some(r as u32),
+                    q_scale: 1.0,
+                    row_scale: None,
+                })
+                .collect();
+            let mut scratch = ScanScratch::new();
+            let mut outs: Vec<Vec<Hit>> = vec![Vec::new(); m];
+            h.bench(&format!("scan_batch/n{n}/d{d}/k{k}/m{m}"), || {
+                topk_scan_batch(black_box(&data), n, d, &queries, &mut scratch, &mut outs);
+                black_box(outs.len())
+            });
+            let mut out: Vec<Hit> = Vec::new();
+            h.bench(&format!("scan_singles/n{n}/d{d}/k{k}/m{m}"), || {
+                for query in &queries {
+                    topk_scan(
+                        black_box(&data),
+                        n,
+                        d,
+                        query.q,
+                        k,
+                        query.exclude,
+                        1.0,
+                        None,
+                        &mut scratch,
+                        &mut out,
+                    );
+                    black_box(out.len());
+                }
+            });
+        }
+    }
+
+    // ── Zero-allocation assertion on the kernel, single and batch ────
     // Warm the scratch once, then count allocations across real queries:
     // the steady state must not touch the allocator at all.
     {
@@ -161,7 +213,6 @@ fn main() {
         let data = clustered_data(7, n, d);
         let q = query_vec(11, d);
         let mut scratch = ScanScratch::new();
-        scratch.serial = true;
         let mut out: Vec<Hit> = Vec::new();
         topk_scan(&data, n, d, &q, k, None, 1.0, None, &mut scratch, &mut out);
         let before = ALLOCS.load(Ordering::Relaxed);
@@ -183,9 +234,36 @@ fn main() {
         let allocs = ALLOCS.load(Ordering::Relaxed) - before;
         assert_eq!(
             allocs, 0,
-            "serial scan kernel allocated {allocs} times across 16 warm queries"
+            "scan kernel allocated {allocs} times across 16 warm queries"
         );
         h.record_param("scan_allocs_per_warm_query", 0u64);
+
+        // Eleven queries: one full lane group and a three-query tail.
+        let vectors: Vec<Vec<f64>> = (0..11).map(|i| query_vec(20 + i, d)).collect();
+        let queries: Vec<ScanQuery> = vectors
+            .iter()
+            .enumerate()
+            .map(|(i, q)| ScanQuery {
+                q,
+                k: k + i,
+                exclude: Some(i as u32),
+                q_scale: 1.0,
+                row_scale: None,
+            })
+            .collect();
+        let mut outs: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
+        topk_scan_batch(&data, n, d, &queries, &mut scratch, &mut outs);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..16 {
+            topk_scan_batch(&data, n, d, &queries, &mut scratch, &mut outs);
+            black_box(outs.len());
+        }
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            allocs, 0,
+            "batch scan kernel allocated {allocs} times across 16 warm batches"
+        );
+        h.record_param("batch_allocs_per_warm_call", 0u64);
     }
 
     // ── Snapshot level: the published-snapshot path queries serve from ─

@@ -9,7 +9,6 @@
 //!   adjacency operators);
 //! * [`qr`] — Householder QR (thin Q), the orthonormalisation kernel of
 //!   randomized SVD;
-//! * [`eigen`] — cyclic Jacobi eigensolver for small symmetric matrices;
 //! * [`svd`] — exact truncated SVD via one-sided Jacobi (with a QR
 //!   pre-reduction for tall matrices);
 //! * [`randomized`] — Halko–Martinsson–Tropp randomized SVD, including the
@@ -22,8 +21,8 @@
 //!   deltas (Brand/Zha–Simon), the cheap tiers of the dynamic layer's
 //!   three-tier update policy;
 //! * [`sketch`] — Frequent-Directions matrix sketching (the FREDE baseline);
-//! * [`topk`] — cache-blocked, deterministic top-k similarity scan (the
-//!   serving layer's query kernel);
+//! * [`topk`] — deterministic top-k similarity scan, one query or a batch
+//!   (the serving layer's query kernel);
 //! * [`rng`] — Gaussian sampling via Box–Muller on top of `rand`.
 //!
 //! All numerics are `f64`. Matrices are small enough in this system
@@ -32,7 +31,6 @@
 
 mod csr;
 mod dense;
-pub mod eigen;
 pub(crate) mod gr;
 pub mod lanczos;
 pub mod qr;

@@ -5,6 +5,7 @@ use tsvd_linalg::qr::qr;
 use tsvd_linalg::randomized::randomized_svd;
 use tsvd_linalg::sketch::FrequentDirections;
 use tsvd_linalg::svd::{exact_svd, exact_truncated_svd};
+use tsvd_linalg::topk::{topk_scan_batch, topk_scan_naive, Hit, ScanQuery, ScanScratch};
 use tsvd_linalg::{
     svd_core_patch, svd_update_rows, CsrMatrix, DenseMatrix, RandomizedSvdConfig, RowDelta,
 };
@@ -309,6 +310,108 @@ fn frequent_directions_covariance_bound() {
             "{err} > {}",
             frob_sq / l as f64
         );
+        Ok(())
+    });
+}
+
+/// An entry for the top-k property: a small set of values so scores tie,
+/// signed zeros so products and scores land on `±0`, a NaN now and then
+/// (one canonical NaN and no infinities, so every NaN score carries the
+/// same bits), otherwise a bounded random value.
+fn topk_entry(g: &mut Gen) -> f64 {
+    match g.usize_in(0..12) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.0,
+        3 => -1.0,
+        4 => 0.5,
+        5 if g.prob(0.2) => f64::NAN,
+        _ => g.f64_in(-4.0..4.0),
+    }
+}
+
+#[test]
+fn topk_batch_is_bitwise_the_naive_scan_per_query() {
+    let bits = |hits: &[Hit]| -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.row, h.score.to_bits())).collect()
+    };
+    // Every case runs one batch through a scratch reused from the last.
+    let scratch = std::cell::RefCell::new(ScanScratch::new());
+    Checker::new(256).run("topk_batch_is_bitwise_the_naive_scan_per_query", |g| {
+        let rows = g.usize_in(0..42);
+        let dim = [1, 2, 3, 4, 5, 7, 8, 9, 13, 64][g.usize_in(0..10)];
+        let data: Vec<f64> = (0..rows * dim).map(|_| topk_entry(g)).collect();
+        // Cosine-style scales: negative and zero ones make `±0` scores,
+        // inexact ones pin the parenthesisation.
+        let row_scale: Vec<f64> = (0..rows)
+            .map(|_| [1.0, -1.0, 0.0, 0.7, 1.3][g.usize_in(0..5)])
+            .collect();
+        let m = g.usize_in(1..18);
+        let mut vectors: Vec<Vec<f64>> = Vec::new();
+        let mut params = Vec::new();
+        for i in 0..m {
+            if i > 0 && g.prob(0.25) {
+                // A duplicate of an earlier query, vector and all.
+                let j = g.usize_in(0..i);
+                vectors.push(vectors[j].clone());
+                params.push(params[j]);
+                continue;
+            }
+            // Rows of the matrix double as queries, as node queries do.
+            let q = if rows > 0 && g.bool() {
+                let r = g.usize_in(0..rows);
+                data[r * dim..(r + 1) * dim].to_vec()
+            } else {
+                (0..dim).map(|_| topk_entry(g)).collect()
+            };
+            vectors.push(q);
+            let k = [0, 1, 10, rows + 1 + g.usize_in(0..4)][g.usize_in(0..4)];
+            let exclude = match g.usize_in(0..3) {
+                0 => None,
+                1 if rows > 0 => Some(g.usize_in(0..rows) as u32),
+                _ => Some((rows + 5) as u32),
+            };
+            let cosine = g.bool().then(|| [1.0, -1.0, 0.0, 0.3][g.usize_in(0..4)]);
+            params.push((k, exclude, cosine));
+        }
+        let queries: Vec<ScanQuery> = vectors
+            .iter()
+            .zip(&params)
+            .map(|(q, &(k, exclude, cosine))| ScanQuery {
+                q,
+                k,
+                exclude,
+                q_scale: cosine.unwrap_or(1.0),
+                row_scale: cosine.map(|_| row_scale.as_slice()),
+            })
+            .collect();
+        let mut outs = vec![Vec::new(); m];
+        topk_scan_batch(
+            &data,
+            rows,
+            dim,
+            &queries,
+            &mut scratch.borrow_mut(),
+            &mut outs,
+        );
+        for (i, (query, got)) in queries.iter().zip(&outs).enumerate() {
+            let want = topk_scan_naive(
+                &data,
+                rows,
+                dim,
+                query.q,
+                query.k,
+                query.exclude,
+                query.q_scale,
+                query.row_scale,
+            );
+            ensure_eq!(
+                bits(got),
+                bits(&want),
+                "query {i} of {m} (rows {rows}, dim {dim}, k {})",
+                query.k
+            );
+        }
         Ok(())
     });
 }

@@ -34,9 +34,10 @@
 //!   publishes a complete immutable snapshot via one `Arc` swap; readers
 //!   always observe a whole epoch (checksum-verifiable), never a torn mix,
 //!   and never wait on a flush. A snapshot also answers top-k similarity
-//!   ([`EpochSnapshot::top_k`], [`Metric`]) — one blocked scan over its
-//!   rows, with the row norms cosine needs computed when it is assembled
-//!   (see the [`query`] module docs).
+//!   ([`EpochSnapshot::top_k`], [`EpochSnapshot::top_k_batch`], [`Metric`])
+//!   — one scan over its rows for any number of queries, with the row
+//!   norms cosine needs computed when it is assembled (see the [`query`]
+//!   module docs).
 //! * [`net`] — the network front. A hermetic length-prefixed wire protocol
 //!   (`std::net` only) carries the full server API; [`NetFront`] accepts
 //!   TCP or in-process loopback connections with bounded per-connection
@@ -85,6 +86,6 @@ pub use net::{ClientConfig, NetClient, NetFront, TcpTransport, WindowsPull};
 pub use query::Metric;
 pub use router::{ReadSession, Router, RouterError, RouterFront, ShardEndpoint, ShardMap};
 pub use server::{EmbeddingReader, EmbeddingServer, ServerHandle, SubmitError, DEFAULT_TENANT};
-pub use snapshot::{EpochCell, EpochSnapshot};
+pub use snapshot::{EpochCell, EpochSnapshot, TopKQuery};
 pub use stats::{HostStats, RouterStats, ServeStats, StatsReply};
 pub use tenant::{HostSection, TenantError, TenantHost, TenantId};

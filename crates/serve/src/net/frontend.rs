@@ -9,8 +9,11 @@
 //!             (FrameReader, one     (cap 256 requests:           (EventLoop:
 //!              64 KiB buffer:        backpressure)                execute, encode
 //!              decode, tag each                                   into FrameWriter;
-//!              request "more is                                   write on an
-//!              buffered behind me")                               untagged request)
+//!              request "more is                                   hold a TopK run,
+//!              buffered behind me")                               answer it with
+//!                                                                 one scan; write
+//!                                                                 on an untagged
+//!                                                                 request)
 //!  socket ◀────────────────────────────────── one write_all per burst ──┘
 //! ```
 //!
@@ -22,6 +25,17 @@
 //! ([`Request::may_block`]). A pipelined burst of 16 `GetRows` is
 //! therefore one `read` in and one `write` out. The tag travels with the
 //! request, so the mailbox stays bounded in requests, not bytes.
+//!
+//! A tagged `TopK` is not answered on arrival: it joins the current **run**
+//! of `TopK`s. The run is answered — from one `reader.snapshot()`, by one
+//! call to the batch scan, replies in request order — at its first
+//! untagged `TopK`, when another request kind or another tenant arrives
+//! (before that request runs), at a connection error, when the reader
+//! stops, or at 64 requests. A pipelined burst of 16 `TopK` therefore
+//! costs one scan of the matrix for 16 queries, and every reply in it
+//! names the same epoch. Each answer is bitwise the single-query answer
+//! (see the [`query`](crate::query) module docs); a lone `TopK` is a run
+//! of one, answered at once.
 //!
 //! The bounded mailbox is the backpressure boundary: when a client floods
 //! requests faster than flushes complete, the mailbox fills, the reader
@@ -36,7 +50,7 @@
 //! [`FrameReader::read_frame_until`]).
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -47,7 +61,9 @@ use tsvd_rt::exec::{Event, EventLoop, Flow};
 
 use crate::engine::ShardedEngine;
 use crate::journal::JournalError;
+use crate::query::Metric;
 use crate::server::{EmbeddingReader, ServerHandle, SubmitError};
+use crate::snapshot::TopKQuery;
 use crate::tenant::{TenantHost, TenantId};
 
 use super::transport::{pipe, Duplex, Transport};
@@ -61,6 +77,9 @@ const POLL: Duration = Duration::from_millis(25);
 
 /// Per-connection request queue depth (the backpressure bound).
 const CONN_MAILBOX_CAP: usize = 256;
+
+/// Most pipelined `TopK` requests answered by one scan.
+const TOP_K_RUN_CAP: usize = 64;
 
 /// Byte capacity of each loopback pipe direction (socket-buffer analogue).
 const LOOPBACK_PIPE_CAP: usize = 64 * 1024;
@@ -394,6 +413,10 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex, cap: usize) {
         })
         .expect("spawn tsvd-net-read");
 
+    let mut run = TopKRun {
+        tenant: 0,
+        held: Vec::new(),
+    };
     ev.run(|_timers, event| match event {
         Event::Message(ConnMsg::Request {
             id,
@@ -401,13 +424,45 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex, cap: usize) {
             req,
             more,
         }) => {
-            // What is buffered goes out before anything that can block.
-            if req.may_block() && out.flush().is_err() {
-                conn_stop.store(true, Ordering::Release);
-                return Flow::Stop;
-            }
-            let (reply, close) = execute(&shared, tenant, req);
-            out.push_reply(id, tenant, reply);
+            let close = match req {
+                Request::TopK {
+                    node,
+                    k,
+                    metric,
+                    query,
+                } => {
+                    if run.tenant != tenant {
+                        run.answer(&shared, &mut out);
+                        run.tenant = tenant;
+                    }
+                    run.held.push(HeldTopK {
+                        id,
+                        node,
+                        k,
+                        metric,
+                        query,
+                    });
+                    // Held while more is buffered behind it: the run is
+                    // answered at its last `TopK`, or by whatever ends it.
+                    if more && run.held.len() < TOP_K_RUN_CAP {
+                        return Flow::Continue;
+                    }
+                    run.answer(&shared, &mut out);
+                    false
+                }
+                req => {
+                    run.answer(&shared, &mut out);
+                    // What is buffered goes out before anything that can
+                    // block.
+                    if req.may_block() && out.flush().is_err() {
+                        conn_stop.store(true, Ordering::Release);
+                        return Flow::Stop;
+                    }
+                    let (reply, close) = execute(&shared, tenant, req);
+                    out.push_reply(id, tenant, reply);
+                    close
+                }
+            };
             if close || out.end_reply(more).is_err() {
                 conn_stop.store(true, Ordering::Release);
                 Flow::Stop
@@ -418,6 +473,7 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex, cap: usize) {
         Event::Message(ConnMsg::Corrupt(what)) => {
             // Best-effort connection-level error (request id 0), written
             // with whatever is buffered ahead of it; then close.
+            run.answer(&shared, &mut out);
             out.push_reply(0, 0, Reply::Error(what));
             conn_stop.store(true, Ordering::Release);
             Flow::Stop
@@ -425,9 +481,85 @@ fn serve_connection(shared: Arc<FrontShared>, duplex: Duplex, cap: usize) {
         Event::Timer(_) => Flow::Continue,
     });
     conn_stop.store(true, Ordering::Release);
+    run.answer(&shared, &mut out); // a run the reader ended inside
     let _ = out.flush(); // nothing answered stays behind
     drop(out); // EOF towards the client
     let _ = reader_jh.join();
+}
+
+/// A `TopK` request held in a [`TopKRun`].
+struct HeldTopK {
+    id: u64,
+    node: u32,
+    k: u32,
+    metric: Metric,
+    query: Option<Vec<f64>>,
+}
+
+/// The pipelined `TopK` requests of one tenant the dispatcher holds until
+/// their run ends (module docs), to answer them with one scan.
+struct TopKRun {
+    tenant: u32,
+    held: Vec<HeldTopK>,
+}
+
+impl TopKRun {
+    /// Answer every held request from one snapshot with one batch scan,
+    /// replies appended in request order; the run is left empty. A query
+    /// vector of the wrong dimension, or a tenant this front does not
+    /// serve, is answered with its typed error in its own place.
+    fn answer<W: Write>(&mut self, shared: &FrontShared, out: &mut FrameWriter<W>) {
+        if self.held.is_empty() {
+            return;
+        }
+        let tenant = self.tenant;
+        let Some(reader) = shared.readers.get(&tenant) else {
+            for held in self.held.drain(..) {
+                let why = format!("unknown tenant {tenant}");
+                out.push_reply(held.id, tenant, Reply::Error(why));
+            }
+            return;
+        };
+        let snap = reader.snapshot();
+        let dim = snap.dim();
+        let queries: Vec<TopKQuery> = self
+            .held
+            .iter()
+            .filter_map(|held| match &held.query {
+                Some(q) if q.len() != dim => None,
+                Some(q) => Some(TopKQuery::Vector {
+                    q,
+                    k: held.k as usize,
+                    metric: held.metric,
+                    exclude: Some(held.node),
+                }),
+                None => Some(TopKQuery::Node {
+                    node: held.node,
+                    k: held.k as usize,
+                    metric: held.metric,
+                }),
+            })
+            .collect();
+        let mut answers = snap.top_k_batch(&queries).into_iter();
+        for held in self.held.drain(..) {
+            let reply = match held.query {
+                Some(q) if q.len() != dim => Reply::Error(format!(
+                    "query dim {} does not match embedding dim {dim}",
+                    q.len()
+                )),
+                _ => {
+                    let neighbors = answers.next().expect("one answer per scanned query");
+                    Reply::TopKReply(TopKReply {
+                        epoch: snap.epoch(),
+                        checksum_bits: snap.checksum().to_bits(),
+                        found: neighbors.is_some(),
+                        neighbors: neighbors.unwrap_or_default(),
+                    })
+                }
+            };
+            out.push_reply(held.id, tenant, reply);
+        }
+    }
 }
 
 /// Execute one request against the tenant named in its frame header.
@@ -479,50 +611,9 @@ fn execute(shared: &FrontShared, tenant: u32, req: Request) -> (Reply, bool) {
                 false,
             )
         }
-        Request::TopK {
-            node,
-            k,
-            metric,
-            query,
-        } => {
-            // Readers-only path (no server handle), so follower fronts
-            // serve top-k too — same as GetRows.
-            let Some(reader) = shared.readers.get(&tenant) else {
-                return (Reply::Error(format!("unknown tenant {tenant}")), false);
-            };
-            let snap = reader.snapshot();
-            let (found, neighbors) = match query {
-                Some(q) => {
-                    if q.len() != snap.dim() {
-                        return (
-                            Reply::Error(format!(
-                                "query dim {} does not match embedding dim {}",
-                                q.len(),
-                                snap.dim()
-                            )),
-                            false,
-                        );
-                    }
-                    (
-                        true,
-                        snap.top_k_by_vector(&q, k as usize, metric, Some(node)),
-                    )
-                }
-                None => match snap.top_k(node, k as usize, metric) {
-                    Some(n) => (true, n),
-                    None => (false, Vec::new()),
-                },
-            };
-            (
-                Reply::TopKReply(TopKReply {
-                    epoch: snap.epoch(),
-                    checksum_bits: snap.checksum().to_bits(),
-                    found,
-                    neighbors,
-                }),
-                false,
-            )
-        }
+        // Readers-only path too (no server handle), so follower fronts
+        // serve top-k like GetRows — but always in runs, never here.
+        Request::TopK { .. } => unreachable!("the dispatcher answers TopK in runs"),
         Request::GetEmbedding => {
             let Some(reader) = shared.readers.get(&tenant) else {
                 return (Reply::Error(format!("unknown tenant {tenant}")), false);
@@ -602,7 +693,7 @@ mod tests {
     use tsvd_ppr::PprConfig;
 
     use super::super::transport::PipeWriter;
-    use super::super::wire::decode_frame;
+    use super::super::wire::{decode_frame, encode_frame};
     use super::*;
     use crate::{ClientConfig, EmbeddingServer, NetClient, ServeConfig};
 
@@ -707,9 +798,9 @@ mod tests {
         }
     }
 
-    /// A client on a connection `front` serves with payload cap `cap`,
-    /// and the log of the server's writes on it.
-    fn connect(front: &NetFront, cap: usize) -> (NetClient, WriteLog) {
+    /// The client's ends of a connection `front` serves with payload cap
+    /// `cap`, and the log of the server's writes on it.
+    fn connect_raw(front: &NetFront, cap: usize) -> (Duplex, WriteLog) {
         let (c2s_w, c2s_r) = pipe(LOOPBACK_PIPE_CAP, Some(POLL));
         let (s2c_w, s2c_r) = pipe(1 << 20, Some(Duration::from_secs(10)));
         let log = WriteLog::default();
@@ -731,6 +822,13 @@ mod tests {
             writer: Box::new(c2s_w),
             peer: "test".into(),
         };
+        (client_end, log)
+    }
+
+    /// A client on a connection `front` serves with payload cap `cap`,
+    /// and the log of the server's writes on it.
+    fn connect(front: &NetFront, cap: usize) -> (NetClient, WriteLog) {
+        let (client_end, log) = connect_raw(front, cap);
         let client =
             NetClient::connect(Once(Mutex::new(Some(client_end))), ClientConfig::default());
         (client.unwrap(), log)
@@ -802,6 +900,160 @@ mod tests {
         assert_eq!(client.reconnects(), 0);
         assert_eq!(writes(&log).len(), 3);
         drop(client);
+        front.shutdown();
+    }
+
+    fn top_k(node: u32, k: u32, metric: Metric, query: Option<Vec<f64>>) -> Request {
+        Request::TopK {
+            node,
+            k,
+            metric,
+            query,
+        }
+    }
+
+    /// A pipelined burst of `TopK` replies, as `(epoch, checksum, found,
+    /// neighbours as bits)` — what a bitwise comparison needs.
+    fn top_k_bits(reply: &Reply) -> (u64, u64, bool, Vec<(u32, u64)>) {
+        let Reply::TopKReply(t) = reply else {
+            panic!("expected a TopK reply, got {reply:?}");
+        };
+        let neighbors = t.neighbors.iter().map(|&(n, s)| (n, s.to_bits())).collect();
+        (t.epoch, t.checksum_bits, t.found, neighbors)
+    }
+
+    #[test]
+    fn a_pipelined_top_k_burst_is_one_write_at_one_epoch() {
+        let front = front();
+        let (mut client, log) = connect(&front, MAX_PAYLOAD as usize);
+        let metrics = [Metric::Dot, Metric::Cosine];
+        let burst: Vec<Request> = (0..16u32)
+            .map(|i| top_k(i % 8, 1 + i % 5, metrics[i as usize % 2], None))
+            .collect();
+        let replies = client.pipeline(&burst).unwrap();
+        assert_eq!(writes(&log), [(0, 16)]);
+        let snap = front.shared.readers[&0].snapshot();
+        for (req, reply) in burst.iter().zip(&replies) {
+            let Request::TopK {
+                node, k, metric, ..
+            } = *req
+            else {
+                unreachable!()
+            };
+            let want = snap.top_k(node, k as usize, metric).unwrap();
+            let want = want.iter().map(|&(n, s)| (n, s.to_bits())).collect();
+            assert_eq!(
+                top_k_bits(reply),
+                (0, snap.checksum().to_bits(), true, want)
+            );
+        }
+        drop(client);
+        front.shutdown();
+    }
+
+    #[test]
+    fn a_top_k_run_ahead_of_a_flush_is_answered_and_written_before_it_runs() {
+        let front = front();
+        let (mut client, log) = connect(&front, MAX_PAYLOAD as usize);
+        client
+            .submit_events(vec![EdgeEvent::insert(0, 20)])
+            .unwrap();
+        let replies = client
+            .pipeline(&[
+                top_k(1, 3, Metric::Dot, None),
+                top_k(2, 3, Metric::Cosine, None),
+                Request::Flush,
+                top_k(1, 3, Metric::Dot, None),
+            ])
+            .unwrap();
+        assert!(matches!(replies[2], Reply::FlushAck { epoch: 1 }));
+        let epochs: Vec<u64> = [&replies[0], &replies[1], &replies[3]]
+            .into_iter()
+            .map(|r| top_k_bits(r).0)
+            .collect();
+        assert_eq!(epochs, [0, 0, 1]);
+        // The submit ack; the two-query run, written while epoch 0 was
+        // still served; then the flush ack and the query behind it.
+        assert_eq!(writes(&log), [(0, 1), (0, 2), (1, 2)]);
+        drop(client);
+        front.shutdown();
+    }
+
+    /// Misses and faults inside a run are answered in their own places:
+    /// a node outside the subset is `found: false`, a query vector of the
+    /// wrong dimension and an unknown tenant are typed errors, and the
+    /// queries around them are answered as if alone.
+    #[test]
+    fn misses_and_faults_inside_a_top_k_run_are_answered_in_place() {
+        let front = front();
+        let (duplex, log) = connect_raw(&front, MAX_PAYLOAD as usize);
+        let snap = front.shared.readers[&0].snapshot();
+        let q = snap.get(6).unwrap().to_vec();
+        let burst = [
+            (0, top_k(3, 4, Metric::Dot, None)),
+            (0, top_k(999, 4, Metric::Dot, None)),
+            (0, top_k(2, 4, Metric::Dot, Some(vec![1.0; 3]))),
+            (9, top_k(2, 4, Metric::Dot, None)),
+            (0, top_k(6, 3, Metric::Cosine, Some(q.clone()))),
+            (0, top_k(5, 2, Metric::Cosine, None)),
+        ];
+        let mut bytes = Vec::new();
+        for (i, (tenant, req)) in burst.iter().enumerate() {
+            encode_frame(
+                i as u64 + 1,
+                *tenant,
+                &Message::Request(req.clone()),
+                &mut bytes,
+            );
+        }
+        let Duplex {
+            reader, mut writer, ..
+        } = duplex;
+        writer.write_all(&bytes).unwrap();
+        let mut reader = FrameReader::new(reader);
+        let replies: Vec<_> = (1..=burst.len() as u64)
+            .map(|id| {
+                let frame = reader.read_frame().unwrap().expect("a reply per request");
+                assert_eq!(frame.request_id, id);
+                let Message::Reply(reply) = frame.message else {
+                    panic!("request frame on the reply path");
+                };
+                (frame.tenant, reply)
+            })
+            .collect();
+        let found = |want: Vec<(u32, f64)>| {
+            let want = want.iter().map(|&(n, s)| (n, s.to_bits())).collect();
+            (0, snap.checksum().to_bits(), true, want)
+        };
+        assert_eq!(
+            top_k_bits(&replies[0].1),
+            found(snap.top_k(3, 4, Metric::Dot).unwrap())
+        );
+        assert_eq!(
+            top_k_bits(&replies[1].1),
+            (0, snap.checksum().to_bits(), false, vec![])
+        );
+        assert!(
+            matches!(&replies[2].1, Reply::Error(why) if why == "query dim 3 does not match embedding dim 4"),
+            "{:?}",
+            replies[2]
+        );
+        assert!(
+            matches!(&replies[3], (9, Reply::Error(why)) if why == "unknown tenant 9"),
+            "{:?}",
+            replies[3]
+        );
+        assert_eq!(
+            top_k_bits(&replies[4].1),
+            found(snap.top_k_by_vector(&q, 3, Metric::Cosine, Some(6)))
+        );
+        assert_eq!(
+            top_k_bits(&replies[5].1),
+            found(snap.top_k(5, 2, Metric::Cosine).unwrap())
+        );
+        // The unknown tenant splits the run in two; still one write.
+        assert_eq!(writes(&log), [(0, 6)]);
+        drop((writer, reader));
         front.shutdown();
     }
 }

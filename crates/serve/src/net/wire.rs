@@ -55,6 +55,10 @@
 //! * replies buffered ahead of a request that can block
 //!   ([`Request::may_block`]: `Flush`, `Shutdown`, `GetCheckpoint`) are
 //!   written before it runs;
+//! * on `NetFront`, a pipelined run of `TopK` requests (each with another
+//!   request buffered behind it, one tenant, up to 64) is answered from
+//!   one snapshot: **one `TopK` run shares one epoch**, and every reply in
+//!   it is bitwise the answer the request would get alone;
 //! * a reply whose payload exceeds [`MAX_PAYLOAD`] is replaced by a
 //!   [`Reply::Error`] on the same request id, and the connection stays
 //!   open (`FrameWriter::push_reply`).

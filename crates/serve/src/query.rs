@@ -8,15 +8,18 @@
 //! is told nothing, remembers nothing and compares nothing. A cosine query
 //! is then a scaled dot product with zero per-query norm work.
 //!
-//! Queries run the cache-blocked scan `tsvd_linalg::topk::topk_scan` over
-//! the whole matrix — the one top-k path. Its determinism contract (each
-//! score bitwise the naive sequential dot, hits ordered by score
-//! descending under `total_cmp` with ties to the ascending row, identical
-//! at any thread count) is therefore the contract of every `TopKReply`:
+//! Queries run the batch scan `tsvd_linalg::topk::topk_scan_batch` over
+//! the whole matrix — the one top-k path: a lone query is a batch of one,
+//! and the network front answers a pipelined run of `TopK` requests as one
+//! batch from one snapshot. Its determinism contract — **one sequential
+//! kernel; a batch is bitwise its singles** (each score bitwise the naive
+//! sequential dot, hits ordered by score descending under `total_cmp` with
+//! ties to the ascending row, the same answer alone or in any batch, at
+//! any thread count) — is therefore the contract of every `TopKReply`:
 //! in-process, over the wire, merged by the router, served by a follower.
 
 use tsvd_core::TaggedEmbedding;
-use tsvd_linalg::topk::{topk_scan, Hit, ScanScratch};
+use tsvd_linalg::topk::{topk_scan_batch, Hit, ScanQuery, ScanScratch};
 
 /// Similarity metric of a top-k query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,36 +97,54 @@ impl QueryState {
         &self.norms
     }
 
-    /// Answer a top-k query over `tagged` (the matrix this state was
-    /// built from). `exclude` is a row to skip (the query node itself).
+    /// Answer a batch of top-k queries over `tagged` (the matrix this
+    /// state was built from) with one call to the batch kernel:
+    /// `result[i]` answers `queries[i]`, bitwise as it would alone.
     pub(crate) fn top_k_rows(
         &self,
         tagged: &TaggedEmbedding,
-        q: &[f64],
-        k: usize,
-        metric: Metric,
-        exclude: Option<u32>,
-    ) -> Vec<Hit> {
-        let rows = tagged.num_rows();
-        let dim = tagged.dim();
-        assert_eq!(q.len(), dim, "query dimension mismatch");
-        if k == 0 || rows == 0 {
-            return Vec::new();
-        }
-        let data = tagged.left().as_slice();
-        let (q_scale, row_scale) = match metric {
-            Metric::Dot => (1.0, None),
-            Metric::Cosine => (inv_norm_of(q), Some(self.inv_norms.as_slice())),
-        };
-        let mut out = Vec::new();
+        queries: &[RowQuery<'_>],
+    ) -> Vec<Vec<Hit>> {
+        let scans: Vec<ScanQuery> = queries
+            .iter()
+            .map(|query| {
+                let (q_scale, row_scale) = match query.metric {
+                    Metric::Dot => (1.0, None),
+                    Metric::Cosine => (inv_norm_of(query.q), Some(self.inv_norms.as_slice())),
+                };
+                ScanQuery {
+                    q: query.q,
+                    k: query.k,
+                    exclude: query.exclude,
+                    q_scale,
+                    row_scale,
+                }
+            })
+            .collect();
+        let mut out = vec![Vec::new(); queries.len()];
         QSCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            topk_scan(
-                data, rows, dim, q, k, exclude, q_scale, row_scale, scratch, &mut out,
+            topk_scan_batch(
+                tagged.left().as_slice(),
+                tagged.num_rows(),
+                tagged.dim(),
+                &scans,
+                &mut s.borrow_mut(),
+                &mut out,
             );
         });
         out
     }
+}
+
+/// One top-k query against the matrix of a [`QueryState`]: the query
+/// vector (`dim` long), how many hits, the metric, and a row to skip (the
+/// query node itself).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowQuery<'a> {
+    pub(crate) q: &'a [f64],
+    pub(crate) k: usize,
+    pub(crate) metric: Metric,
+    pub(crate) exclude: Option<u32>,
 }
 
 thread_local! {
@@ -153,6 +174,8 @@ mod tests {
         .tagged(0)
     }
 
+    /// Both metrics and several query rows, alone and all in one batch:
+    /// every answer is bitwise the naive reference.
     #[test]
     fn top_k_rows_is_bitwise_exact_vs_naive_both_metrics() {
         let rows = 300;
@@ -160,31 +183,46 @@ mod tests {
         let t = tagged(3, rows, dim);
         let state = QueryState::build(&t);
         let data = t.left().as_slice();
+        let mut batch = Vec::new();
+        let mut want = Vec::new();
         for metric in [Metric::Dot, Metric::Cosine] {
             for qrow in [0usize, 17, 299] {
-                let q = t.row(qrow).to_vec();
+                let q = t.row(qrow);
                 let (q_scale, row_scale) = match metric {
                     Metric::Dot => (1.0, None),
-                    Metric::Cosine => (inv_norm_of(&q), Some(state.inv_norms.as_slice())),
+                    Metric::Cosine => (inv_norm_of(q), Some(state.inv_norms.as_slice())),
                 };
                 let naive = topk_scan_naive(
                     data,
                     rows,
                     dim,
-                    &q,
+                    q,
                     10,
                     Some(qrow as u32),
                     q_scale,
                     row_scale,
                 );
-                let got = state.top_k_rows(&t, &q, 10, metric, Some(qrow as u32));
-                assert_eq!(got.len(), naive.len());
-                for (x, y) in got.iter().zip(&naive) {
-                    assert_eq!(x.row, y.row);
-                    assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
+                let query = RowQuery {
+                    q,
+                    k: 10,
+                    metric,
+                    exclude: Some(qrow as u32),
+                };
+                let alone = state.top_k_rows(&t, &[query]).remove(0);
+                assert_eq!(bits(&alone), bits(&naive));
+                batch.push(query);
+                want.push(naive);
             }
         }
+        let got = state.top_k_rows(&t, &batch);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(bits(g), bits(w));
+        }
+    }
+
+    fn bits(hits: &[Hit]) -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.row, h.score.to_bits())).collect()
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::{Arc, RwLock};
 use tsvd_core::{PipelineTimings, TaggedEmbedding};
 
 use crate::engine::TenantEngine;
-use crate::query::{inv_norm_of, Metric, QueryState};
+use crate::query::{inv_norm_of, Metric, QueryState, RowQuery};
 
 /// One immutable, internally consistent published state of the server:
 /// the embedding at some epoch plus the lookup structures to query it.
@@ -134,11 +134,12 @@ impl EpochSnapshot {
     /// The `k` subset nodes most similar to `node` under `metric`,
     /// descending, excluding `node` itself; ties broken by ascending row
     /// (the canonical deterministic order — identical at any thread
-    /// count). `None` if `node` is not in the subset.
+    /// count). `None` if `node` is not in the subset. A batch of one
+    /// ([`top_k_batch`](Self::top_k_batch)).
     pub fn top_k(&self, node: u32, k: usize, metric: Metric) -> Option<Vec<(u32, f64)>> {
-        let row = self.row_of(node)?;
-        let q = self.tagged.row(row);
-        Some(self.run_top_k(q, k, metric, Some(row as u32)))
+        self.top_k_batch(&[TopKQuery::Node { node, k, metric }])
+            .pop()
+            .flatten()
     }
 
     /// Delegate kept only because the frozen benchmark
@@ -155,7 +156,7 @@ impl EpochSnapshot {
     /// shard that owns it — the router's scatter path). For cosine, `q`
     /// is normalised with the same canonical inverse-norm the cached row
     /// norms use, so scoring a copied-out row gives bitwise the same
-    /// answer as querying by node.
+    /// answer as querying by node. A batch of one.
     pub fn top_k_by_vector(
         &self,
         q: &[f64],
@@ -163,21 +164,58 @@ impl EpochSnapshot {
         metric: Metric,
         exclude: Option<u32>,
     ) -> Vec<(u32, f64)> {
-        let exclude_row = exclude.and_then(|node| self.row_of(node)).map(|r| r as u32);
-        self.run_top_k(q, k, metric, exclude_row)
+        self.top_k_batch(&[TopKQuery::Vector {
+            q,
+            k,
+            metric,
+            exclude,
+        }])
+        .pop()
+        .flatten()
+        .expect("a vector query is always answered")
     }
 
-    fn run_top_k(
-        &self,
-        q: &[f64],
-        k: usize,
-        metric: Metric,
-        exclude_row: Option<u32>,
-    ) -> Vec<(u32, f64)> {
-        self.query
-            .top_k_rows(&self.tagged, q, k, metric, exclude_row)
-            .into_iter()
-            .map(|h| (self.sources[h.row as usize], h.score))
+    /// Answer many top-k queries in one scan of this snapshot: `result[i]`
+    /// answers `queries[i]` — `None` for a [`TopKQuery::Node`] outside the
+    /// subset — and is bitwise what [`top_k`](Self::top_k) or
+    /// [`top_k_by_vector`](Self::top_k_by_vector) answers for that query
+    /// alone. Panics if a vector query's length is not [`dim`](Self::dim).
+    pub fn top_k_batch(&self, queries: &[TopKQuery<'_>]) -> Vec<Option<Vec<(u32, f64)>>> {
+        let resolved: Vec<Option<RowQuery>> = queries
+            .iter()
+            .map(|query| match *query {
+                TopKQuery::Node { node, k, metric } => self.row_of(node).map(|row| RowQuery {
+                    q: self.tagged.row(row),
+                    k,
+                    metric,
+                    exclude: Some(row as u32),
+                }),
+                TopKQuery::Vector {
+                    q,
+                    k,
+                    metric,
+                    exclude,
+                } => Some(RowQuery {
+                    q,
+                    k,
+                    metric,
+                    exclude: exclude.and_then(|node| self.row_of(node)).map(|r| r as u32),
+                }),
+            })
+            .collect();
+        let scans: Vec<RowQuery> = resolved.iter().flatten().copied().collect();
+        let mut hits = self.query.top_k_rows(&self.tagged, &scans).into_iter();
+        resolved
+            .iter()
+            .map(|query| {
+                query.map(|_| {
+                    hits.next()
+                        .expect("one answer per scanned query")
+                        .into_iter()
+                        .map(|h| (self.sources[h.row as usize], h.score))
+                        .collect()
+                })
+            })
             .collect()
     }
 
@@ -191,6 +229,22 @@ impl EpochSnapshot {
     pub fn query_inv_norm(q: &[f64]) -> f64 {
         inv_norm_of(q)
     }
+}
+
+/// One query of an [`EpochSnapshot::top_k_batch`] call.
+#[derive(Debug, Clone, Copy)]
+pub enum TopKQuery<'a> {
+    /// The `k` nodes most similar to `node`'s own row, `node` excluded —
+    /// what [`EpochSnapshot::top_k`] answers.
+    Node { node: u32, k: usize, metric: Metric },
+    /// The `k` nodes most similar to `q`, `exclude` skipped when it owns a
+    /// row — what [`EpochSnapshot::top_k_by_vector`] answers.
+    Vector {
+        q: &'a [f64],
+        k: usize,
+        metric: Metric,
+        exclude: Option<u32>,
+    },
 }
 
 /// The double buffer: the currently published snapshot behind an `Arc`

@@ -12,7 +12,9 @@ use tsvd_ppr::PprConfig;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 use tsvd_serve::net::wire::{self, FrameReader, Message, Reply, Request, WIRE_VERSION};
 use tsvd_serve::net::Transport;
-use tsvd_serve::{ClientConfig, EmbeddingServer, NetClient, NetFront, ServeConfig, ShardedEngine};
+use tsvd_serve::{
+    ClientConfig, EmbeddingServer, Metric, NetClient, NetFront, ServeConfig, ShardedEngine,
+};
 
 fn base_graph() -> DynGraph {
     let mut rng = StdRng::seed_from_u64(42);
@@ -221,6 +223,63 @@ fn pipelined_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
                 .collect()
         };
         assert_eq!(bits(piped), bits(&single), "nodes {nodes:?}");
+    }
+
+    drop(client);
+    front.shutdown();
+}
+
+/// A 21-deep pipeline of `TopK` — both metrics, `k` from 0 past the
+/// subset size, nodes in and out of the subset — split by one `GetRows`
+/// into two runs the front answers with one scan each: every reply is
+/// bitwise the single `top_k` call at the same epoch.
+#[test]
+fn pipelined_top_k_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
+    let g = base_graph();
+    let server = EmbeddingServer::start(engine(&g, 2), manual_flush(2));
+    let front = NetFront::start(server);
+    let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
+    client.submit_events(event_chunks().remove(0)).unwrap();
+    assert_eq!(client.flush().unwrap(), 1);
+
+    let metrics = [Metric::Dot, Metric::Cosine];
+    let burst: Vec<Request> = (0..21u32)
+        .map(|i| match i {
+            10 => Request::GetRows(vec![1, 2, 3]),
+            // Subset nodes are 0..12; every fifth query misses.
+            _ => Request::TopK {
+                node: if i % 5 == 4 { 40 + i } else { (i * 7) % 12 },
+                k: [0, 1, 3, 5, 11, 40][i as usize % 6],
+                metric: metrics[(i as usize / 2) % 2],
+                query: None,
+            },
+        })
+        .collect();
+    let replies = client.pipeline(&burst).unwrap();
+    assert_eq!(replies.len(), burst.len());
+    let bits = |n: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        n.iter().map(|&(node, s)| (node, s.to_bits())).collect()
+    };
+    for (req, reply) in burst.iter().zip(&replies) {
+        match (req, reply) {
+            (Request::GetRows(_), Reply::Rows(rows)) => assert_eq!(rows.epoch, 1),
+            (
+                &Request::TopK {
+                    node, k, metric, ..
+                },
+                Reply::TopKReply(piped),
+            ) => {
+                assert_eq!(piped.epoch, 1);
+                let single = client.top_k(node, k, metric).unwrap();
+                assert_eq!(piped.found, single.is_some(), "node {node}");
+                assert_eq!(
+                    bits(&piped.neighbors),
+                    bits(&single.unwrap_or_default()),
+                    "node {node} k {k} {metric:?}"
+                );
+            }
+            other => panic!("reply does not answer its request: {other:?}"),
+        }
     }
 
     drop(client);

@@ -25,7 +25,7 @@ use tsvd_serve::net::wire::MAX_TOP_K;
 use tsvd_serve::net::{ClientConfig, NetClient, TcpTransport};
 use tsvd_serve::{
     CatchUpError, EmbeddingServer, EpochSnapshot, Follower, Metric, NetFront, Router, RouterConfig,
-    RouterFront, ServeConfig, ShardEndpoint, ShardMap, ShardedEngine, TenantHost,
+    RouterFront, ServeConfig, ShardEndpoint, ShardMap, ShardedEngine, TenantHost, TopKQuery,
 };
 
 const SUBSET: u32 = 96;
@@ -110,7 +110,7 @@ fn naive_top_k(
             continue;
         }
         let r = snap.get(src).unwrap();
-        let dot: f64 = q.iter().zip(r).map(|(a, b)| a * b).sum();
+        let dot = q.iter().zip(r).fold(0.0f64, |acc, (a, b)| acc + a * b);
         let score = match metric {
             Metric::Dot => dot,
             Metric::Cosine => (dot * q_scale) * EpochSnapshot::query_inv_norm(r),
@@ -137,7 +137,8 @@ fn assert_bitwise_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
 }
 
 /// `top_k` and the naive reference agree bitwise at every epoch of a
-/// dirty-row churn stream, for both metrics and several k.
+/// dirty-row churn stream, for both metrics and several k — one query at
+/// a time, and all of an epoch's queries in one `top_k_batch` scan.
 #[test]
 fn top_k_and_naive_agree_across_churn() {
     let g = fixed_graph();
@@ -152,6 +153,8 @@ fn top_k_and_naive_agree_across_churn() {
         }
         let snap = reader.snapshot();
         assert_eq!(snap.epoch(), epoch as u64);
+        let mut batch = Vec::new();
+        let mut wants = Vec::new();
         for &node in &[0u32, 17, 95] {
             for &k in &[1usize, 5, 13, SUBSET as usize + 10] {
                 for metric in [Metric::Dot, Metric::Cosine] {
@@ -162,11 +165,34 @@ fn top_k_and_naive_agree_across_churn() {
                         &want,
                         &format!("epoch {epoch} node {node} k {k} {metric:?}: top_k vs naive"),
                     );
+                    batch.push(TopKQuery::Node { node, k, metric });
+                    wants.push(Some(want));
                 }
             }
         }
         // Non-subset nodes are a clean miss, not a panic.
         assert!(snap.top_k(SUBSET + 5, 3, Metric::Dot).is_none());
+        batch.insert(
+            7,
+            TopKQuery::Node {
+                node: SUBSET + 5,
+                k: 3,
+                metric: Metric::Dot,
+            },
+        );
+        wants.insert(7, None);
+        let got = snap.top_k_batch(&batch);
+        assert_eq!(got.len(), wants.len());
+        for (i, (got, want)) in got.iter().zip(&wants).enumerate() {
+            match (got, want) {
+                (Some(got), Some(want)) => assert_bitwise_eq(
+                    got,
+                    want,
+                    &format!("epoch {epoch} query {i} of a batch vs naive"),
+                ),
+                (got, want) => assert_eq!(got.is_some(), want.is_some(), "query {i}"),
+            }
+        }
     }
     server.shutdown_host();
 }
@@ -312,7 +338,7 @@ fn naive_sharded_top_k(
                 continue;
             }
             let r = snap.get(src).unwrap();
-            let dot: f64 = q.iter().zip(r).map(|(a, b)| a * b).sum();
+            let dot = q.iter().zip(r).fold(0.0f64, |acc, (a, b)| acc + a * b);
             let score = match metric {
                 Metric::Dot => dot,
                 Metric::Cosine => (dot * q_scale) * EpochSnapshot::query_inv_norm(r),
