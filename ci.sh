@@ -30,7 +30,12 @@
 #      top-k kernel's tests (tsvd-linalg `topk`: batch ≡ naive per query,
 #      bitwise) plus the top-k serving equivalence suite with --release,
 #      because the vectorised form of the batch scan exists only in
-#      optimised builds;
+#      optimised builds; and the merge kernel's tests (tsvd-linalg
+#      `usigma` and `left_only`: `exact_usigma` ≡ the full truncated SVD's
+#      U·Σ, the pinned digest of the one-column Householder loops, and a
+#      left-only Golub–Reinsch's U and w ≡ the full run's, all bitwise)
+#      with --release, because the four-column Householder loops
+#      vectorise differently in optimised builds;
 #   7. env matrix — only four env vars are read by anything, and each leg
 #      runs exactly the suites that read its var under a value steps 5–6
 #      did not already cover:
@@ -139,10 +144,11 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence"
+step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel"
 cargo test --release -q -p tsvd-store
 cargo test --release -q -p tsvd-serve --test net_props
 cargo test --release -q -p tsvd-linalg topk
+cargo test --release -q -p tsvd-linalg -- usigma left_only
 cargo test --release -q -p tsvd-serve --test query_equivalence
 
 # Env matrix (header, step 7). The two svd-update legs share one battery:

@@ -1,13 +1,14 @@
 //! Micro-benchmarks for the SVD kernels: Householder QR, exact SVD
-//! (Golub–Reinsch), randomized SVD dense vs sparse, and the
-//! Frequent-Directions sketch.
+//! (Golub–Reinsch), one Tree-SVD merge (`U·Σ` only against the full
+//! truncated SVD, on the tree's own input), randomized SVD dense vs sparse,
+//! and the Frequent-Directions sketch.
 
 use tsvd_linalg::qr::qr;
 use tsvd_linalg::randomized::randomized_svd;
 use tsvd_linalg::rng::gaussian_matrix;
 use tsvd_linalg::sketch::FrequentDirections;
-use tsvd_linalg::svd::exact_svd;
-use tsvd_linalg::{CsrMatrix, RandomizedSvdConfig};
+use tsvd_linalg::svd::{exact_svd, exact_truncated_svd, exact_usigma};
+use tsvd_linalg::{CsrMatrix, DenseMatrix, RandomizedSvdConfig};
 use tsvd_rt::bench::BenchHarness;
 use tsvd_rt::rng::StdRng;
 use tsvd_rt::rng::{Rng, SeedableRng};
@@ -35,13 +36,57 @@ fn bench_qr(h: &mut BenchHarness) {
 }
 
 fn bench_exact_svd(h: &mut BenchHarness) {
-    // 300×288 is the merge-matrix shape Tree-SVD factorises at interior
-    // levels (k·d columns).
-    for &(m, n) in &[(300usize, 64usize), (300, 288), (128, 128)] {
+    // Gaussian inputs; 300×256 has the merge matrix's shape (k·d columns),
+    // not its spectrum — `bench_merge` times the real input.
+    for &(m, n) in &[(300usize, 64usize), (300, 256), (128, 128)] {
         let a = gaussian_matrix(&mut StdRng::seed_from_u64(2), m, n);
         h.bench(&format!("exact_svd/golub_reinsch/{m}x{n}"), || {
             exact_svd(&a)
         });
+    }
+}
+
+/// One interior node's input: four rank-`d` level-1 `U·Σ` factors (sparse
+/// randomized SVDs of `m`-row column blocks, as the tree computes them)
+/// concatenated to `m × 4d`.
+fn merge_input(m: usize, d: usize, block_cols: usize, density: f64) -> DenseMatrix {
+    let mut rng = StdRng::seed_from_u64(5);
+    let cfg = RandomizedSvdConfig {
+        rank: d,
+        oversample: 8,
+        power_iters: 1,
+    };
+    let factors: Vec<DenseMatrix> = (0..4)
+        .map(|_| {
+            let block = random_csr(&mut rng, m, block_cols, density);
+            randomized_svd(&block, &cfg, &mut rng).u_sigma()
+        })
+        .collect();
+    DenseMatrix::hconcat(&factors.iter().collect::<Vec<_>>())
+}
+
+/// A merge as the tree runs it (`merge/usigma`: top-`d` `U·Σ` without `V`)
+/// beside the full truncated SVD it replaced (`merge/full`), on the same
+/// input: 300 × 256 is the engine's |S| = 300 merge (four rank-64
+/// factors), 600 × 256 the QR path at |S| = 600, and 3 000 × 512 at
+/// d = 128 the paper's scale. The two must agree bit for bit.
+fn bench_merge(h: &mut BenchHarness) {
+    for &(m, d, block_cols, density) in &[
+        (300usize, 64usize, 1000usize, 0.05),
+        (600, 64, 1000, 0.05),
+        (3000, 128, 1500, 0.02),
+    ] {
+        let a = merge_input(m, d, block_cols, density);
+        let shape = format!("{m}x{}/d{d}", a.cols());
+        assert_eq!(
+            exact_usigma(&a, d),
+            exact_truncated_svd(&a, d).u_sigma(),
+            "merge {shape}: U·Σ differs from the full SVD's"
+        );
+        h.bench(&format!("merge/full/{shape}"), || {
+            exact_truncated_svd(&a, d).u_sigma()
+        });
+        h.bench(&format!("merge/usigma/{shape}"), || exact_usigma(&a, d));
     }
 }
 
@@ -88,6 +133,7 @@ fn main() {
     let mut h = BenchHarness::from_args("svd_kernels");
     bench_qr(&mut h);
     bench_exact_svd(&mut h);
+    bench_merge(&mut h);
     bench_randomized_svd(&mut h);
     bench_frequent_directions(&mut h);
     h.finish();

@@ -384,7 +384,7 @@ impl DynamicTreeSvd {
                 let start = p * cfg.branching;
                 let end = (start + cfg.branching).min(children.len());
                 let refs: Vec<&DenseMatrix> = children[start..end].iter().collect();
-                merge_group(&refs, cfg.dim).u_sigma()
+                merge_group(&refs, cfg.dim)
             });
             for (pi, &p) in parents.iter().enumerate() {
                 self.levels[lvl][p] = merged[pi].clone();
@@ -456,7 +456,7 @@ fn build_levels(level1: Vec<DenseMatrix>, cfg: &TreeSvdConfig) -> Vec<Vec<DenseM
         let groups: Vec<&[DenseMatrix]> = prev.chunks(cfg.branching).collect();
         let next: Vec<DenseMatrix> = par_map(groups.len(), |gi| {
             let refs: Vec<&DenseMatrix> = groups[gi].iter().collect();
-            merge_group(&refs, cfg.dim).u_sigma()
+            merge_group(&refs, cfg.dim)
         });
         levels.push(next);
     }

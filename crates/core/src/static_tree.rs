@@ -2,14 +2,15 @@
 //!
 //! Level 1 factorises each sparse column block with a *sparse randomized
 //! SVD* (or an exact SVD in HSVD mode); every higher level concatenates `k`
-//! child `U·Σ` factors and takes an exact truncated SVD of the small dense
-//! result. The root's `U·√Σ` is the subset embedding.
+//! child `U·Σ` factors and keeps the top-`d` `U·Σ` of an exact SVD of the
+//! small dense result, computed without `V` (`merge_group`). The root's
+//! `U·√Σ` is the subset embedding.
 
 use crate::blocked::BlockedProximityMatrix;
 use crate::config::{Level1Method, TreeSvdConfig};
 use crate::embedding::Embedding;
 use tsvd_linalg::randomized::randomized_svd;
-use tsvd_linalg::svd::{exact_truncated_svd, Svd};
+use tsvd_linalg::svd::{exact_truncated_svd, exact_usigma, Svd};
 use tsvd_linalg::{CsrMatrix, DenseMatrix, RandomizedSvdConfig};
 use tsvd_rt::pool::par_map;
 use tsvd_rt::rng::SeedableRng;
@@ -76,11 +77,13 @@ pub(crate) fn level1_factor(block: &CsrMatrix, cfg: &TreeSvdConfig, salt: u64) -
     }
 }
 
-/// Merge one group of child `U·Σ` factors into the parent's `d`-rank
-/// truncated SVD (one interior node of the tree).
-pub(crate) fn merge_group(children: &[&DenseMatrix], dim: usize) -> Svd {
+/// Merge one group of child `U·Σ` factors into the parent's top-`d` `U·Σ`
+/// (one interior node of the tree). Only `U·Σ` is computed — the tree never
+/// reads a merge's `V` — and it is bitwise the `U·Σ` of the full truncated
+/// SVD (see [`exact_usigma`]).
+pub(crate) fn merge_group(children: &[&DenseMatrix], dim: usize) -> DenseMatrix {
     let concat = DenseMatrix::hconcat(children);
-    exact_truncated_svd(&concat, dim)
+    exact_usigma(&concat, dim)
 }
 
 /// Repeatedly merge `k` consecutive factors per level until a single root
@@ -91,7 +94,7 @@ pub(crate) fn merge_to_root(mut level: Vec<DenseMatrix>, cfg: &TreeSvdConfig) ->
         let groups: Vec<&[DenseMatrix]> = level.chunks(cfg.branching).collect();
         let next = par_map(groups.len(), |gi| {
             let refs: Vec<&DenseMatrix> = groups[gi].iter().collect();
-            merge_group(&refs, cfg.dim).u_sigma()
+            merge_group(&refs, cfg.dim)
         });
         level = next;
     }

@@ -16,6 +16,18 @@
 //! The only strided passes left are the `O(n)`-per-step row extractions of
 //! the bidiagonalization's second stage, which copy the row into a scratch
 //! buffer first.
+//!
+//! `V` is computed only when asked for (`with_v`). Nothing that produces `U`
+//! or the singular values ever reads `V`, so a left-only run returns `U` and
+//! `w` bitwise equal to a full run and skips the `n × n` buffer, the
+//! right-hand accumulation and half of every QR sweep's rotations — which is
+//! all a Tree-SVD merge needs (it keeps `U·Σ`).
+//!
+//! The two Householder loops that update every later column against a fixed
+//! pivot column (stage 1 of the bidiagonalization, and the left-hand
+//! accumulation) take four columns per pass over the rows
+//! ([`reflect_cols`]); each column's dot product is still one sequential sum
+//! from `0.0` in row order, so the interleaving changes no bit.
 
 use crate::dense::DenseMatrix;
 
@@ -69,11 +81,80 @@ fn rotate_cols(buf: &mut [f64], rows: usize, j1: usize, j2: usize, c: f64, s: f6
     }
 }
 
-/// Raw Golub–Reinsch on `a` with `m ≥ n`. Returns `(U, w, V)` with `U`
-/// `m×n`, `w` the unsorted singular values, `V` `n×n` — or `None` if the QR
+/// One Householder step's update of every column of `rest` (column-major,
+/// `rows` entries per column) against the fixed column `piv`: with
+/// `s = Σ_{r ≥ dot_from} piv[r]·col[r]`, summed in row order from `0.0`, set
+/// `col[axpy_from..] += coef(s) · piv[axpy_from..]`.
+///
+/// `piv` is read-only, so the columns' dots are independent: four columns
+/// share each pass over the rows as four accumulator chains, each the
+/// one-column sum bit for bit. The `cols mod 4` tail runs the one-column
+/// body.
+fn reflect_cols(
+    piv: &[f64],
+    rest: &mut [f64],
+    rows: usize,
+    dot_from: usize,
+    axpy_from: usize,
+    coef: impl Fn(f64) -> f64,
+) {
+    let x = &piv[dot_from..rows];
+    let p = &piv[axpy_from..rows];
+    let len = x.len();
+    let axpy = |col: &mut [f64], s: f64| {
+        let f = coef(s);
+        for (y, &pv) in col[axpy_from..].iter_mut().zip(p) {
+            *y += f * pv;
+        }
+    };
+    let mut quads = rest.chunks_exact_mut(4 * rows);
+    for quad in &mut quads {
+        let (c0, tail) = quad.split_at_mut(rows);
+        let (c1, tail) = tail.split_at_mut(rows);
+        let (c2, c3) = tail.split_at_mut(rows);
+        let (y0, y1) = (&c0[dot_from..][..len], &c1[dot_from..][..len]);
+        let (y2, y3) = (&c2[dot_from..][..len], &c3[dot_from..][..len]);
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+        for k in 0..len {
+            let xv = x[k];
+            s0 += xv * y0[k];
+            s1 += xv * y1[k];
+            s2 += xv * y2[k];
+            s3 += xv * y3[k];
+        }
+        axpy(c0, s0);
+        axpy(c1, s1);
+        axpy(c2, s2);
+        axpy(c3, s3);
+    }
+    for col in quads.into_remainder().chunks_exact_mut(rows) {
+        let mut s = 0.0;
+        for (xv, y) in x.iter().zip(&col[dot_from..]) {
+            s += xv * y;
+        }
+        axpy(col, s);
+    }
+}
+
+/// Column `i` of a column-major buffer, read-only, and every column after
+/// it as one mutable slice.
+#[inline]
+fn pivot_and_rest(buf: &mut [f64], rows: usize, i: usize) -> (&[f64], &mut [f64]) {
+    let (head, rest) = buf.split_at_mut((i + 1) * rows);
+    (&head[i * rows..], rest)
+}
+
+/// The unsorted factors of [`golub_reinsch`]: `U` `m×n`, the singular
+/// values `w` in the order the QR phase leaves them, and `V` `n×n` when it
+/// was asked for.
+pub(crate) type RawSvd = (DenseMatrix, Vec<f64>, Option<DenseMatrix>);
+
+/// Raw Golub–Reinsch on `a` with `m ≥ n`; `V` only when `with_v`. `U` and
+/// `w` do not depend on `with_v`, bit for bit. Returns `None` if the QR
 /// phase failed to converge in 60 iterations for some value (caller falls
-/// back to Jacobi).
-pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, DenseMatrix)> {
+/// back to Jacobi) — with or without `V`, since convergence reads only the
+/// bidiagonal.
+pub(crate) fn golub_reinsch(a: &DenseMatrix, with_v: bool) -> Option<RawSvd> {
     let (m, n) = (a.rows(), a.cols());
     debug_assert!(m >= n && n > 0);
     // Column-major copies: uc[j*m + i] = A[i][j], vc[j*n + i] = V[i][j].
@@ -83,7 +164,11 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
             uc[j * m + i] = val;
         }
     }
-    let mut vc = vec![0.0_f64; n * n];
+    let mut vc = if with_v {
+        vec![0.0_f64; n * n]
+    } else {
+        Vec::new()
+    };
     let mut w = vec![0.0_f64; n];
     let mut rv1 = vec![0.0_f64; n];
     let mut scratch = vec![0.0_f64; m.max(n)];
@@ -120,17 +205,8 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
                 // h = f·g − s with f the pre-update pivot, recovered from
                 // the stored f − g.
                 let h = (uc[i * m + i] + g) * g - s;
-                for j in l..n {
-                    let (ci, cj) = two_cols(&mut uc, m, i, j);
-                    let mut s2 = 0.0;
-                    for (x, y) in ci[i..].iter().zip(&cj[i..]) {
-                        s2 += x * y;
-                    }
-                    let f2 = s2 / h;
-                    for (x, y) in cj[i..].iter_mut().zip(&ci[i..]) {
-                        *x += f2 * y;
-                    }
-                }
+                let (ci, rest) = pivot_and_rest(&mut uc, m, i);
+                reflect_cols(ci, rest, m, i, i, |s2| s2 / h);
                 let col = &mut uc[i * m..(i + 1) * m];
                 for x in &mut col[i..] {
                     *x *= scale;
@@ -186,42 +262,44 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
     }
 
     // --- Accumulate right-hand transformations into V ---
-    let mut g = 0.0_f64;
-    for i in (0..n).rev() {
-        let l = i + 1;
-        if i < n - 1 {
-            if g != 0.0 {
-                // Row i of U, columns l..n, into scratch (strided once).
-                let urow = &mut scratch[..n];
-                for k in l..n {
-                    urow[k] = uc[k * m + i];
-                }
-                let pivot = urow[l];
-                {
-                    let coli = &mut vc[i * n..(i + 1) * n];
-                    // Double division avoids underflow of u[i][l]·g.
+    if with_v {
+        let mut g = 0.0_f64;
+        for i in (0..n).rev() {
+            let l = i + 1;
+            if i < n - 1 {
+                if g != 0.0 {
+                    // Row i of U, columns l..n, into scratch (strided once).
+                    let urow = &mut scratch[..n];
+                    for k in l..n {
+                        urow[k] = uc[k * m + i];
+                    }
+                    let pivot = urow[l];
+                    {
+                        let coli = &mut vc[i * n..(i + 1) * n];
+                        // Double division avoids underflow of u[i][l]·g.
+                        for j in l..n {
+                            coli[j] = (urow[j] / pivot) / g;
+                        }
+                    }
                     for j in l..n {
-                        coli[j] = (urow[j] / pivot) / g;
+                        let (ci, cj) = two_cols(&mut vc, n, i, j);
+                        let mut s = 0.0;
+                        for k in l..n {
+                            s += urow[k] * cj[k];
+                        }
+                        for (x, &y) in cj[l..].iter_mut().zip(&ci[l..]) {
+                            *x += s * y;
+                        }
                     }
                 }
                 for j in l..n {
-                    let (ci, cj) = two_cols(&mut vc, n, i, j);
-                    let mut s = 0.0;
-                    for k in l..n {
-                        s += urow[k] * cj[k];
-                    }
-                    for (x, &y) in cj[l..].iter_mut().zip(&ci[l..]) {
-                        *x += s * y;
-                    }
+                    vc[j * n + i] = 0.0; // V[i][j]
+                    vc[i * n + j] = 0.0; // V[j][i]
                 }
             }
-            for j in l..n {
-                vc[j * n + i] = 0.0; // V[i][j]
-                vc[i * n + j] = 0.0; // V[j][i]
-            }
+            vc[i * n + i] = 1.0;
+            g = rv1[i];
         }
-        vc[i * n + i] = 1.0;
-        g = rv1[i];
     }
 
     // --- Accumulate left-hand transformations into U ---
@@ -233,17 +311,9 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
         }
         if g != 0.0 {
             let ginv = 1.0 / g;
-            for j in l..n {
-                let (ci, cj) = two_cols(&mut uc, m, i, j);
-                let mut s = 0.0;
-                for (x, y) in ci[l..].iter().zip(&cj[l..]) {
-                    s += x * y;
-                }
-                let f = (s / ci[i]) * ginv;
-                for (x, &y) in cj[i..].iter_mut().zip(&ci[i..]) {
-                    *x += f * y;
-                }
-            }
+            let (ci, rest) = pivot_and_rest(&mut uc, m, i);
+            let pivot = ci[i];
+            reflect_cols(ci, rest, m, l, i, |s| (s / pivot) * ginv);
             let col = &mut uc[i * m..(i + 1) * m];
             for x in &mut col[i..] {
                 *x *= ginv;
@@ -303,9 +373,10 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
                 // Converged; enforce non-negative singular value.
                 if z < 0.0 {
                     w[k] = -z;
-                    let col = &mut vc[k * n..(k + 1) * n];
-                    for x in col {
-                        *x = -*x;
+                    if with_v {
+                        for x in &mut vc[k * n..(k + 1) * n] {
+                            *x = -*x;
+                        }
                     }
                 }
                 converged = true;
@@ -337,7 +408,9 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
                 g = g * c - x * s;
                 h = y * s;
                 y *= c;
-                rotate_cols(&mut vc, n, j, i, c, s);
+                if with_v {
+                    rotate_cols(&mut vc, n, j, i, c, s);
+                }
                 z = pythag(f, h);
                 w[j] = z;
                 if z != 0.0 {
@@ -360,7 +433,7 @@ pub(crate) fn golub_reinsch(a: &DenseMatrix) -> Option<(DenseMatrix, Vec<f64>, D
 
     // Convert back to row-major matrices.
     let u = DenseMatrix::from_fn(m, n, |i, j| uc[j * m + i]);
-    let v = DenseMatrix::from_fn(n, n, |i, j| vc[j * n + i]);
+    let v = with_v.then(|| DenseMatrix::from_fn(n, n, |i, j| vc[j * n + i]));
     Some((u, w, v))
 }
 
@@ -385,7 +458,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for &(m, n) in &[(8usize, 5usize), (30, 30), (64, 17), (5, 1), (200, 100)] {
             let a = gaussian_matrix(&mut rng, m, n);
-            let (u, w, v) = golub_reinsch(&a).expect("converges");
+            let (u, w, v) = golub_reinsch(&a, true).expect("converges");
+            let v = v.expect("asked for V");
             // U diag(w) Vᵀ == A
             let mut uw = u.clone();
             uw.scale_cols(&w);
@@ -410,7 +484,7 @@ mod tests {
     #[test]
     fn handles_rank_deficiency_and_zeros() {
         let z = DenseMatrix::zeros(6, 4);
-        let (_, w, _) = golub_reinsch(&z).unwrap();
+        let (_, w, _) = golub_reinsch(&z, true).unwrap();
         assert!(w.iter().all(|&x| x == 0.0));
 
         // Rank-1.
@@ -418,7 +492,8 @@ mod tests {
         let col = gaussian_matrix(&mut rng, 10, 1);
         let row = gaussian_matrix(&mut rng, 1, 6);
         let a = col.mul(&row);
-        let (u, w, v) = golub_reinsch(&a).unwrap();
+        let (u, w, v) = golub_reinsch(&a, true).unwrap();
+        let v = v.unwrap();
         let mut uw = u;
         uw.scale_cols(&w);
         assert!(uw.mul(&v.transpose()).sub(&a).max_abs() < 1e-10);
@@ -432,7 +507,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for &(m, n) in &[(12usize, 12usize), (40, 25), (100, 60)] {
             let a = gaussian_matrix(&mut rng, m, n);
-            let (_, mut w, _) = golub_reinsch(&a).unwrap();
+            let (_, mut w, _) = golub_reinsch(&a, true).unwrap();
             w.sort_by(|a, b| b.partial_cmp(a).unwrap());
             let jac = crate::svd::exact_svd_jacobi_for_tests(&a);
             for (g, j) in w.iter().zip(&jac.s) {
@@ -457,9 +532,53 @@ mod tests {
             .collect();
         let refs: Vec<&DenseMatrix> = blocks.iter().collect();
         let a = DenseMatrix::hconcat(&refs);
-        let (u, w, v) = golub_reinsch(&a).expect("converges");
+        let (u, w, v) = golub_reinsch(&a, true).expect("converges");
         let mut uw = u;
         uw.scale_cols(&w);
-        assert!(uw.mul(&v.transpose()).sub(&a).max_abs() < 1e-8);
+        assert!(uw.mul(&v.unwrap().transpose()).sub(&a).max_abs() < 1e-8);
+    }
+
+    #[test]
+    fn left_only_u_and_w_are_bitwise_the_full_ones() {
+        // Every column-count residue mod 4 (the interleaved Householder
+        // loops' tail), square and tall, full rank, rank-deficient with a
+        // zero column, and near-parallel concatenated blocks.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut inputs: Vec<DenseMatrix> =
+            [(12usize, 12usize), (40, 13), (41, 14), (60, 15), (33, 33)]
+                .iter()
+                .map(|&(m, n)| gaussian_matrix(&mut rng, m, n))
+                .collect();
+        let low = gaussian_matrix(&mut rng, 30, 3).mul(&gaussian_matrix(&mut rng, 3, 17));
+        inputs.push(DenseMatrix::from_fn(30, 18, |i, j| {
+            if j == 17 {
+                0.0
+            } else {
+                low.get(i, j)
+            }
+        }));
+        let base = gaussian_matrix(&mut rng, 50, 8);
+        let blocks: Vec<DenseMatrix> = (0..3)
+            .map(|_| {
+                let noise = gaussian_matrix(&mut rng, 50, 8);
+                DenseMatrix::from_fn(50, 8, |i, j| base.get(i, j) + 1e-6 * noise.get(i, j))
+            })
+            .collect();
+        inputs.push(DenseMatrix::hconcat(&blocks.iter().collect::<Vec<_>>()));
+        inputs.push(DenseMatrix::zeros(20, 13));
+        for a in &inputs {
+            let (u, w, v) = golub_reinsch(a, true).expect("converges");
+            let (u2, w2, v2) = golub_reinsch(a, false).expect("converges");
+            assert!(v.is_some() && v2.is_none());
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(u.as_slice()),
+                bits(u2.as_slice()),
+                "U {}x{}",
+                a.rows(),
+                a.cols()
+            );
+            assert_eq!(bits(&w), bits(&w2), "w {}x{}", a.rows(), a.cols());
+        }
     }
 }

@@ -9,8 +9,9 @@
 //!   adjacency operators);
 //! * [`qr`] — Householder QR (thin Q), the orthonormalisation kernel of
 //!   randomized SVD;
-//! * [`svd`] — exact truncated SVD via one-sided Jacobi (with a QR
-//!   pre-reduction for tall matrices);
+//! * [`svd`] — exact SVD via Golub–Reinsch (one-sided Jacobi for small
+//!   matrices, a QR pre-reduction for tall ones), and the `V`-free top-`d`
+//!   `U·Σ` a Tree-SVD merge keeps;
 //! * [`randomized`] — Halko–Martinsson–Tropp randomized SVD, including the
 //!   sparse variant the paper uses at Tree-SVD's first level (cost
 //!   `O(nnz·(d+p))` plus small dense work);

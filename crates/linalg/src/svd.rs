@@ -7,6 +7,13 @@
 //! fallback on GR non-convergence, and the independent test oracle — it is
 //! simple enough to audit by eye, which is worth keeping around in a system
 //! whose correctness rests on these factorisations.
+//!
+//! `exact_svd` and `exact_truncated_svd` always compute `V`.
+//! [`exact_usigma`] returns only the top-`d` `U·Σ` a Tree-SVD merge keeps:
+//! it runs Golub–Reinsch without `V` and, on the QR path, multiplies `Q` by
+//! only the kept columns — and is bitwise equal to
+//! `exact_truncated_svd(a, d).u_sigma()`, so the two are interchangeable
+//! wherever `V` is not needed.
 
 use crate::dense::DenseMatrix;
 use crate::qr::qr;
@@ -126,18 +133,25 @@ pub fn exact_svd(a: &DenseMatrix) -> Svd {
 /// SVD of a matrix with `rows ≥ cols`, choosing the kernel by size.
 fn dense_svd_tall(a: &DenseMatrix) -> Svd {
     if a.cols() >= 12 {
-        if let Some((u, w, v)) = crate::gr::golub_reinsch(a) {
+        if let Some((u, w, Some(v))) = crate::gr::golub_reinsch(a, true) {
             return sorted_svd(u, w, v);
         }
     }
     jacobi_svd(a)
 }
 
+/// The order that sorts `w` descending; stable, so ties keep the order the
+/// QR phase left them in.
+fn descending(w: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..w.len()).collect();
+    order.sort_by(|&i, &j| w[j].partial_cmp(&w[i]).unwrap());
+    order
+}
+
 /// Package an unsorted `(U, w, V)` triple as a descending-order [`Svd`].
 fn sorted_svd(u: DenseMatrix, w: Vec<f64>, v: DenseMatrix) -> Svd {
     let n = w.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| w[j].partial_cmp(&w[i]).unwrap());
+    let order = descending(&w);
     let su = DenseMatrix::from_fn(u.rows(), n, |i, j| u.get(i, order[j]));
     let s: Vec<f64> = order.iter().map(|&j| w[j]).collect();
     let vt = DenseMatrix::from_fn(n, v.rows(), |i, j| v.get(j, order[i]));
@@ -162,6 +176,38 @@ pub(crate) fn exact_svd_jacobi_for_tests(a: &DenseMatrix) -> Svd {
 /// Top-`d` truncated exact SVD.
 pub fn exact_truncated_svd(a: &DenseMatrix, d: usize) -> Svd {
     exact_svd(a).truncate(d)
+}
+
+/// Top-`d` `U·diag(σ)` of `a` — the factor a Tree-SVD merge keeps —
+/// computed without `V`.
+///
+/// Bitwise equal to `exact_truncated_svd(a, d).u_sigma()` for every input.
+/// It dispatches on shape as [`exact_svd`] does: `m ≤ 2n` runs a left-only
+/// Golub–Reinsch on `a`; `m > 2n` runs it on `R` of `a = Q·R` and multiplies
+/// `Q` by only the `d` kept columns of `U_R` (each entry of a
+/// [`DenseMatrix::mul`] product sums over the inner index alone, so the
+/// dropped columns change nothing). Wide inputs, inputs with fewer than 12
+/// columns and a (never observed) Golub–Reinsch non-convergence take
+/// `exact_truncated_svd` itself.
+pub fn exact_usigma(a: &DenseMatrix, d: usize) -> DenseMatrix {
+    let (m, n) = (a.rows(), a.cols());
+    if m >= n && n >= 12 {
+        let f = (m > 2 * n).then(|| qr(a));
+        let core = f.as_ref().map_or(a, |f| &f.r);
+        if let Some((u, w, _)) = crate::gr::golub_reinsch(core, false) {
+            let order = descending(&w);
+            let top = &order[..d.min(n)];
+            let kept = DenseMatrix::from_fn(u.rows(), top.len(), |i, j| u.get(i, top[j]));
+            let mut usigma = match f {
+                Some(f) => f.q.mul(&kept),
+                None => kept,
+            };
+            let s: Vec<f64> = top.iter().map(|&j| w[j]).collect();
+            usigma.scale_cols(&s);
+            return usigma;
+        }
+    }
+    exact_truncated_svd(a, d).u_sigma()
 }
 
 /// One-sided Jacobi SVD of `a` with `rows ≥ cols`.
