@@ -13,8 +13,7 @@
 #      compiled and smoke-tested here, so a crate-API change that breaks
 #      it fails in ci.sh and not in the pipeline that runs the benchmark;
 #   5. cargo test --workspace (tier-1 gate) — every suite once under the
-#      default env: unit tests, the svd-update oracle battery, the
-#      tsvd-store fault battery (WAL: torn tails, byte flips, fuzz;
+#      default env: unit tests, the tsvd-store fault battery (WAL: torn tails, byte flips, fuzz;
 #      checkpoints: every truncation and every single-byte flip of the
 #      newest file, re-sealed garbage into the decoder), the checkpoint
 #      round-trip properties, the whole tsvd-serve package battery and
@@ -36,15 +35,10 @@
 #      left-only Golub–Reinsch's U and w ≡ the full run's, all bitwise)
 #      with --release, because the four-column Householder loops
 #      vectorise differently in optimised builds;
-#   7. env matrix — only four env vars are read by anything, and each leg
-#      runs exactly the suites that read its var under a value steps 5–6
-#      did not already cover:
-#        svd-update, svd-update-serial — TSVD_SVD_UPDATE=1 (read by
-#          tsvd-core when a tree is built) flips every `Lazy` engine to the
-#          incremental repair tiers, so the full serve package battery and
-#          the root serving suites re-run, at default threads and at
-#          TSVD_THREADS=1: every tenant of a served host must stay
-#          bitwise-equal to the offline replay of its own subset;
+#   7. env matrix — three env vars are settings a suite reads (the rest
+#      pass paths and roles to child processes), and each leg runs exactly
+#      the suites that read its var under a value steps 5–6 did not
+#      already cover:
 #        tenants3 — TSVD_TENANTS=3 (read by tests/multi_tenant.rs and
 #          tests/recovery.rs): three tenants on one graph through the TCP
 #          soak and through SIGKILL + checkpoint/WAL recovery;
@@ -59,15 +53,15 @@
 #          checkpoint round trip (encoded bytes must not depend on the
 #          thread count) with more pool participants than this box has
 #          cores;
-#   8. bench smoke — every registered rt::bench target (all eleven
+#   8. bench smoke — every registered rt::bench target (all ten
 #      `[[bench]]` entries of crates/bench) runs once, no timing paid:
 #      the PPR push cells (incl. the in-place two-event update and the
 #      whole-subset replay + row drain), the dynamic-update and
-#      factorisation comparisons, the svd_update kernel/engine grid, the
-#      WAL append/recovery suite with its checkpoint-format cells (JSON
-#      vs binary write and load of a `base`-shape host: ≈ 1 s to build,
-#      ≈ 2 s for the JSON pair), and the top-k query grid (which asserts
-#      zero allocations per warm scan and warm batch even in smoke).
+#      factorisation comparisons, the WAL append/recovery suite with its
+#      checkpoint-format cells (JSON vs binary write and load of a
+#      `base`-shape host: ≈ 1 s to build, ≈ 2 s for the JSON pair), and
+#      the top-k query grid (which asserts zero allocations per warm scan
+#      and warm batch even in smoke).
 #
 # A per-step wall-clock summary is printed at the end.
 #
@@ -151,22 +145,7 @@ cargo test --release -q -p tsvd-linalg topk
 cargo test --release -q -p tsvd-linalg -- usigma left_only
 cargo test --release -q -p tsvd-serve --test query_equivalence
 
-# Env matrix (header, step 7). The two svd-update legs share one battery:
-# the tsvd-serve package (unit tests, codec property/fuzz tests, loopback
-# equivalence, counter race audit, router fault battery, top-k equivalence)
-# plus every root serving suite, under the env assignments in "$@".
-serve_battery() {
-  env "$@" cargo test -q -p tsvd-serve
-  env "$@" cargo test -q --test serve_equivalence --test net_soak --test multi_tenant \
-    --test recovery --test follower --test router_soak
-}
-
-step "env matrix: svd-update (TSVD_SVD_UPDATE=1)"
-serve_battery TSVD_SVD_UPDATE=1
-
-step "env matrix: svd-update-serial (TSVD_SVD_UPDATE=1 TSVD_THREADS=1)"
-serve_battery TSVD_SVD_UPDATE=1 TSVD_THREADS=1
-
+# Env matrix (header, step 7).
 step "env matrix: tenants3 (TSVD_TENANTS=3)"
 TSVD_TENANTS=3 cargo test -q --test multi_tenant --test recovery
 
@@ -182,7 +161,6 @@ TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench forward_push
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench dynamic_update
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench tree_svd
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench svd_kernels
-TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench svd_update
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench pool_dispatch
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench serving
 TSVD_BENCH_SMOKE=1 cargo bench -q -p tsvd-bench --bench net

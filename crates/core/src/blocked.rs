@@ -390,36 +390,6 @@ pub(crate) fn sparse_row_dist_sq(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
     acc
 }
 
-/// Sparse difference `new − old` of two sorted sparse rows, zero diffs
-/// omitted — the per-row delta the incremental SVD update consumes.
-pub(crate) fn sparse_row_sub(new: &[(u32, f64)], old: &[(u32, f64)]) -> Vec<(u32, f64)> {
-    let mut out = Vec::new();
-    let (mut ia, mut ib) = (0, 0);
-    while ia < new.len() && ib < old.len() {
-        match new[ia].0.cmp(&old[ib].0) {
-            std::cmp::Ordering::Less => {
-                out.push(new[ia]);
-                ia += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push((old[ib].0, -old[ib].1));
-                ib += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let d = new[ia].1 - old[ib].1;
-                if d != 0.0 {
-                    out.push((new[ia].0, d));
-                }
-                ia += 1;
-                ib += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&new[ia..]);
-    out.extend(old[ib..].iter().map(|&(c, v)| (c, -v)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,27 +539,6 @@ mod tests {
         assert_eq!(d, 0.0);
         // Both empty.
         assert_eq!(sparse_row_dist_sq(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn sparse_row_sub_matches_dist() {
-        type Case = (Vec<(u32, f64)>, Vec<(u32, f64)>);
-        let cases: Vec<Case> = vec![
-            (vec![(0, 3.0)], vec![(1, 4.0)]),
-            (vec![(0, 1.0), (2, 2.0)], vec![(2, 5.0)]),
-            (vec![(1, 2.0)], vec![(1, 2.0)]),
-            (vec![], vec![(3, 7.0)]),
-            (vec![(0, 1.0), (5, -2.0)], vec![]),
-        ];
-        for (new, old) in cases {
-            let diff = sparse_row_sub(&new, &old);
-            // Sorted, no explicit zeros, and ‖diff‖² equals the tracked
-            // squared distance.
-            assert!(diff.windows(2).all(|w| w[0].0 < w[1].0));
-            assert!(diff.iter().all(|&(_, v)| v != 0.0));
-            let norm: f64 = diff.iter().map(|&(_, v)| v * v).sum();
-            assert_eq!(norm, sparse_row_dist_sq(&new, &old));
-        }
     }
 
     #[test]

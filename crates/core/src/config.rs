@@ -29,32 +29,6 @@ pub enum UpdatePolicy {
         /// Threshold δ; the paper uses 0.65. Smaller δ updates more blocks.
         delta: f64,
     },
-    /// The lazy rule with a three-tier repair ladder for fired blocks.
-    /// Selection is identical to [`UpdatePolicy::Lazy`] (Lemma 3.4 with the
-    /// same δ, so the skip guarantee is unchanged); a block that *does* fire
-    /// is then repaired as cheaply as its relative delta
-    /// `rel = ‖D_j‖_F / ‖B_j‖_F` allows:
-    ///
-    /// * `rel ≤ patch_budget` — in-place core patch (`svd_core_patch`):
-    ///   project the delta onto the retained subspaces, no residual QR;
-    /// * `rel ≤ refactor_budget` — incremental Brand/Zha–Simon update
-    ///   (`svd_update_rows`): basis-expanding, nnz-independent cost;
-    /// * otherwise — full sparse randomized refactorisation (the oracle).
-    ///
-    /// Cheap tiers also fall back to refactorisation when no cached factor
-    /// exists, when more rows changed than the block is wide (the update's
-    /// residual QR needs tall blocks), or after
-    /// [`UpdatePolicy::MAX_INCREMENTAL_STREAK`] consecutive cheap repairs
-    /// (bounding drift of the estimated residual).
-    LazyIncremental {
-        /// Threshold δ of the firing rule, as in [`UpdatePolicy::Lazy`].
-        delta: f64,
-        /// Relative-delta budget below which the in-place patch is used.
-        patch_budget: f64,
-        /// Relative-delta budget below which the incremental update is
-        /// used; above it the block is refactorised from scratch.
-        refactor_budget: f64,
-    },
     /// Heuristic lazy rule the paper discusses and dismisses for lacking a
     /// guarantee: recompute when the number of changed cells in the block
     /// exceeds `threshold × |S|` (a non-zero-count change measure).
@@ -73,63 +47,10 @@ pub enum UpdatePolicy {
 
 tsvd_rt::impl_json_enum!(UpdatePolicy {
     Lazy { delta },
-    LazyIncremental {
-        delta,
-        patch_budget,
-        refactor_budget
-    },
     LazyNnz { threshold },
     ChangedOnly,
     All
 });
-
-impl UpdatePolicy {
-    /// Default relative-delta budget for the in-place core patch tier.
-    pub const DEFAULT_PATCH_BUDGET: f64 = 0.02;
-    /// Default relative-delta budget for the incremental-update tier.
-    pub const DEFAULT_REFACTOR_BUDGET: f64 = 0.5;
-    /// Consecutive cheap repairs a block tolerates before being forced
-    /// through a full refactorisation. The cheap tiers *estimate* their
-    /// residual as `‖B‖² − Σσ²`, which can drift below the truth over long
-    /// patch chains; a periodic refactor resets the estimate exactly.
-    pub const MAX_INCREMENTAL_STREAK: u32 = 32;
-
-    /// [`UpdatePolicy::LazyIncremental`] with the default tier budgets.
-    pub fn lazy_incremental(delta: f64) -> UpdatePolicy {
-        UpdatePolicy::LazyIncremental {
-            delta,
-            patch_budget: Self::DEFAULT_PATCH_BUDGET,
-            refactor_budget: Self::DEFAULT_REFACTOR_BUDGET,
-        }
-    }
-
-    /// Whether `TSVD_SVD_UPDATE` asks for the incremental path
-    /// (`1`/`true`, anything else — including unset — means exact).
-    pub fn svd_update_env() -> bool {
-        matches!(
-            std::env::var("TSVD_SVD_UPDATE").as_deref(),
-            Ok("1") | Ok("true")
-        )
-    }
-
-    /// Resolve the `TSVD_SVD_UPDATE` toggle: a plain [`UpdatePolicy::Lazy`]
-    /// policy upgrades to [`UpdatePolicy::LazyIncremental`] (same δ,
-    /// default budgets) when the env var is set. Explicit policies — and
-    /// every non-`Lazy` variant — pass through untouched, so configs that
-    /// spell out a policy are env-independent.
-    pub fn resolve_env(self) -> UpdatePolicy {
-        self.resolve_with(Self::svd_update_env())
-    }
-
-    /// [`UpdatePolicy::resolve_env`] with the toggle passed explicitly
-    /// (testable without mutating process-wide environment).
-    pub fn resolve_with(self, svd_update: bool) -> UpdatePolicy {
-        match self {
-            UpdatePolicy::Lazy { delta } if svd_update => Self::lazy_incremental(delta),
-            other => other,
-        }
-    }
-}
 
 /// Full Tree-SVD parameterisation.
 ///
@@ -237,18 +158,6 @@ impl TreeSvdConfig {
             UpdatePolicy::Lazy { delta } => {
                 assert!(delta >= 0.0, "delta must be non-negative");
             }
-            UpdatePolicy::LazyIncremental {
-                delta,
-                patch_budget,
-                refactor_budget,
-            } => {
-                assert!(delta >= 0.0, "delta must be non-negative");
-                assert!(patch_budget >= 0.0, "patch_budget must be non-negative");
-                assert!(
-                    refactor_budget >= patch_budget,
-                    "refactor_budget must be ≥ patch_budget"
-                );
-            }
             UpdatePolicy::LazyNnz { threshold } => {
                 assert!(threshold >= 0.0, "threshold must be non-negative");
             }
@@ -306,14 +215,6 @@ mod tests {
                 r#"{"Lazy":{"delta":0.65}}"#,
             ),
             (
-                UpdatePolicy::LazyIncremental {
-                    delta: 0.65,
-                    patch_budget: 0.1,
-                    refactor_budget: 0.3,
-                },
-                r#"{"LazyIncremental":{"delta":0.65,"patch_budget":0.1,"refactor_budget":0.3}}"#,
-            ),
-            (
                 UpdatePolicy::LazyNnz { threshold: 2.0 },
                 r#"{"LazyNnz":{"threshold":2.0}}"#,
             ),
@@ -329,52 +230,17 @@ mod tests {
             assert_eq!(bytes[0] as usize, index, "variant tags follow list order");
             assert_eq!(decode_all::<UpdatePolicy>(&bytes).unwrap(), p);
         }
-        for bad in [r#""Lazy""#, r#"{"All":{}}"#, r#""Eager""#, "[]"] {
+        for bad in [
+            r#""Lazy""#,
+            r#"{"All":{}}"#,
+            r#""Eager""#,
+            "[]",
+            r#"{"LazyIncremental":{"delta":0.65,"patch_budget":0.1,"refactor_budget":0.3}}"#,
+        ] {
             let j = Json::parse(bad).unwrap();
             assert!(UpdatePolicy::from_json(&j).is_err(), "accepted {bad}");
         }
-        assert!(decode_all::<UpdatePolicy>(&[5]).is_err());
-    }
-
-    #[test]
-    fn lazy_incremental_validates() {
-        let p = UpdatePolicy::lazy_incremental(0.65);
-        TreeSvdConfig {
-            policy: p,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "refactor_budget")]
-    fn rejects_inverted_tier_budgets() {
-        TreeSvdConfig {
-            policy: UpdatePolicy::LazyIncremental {
-                delta: 0.65,
-                patch_budget: 0.5,
-                refactor_budget: 0.1,
-            },
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    fn env_toggle_upgrades_only_plain_lazy() {
-        // Pure form of resolve_env: the toggle upgrades Lazy and leaves
-        // everything else (including an explicit LazyIncremental) alone.
-        let lazy = UpdatePolicy::Lazy { delta: 0.4 };
-        assert_eq!(lazy.resolve_with(false), lazy);
-        assert_eq!(lazy.resolve_with(true), UpdatePolicy::lazy_incremental(0.4));
-        let explicit = UpdatePolicy::LazyIncremental {
-            delta: 0.4,
-            patch_budget: 0.1,
-            refactor_budget: 0.3,
-        };
-        assert_eq!(explicit.resolve_with(false), explicit);
-        assert_eq!(explicit.resolve_with(true), explicit);
-        assert_eq!(UpdatePolicy::All.resolve_with(true), UpdatePolicy::All);
+        assert!(decode_all::<UpdatePolicy>(&[4]).is_err());
     }
 
     #[test]

@@ -14,21 +14,12 @@
 //! part — sparse randomized SVDs over `O(n)` columns — is skipped for every
 //! quiet block, which is where the paper's order-of-magnitude update speedup
 //! comes from.
-//!
-//! Under [`UpdatePolicy::LazyIncremental`] a *fired* block is additionally
-//! repaired by the cheapest sufficient tier instead of always
-//! refactorising: tiny relative deltas patch the cached `U·Σ·Vᵀ` core in
-//! place, moderate ones take the Brand/Zha–Simon incremental update
-//! ([`tsvd_linalg::svd_update_rows`], nnz-independent cost), and only large
-//! ones pay the full sparse randomized SVD. The firing rule — and hence the
-//! Lemma 3.4 skip guarantee — is unchanged; the tiers only decide *how* a
-//! fired block is brought back under tolerance.
 
-use crate::blocked::{sparse_row_dist_sq, sparse_row_sub, BlockedProximityMatrix};
+use crate::blocked::{sparse_row_dist_sq, BlockedProximityMatrix};
 use crate::config::{TreeSvdConfig, UpdatePolicy};
 use crate::embedding::Embedding;
 use crate::static_tree::{level1_factor, merge_group};
-use tsvd_linalg::{svd_core_patch, svd_update_rows, DenseMatrix, RowDelta, Svd};
+use tsvd_linalg::DenseMatrix;
 use tsvd_rt::pool::par_map;
 
 /// Work accounting for one dynamic update (drives the paper's update-time
@@ -39,14 +30,8 @@ pub struct UpdateStats {
     pub blocks_total: usize,
     /// Blocks whose contents changed since their last factorisation.
     pub blocks_changed: usize,
-    /// Blocks repaired by a *full* sparse randomized refactorisation. Under
-    /// every policy except `LazyIncremental` this is all of `|Z|`.
+    /// Blocks re-factorised this update: the fired set `|Z|`.
     pub blocks_recomputed: usize,
-    /// Blocks repaired by the in-place core patch (`LazyIncremental` only).
-    pub blocks_patched: usize,
-    /// Blocks repaired by the incremental Brand/Zha–Simon update
-    /// (`LazyIncremental` only).
-    pub blocks_incremental: usize,
     /// Interior tree nodes re-merged this update.
     pub merges_recomputed: usize,
     /// `(row, block)` cells re-diffed for `‖D_j‖_F` maintenance.
@@ -57,8 +42,6 @@ tsvd_rt::impl_json_struct!(UpdateStats {
     blocks_total,
     blocks_changed,
     blocks_recomputed,
-    blocks_patched,
-    blocks_incremental,
     merges_recomputed,
     cells_rediffed
 });
@@ -73,8 +56,6 @@ impl std::ops::AddAssign for UpdateStats {
         self.blocks_total += rhs.blocks_total;
         self.blocks_changed += rhs.blocks_changed;
         self.blocks_recomputed += rhs.blocks_recomputed;
-        self.blocks_patched += rhs.blocks_patched;
-        self.blocks_incremental += rhs.blocks_incremental;
         self.merges_recomputed += rhs.merges_recomputed;
         self.cells_rediffed += rhs.cells_rediffed;
     }
@@ -87,20 +68,6 @@ impl std::ops::Add for UpdateStats {
         self
     }
 }
-
-/// A block's full cached factorisation, kept only under
-/// [`UpdatePolicy::LazyIncremental`] (the cheap repair tiers rotate it in
-/// place instead of refactorising).
-#[derive(Debug, Clone)]
-struct BlockFactor {
-    /// The block's truncated SVD as of its last repair.
-    svd: Svd,
-    /// Consecutive cheap repairs since the last full refactorisation;
-    /// reaching [`UpdatePolicy::MAX_INCREMENTAL_STREAK`] forces a refactor.
-    streak: u32,
-}
-
-tsvd_rt::impl_json_struct!(BlockFactor { svd, streak });
 
 /// Per-block dynamic cache.
 #[derive(Debug, Clone)]
@@ -116,10 +83,6 @@ struct BlockCache {
     /// `‖(B)_d − B‖_F²` at the last factorisation (estimated as
     /// `‖B‖_F² − Σσ_i²`, exact for exact level-1 SVDs).
     residsq: f64,
-    /// Cached full factorisation for the cheap repair tiers (absent under
-    /// policies that always refactorise; `Option` keeps old serialized
-    /// states decodable).
-    factor: Option<BlockFactor>,
 }
 
 tsvd_rt::impl_json_struct!(BlockCache {
@@ -127,20 +90,8 @@ tsvd_rt::impl_json_struct!(BlockCache {
     seen,
     row_diffsq,
     diffsq,
-    residsq,
-    factor
+    residsq
 });
-
-/// How a fired block is brought back under tolerance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Tier {
-    /// Project the delta onto the retained subspaces, in place.
-    Patch,
-    /// Basis-expanding incremental update (Brand/Zha–Simon).
-    Incremental,
-    /// Fresh sparse randomized factorisation — the oracle.
-    Refactor,
-}
 
 /// Dynamic Tree-SVD (Algorithm 4).
 #[derive(Debug, Clone)]
@@ -162,14 +113,7 @@ tsvd_rt::impl_json_struct!(DynamicTreeSvd {
 
 impl DynamicTreeSvd {
     /// Fresh dynamic state; call [`DynamicTreeSvd::build`] before `update`.
-    ///
-    /// The update policy is resolved against the `TSVD_SVD_UPDATE` env
-    /// toggle here ([`UpdatePolicy::resolve_env`]): a plain `Lazy` policy
-    /// upgrades to `LazyIncremental` when the toggle is set. Doing it at
-    /// the single construction chokepoint keeps every consumer — offline
-    /// pipeline, serving engine, benches — on the same resolved policy.
-    pub fn new(mut cfg: TreeSvdConfig) -> Self {
-        cfg.policy = cfg.policy.resolve_env();
+    pub fn new(cfg: TreeSvdConfig) -> Self {
         cfg.validate();
         DynamicTreeSvd {
             cfg,
@@ -196,18 +140,7 @@ impl DynamicTreeSvd {
         let cfg = self.cfg;
         let b = m.num_blocks();
         let rows = m.num_rows();
-        let keep_factors = matches!(cfg.policy, UpdatePolicy::LazyIncremental { .. });
-        let factored: Vec<(DenseMatrix, f64, Option<Svd>)> = par_map(b, |j| {
-            let block = m.block_csr(j);
-            let svd = level1_factor(&block, &cfg, j as u64);
-            let residsq = svd.residual_sq(m.block_norm_sq(j));
-            let keep = if keep_factors {
-                Some(svd.clone())
-            } else {
-                None
-            };
-            (svd.u_sigma(), residsq, keep)
-        });
+        let factored: Vec<(DenseMatrix, f64)> = par_map(b, |j| refactor(m, &cfg, j));
         self.caches = (0..b)
             .map(|j| BlockCache {
                 rows: (0..rows).map(|i| m.cell(i, j).to_vec()).collect(),
@@ -215,10 +148,6 @@ impl DynamicTreeSvd {
                 row_diffsq: vec![0.0; rows],
                 diffsq: 0.0,
                 residsq: factored[j].1,
-                factor: factored[j]
-                    .2
-                    .clone()
-                    .map(|svd| BlockFactor { svd, streak: 0 }),
             })
             .collect();
         let level1: Vec<DenseMatrix> = factored.into_iter().map(|f| f.0).collect();
@@ -259,20 +188,18 @@ impl DynamicTreeSvd {
             }
         }
 
-        // Phase 2: select Z, the blocks to repair, and pick each one's tier.
-        let mut plan: Vec<(usize, Tier)> = Vec::new();
+        // Phase 2: select Z, the blocks to re-factorise.
+        let mut fired: Vec<usize> = Vec::new();
         for j in 0..b {
             let cache = &self.caches[j];
             let changed = cache.diffsq > 0.0;
             if changed {
                 stats.blocks_changed += 1;
             }
-            let fired = match cfg.policy {
+            let fires = match cfg.policy {
                 UpdatePolicy::All => true,
                 UpdatePolicy::ChangedOnly => changed,
-                // LazyIncremental fires by the identical Lemma 3.4 rule —
-                // the tiers change the repair, never the skip decision.
-                UpdatePolicy::Lazy { delta } | UpdatePolicy::LazyIncremental { delta, .. } => {
+                UpdatePolicy::Lazy { delta } => {
                     changed
                         && cache.residsq.max(0.0).sqrt() + cache.diffsq.max(0.0).sqrt()
                             > std::f64::consts::SQRT_2 * delta * m.block_norm_sq(j).max(0.0).sqrt()
@@ -286,78 +213,23 @@ impl DynamicTreeSvd {
                     }
                 }
             };
-            if !fired {
-                continue;
+            if fires {
+                fired.push(j);
             }
-            let tier = match cfg.policy {
-                UpdatePolicy::LazyIncremental {
-                    patch_budget,
-                    refactor_budget,
-                    ..
-                } => self.repair_tier(j, m, patch_budget, refactor_budget),
-                _ => Tier::Refactor,
-            };
-            plan.push((j, tier));
         }
 
-        if plan.is_empty() {
+        if fired.is_empty() {
             // Everything cached is still within tolerance: Theorem 3.6 case
             // (i); return the cached embedding untouched.
             return (self.root.clone().expect("root exists after build"), stats);
         }
 
-        // Phase 3: repair the affected blocks in parallel, each by its tier.
-        let keep_factors = matches!(cfg.policy, UpdatePolicy::LazyIncremental { .. });
-        let caches = &self.caches;
-        let repaired: Vec<(DenseMatrix, f64, Option<Svd>)> = par_map(plan.len(), |pi| {
-            let (j, tier) = plan[pi];
-            match tier {
-                Tier::Refactor => {
-                    let block = m.block_csr(j);
-                    let svd = level1_factor(&block, &cfg, j as u64);
-                    let residsq = svd.residual_sq(m.block_norm_sq(j));
-                    let keep = if keep_factors {
-                        Some(svd.clone())
-                    } else {
-                        None
-                    };
-                    (svd.u_sigma(), residsq, keep)
-                }
-                Tier::Patch | Tier::Incremental => {
-                    let cache = &caches[j];
-                    let old = &cache.factor.as_ref().expect("tier needs cached factor").svd;
-                    let deltas: Vec<RowDelta> = (0..m.num_rows())
-                        .filter(|&i| cache.row_diffsq[i] > 0.0)
-                        .map(|i| RowDelta {
-                            row: i,
-                            entries: sparse_row_sub(m.cell(i, j), &cache.rows[i]),
-                        })
-                        .filter(|d| !d.entries.is_empty())
-                        .collect();
-                    let svd = if tier == Tier::Patch {
-                        svd_core_patch(old, &deltas)
-                    } else {
-                        svd_update_rows(old, &deltas, cfg.dim)
-                    };
-                    // Estimated residual: exact when the repaired factors
-                    // capture the block's best rank-d approximation, a lower
-                    // bound otherwise (the streak cap bounds the drift).
-                    let residsq = svd.residual_sq(m.block_norm_sq(j));
-                    (svd.u_sigma(), residsq, Some(svd))
-                }
-            }
-        });
-        for (pi, &(j, tier)) in plan.iter().enumerate() {
-            let (usigma, residsq, svd) = repaired[pi].clone();
+        // Phase 3: re-factorise the fired blocks in parallel.
+        let repaired: Vec<(DenseMatrix, f64)> =
+            par_map(fired.len(), |fi| refactor(m, &cfg, fired[fi]));
+        for (&j, (usigma, residsq)) in fired.iter().zip(repaired) {
             self.levels[0][j] = usigma;
             let cache = &mut self.caches[j];
-            let streak = match tier {
-                Tier::Refactor => 0,
-                Tier::Patch | Tier::Incremental => {
-                    cache.factor.as_ref().map_or(0, |f| f.streak) + 1
-                }
-            };
-            cache.factor = svd.map(|svd| BlockFactor { svd, streak });
             cache.residsq = residsq;
             cache.diffsq = 0.0;
             for i in 0..m.num_rows() {
@@ -365,15 +237,11 @@ impl DynamicTreeSvd {
                 cache.row_diffsq[i] = 0.0;
                 cache.seen[i] = m.cell_version(i, j);
             }
-            match tier {
-                Tier::Patch => stats.blocks_patched += 1,
-                Tier::Incremental => stats.blocks_incremental += 1,
-                Tier::Refactor => stats.blocks_recomputed += 1,
-            }
         }
+        stats.blocks_recomputed = fired.len();
 
         // Phase 4: bubble the changes up — re-merge only affected parents.
-        let mut affected: Vec<usize> = plan.into_iter().map(|(j, _)| j).collect();
+        let mut affected = fired;
         for lvl in 1..self.levels.len() {
             let mut parents: Vec<usize> = affected.iter().map(|&j| j / cfg.branching).collect();
             parents.sort_unstable();
@@ -397,55 +265,14 @@ impl DynamicTreeSvd {
         self.root = Some(emb.clone());
         (emb, stats)
     }
+}
 
-    /// Pick the cheapest sufficient repair for a fired block: patch when
-    /// the relative delta `‖D_j‖_F/‖B_j‖_F` fits the patch budget,
-    /// incremental update when it fits the refactor budget, and a full
-    /// refactorisation otherwise — or whenever the cheap tiers'
-    /// preconditions fail (no cached factor, rank-0 factor, streak cap
-    /// reached, more changed rows than the block is wide: the update's
-    /// residual QR needs tall blocks).
-    fn repair_tier(
-        &self,
-        j: usize,
-        m: &BlockedProximityMatrix,
-        patch_budget: f64,
-        refactor_budget: f64,
-    ) -> Tier {
-        let cache = &self.caches[j];
-        let factor = match &cache.factor {
-            Some(f) => f,
-            None => return Tier::Refactor,
-        };
-        if factor.svd.rank() == 0 || factor.streak >= UpdatePolicy::MAX_INCREMENTAL_STREAK {
-            return Tier::Refactor;
-        }
-        let changed_rows = cache.row_diffsq.iter().filter(|&&d| d > 0.0).count();
-        let (start, end) = m.block_range(j);
-        if changed_rows == 0 || changed_rows > (end - start) as usize {
-            return Tier::Refactor;
-        }
-        // Cost gate: the update re-diagonalises a `(k+c)×(k+c)` core, so a
-        // window that touched many rows (`c ≫ k`) is cheaper to refactorise
-        // — the cheap tiers are for *delta-sparse* windows. `c ≤ 2k` keeps
-        // the augmented core within a small constant of the rank-`k` dense
-        // work a refactorisation performs anyway.
-        if changed_rows > 2 * self.cfg.dim {
-            return Tier::Refactor;
-        }
-        let block_norm = m.block_norm_sq(j).max(0.0).sqrt();
-        if block_norm <= 0.0 {
-            return Tier::Refactor;
-        }
-        let rel = cache.diffsq.max(0.0).sqrt() / block_norm;
-        if rel <= patch_budget {
-            Tier::Patch
-        } else if rel <= refactor_budget {
-            Tier::Incremental
-        } else {
-            Tier::Refactor
-        }
-    }
+/// Factorise block `j` of `m` from scratch: its `U·Σ` and the residual
+/// estimate `‖(B_j)_d − B_j‖_F²` the lazy rule compares against.
+fn refactor(m: &BlockedProximityMatrix, cfg: &TreeSvdConfig, j: usize) -> (DenseMatrix, f64) {
+    let svd = level1_factor(&m.block_csr(j), cfg, j as u64);
+    let residsq = svd.residual_sq(m.block_norm_sq(j));
+    (svd.u_sigma(), residsq)
 }
 
 /// Build the full cached level structure from the first-level factors.
@@ -720,138 +547,16 @@ mod tests {
     }
 
     #[test]
-    fn patch_tier_repairs_tiny_fired_deltas() {
-        // δ = 0 fires every changed block; a tiny relative delta must then
-        // take the in-place patch, never a refactorisation.
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut m = random_matrix(&mut rng, 10, 64, 8);
-        let mut dt = DynamicTreeSvd::new(cfg(UpdatePolicy::LazyIncremental {
-            delta: 0.0,
-            patch_budget: UpdatePolicy::DEFAULT_PATCH_BUDGET,
-            refactor_budget: UpdatePolicy::DEFAULT_REFACTOR_BUDGET,
-        }));
-        dt.build(&m);
-        bump_cell(&mut m, 0, 0, 2, 1e-3);
-        let (_, stats) = dt.update(&m);
-        assert_eq!(stats.blocks_changed, 1);
-        assert_eq!(stats.blocks_patched, 1);
-        assert_eq!(stats.blocks_incremental, 0);
-        assert_eq!(stats.blocks_recomputed, 0);
-        assert!(stats.merges_recomputed > 0, "patches still bubble up");
-    }
-
-    #[test]
-    fn incremental_tier_tracks_refactor_quality() {
-        // Moderate relative deltas (between the tier budgets) take the
-        // incremental Brand/Zha–Simon update; over several rounds the
-        // embedding must stay within the Lemma 3.4 ballpark of a fresh
-        // static rebuild, exactly like the exact-refactor path.
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut m = random_matrix(&mut rng, 12, 96, 8);
-        let c = cfg(UpdatePolicy::lazy_incremental(0.05));
-        let mut dt = DynamicTreeSvd::new(c);
-        dt.build(&m);
-        let mut total = UpdateStats::default();
-        for round in 0..3 {
-            for i in 0..12 {
-                let mut full: Vec<(u32, f64)> = Vec::new();
-                for j in 0..m.num_blocks() {
-                    let (start, _) = m.block_range(j);
-                    for &(cc, v) in m.cell(i, j) {
-                        full.push((start + cc, v * 1.15));
-                    }
-                }
-                m.set_row(i, &full);
-            }
-            let (emb, stats) = dt.update(&m);
-            total += stats;
-            let csr = m.to_csr();
-            let lazy_resid = emb.projection_residual(&csr);
-            let fresh = TreeSvd::new(c).embed(&m);
-            let fresh_resid = fresh.projection_residual(&csr);
-            let norm = csr.frobenius_norm();
-            assert!(
-                lazy_resid <= fresh_resid + std::f64::consts::SQRT_2 * 0.05 * norm,
-                "round {round}: {lazy_resid} vs fresh {fresh_resid} (‖M‖={norm})"
-            );
-        }
-        assert!(
-            total.blocks_incremental > 0,
-            "15% row scalings must take the incremental tier: {total:?}"
-        );
-        assert_eq!(total.blocks_recomputed, 0, "no refactor needed: {total:?}");
-    }
-
-    #[test]
-    fn incremental_policy_refactors_large_changes_bitwise() {
-        // Past the refactor budget the third tier is the existing full
-        // refactorisation — bit-identical to a fresh static build.
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut m = random_matrix(&mut rng, 10, 64, 8);
-        let mut dt = DynamicTreeSvd::new(cfg(UpdatePolicy::lazy_incremental(0.1)));
-        dt.build(&m);
-        for i in 0..10 {
-            let mut entries: Vec<(u32, f64)> = Vec::new();
-            for c in 0..64u32 {
-                if rng.gen_bool(0.5) {
-                    entries.push((c, rng.gen_range(5.0..9.0)));
-                }
-            }
-            m.set_row(i, &entries);
-        }
-        let (emb, stats) = dt.update(&m);
-        assert_eq!(stats.blocks_patched, 0);
-        assert_eq!(stats.blocks_incremental, 0);
-        assert!(stats.blocks_recomputed >= 7, "all blocks refactorise");
-        let fresh = TreeSvd::new(*dt.config()).embed(&m);
-        assert!(emb.left().sub(&fresh.left()).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn streak_cap_forces_periodic_refactor() {
-        // A block patched over and over must eventually be refactorised
-        // (the cheap tiers only estimate their residual; the streak cap
-        // resets the estimate exactly).
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut m = random_matrix(&mut rng, 6, 16, 4);
-        let mut dt = DynamicTreeSvd::new(TreeSvdConfig {
-            dim: 3,
-            num_blocks: 4,
-            ..cfg(UpdatePolicy::LazyIncremental {
-                delta: 0.0,
-                patch_budget: UpdatePolicy::DEFAULT_PATCH_BUDGET,
-                refactor_budget: UpdatePolicy::DEFAULT_REFACTOR_BUDGET,
-            })
-        });
-        dt.build(&m);
-        let rounds = UpdatePolicy::MAX_INCREMENTAL_STREAK as usize + 8;
-        let mut total = UpdateStats::default();
-        for _ in 0..rounds {
-            bump_cell(&mut m, 0, 0, 1, 1e-4);
-            let (_, stats) = dt.update(&m);
-            total += stats;
-        }
-        assert!(
-            total.blocks_recomputed >= 1,
-            "streak cap must force a refactor: {total:?}"
-        );
-        assert!(
-            total.blocks_patched >= UpdatePolicy::MAX_INCREMENTAL_STREAK as usize,
-            "tiny deltas patch until the cap: {total:?}"
-        );
-    }
-
-    #[test]
-    fn dynamic_state_with_factors_round_trips() {
+    fn dynamic_state_round_trips_mid_stream() {
         use tsvd_rt::json::{FromJson, Json, ToJson};
         let mut rng = StdRng::seed_from_u64(11);
         let mut m = random_matrix(&mut rng, 10, 64, 8);
-        let mut dt = DynamicTreeSvd::new(cfg(UpdatePolicy::lazy_incremental(0.0)));
+        let mut dt = DynamicTreeSvd::new(cfg(UpdatePolicy::Lazy { delta: 0.0 }));
         dt.build(&m);
         bump_cell(&mut m, 3, 2, 0, 5e-4);
         dt.update(&m);
-        // Serialize mid-stream (factor caches populated), decode, and check
-        // both copies evolve identically.
+        // Serialize mid-stream (caches populated), decode, and check both
+        // copies evolve identically.
         let j = Json::parse(&dt.to_json().to_string()).unwrap();
         let mut back = DynamicTreeSvd::from_json(&j).unwrap();
         bump_cell(&mut m, 5, 4, 3, 7e-4);

@@ -426,8 +426,6 @@ mod tests {
             blocks_total: 8,
             blocks_changed: 3,
             blocks_recomputed: 2,
-            blocks_patched: 1,
-            blocks_incremental: 2,
             merges_recomputed: 1,
             cells_rediffed: 40,
         };
@@ -435,8 +433,6 @@ mod tests {
             blocks_total: 8,
             blocks_changed: 5,
             blocks_recomputed: 4,
-            blocks_patched: 3,
-            blocks_incremental: 1,
             merges_recomputed: 3,
             cells_rediffed: 60,
         };

@@ -18,9 +18,6 @@
 //! * [`lanczos`] — Golub–Kahan–Lanczos bidiagonalization with full
 //!   reorthogonalisation, the deterministic alternative for sparse
 //!   truncated SVDs (level-1 ablation);
-//! * [`svd_update`] — incremental truncated-SVD updates from sparse row
-//!   deltas (Brand/Zha–Simon), the cheap tiers of the dynamic layer's
-//!   three-tier update policy;
 //! * [`sketch`] — Frequent-Directions matrix sketching (the FREDE baseline);
 //! * [`topk`] — deterministic top-k similarity scan, one query or a batch
 //!   (the serving layer's query kernel);
@@ -39,11 +36,9 @@ pub mod randomized;
 pub mod rng;
 pub mod sketch;
 pub mod svd;
-pub mod svd_update;
 pub mod topk;
 
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use randomized::{MatrixProduct, RandomizedSvdConfig};
 pub use svd::Svd;
-pub use svd_update::{svd_core_patch, svd_update_rows, RowDelta};

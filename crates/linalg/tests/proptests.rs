@@ -6,9 +6,7 @@ use tsvd_linalg::randomized::randomized_svd;
 use tsvd_linalg::sketch::FrequentDirections;
 use tsvd_linalg::svd::{exact_svd, exact_truncated_svd, exact_usigma};
 use tsvd_linalg::topk::{topk_scan_batch, topk_scan_naive, Hit, ScanQuery, ScanScratch};
-use tsvd_linalg::{
-    svd_core_patch, svd_update_rows, CsrMatrix, DenseMatrix, RandomizedSvdConfig, RowDelta,
-};
+use tsvd_linalg::{CsrMatrix, DenseMatrix, RandomizedSvdConfig};
 use tsvd_rt::check::{Checker, Gen};
 use tsvd_rt::rng::{SeedableRng, StdRng};
 use tsvd_rt::{ensure, ensure_eq};
@@ -357,100 +355,6 @@ fn csr_column_slices_partition() {
         ensure_eq!(a.nnz() + b.nnz(), m.nnz());
         let total = a.frobenius_norm_sq() + b.frobenius_norm_sq();
         ensure!((total - m.frobenius_norm_sq()).abs() < 1e-9 * (1.0 + total));
-        Ok(())
-    });
-}
-
-/// `c` sparse row deltas with distinct rows, `c ≤ min(m, n, 4)`.
-fn row_deltas(g: &mut Gen, m: usize, n: usize) -> Vec<RowDelta> {
-    let c = g.usize_in(1..m.min(n).min(4) + 1);
-    let mut pool: Vec<usize> = (0..m).collect();
-    (0..c)
-        .map(|_| {
-            let i = g.usize_in(0..pool.len());
-            RowDelta {
-                row: pool.swap_remove(i),
-                entries: g.sparse_row(n as u32, n.min(6), -4.0..4.0),
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn svd_update_residual_qr_stays_orthonormal() {
-    Checker::new(64).run("svd_update_residual_qr_stays_orthonormal", |g| {
-        // The out-of-subspace residual block (I − UUᵀ)·S that svd_update
-        // QR-factorises keeps an orthonormal Q within 1e-10, and Q·R
-        // reproduces the block — the invariant that lets [U Qp] act as an
-        // orthonormal expanded basis.
-        let a = dense_matrix(g, 16);
-        let m = a.rows();
-        let k = g.usize_in(1..m.min(a.cols()).min(5) + 1);
-        let svd = exact_svd(&a).truncate(k);
-        let deltas = row_deltas(g, m, a.cols());
-        let c = deltas.len();
-        let mut s_mat = DenseMatrix::zeros(m, c);
-        for (i, d) in deltas.iter().enumerate() {
-            s_mat.set(d.row, i, 1.0);
-        }
-        let p = s_mat.sub(&svd.u.mul(&svd.u.t_mul(&s_mat)));
-        let f = qr(&p);
-        let gram = f.q.t_mul(&f.q);
-        ensure!(
-            gram.sub(&DenseMatrix::identity(c)).max_abs() < 1e-10,
-            "Q gram deviates by {}",
-            gram.sub(&DenseMatrix::identity(c)).max_abs()
-        );
-        ensure!(f.q.mul(&f.r).sub(&p).max_abs() < 1e-10 * (1.0 + p.max_abs()));
-        Ok(())
-    });
-}
-
-#[test]
-fn svd_update_then_rediagonalize_is_idempotent() {
-    Checker::new(64).run("svd_update_then_rediagonalize_is_idempotent", |g| {
-        // An incremental update already yields a diagonalised factorisation:
-        // exactly re-diagonalising its reconstruction changes nothing — same
-        // spectrum, same low-rank matrix.
-        let a = dense_matrix(g, 12);
-        let k = g.usize_in(1..a.rows().min(a.cols()).min(5) + 1);
-        let svd = exact_svd(&a).truncate(k);
-        let deltas = row_deltas(g, a.rows(), a.cols());
-        let up = svd_update_rows(&svd, &deltas, k);
-        let back = up.reconstruct();
-        let again = exact_svd(&back).truncate(up.rank());
-        for (x, y) in up.s.iter().zip(&again.s) {
-            ensure!((x - y).abs() < 1e-8 * (1.0 + y), "{x} vs {y}");
-        }
-        ensure!(
-            again.reconstruct().sub(&back).max_abs() < 1e-8 * (1.0 + back.max_abs()),
-            "re-diagonalisation moved the matrix"
-        );
-        Ok(())
-    });
-}
-
-#[test]
-fn svd_update_zero_delta_is_bitwise_noop() {
-    Checker::new(64).run("svd_update_zero_delta_is_bitwise_noop", |g| {
-        // Deltas with no entries leave both kernels bitwise untouched.
-        let a = dense_matrix(g, 12);
-        let k = g.usize_in(1..a.rows().min(a.cols()).min(5) + 1);
-        let svd = exact_svd(&a).truncate(k);
-        let deltas: Vec<RowDelta> = (0..g.usize_in(0..3))
-            .map(|i| RowDelta {
-                row: i % a.rows(),
-                entries: Vec::new(),
-            })
-            .collect();
-        for out in [
-            svd_update_rows(&svd, &deltas, k),
-            svd_core_patch(&svd, &deltas),
-        ] {
-            ensure_eq!(out.s, svd.s);
-            ensure!(out.u.sub(&svd.u).max_abs() == 0.0);
-            ensure!(out.vt.sub(&svd.vt).max_abs() == 0.0);
-        }
         Ok(())
     });
 }

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use tsvd_core::{
     BlockedProximityMatrix, DynamicTreeSvd, Embedding, PipelineTimings, TaggedEmbedding,
-    TreeSvdConfig, UpdatePolicy, UpdateStats,
+    TreeSvdConfig, UpdateStats,
 };
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_linalg::CsrMatrix;
@@ -219,16 +219,6 @@ impl TenantEngine {
 
     pub(crate) fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether the tree's *resolved* policy (explicit config, or a `Lazy`
-    /// upgraded by `TSVD_SVD_UPDATE` at construction) runs the incremental
-    /// SVD repair tiers.
-    pub(crate) fn svd_update(&self) -> bool {
-        matches!(
-            self.tree.config().policy,
-            UpdatePolicy::LazyIncremental { .. }
-        )
     }
 }
 

@@ -82,7 +82,7 @@
 //! | 0x83 | `FlushAck`     | `u64 epoch` |
 //! | 0x84 | `Rows`         | `u64 epoch`, `u64 checksum_bits`, `u32 dim`, `u32 n`, then n × (`u8 present`, present × dim × `f64`) |
 //! | 0x85 | `Embedding`    | `u64 epoch`, `u64 checksum_bits`, `u32 dim`, `u32 rows`, rows × `u32 source`, rows·dim × `f64` (row-major) |
-//! | 0x86 | `Stats`        | `u32 len`, UTF-8 JSON body (`StatsReply`: the tenant's `ServeStats` plus the `HostStats` rollup; the rt::json codec round-trips every `f64` bitwise) |
+//! | 0x86 | `Stats`        | `u32 len`, UTF-8 JSON body (`StatsReply`: the tenant's `ServeStats` plus the `HostStats` rollup; the rt::json codec round-trips every `f64` bitwise; a decoder ignores keys it does not know but needs every key it does, so a body without one of them is `Malformed`) |
 //! | 0x87 | `ShutdownAck`  | empty |
 //! | 0x88 | `Windows`      | `u64 latest`, `u64 first_epoch`, `u32 n`, then n × (`u32 m`, m × (`u32 u`, `u32 v`, `u8 kind`)) |
 //! | 0x89 | `Checkpoint`   | `u64 epoch`, `u32 len`, UTF-8 host-checkpoint JSON (the `TenantHost` serialisation; rt::json round-trips every `f64` bitwise, so a re-seeded follower continues bit-exact) |
@@ -1575,9 +1575,6 @@ mod tests {
             flush_ms_last: 1.25,
             flush_ms_mean: 2.5,
             flush_ms_max: 0.1 + 0.2, // not exactly representable: bits must survive
-            svd_update: true,
-            blocks_patched: 40,
-            blocks_incremental: 9,
             blocks_refactored: 3,
             timings: Default::default(),
         };

@@ -145,10 +145,7 @@ struct Counters {
     flush_nanos_total: AtomicU64,
     flush_nanos_last: AtomicU64,
     flush_nanos_max: AtomicU64,
-    /// Level-1 block repairs by tier, cumulative across shards/flushes:
-    /// in-place patches, incremental updates, full refactorisations.
-    blocks_patched: AtomicU64,
-    blocks_incremental: AtomicU64,
+    /// Level-1 block refactorisations, cumulative across flushes.
     blocks_refactored: AtomicU64,
 }
 
@@ -191,10 +188,6 @@ impl TenantState {
         c.flush_nanos_total.fetch_add(nanos, Ordering::Release);
         c.flush_nanos_max.fetch_max(nanos, Ordering::Release);
         c.flush_nanos_last.store(nanos, Ordering::Release);
-        c.blocks_patched
-            .fetch_add(stats.blocks_patched as u64, Ordering::Release);
-        c.blocks_incremental
-            .fetch_add(stats.blocks_incremental as u64, Ordering::Release);
         c.blocks_refactored
             .fetch_add(stats.blocks_recomputed as u64, Ordering::Release);
         c.batches.fetch_add(1, Ordering::Release);
@@ -346,7 +339,6 @@ struct TenantHandle {
     cell: Arc<EpochCell>,
     counters: Arc<Counters>,
     num_shards: usize,
-    svd_update: bool,
 }
 
 impl EmbeddingServer {
@@ -403,7 +395,6 @@ impl EmbeddingServer {
                 cell: publisher.cell().clone(),
                 counters: counters.clone(),
                 num_shards: engine.num_shards(),
-                svd_update: engine.svd_update(),
             });
             tenants.push(TenantState {
                 publisher,
@@ -698,8 +689,6 @@ impl ServerHandle {
         // `last`, so this order guarantees `max ≥ last` in the result.
         let last_ns = c.flush_nanos_last.load(Ordering::Acquire);
         let max_ns = c.flush_nanos_max.load(Ordering::Acquire);
-        let blocks_patched = c.blocks_patched.load(Ordering::Acquire);
-        let blocks_incremental = c.blocks_incremental.load(Ordering::Acquire);
         let blocks_refactored = c.blocks_refactored.load(Ordering::Acquire);
         ServeStats {
             tenant: t.id,
@@ -717,9 +706,6 @@ impl ServerHandle {
                 total_ns as f64 / batches as f64 / 1e6
             },
             flush_ms_max: max_ns as f64 / 1e6,
-            svd_update: t.svd_update,
-            blocks_patched,
-            blocks_incremental,
             blocks_refactored,
             timings: snap.timings(),
         }
@@ -792,12 +778,16 @@ impl EmbeddingReader {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use tsvd_core::TreeSvdConfig;
+    use tsvd_core::{TreeSvdConfig, UpdatePolicy};
     use tsvd_graph::DynGraph;
     use tsvd_ppr::PprConfig;
     use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 
     fn setup(num_shards: usize) -> (DynGraph, ShardedEngine) {
+        setup_with(num_shards, TreeSvdConfig::default().policy)
+    }
+
+    fn setup_with(num_shards: usize, policy: UpdatePolicy) -> (DynGraph, ShardedEngine) {
         let mut rng = StdRng::seed_from_u64(11);
         let n = 60usize;
         let mut g = DynGraph::with_nodes(n);
@@ -812,6 +802,7 @@ mod tests {
         let cfg = TreeSvdConfig {
             dim: 4,
             num_blocks: 3,
+            policy,
             ..Default::default()
         };
         let engine = ShardedEngine::new(&g, &sources, num_shards, PprConfig::default(), cfg);
@@ -902,6 +893,34 @@ mod tests {
         assert!(stats.flush_ms_last > 0.0);
         assert!(stats.flush_ms_max >= stats.flush_ms_last);
         server.shutdown();
+    }
+
+    #[test]
+    fn refactor_counter_matches_the_engine_at_any_shard_count() {
+        // The served counter accounts for every level-1 refactorisation
+        // the flushes performed, as the engine's own totals count them.
+        for num_shards in [1, 3] {
+            let (_, engine) = setup_with(num_shards, UpdatePolicy::Lazy { delta: 0.05 });
+            let cfg = ServeConfig {
+                flush_max_events: 1_000_000,
+                flush_interval_ms: 60_000,
+                ..Default::default()
+            };
+            let server = EmbeddingServer::start(engine, cfg);
+            for w in 0..4u32 {
+                server.submit_batch(
+                    (0..8)
+                        .map(|i| EdgeEvent::insert(i, 20 + w * 8 + i))
+                        .collect(),
+                );
+                server.flush_sync();
+            }
+            let stats = server.stats();
+            let engine = server.shutdown();
+            let recomputed = engine.total_stats().blocks_recomputed as u64;
+            assert_eq!(stats.blocks_refactored, recomputed, "R = {num_shards}");
+            assert!(recomputed > 0, "R = {num_shards}: no block fired");
+        }
     }
 
     #[test]

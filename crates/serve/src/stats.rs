@@ -32,19 +32,8 @@ pub struct ServeStats {
     pub flush_ms_mean: f64,
     /// Worst flush wall-clock, milliseconds.
     pub flush_ms_max: f64,
-    /// Whether this tenant's Tree-SVD runs the incremental SVD update
-    /// path: its *resolved* policy is `UpdatePolicy::LazyIncremental`,
-    /// whether set explicitly or upgraded from `Lazy` by
-    /// `TSVD_SVD_UPDATE` at construction.
-    pub svd_update: bool,
-    /// Level-1 blocks repaired by the in-place core patch, cumulative
-    /// across shards and flushes. Nonzero only on the incremental path.
-    pub blocks_patched: u64,
-    /// Level-1 blocks repaired by the incremental Brand/Zha–Simon update,
-    /// cumulative. Nonzero only on the incremental path.
-    pub blocks_incremental: u64,
-    /// Level-1 blocks repaired by a full sparse randomized
-    /// refactorisation, cumulative.
+    /// Level-1 blocks re-factorised (sparse randomized SVD) because the
+    /// lazy rule fired, cumulative across flushes.
     pub blocks_refactored: u64,
     /// Cumulative per-stage engine timings (PPR / rows / SVD).
     pub timings: PipelineTimings,
@@ -62,9 +51,6 @@ tsvd_rt::impl_json_struct!(ServeStats {
     flush_ms_last,
     flush_ms_mean,
     flush_ms_max,
-    svd_update,
-    blocks_patched,
-    blocks_incremental,
     blocks_refactored,
     timings
 });
@@ -166,9 +152,6 @@ mod tests {
             flush_ms_last: 1.5,
             flush_ms_mean: 2.0,
             flush_ms_max: 3.25,
-            svd_update: true,
-            blocks_patched: 12,
-            blocks_incremental: 5,
             blocks_refactored: 2,
             timings: PipelineTimings {
                 ppr_secs: 0.5,

@@ -137,9 +137,6 @@ fn gen_message(g: &mut Gen) -> Message {
                 flush_ms_last: g.f64_in(0.0..1e4),
                 flush_ms_mean: g.f64_in(0.0..1e4),
                 flush_ms_max: g.f64_in(0.0..1e4),
-                svd_update: g.u32_in(0..2) == 1,
-                blocks_patched: g.u64_in(0..1_000_000),
-                blocks_incremental: g.u64_in(0..1_000_000),
                 blocks_refactored: g.u64_in(0..1_000_000),
                 timings: PipelineTimings {
                     ppr_secs: g.f64_in(0.0..1e3),

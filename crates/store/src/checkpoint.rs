@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic      "TSVDCKPT"
-//! 8       4     version    CHECKPOINT_VERSION (currently 1)
+//! 8       4     version    CHECKPOINT_VERSION (currently 2)
 //! 12      8     epoch      must equal the epoch in the file name and the
 //!                          host's own record-once counter
 //! 20      …     sections   back to back until the end of the file
@@ -90,8 +90,9 @@ use crate::{wal, StoreError};
 /// First eight bytes of every binary checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"TSVDCKPT";
 
-/// Binary checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Binary checkpoint format version. Version 1 files (whose tree section
+/// held the removed incremental-repair factors) are refused.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Bytes in front of the first section: magic, version, epoch.
 pub const CHECKPOINT_HEADER_LEN: usize = 20;
@@ -464,6 +465,26 @@ mod tests {
         // are one- and two-digit integers (at serving sizes: 26 MB vs 60).
         let text = host.to_json().to_string().len();
         assert!(bytes.len() < text, "{} vs {text}", bytes.len());
+    }
+
+    #[test]
+    fn a_header_naming_another_version_is_refused_with_a_typed_error() {
+        let bytes = encode(&host_at(2));
+        for version in [1, CHECKPOINT_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&u32::to_le_bytes(version));
+            let want = format!("unsupported checkpoint version {version}");
+            match read_host(&other[..]) {
+                Err(StoreError::BadCheckpoint(why)) => assert_eq!(why, want),
+                other => panic!("expected BadCheckpoint, got {:?}", other.err()),
+            }
+            let dir = tmpdir("ckpt-version");
+            fs::write(checkpoint_path(&dir, 2, Format::Bin), &other).unwrap();
+            match load_checkpoint(&dir) {
+                Err(StoreError::BadCheckpoint(why)) => assert!(why.contains(&want), "{why}"),
+                other => panic!("expected BadCheckpoint, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

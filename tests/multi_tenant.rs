@@ -5,8 +5,8 @@
 //!    recorded on the shared graph exactly once and replayed into every
 //!    tenant. Each tenant's final embedding must be **bitwise identical**
 //!    to an offline single-pipeline replay of its own journal over its
-//!    own subset — at R ∈ {1, 3}, under whatever `TSVD_THREADS` /
-//!    `TSVD_SVD_UPDATE` the ci matrix sets.
+//!    own subset — at R ∈ {1, 3}, under whatever `TSVD_THREADS` the ci
+//!    matrix sets.
 //! 2. **Quota backpressure over the wire.** A tenant over its submission
 //!    quota draws a tenant-level `Reply::Error` that leaves the
 //!    connection open and the other tenant unaffected.

@@ -144,9 +144,6 @@ const GOLDEN_EMBEDDING_FNV: u64 = 0x3bb2_30d3_024a_2cee;
 
 #[test]
 fn golden_host_stream_embedding_bits() {
-    if std::env::var_os("TSVD_SVD_UPDATE").is_some() {
-        return; // the digest is of the plain `Lazy` policy
-    }
     let mut rng = StdRng::seed_from_u64(0x601D);
     let g0 = random_graph(&mut rng, 400, 2400);
     let windows = random_windows(&mut rng, &g0, 100, 4);
