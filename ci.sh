@@ -34,7 +34,10 @@
 #      U·Σ, the pinned digest of the one-column Householder loops, and a
 #      left-only Golub–Reinsch's U and w ≡ the full run's, all bitwise)
 #      with --release, because the four-column Householder loops
-#      vectorise differently in optimised builds;
+#      vectorise differently in optimised builds; and the connection
+#      loop's write-log tests under both fronts' handlers, its registry
+#      leak test and the loopback backpressure test with --release,
+#      because every benchmark number is taken from an optimised build;
 #   7. env matrix — three env vars are settings a suite reads (the rest
 #      pass paths and roles to child processes), and each leg runs exactly
 #      the suites that read its var under a value steps 5–6 did not
@@ -138,12 +141,14 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel"
+step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop"
 cargo test --release -q -p tsvd-store
 cargo test --release -q -p tsvd-serve --test net_props
 cargo test --release -q -p tsvd-linalg topk
 cargo test --release -q -p tsvd-linalg -- usigma left_only
 cargo test --release -q -p tsvd-serve --test query_equivalence
+cargo test --release -q -p tsvd-serve --lib conn
+cargo test --release -q -p tsvd-serve --test net_loopback a_client_that_reads_nothing
 
 # Env matrix (header, step 7).
 step "env matrix: tenants3 (TSVD_TENANTS=3)"

@@ -1,5 +1,7 @@
-//! A hermetic single-threaded event loop — the asynchrony substrate under
-//! the serving layer (`tsvd-serve`), built with nothing but `std`.
+//! A hermetic single-threaded event loop — the reactor under the serving
+//! layer's flush loop (`tsvd-serve`'s `EmbeddingServer`), built with
+//! nothing but `std`. Network connections do not use it: each is served
+//! by one blocking loop on its own thread.
 //!
 //! There is no tokio in this workspace (and no external crates at all), but
 //! a request-oriented serving front still needs *reactive* control flow:
@@ -7,11 +9,8 @@
 //! event is W milliseconds old, whichever comes first". This module provides
 //! exactly that shape and nothing more:
 //!
-//! * [`Mailbox`] — a cloneable sender; any thread can post messages. A
-//!   mailbox is unbounded by default ([`EventLoop::new`]) or bounded with
-//!   blocking-send backpressure ([`EventLoop::bounded`]) — the shape the
-//!   serving layer's network connection handlers use so a bursty client
-//!   cannot queue unbounded memory ahead of its dispatcher;
+//! * [`Mailbox`] — a cloneable, unbounded sender; any thread can post
+//!   messages;
 //! * [`EventLoop`] — the single-threaded reactor that owns the receiving
 //!   end. [`EventLoop::run`] blocks on the mailbox with a timeout equal to
 //!   the nearest armed timer deadline, delivering [`Event::Message`] and
@@ -34,7 +33,7 @@
 //! crunching.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// What the reactor delivers to the handler.
@@ -55,44 +54,10 @@ pub enum Flow {
     Stop,
 }
 
-/// Outcome of a non-blocking [`Mailbox::try_send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendStatus {
-    /// The message was enqueued.
-    Sent,
-    /// The mailbox is bounded and currently full (message returned unsent).
-    Full,
-    /// The event loop is gone; no message can ever be delivered.
-    Closed,
-}
-
-/// The sending channel behind a [`Mailbox`]: unbounded or bounded.
-enum Tx<M> {
-    Unbounded(mpsc::Sender<M>),
-    Bounded(mpsc::SyncSender<M>),
-}
-
-impl<M> Clone for Tx<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Tx::Unbounded(tx) => Tx::Unbounded(tx.clone()),
-            Tx::Bounded(tx) => Tx::Bounded(tx.clone()),
-        }
-    }
-}
-
 /// Cloneable sending half of an event loop's mailbox.
+#[derive(Debug)]
 pub struct Mailbox<M> {
-    tx: Tx<M>,
-}
-
-impl<M> std::fmt::Debug for Mailbox<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.tx {
-            Tx::Unbounded(_) => f.write_str("Mailbox(unbounded)"),
-            Tx::Bounded(_) => f.write_str("Mailbox(bounded)"),
-        }
-    }
+    tx: mpsc::Sender<M>,
 }
 
 // Manual impl: `M` itself need not be `Clone` for the handle to be.
@@ -105,32 +70,9 @@ impl<M> Clone for Mailbox<M> {
 }
 
 impl<M> Mailbox<M> {
-    /// Post a message; returns `false` if the event loop is gone. On a
-    /// bounded mailbox this **blocks** while the queue is full — the
-    /// backpressure that keeps a bursty producer from outrunning its
-    /// consumer by unbounded memory.
+    /// Post a message; returns `false` if the event loop is gone.
     pub fn send(&self, msg: M) -> bool {
-        match &self.tx {
-            Tx::Unbounded(tx) => tx.send(msg).is_ok(),
-            Tx::Bounded(tx) => tx.send(msg).is_ok(),
-        }
-    }
-
-    /// Post without blocking. An unbounded mailbox is never
-    /// [`SendStatus::Full`]; a bounded one reports `Full` instead of
-    /// waiting, so callers can shed load or retry on their own schedule.
-    pub fn try_send(&self, msg: M) -> SendStatus {
-        match &self.tx {
-            Tx::Unbounded(tx) => match tx.send(msg) {
-                Ok(()) => SendStatus::Sent,
-                Err(_) => SendStatus::Closed,
-            },
-            Tx::Bounded(tx) => match tx.try_send(msg) {
-                Ok(()) => SendStatus::Sent,
-                Err(TrySendError::Full(_)) => SendStatus::Full,
-                Err(TrySendError::Disconnected(_)) => SendStatus::Closed,
-            },
-        }
+        self.tx.send(msg).is_ok()
     }
 }
 
@@ -190,31 +132,12 @@ pub struct EventLoop<M> {
 }
 
 impl<M> EventLoop<M> {
-    /// A fresh loop and the first handle to its (unbounded) mailbox.
+    /// A fresh loop and the first handle to its mailbox.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> (Mailbox<M>, EventLoop<M>) {
         let (tx, rx) = mpsc::channel();
         (
-            Mailbox {
-                tx: Tx::Unbounded(tx),
-            },
-            EventLoop {
-                rx,
-                timers: Timers::default(),
-            },
-        )
-    }
-
-    /// A fresh loop whose mailbox holds at most `capacity` undelivered
-    /// messages: [`Mailbox::send`] blocks while full (backpressure) and
-    /// [`Mailbox::try_send`] reports [`SendStatus::Full`]. Delivery order
-    /// and timer semantics are identical to [`EventLoop::new`].
-    pub fn bounded(capacity: usize) -> (Mailbox<M>, EventLoop<M>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        (
-            Mailbox {
-                tx: Tx::Bounded(tx),
-            },
+            Mailbox { tx },
             EventLoop {
                 rx,
                 timers: Timers::default(),
@@ -428,8 +351,7 @@ mod tests {
     #[test]
     fn same_deadline_timers_fire_in_key_order() {
         // Ties on the deadline must break deterministically by smaller
-        // key — the network front arms per-connection timers and relies
-        // on a stable firing order for reproducible tests.
+        // key, so the firing order is reproducible.
         let (tx, ev) = EventLoop::new();
         tx.send(());
         drop(tx);
@@ -493,47 +415,5 @@ mod tests {
             Flow::Continue
         });
         assert_eq!(ticks, 4);
-    }
-
-    #[test]
-    fn bounded_mailbox_delivers_burst_in_order_under_backpressure() {
-        // A burst far larger than the queue: blocking sends throttle the
-        // producer, nothing is lost, order is preserved.
-        let (tx, ev) = EventLoop::bounded(4);
-        let producer = std::thread::spawn(move || {
-            for i in 0..200u32 {
-                assert!(tx.send(i), "loop vanished mid-burst");
-            }
-        });
-        let mut seen = Vec::new();
-        ev.run(|_, e| {
-            if let Event::Message(m) = e {
-                // Make the consumer slower than the producer so the queue
-                // is actually full most of the time.
-                if m % 16 == 0 {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                seen.push(m);
-            }
-            Flow::Continue
-        });
-        producer.join().unwrap();
-        assert_eq!(seen, (0..200).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn try_send_reports_full_and_closed() {
-        let (tx, ev) = EventLoop::bounded(2);
-        assert_eq!(tx.try_send(1), SendStatus::Sent);
-        assert_eq!(tx.try_send(2), SendStatus::Sent);
-        assert_eq!(tx.try_send(3), SendStatus::Full, "capacity 2 exceeded");
-        drop(ev); // receiver gone: everything is now Closed
-        assert_eq!(tx.try_send(4), SendStatus::Closed);
-        assert!(!tx.send(5), "blocking send must fail, not hang");
-
-        let (utx, uev) = EventLoop::new();
-        assert_eq!(utx.try_send(1), SendStatus::Sent, "unbounded never Full");
-        drop(uev);
-        assert_eq!(utx.try_send(2), SendStatus::Closed);
     }
 }

@@ -40,8 +40,8 @@
 //!   module docs).
 //! * [`net`] — the network front. A hermetic length-prefixed wire protocol
 //!   (`std::net` only) carries the full server API; [`NetFront`] accepts
-//!   TCP or in-process loopback connections with bounded per-connection
-//!   mailboxes, and [`NetClient`] adds pipelining, reconnect, and
+//!   TCP or in-process loopback connections and serves each on one
+//!   thread, and [`NetClient`] adds pipelining, reconnect, and
 //!   epoch/checksum staleness guards. `f64`s travel as raw IEEE-754 bits,
 //!   so replies over the wire stay bitwise-equal to in-process reads.
 //!

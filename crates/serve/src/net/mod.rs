@@ -10,9 +10,11 @@
 //! * [`transport`] — the [`Transport`] abstraction: [`TcpTransport`] for
 //!   real sockets, plus a bounded in-memory pipe behind
 //!   [`LoopbackTransport`] for deterministic in-process testing.
-//! * [`frontend`] — [`NetFront`]: accept loop + per-connection bounded
-//!   mailboxes dispatching onto the running
-//!   [`EmbeddingServer`](crate::EmbeddingServer).
+//! * `conn` — the connection loop and thread registry both network
+//!   fronts share: one thread per connection, one write per pipelined
+//!   burst, pipelined `TopK` requests answered as runs.
+//! * [`frontend`] — [`NetFront`]: serves the wire protocol on that loop
+//!   against the running [`EmbeddingServer`](crate::EmbeddingServer).
 //! * [`client`] — [`NetClient`]: typed calls, pipelining, reconnect, and
 //!   client-side staleness / torn-read guards. Each client pins one tenant
 //!   ([`ClientConfig::tenant`], default `0`): the id rides the frame
@@ -33,6 +35,7 @@
 //! ```
 
 pub mod client;
+pub(crate) mod conn;
 pub mod frontend;
 pub mod transport;
 pub mod wire;

@@ -41,8 +41,8 @@
 //!
 //! # Streams: one read buffer, one write per burst
 //!
-//! Every connection loop — the front's, the router's and the client's —
-//! reads through a [`FrameReader`] (one 64 KiB buffer; a frame that sits
+//! Every connection loop — the one both fronts share (`net::conn`) and the
+//! client's — reads through a [`FrameReader`] (one 64 KiB buffer; a frame that sits
 //! whole in it is decoded in place) and writes through a `FrameWriter`
 //! (frames are encoded into one reused buffer that leaves in one
 //! `write_all`). The serving side's contract:

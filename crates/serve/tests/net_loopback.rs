@@ -1,10 +1,13 @@
 //! Loopback-transport equivalence: the wire path (client → frame codec →
-//! pipes → frontend → dispatcher → server) must return replies **bitwise
+//! pipes → the front's connection loop → server) must return replies **bitwise
 //! identical** to in-process reads of the same server — at any shard
 //! count. This extends the repo's equivalence chain
 //! (pipeline == engine == server) across the network boundary.
 
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use tsvd_core::TreeSvdConfig;
 use tsvd_graph::{DynGraph, EdgeEvent};
@@ -422,4 +425,47 @@ fn shutdown_request_flushes_and_stops_the_front() {
         "shutdown must flush pending events first"
     );
     assert_eq!(engine.events_applied(), 2);
+}
+
+/// The connection loop reads nothing while a write blocks: a client that
+/// pipelines far more than it reads is stalled on its own writes, then
+/// gets every reply, in order.
+#[test]
+fn a_client_that_reads_nothing_is_held_back_and_loses_no_reply() {
+    const N: u64 = 20_000;
+    let g = base_graph();
+    let front = NetFront::start(EmbeddingServer::start(engine(&g, 1), manual_flush(1)));
+    let duplex = front.loopback().open().unwrap();
+    let (reader, mut writer) = (duplex.reader, duplex.writer);
+    let mut bytes = Vec::new();
+    for id in 1..=N {
+        let req = Request::GetRows(vec![(id % 12) as u32]);
+        wire::encode_frame(id, 0, &Message::Request(req), &mut bytes);
+    }
+    let written = Arc::new(AtomicBool::new(false));
+    let done = written.clone();
+    let client_writes = std::thread::spawn(move || {
+        writer.write_all(&bytes).unwrap();
+        done.store(true, Ordering::Release);
+        writer
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        !written.load(Ordering::Acquire),
+        "{N} requests were taken with no reply read"
+    );
+    let mut replies = FrameReader::new(reader);
+    for id in 1..=N {
+        let frame = replies.read_frame().unwrap().expect("a reply per request");
+        assert_eq!(frame.request_id, id);
+        assert!(
+            matches!(frame.message, Message::Reply(Reply::Rows(_))),
+            "{:?}",
+            frame.message
+        );
+    }
+    let writer = client_writes.join().unwrap();
+    assert!(written.load(Ordering::Acquire));
+    drop((writer, replies));
+    front.shutdown();
 }
