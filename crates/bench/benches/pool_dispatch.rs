@@ -8,7 +8,7 @@
 //! 600-row top-k scan had when it was split into 64-row panels over the
 //! pool. The pool's median minus the serial median there is what one
 //! dispatch costs, recorded as the `tiny_region_dispatch_ns` param. The spawn variant below
-//! reproduces the seed's `tsvd_graph::par::par_map` verbatim so the two
+//! reproduces the seed's per-call `par_map` verbatim so the two
 //! sides dispatch the same chunked index loop and differ only in how the
 //! worker threads come to exist.
 

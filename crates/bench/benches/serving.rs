@@ -41,7 +41,6 @@ fn main() {
         num_shards: 1, // per-case override below; recorded per run
         flush_max_events: batch,
         flush_interval_ms: 60_000, // count-triggered only: measure the flush
-        coalesce: true,
         ..Default::default()
     };
 

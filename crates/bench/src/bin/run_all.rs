@@ -22,9 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig12_vary_rmax",
     "fig13_vary_delta",
     "fig14_update_size",
-    "abl_change_measure",
-    "abl_partition",
-    "abl_level1",
     "exp6_subset_locality",
 ];
 
@@ -72,5 +69,29 @@ fn main() {
     );
     if !failed.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    /// `EXPERIMENTS` names exactly the binaries this package builds, so a
+    /// deleted or added experiment cannot go unnoticed until the full
+    /// reproduction runs.
+    #[test]
+    fn experiments_name_every_sibling_binary() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .expect("src/bin")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .filter(|stem| stem != "run_all")
+            .collect();
+        on_disk.sort();
+        let mut listed: Vec<String> = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        listed.sort();
+        assert_eq!(listed, on_disk);
     }
 }

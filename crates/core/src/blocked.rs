@@ -46,28 +46,9 @@ impl BlockedProximityMatrix {
     pub fn new(num_rows: usize, num_cols: usize, num_blocks: usize) -> Self {
         assert!(num_blocks >= 1, "need at least one block");
         assert!(num_cols >= num_blocks, "more blocks than columns");
-        let mut bounds = Vec::with_capacity(num_blocks + 1);
-        for j in 0..=num_blocks {
-            bounds.push(((j * num_cols) / num_blocks) as u32);
-        }
-        BlockedProximityMatrix::with_boundaries(num_rows, num_cols, bounds)
-    }
-
-    /// An all-zero matrix with explicit column boundaries (`b + 1` strictly
-    /// increasing values from `0` to `num_cols`).
-    pub fn with_boundaries(num_rows: usize, num_cols: usize, bounds: Vec<u32>) -> Self {
-        assert!(bounds.len() >= 2, "need at least one block");
-        assert_eq!(bounds[0], 0, "boundaries must start at 0");
-        assert_eq!(
-            *bounds.last().unwrap() as usize,
-            num_cols,
-            "boundaries must end at n"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must strictly increase"
-        );
-        let num_blocks = bounds.len() - 1;
+        let bounds = (0..=num_blocks)
+            .map(|j| ((j * num_cols) / num_blocks) as u32)
+            .collect();
         BlockedProximityMatrix {
             num_rows,
             num_cols,
@@ -79,83 +60,15 @@ impl BlockedProximityMatrix {
         }
     }
 
-    /// Column boundaries that balance squared-Frobenius mass of the given
-    /// initial rows across `num_blocks` contiguous ranges (greedy sweep).
-    /// Columns with no mass widen whichever block they fall into; every
-    /// block keeps at least one column.
-    pub fn mass_balanced_boundaries(
-        num_cols: usize,
-        num_blocks: usize,
-        rows: &[Vec<(u32, f64)>],
-    ) -> Vec<u32> {
-        assert!(num_blocks >= 1 && num_cols >= num_blocks);
-        let mut col_mass = vec![0.0_f64; num_cols];
-        for row in rows {
-            for &(c, v) in row {
-                col_mass[c as usize] += v * v;
-            }
-        }
-        let total: f64 = col_mass.iter().sum();
-        let mut bounds = Vec::with_capacity(num_blocks + 1);
-        bounds.push(0u32);
-        if total == 0.0 {
-            for j in 1..=num_blocks {
-                bounds.push(((j * num_cols) / num_blocks) as u32);
-            }
-            return bounds;
-        }
-        let target = total / num_blocks as f64;
-        let mut acc = 0.0;
-        let mut next_cut = target;
-        for (c, &mass) in col_mass.iter().enumerate() {
-            acc += mass;
-            // Cut after this column once a target multiple is crossed, but
-            // keep enough columns for the remaining blocks.
-            let blocks_left = num_blocks - (bounds.len() - 1);
-            let cols_left = num_cols - (c + 1);
-            if acc >= next_cut && bounds.len() <= num_blocks && cols_left >= blocks_left - 1 {
-                bounds.push(c as u32 + 1);
-                next_cut += target;
-                if bounds.len() == num_blocks {
-                    break;
-                }
-            }
-        }
-        // Fill any missing cuts (degenerate mass distributions).
-        while bounds.len() < num_blocks {
-            let last = *bounds.last().unwrap();
-            let remaining_blocks = num_blocks + 1 - bounds.len();
-            let step = ((num_cols as u32 - last) / remaining_blocks as u32).max(1);
-            bounds.push(last + step);
-        }
-        bounds.push(num_cols as u32);
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        bounds
-    }
-
-    /// Build a matrix holding `rows` under the partition strategy of `cfg`
+    /// Build a matrix holding `rows` in `cfg.num_blocks` equal-width blocks
     /// — the shared constructor behind `TreeSvdPipeline::new` and the
-    /// serving layer's sharded engine, which must reproduce bit-identical
-    /// boundaries (EqualMass boundaries depend on the *full* initial row
-    /// set, so shards cannot compute them locally).
+    /// serving layer's sharded engine.
     pub fn from_proximity_rows(
         num_cols: usize,
         cfg: &crate::config::TreeSvdConfig,
         rows: &[Vec<(u32, f64)>],
     ) -> Self {
-        let mut m = match cfg.partition {
-            crate::config::PartitionStrategy::EqualWidth => {
-                BlockedProximityMatrix::new(rows.len(), num_cols, cfg.num_blocks)
-            }
-            crate::config::PartitionStrategy::EqualMass => {
-                let bounds = BlockedProximityMatrix::mass_balanced_boundaries(
-                    num_cols,
-                    cfg.num_blocks,
-                    rows,
-                );
-                BlockedProximityMatrix::with_boundaries(rows.len(), num_cols, bounds)
-            }
-        };
+        let mut m = BlockedProximityMatrix::new(rows.len(), num_cols, cfg.num_blocks);
         for (i, row) in rows.iter().enumerate() {
             m.set_row(i, row);
         }
@@ -539,44 +452,6 @@ mod tests {
         assert_eq!(d, 0.0);
         // Both empty.
         assert_eq!(sparse_row_dist_sq(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn mass_balanced_boundaries_balance() {
-        // All mass in the first 10 columns of 100: the cuts concentrate
-        // there instead of splitting uniformly.
-        let rows: Vec<Vec<(u32, f64)>> = (0..5)
-            .map(|_| (0..10u32).map(|c| (c, 2.0)).collect())
-            .collect();
-        let bounds = BlockedProximityMatrix::mass_balanced_boundaries(100, 4, &rows);
-        assert_eq!(bounds.len(), 5);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(bounds[4], 100);
-        assert!(
-            bounds[3] <= 10,
-            "cuts should cluster in the massive region: {bounds:?}"
-        );
-        // Matrix built from them keeps exact norms.
-        let mut m = BlockedProximityMatrix::with_boundaries(5, 100, bounds);
-        for (i, r) in rows.iter().enumerate() {
-            m.set_row(i, r);
-        }
-        for j in 0..4 {
-            let want = m.block_csr(j).frobenius_norm_sq();
-            assert!((m.block_norm_sq(j) - want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mass_balanced_boundaries_handle_empty_rows() {
-        let bounds = BlockedProximityMatrix::mass_balanced_boundaries(12, 3, &[]);
-        assert_eq!(bounds, vec![0, 4, 8, 12]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn with_boundaries_rejects_bad_cuts() {
-        let _ = BlockedProximityMatrix::with_boundaries(2, 10, vec![0, 5, 5, 10]);
     }
 
     #[test]

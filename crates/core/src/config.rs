@@ -8,17 +8,9 @@ pub enum Level1Method {
     Randomized,
     /// Exact SVD on the densified block — the HSVD baseline of Iwen & Ong.
     Exact,
-    /// Golub–Kahan–Lanczos bidiagonalization — the deterministic sparse
-    /// alternative to the randomized range finder (level-1 ablation; not in
-    /// the paper).
-    Lanczos,
 }
 
-tsvd_rt::impl_json_enum!(Level1Method {
-    Randomized,
-    Exact,
-    Lanczos
-});
+tsvd_rt::impl_json_enum!(Level1Method { Randomized, Exact });
 
 /// When the dynamic algorithm re-factorises a first-level block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,14 +20,6 @@ pub enum UpdatePolicy {
     Lazy {
         /// Threshold δ; the paper uses 0.65. Smaller δ updates more blocks.
         delta: f64,
-    },
-    /// Heuristic lazy rule the paper discusses and dismisses for lacking a
-    /// guarantee: recompute when the number of changed cells in the block
-    /// exceeds `threshold × |S|` (a non-zero-count change measure).
-    /// Kept for the ablation comparing change measures.
-    LazyNnz {
-        /// Changed-cell budget as a fraction of the block's row count.
-        threshold: f64,
     },
     /// Recompute every block whose contents changed at all (the eager
     /// dynamic scheme of Section 3, before the lazy refinement).
@@ -47,7 +31,6 @@ pub enum UpdatePolicy {
 
 tsvd_rt::impl_json_enum!(UpdatePolicy {
     Lazy { delta },
-    LazyNnz { threshold },
     ChangedOnly,
     All
 });
@@ -97,19 +80,9 @@ tsvd_rt::impl_json_struct!(TreeSvdConfig {
 pub enum PartitionStrategy {
     /// `b` equal-width contiguous column ranges (the paper's layout).
     EqualWidth,
-    /// Contiguous ranges balanced by squared-Frobenius column mass of the
-    /// *initial* matrix. PPR mass concentrates on hubs, so equal-width
-    /// blocks can be wildly uneven in nnz; mass balancing evens out the
-    /// level-1 SVD costs and makes the lazy rule fire more uniformly.
-    /// (The paper notes heavy-tailed PPR concentration as the motivation
-    /// for lazy updates; this is the corresponding layout ablation.)
-    EqualMass,
 }
 
-tsvd_rt::impl_json_enum!(PartitionStrategy {
-    EqualWidth,
-    EqualMass
-});
+tsvd_rt::impl_json_enum!(PartitionStrategy { EqualWidth });
 
 impl Default for TreeSvdConfig {
     fn default() -> Self {
@@ -128,14 +101,6 @@ impl Default for TreeSvdConfig {
 }
 
 impl TreeSvdConfig {
-    /// Config with the given dimension, keeping other defaults.
-    pub fn with_dim(dim: usize) -> Self {
-        TreeSvdConfig {
-            dim,
-            ..Default::default()
-        }
-    }
-
     /// Number of tree levels `q` (SVD rounds from leaves to root):
     /// `b` blocks shrink by factor `k` per merge until one remains.
     pub fn levels(&self) -> usize {
@@ -154,14 +119,8 @@ impl TreeSvdConfig {
         assert!(self.dim >= 1, "embedding dimension must be positive");
         assert!(self.branching >= 2, "branching factor must be ≥ 2");
         assert!(self.num_blocks >= 1, "need at least one block");
-        match self.policy {
-            UpdatePolicy::Lazy { delta } => {
-                assert!(delta >= 0.0, "delta must be non-negative");
-            }
-            UpdatePolicy::LazyNnz { threshold } => {
-                assert!(threshold >= 0.0, "threshold must be non-negative");
-            }
-            UpdatePolicy::ChangedOnly | UpdatePolicy::All => {}
+        if let UpdatePolicy::Lazy { delta } = self.policy {
+            assert!(delta >= 0.0, "delta must be non-negative");
         }
     }
 }
@@ -214,10 +173,6 @@ mod tests {
                 UpdatePolicy::Lazy { delta: 0.65 },
                 r#"{"Lazy":{"delta":0.65}}"#,
             ),
-            (
-                UpdatePolicy::LazyNnz { threshold: 2.0 },
-                r#"{"LazyNnz":{"threshold":2.0}}"#,
-            ),
             (UpdatePolicy::ChangedOnly, r#""ChangedOnly""#),
             (UpdatePolicy::All, r#""All""#),
         ];
@@ -240,7 +195,7 @@ mod tests {
             let j = Json::parse(bad).unwrap();
             assert!(UpdatePolicy::from_json(&j).is_err(), "accepted {bad}");
         }
-        assert!(decode_all::<UpdatePolicy>(&[4]).is_err());
+        assert!(decode_all::<UpdatePolicy>(&[3]).is_err());
     }
 
     #[test]

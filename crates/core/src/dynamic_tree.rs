@@ -204,14 +204,6 @@ impl DynamicTreeSvd {
                         && cache.residsq.max(0.0).sqrt() + cache.diffsq.max(0.0).sqrt()
                             > std::f64::consts::SQRT_2 * delta * m.block_norm_sq(j).max(0.0).sqrt()
                 }
-                UpdatePolicy::LazyNnz { threshold } => {
-                    // The heuristic measure the paper dismisses: count
-                    // rows with any pending change against a budget.
-                    changed && {
-                        let changed_rows = cache.row_diffsq.iter().filter(|&&d| d > 0.0).count();
-                        changed_rows as f64 > threshold * cache.row_diffsq.len() as f64
-                    }
-                }
             };
             if fires {
                 fired.push(j);

@@ -1,6 +1,6 @@
 //! The subset embedding produced at the tree root.
 
-use tsvd_linalg::{CsrMatrix, DenseMatrix, Svd};
+use tsvd_linalg::{CsrMatrix, DenseMatrix};
 
 /// The output of (static or dynamic) Tree-SVD: the root truncated SVD and
 /// the derived node embedding.
@@ -23,16 +23,6 @@ pub struct Embedding {
 tsvd_rt::impl_json_struct!(Embedding { u, sigma, dim });
 
 impl Embedding {
-    /// Build from a root SVD, remembering the requested dimension.
-    pub fn from_root_svd(svd: &Svd, dim: usize) -> Self {
-        let t = svd.truncate(dim);
-        Embedding {
-            u: t.u,
-            sigma: t.s,
-            dim,
-        }
-    }
-
     /// Number of embedded nodes `|S|`.
     #[inline]
     pub fn num_rows(&self) -> usize {
@@ -174,6 +164,17 @@ impl TaggedEmbedding {
 mod tests {
     use super::*;
     use tsvd_linalg::svd::exact_svd;
+    use tsvd_linalg::Svd;
+
+    /// The embedding of `svd`'s top-`dim` triplets.
+    fn root_embedding(svd: &Svd, dim: usize) -> Embedding {
+        let t = svd.truncate(dim);
+        Embedding {
+            u: t.u,
+            sigma: t.s,
+            dim,
+        }
+    }
 
     fn sample_csr() -> CsrMatrix {
         CsrMatrix::from_rows(
@@ -191,7 +192,7 @@ mod tests {
     fn left_scales_by_sqrt_sigma() {
         let m = sample_csr().to_dense();
         let svd = exact_svd(&m);
-        let emb = Embedding::from_root_svd(&svd, 3);
+        let emb = root_embedding(&svd, 3);
         let x = emb.left();
         assert_eq!(x.cols(), 3);
         for j in 0..3 {
@@ -204,7 +205,7 @@ mod tests {
     fn left_pads_when_rank_deficient() {
         let m = CsrMatrix::from_rows(4, &[vec![(0, 1.0)], vec![(0, 2.0)]]);
         let svd = exact_svd(&m.to_dense());
-        let emb = Embedding::from_root_svd(&svd, 5);
+        let emb = root_embedding(&svd, 5);
         let x = emb.left();
         assert_eq!(x.cols(), 5);
         // Rank is 1: columns beyond the first are (near) zero.
@@ -220,7 +221,7 @@ mod tests {
         let m = sample_csr();
         let svd = exact_svd(&m.to_dense());
         let d = 4;
-        let emb = Embedding::from_root_svd(&svd, d);
+        let emb = root_embedding(&svd, d);
         let y = emb.right(&m);
         let tr = svd.truncate(d);
         let mut want = tr.vt.transpose();
@@ -238,7 +239,7 @@ mod tests {
         let m = sample_csr();
         let svd = exact_svd(&m.to_dense());
         let d = 2;
-        let emb = Embedding::from_root_svd(&svd, d);
+        let emb = root_embedding(&svd, d);
         let resid = emb.projection_residual(&m);
         let tail: f64 = svd.s[d..].iter().map(|s| s * s).sum::<f64>().sqrt();
         assert!((resid - tail).abs() < 1e-9, "{resid} vs {tail}");
@@ -248,7 +249,7 @@ mod tests {
     fn tagged_embedding_clones_share_storage() {
         let m = sample_csr();
         let svd = exact_svd(&m.to_dense());
-        let emb = Embedding::from_root_svd(&svd, 3);
+        let emb = root_embedding(&svd, 3);
         let tagged = emb.tagged(42);
         assert_eq!(tagged.epoch(), 42);
         assert_eq!(tagged.num_rows(), 4);
@@ -266,7 +267,7 @@ mod tests {
     fn zero_sigma_right_embedding_is_finite() {
         let m = CsrMatrix::zeros(3, 5);
         let svd = exact_svd(&m.to_dense());
-        let emb = Embedding::from_root_svd(&svd, 2);
+        let emb = root_embedding(&svd, 2);
         let y = emb.right(&m);
         assert!(y.is_finite());
         assert!(y.max_abs() == 0.0);

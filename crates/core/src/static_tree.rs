@@ -67,13 +67,6 @@ pub(crate) fn level1_factor(block: &CsrMatrix, cfg: &TreeSvdConfig, salt: u64) -
             randomized_svd(block, &rcfg, &mut rng)
         }
         Level1Method::Exact => exact_truncated_svd(&block.to_dense(), cfg.dim),
-        Level1Method::Lanczos => {
-            let lcfg = tsvd_linalg::lanczos::LanczosConfig {
-                rank: cfg.dim,
-                extra_steps: cfg.oversample + 4,
-            };
-            tsvd_linalg::lanczos::lanczos_svd(block, &lcfg)
-        }
     }
 }
 
@@ -236,27 +229,6 @@ mod tests {
         let r_hsvd = hsvd_emb.projection_residual(&csr);
         // Randomized level 1 may lose a little, but not much.
         assert!(r_rand <= 1.25 * r_hsvd + 1e-9, "{r_rand} vs {r_hsvd}");
-    }
-
-    #[test]
-    fn lanczos_level1_matches_randomized_quality() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let m = random_blocked(&mut rng, 20, 80, 4, 0.3);
-        let d = 8;
-        let rand_emb = TreeSvd::new(cfg(d, 4, 4)).embed(&m);
-        let mut lcfg = cfg(d, 4, 4);
-        lcfg.level1 = Level1Method::Lanczos;
-        let lan_emb = TreeSvd::new(lcfg).embed(&m);
-        let csr = m.to_csr();
-        let r_rand = rand_emb.projection_residual(&csr);
-        let r_lan = lan_emb.projection_residual(&csr);
-        assert!(
-            r_lan <= 1.1 * r_rand + 1e-9,
-            "lanczos {r_lan} vs randomized {r_rand}"
-        );
-        // Deterministic: two runs agree bit-for-bit.
-        let again = TreeSvd::new(lcfg).embed(&m);
-        assert!(lan_emb.left().sub(&again.left()).max_abs() == 0.0);
     }
 
     #[test]

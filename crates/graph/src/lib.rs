@@ -12,14 +12,10 @@
 //! * [`EdgeEvent`] / [`EventKind`] — the edge-event vocabulary of Def. 2.1,
 //!   with [`coalesce`] / [`coalesce_timed`] for last-write-wins batch
 //!   normalisation (the serving layer's window semantics);
-//! * [`SnapshotStream`] — a timestamped event log partitioned into snapshots;
-//! * [`par`] — a compatibility re-export of the [`tsvd_rt::pool`] parallel
-//!   primitives (parallelism lives in the persistent work-stealing pool of
-//!   the runtime substrate; this shim keeps older imports working).
+//! * [`SnapshotStream`] — a timestamped event log partitioned into snapshots.
 
 mod dyngraph;
 mod events;
-pub mod par;
 mod stream;
 
 pub use dyngraph::{Direction, DynGraph};

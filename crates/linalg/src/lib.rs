@@ -15,9 +15,6 @@
 //! * [`randomized`] — Halko–Martinsson–Tropp randomized SVD, including the
 //!   sparse variant the paper uses at Tree-SVD's first level (cost
 //!   `O(nnz·(d+p))` plus small dense work);
-//! * [`lanczos`] — Golub–Kahan–Lanczos bidiagonalization with full
-//!   reorthogonalisation, the deterministic alternative for sparse
-//!   truncated SVDs (level-1 ablation);
 //! * [`sketch`] — Frequent-Directions matrix sketching (the FREDE baseline);
 //! * [`topk`] — deterministic top-k similarity scan, one query or a batch
 //!   (the serving layer's query kernel);
@@ -30,7 +27,6 @@
 mod csr;
 mod dense;
 pub(crate) mod gr;
-pub mod lanczos;
 pub mod qr;
 pub mod randomized;
 pub mod rng;

@@ -42,20 +42,6 @@ pub fn exact_ppr_row(g: &DynGraph, dir: Direction, source: u32, alpha: f64, tol:
     pi
 }
 
-/// Exact PPR matrix for all sources in `sources` (rows in source order).
-pub fn exact_ppr_rows(
-    g: &DynGraph,
-    dir: Direction,
-    sources: &[u32],
-    alpha: f64,
-    tol: f64,
-) -> Vec<Vec<f64>> {
-    sources
-        .iter()
-        .map(|&s| exact_ppr_row(g, dir, s, alpha, tol))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,9 +13,7 @@
 //!   source in the subset `S` across snapshots, and materialises the
 //!   STRAP-style log-scaled proximity rows
 //!   `M_S(s,v) = log(p_s(v)/r_max + pᵀ_s(v)/r_max)`;
-//! * [`exact`] — dense power-iteration PPR used as ground truth in tests;
-//! * [`monte_carlo`] — α-decay random-walk sampling, the third classic
-//!   estimator family, used as an accuracy yardstick.
+//! * [`exact`] — dense power-iteration PPR used as ground truth in tests.
 //!
 //! Dangling nodes (out-degree 0 in the push direction) absorb their residue:
 //! an α-decay walk with nowhere to go terminates where it stands. This is
@@ -24,7 +22,6 @@
 
 pub mod dynamic;
 pub mod exact;
-pub mod monte_carlo;
 mod proximity;
 mod push;
 mod state;

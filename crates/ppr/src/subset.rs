@@ -177,11 +177,6 @@ impl SubsetPpr {
         &self.fwd[idx]
     }
 
-    /// Reverse-direction state of row `idx`.
-    pub fn backward_state(&self, idx: usize) -> &PprState {
-        &self.bwd[idx]
-    }
-
     /// Apply an event batch: mutates `g` (the shared graph), replays the
     /// per-event adjustments on every source state, and re-pushes.
     /// Sources are processed in parallel; cost per source is
@@ -314,7 +309,7 @@ mod tests {
         assert_eq!(ppr.len(), 3);
         for i in 0..3 {
             assert!(ppr.forward_state(i).estimate_mass() > 0.5);
-            assert!(ppr.backward_state(i).estimate_mass() > 0.0);
+            assert!(ppr.bwd[i].estimate_mass() > 0.0);
             assert_eq!(ppr.forward_state(i).source, ppr.sources()[i]);
         }
     }

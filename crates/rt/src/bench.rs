@@ -113,19 +113,6 @@ impl BenchHarness {
         }
     }
 
-    /// A harness with explicit warmup/iteration counts (tests, tooling).
-    pub fn with_iters(suite: &str, warmup: usize, iters: usize) -> BenchHarness {
-        assert!(iters >= 1, "need at least one timed iteration");
-        BenchHarness {
-            suite: suite.to_string(),
-            warmup,
-            iters,
-            filter: None,
-            results: Vec::new(),
-            params: Vec::new(),
-        }
-    }
-
     /// Record a workload parameter (shard count `R`, batch-window size, …)
     /// to be persisted in the suite's JSON record next to the thread count.
     /// Recording the same key again replaces the value.
@@ -241,6 +228,17 @@ mod tests {
     use super::*;
     use crate::json::FromJson;
 
+    fn harness(warmup: usize, iters: usize) -> BenchHarness {
+        BenchHarness {
+            suite: "unit".to_string(),
+            warmup,
+            iters,
+            filter: None,
+            results: Vec::new(),
+            params: Vec::new(),
+        }
+    }
+
     #[test]
     fn summary_statistics_are_order_statistics() {
         let r =
@@ -254,7 +252,7 @@ mod tests {
 
     #[test]
     fn harness_runs_and_records() {
-        let mut h = BenchHarness::with_iters("unit", 1, 5);
+        let mut h = harness(1, 5);
         let mut calls = 0usize;
         h.bench("count_calls", || {
             calls += 1;
@@ -285,7 +283,7 @@ mod tests {
 
     #[test]
     fn suite_record_carries_thread_count() {
-        let mut h = BenchHarness::with_iters("unit", 0, 1);
+        let mut h = harness(0, 1);
         h.bench("noop", || 0);
         let j = Json::parse(&h.suite_record().to_string()).unwrap();
         assert_eq!(j["suite"], "unit");
@@ -296,7 +294,7 @@ mod tests {
 
     #[test]
     fn suite_record_carries_workload_params() {
-        let mut h = BenchHarness::with_iters("unit", 0, 1);
+        let mut h = harness(0, 1);
         h.bench("noop", || 0);
         h.record_param("shards", 4i64);
         h.record_param("batch_window", 512i64);

@@ -11,10 +11,9 @@ use std::time::Duration;
 /// * **deadline** — the oldest pending event is
 ///   [`ServeConfig::flush_interval`] old.
 ///
-/// With `coalesce` on (the default), each flushed window is normalised with
-/// [`tsvd_graph::coalesce`] — one event per `(u, v)` pair, last write wins —
-/// before it reaches the engine, so a hot edge flapping inside one window
-/// costs one update, not many.
+/// Each flushed window is normalised with [`tsvd_graph::coalesce`] — one
+/// event per `(u, v)` pair, last write wins — before it reaches the engine,
+/// so a hot edge flapping inside one window costs one update, not many.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Number of pipeline replicas `R` the subset's rows are sharded over.
@@ -24,8 +23,6 @@ pub struct ServeConfig {
     pub flush_max_events: usize,
     /// Flush when the oldest pending event reaches this age (milliseconds).
     pub flush_interval_ms: u64,
-    /// Last-write-wins dedup of each window before applying it.
-    pub coalesce: bool,
     /// Per-tenant admission quota: the maximum number of submitted-but-not
     /// -yet-applied events a tenant may have pending. Submissions beyond it
     /// are rejected at admission (`SubmitError::QuotaExceeded`), which is
@@ -47,7 +44,6 @@ tsvd_rt::impl_json_struct!(ServeConfig {
     num_shards,
     flush_max_events,
     flush_interval_ms,
-    coalesce,
     tenant_quota,
     checkpoint_every,
     journal_keep
@@ -59,7 +55,6 @@ impl Default for ServeConfig {
             num_shards: 4,
             flush_max_events: 512,
             flush_interval_ms: 20,
-            coalesce: true,
             tenant_quota: 0,
             checkpoint_every: 0,
             journal_keep: 0,

@@ -84,8 +84,7 @@ impl TenantEngine {
     /// the rows into `num_shards` contiguous `SubsetPpr` replicas (clamped
     /// to `|S|`) and run the initial factorisation, identically to
     /// `TreeSvdPipeline::new(graph, sources, ppr_cfg, tree_cfg)` — shard
-    /// builds are per-source independent, and EqualMass block boundaries
-    /// are computed from the *full* concatenated row set.
+    /// builds are per-source independent.
     pub(crate) fn build(
         id: TenantId,
         graph: &DynGraph,
@@ -617,41 +616,6 @@ mod tests {
         for e in &engines {
             assert_eq!(e.graph().num_edges(), g.num_edges());
             assert_eq!(e.epoch(), batches.len() as u64);
-        }
-    }
-
-    #[test]
-    fn equal_mass_partition_shards_exactly() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 150;
-        let g0 = random_graph(&mut rng, n, 600);
-        let sources: Vec<u32> = (0..10).collect();
-        let ppr_cfg = PprConfig::default();
-        let mut cfg = tree_cfg();
-        cfg.partition = PartitionStrategy::EqualMass;
-
-        let mut g = g0.clone();
-        let mut pipe = TreeSvdPipeline::new(&g, &sources, ppr_cfg, cfg);
-        let mut eng = ShardedEngine::new(&g0, &sources, 3, ppr_cfg, cfg);
-        assert_eq!(
-            eng.embedding()
-                .left()
-                .sub(&pipe.embedding().left())
-                .max_abs(),
-            0.0,
-            "EqualMass boundaries must come from the full row set"
-        );
-        for _ in 0..3 {
-            let batch = random_batch(&mut rng, n, 25);
-            pipe.update(&mut g, &batch);
-            eng.apply_batch(&batch);
-            assert_eq!(
-                eng.embedding()
-                    .left()
-                    .sub(&pipe.embedding().left())
-                    .max_abs(),
-                0.0
-            );
         }
     }
 

@@ -25,8 +25,8 @@
 //!   asynchronous front. A dedicated reactor thread
 //!   ([`tsvd_rt::exec::EventLoop`] — no tokio; `std` only) owns the host,
 //!   batches incoming [`EdgeEvent`](tsvd_graph::EdgeEvent)s per
-//!   [`ServeConfig`] window (count- or deadline-triggered, optionally
-//!   last-write-wins coalesced) and applies each window serially, tenants
+//!   [`ServeConfig`] window (count- or deadline-triggered, last-write-wins
+//!   coalesced) and applies each window serially, tenants
 //!   round-robin fair on the shared compute pool, with per-tenant
 //!   admission quotas ([`ServeConfig::tenant_quota`]) and per-tenant epoch
 //!   publication.

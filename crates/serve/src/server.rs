@@ -238,24 +238,16 @@ impl Inner {
         let nt = self.tenants.len();
         let mut applied = vec![0u64; nt];
         let mut coalesced = vec![0u64; nt];
-        let window: Vec<EdgeEvent> = if self.cfg.coalesce {
-            let survivors = self.scratch.mark_survivors(&raw, &mut self.keep);
-            let mut w = Vec::with_capacity(survivors);
-            for (i, e) in raw.iter().enumerate() {
-                if self.keep[i] {
-                    applied[tags[i] as usize] += 1;
-                    w.push(*e);
-                } else {
-                    coalesced[tags[i] as usize] += 1;
-                }
+        let survivors = self.scratch.mark_survivors(&raw, &mut self.keep);
+        let mut window = Vec::with_capacity(survivors);
+        for (i, e) in raw.iter().enumerate() {
+            if self.keep[i] {
+                applied[tags[i] as usize] += 1;
+                window.push(*e);
+            } else {
+                coalesced[tags[i] as usize] += 1;
             }
-            w
-        } else {
-            for &tag in &tags {
-                applied[tag as usize] += 1;
-            }
-            raw
-        };
+        }
         // Durability barrier: the window must be on disk before the graph
         // records it or any tenant can publish it — a crash after this
         // point replays the window; a crash before it never published it.
@@ -354,19 +346,11 @@ impl EmbeddingServer {
         Self::start_host_inner(host, cfg, None)
     }
 
-    /// Like [`start`](Self::start), with a durability sink attached: every
-    /// flushed window is appended (and made durable) through `sink` before
-    /// its epoch is published, and full checkpoints are written every
-    /// [`ServeConfig::checkpoint_every`] windows and at shutdown.
-    pub fn start_with_store(
-        engine: ShardedEngine,
-        cfg: ServeConfig,
-        sink: Box<dyn DurabilitySink>,
-    ) -> ServerHandle {
-        Self::start_host_with_store(TenantHost::from_engine(engine, DEFAULT_TENANT), cfg, sink)
-    }
-
-    /// Like [`start_host`](Self::start_host), with a durability sink.
+    /// Like [`start_host`](Self::start_host), with a durability sink
+    /// attached: every flushed window is appended (and made durable)
+    /// through `sink` before its epoch is published, and full checkpoints
+    /// are written every [`ServeConfig::checkpoint_every`] windows and at
+    /// shutdown.
     pub fn start_host_with_store(
         host: TenantHost,
         cfg: ServeConfig,
@@ -931,7 +915,6 @@ mod tests {
             ServeConfig {
                 flush_max_events: 1_000_000,
                 flush_interval_ms: 60_000,
-                coalesce: true,
                 num_shards: 1,
                 ..Default::default()
             },

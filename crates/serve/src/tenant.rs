@@ -497,13 +497,13 @@ mod tests {
             ServeConfig {
                 flush_max_events: usize::MAX,
                 flush_interval_ms: 60_000,
-                coalesce: false, // windows reach the engine verbatim
                 ..Default::default()
             },
         );
         let reader = server.reader();
         for (k, w) in windows.iter().enumerate() {
-            serial.apply_batch(w);
+            // The server coalesces every window before the engine sees it.
+            serial.apply_batch(&tsvd_graph::coalesce(w));
             assert!(server.submit_batch(w.clone()));
             assert_eq!(server.flush_sync(), k as u64 + 1);
             let snap = reader.snapshot();

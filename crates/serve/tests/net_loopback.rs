@@ -50,7 +50,6 @@ fn manual_flush(num_shards: usize) -> ServeConfig {
         num_shards,
         flush_max_events: 1_000_000,
         flush_interval_ms: 60_000,
-        coalesce: true,
         ..Default::default()
     }
 }

@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic      "TSVDCKPT"
-//! 8       4     version    CHECKPOINT_VERSION (currently 2)
+//! 8       4     version    CHECKPOINT_VERSION (currently 3)
 //! 12      8     epoch      must equal the epoch in the file name and the
 //!                          host's own record-once counter
 //! 20      …     sections   back to back until the end of the file
@@ -90,9 +90,11 @@ use crate::{wal, StoreError};
 /// First eight bytes of every binary checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"TSVDCKPT";
 
-/// Binary checkpoint format version. Version 1 files (whose tree section
-/// held the removed incremental-repair factors) are refused.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Binary checkpoint format version. Older files are refused: version 1
+/// (whose tree section held the removed incremental-repair factors) and
+/// version 2 (whose `UpdatePolicy` tags counted the removed nnz-count
+/// policy, so `ChangedOnly` and `All` were 2 and 3).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Bytes in front of the first section: magic, version, epoch.
 pub const CHECKPOINT_HEADER_LEN: usize = 20;
@@ -470,7 +472,7 @@ mod tests {
     #[test]
     fn a_header_naming_another_version_is_refused_with_a_typed_error() {
         let bytes = encode(&host_at(2));
-        for version in [1, CHECKPOINT_VERSION + 1] {
+        for version in [1, 2, CHECKPOINT_VERSION + 1] {
             let mut other = bytes.clone();
             other[8..12].copy_from_slice(&u32::to_le_bytes(version));
             let want = format!("unsupported checkpoint version {version}");
@@ -482,6 +484,30 @@ mod tests {
             fs::write(checkpoint_path(&dir, 2, Format::Bin), &other).unwrap();
             match load_checkpoint(&dir) {
                 Err(StoreError::BadCheckpoint(why)) => assert!(why.contains(&want), "{why}"),
+                other => panic!("expected BadCheckpoint, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_json_checkpoint_naming_a_removed_variant_fails_recovery_typed() {
+        let text = host_at(2).to_json().to_string();
+        for (from, to, variant) in [
+            (
+                r#"{"Lazy":{"delta":0.4}}"#,
+                r#"{"LazyNnz":{"threshold":0.5}}"#,
+                "LazyNnz",
+            ),
+            (r#""Randomized""#, r#""Lanczos""#, "Lanczos"),
+        ] {
+            assert!(text.contains(from), "fixture lost {from}");
+            let legacy = Json::parse(&text.replace(from, to)).unwrap();
+            let dir = tmpdir("ckpt-removed-variant");
+            write_json_checkpoint(&dir, 2, &legacy).unwrap();
+            match crate::recover(crate::StoreConfig::new(&dir)) {
+                Err(StoreError::BadCheckpoint(why)) => {
+                    assert!(why.contains(&format!("variant `{variant}`")), "{why}")
+                }
                 other => panic!("expected BadCheckpoint, got {:?}", other.err()),
             }
         }

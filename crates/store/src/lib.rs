@@ -43,10 +43,11 @@
 //!   its first compaction afterwards removes the `.json`. The module docs
 //!   have the byte layout and the compaction rule.
 //! * [`WalStore`] — the [`DurabilitySink`] implementation the serving
-//!   reactor drives ([`EmbeddingServer::start_with_store`]); [`recover`]
-//!   rebuilds a host from disk and returns a store positioned to append.
+//!   reactor drives ([`EmbeddingServer::start_host_with_store`]);
+//!   [`recover`] rebuilds a host from disk and returns a store positioned
+//!   to append.
 //!
-//! [`EmbeddingServer::start_with_store`]: tsvd_serve::EmbeddingServer::start_with_store
+//! [`EmbeddingServer::start_host_with_store`]: tsvd_serve::EmbeddingServer::start_host_with_store
 
 pub mod checkpoint;
 pub mod wal;

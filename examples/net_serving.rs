@@ -31,7 +31,6 @@ fn main() {
         num_shards: 4,
         flush_max_events: 128,
         flush_interval_ms: 10,
-        coalesce: true,
         ..Default::default()
     };
 

@@ -41,7 +41,6 @@ fn main() {
         num_shards: 4,
         flush_max_events: 256,
         flush_interval_ms: 10,
-        coalesce: true,
         ..Default::default()
     };
     println!(

@@ -1,17 +1,14 @@
-//! Cross-estimator consistency: the three PPR estimator families (local
-//! push, power iteration, Monte-Carlo walks) must agree on the same graph,
-//! and the SVD kernels (Golub–Reinsch, Jacobi oracle, randomized, Lanczos)
-//! must agree on the same proximity matrix — across crate boundaries, on a
-//! realistic generated graph.
+//! Cross-estimator consistency: local push must agree with power iteration
+//! (the exact oracle) on the same graph, and the randomized SVD Tree-SVD
+//! runs at level 1 must agree with the exact SVD on the same proximity
+//! matrix — across crate boundaries, on a realistic generated graph.
 
 use tree_svd::datasets::DatasetConfig;
 use tree_svd::graph::Direction;
-use tree_svd::linalg::lanczos::{lanczos_svd_csr, LanczosConfig};
 use tree_svd::linalg::randomized::randomized_svd;
 use tree_svd::linalg::svd::exact_svd;
 use tree_svd::linalg::RandomizedSvdConfig;
 use tree_svd::ppr::exact::exact_ppr_row;
-use tree_svd::ppr::monte_carlo::{monte_carlo_ppr, MonteCarloConfig};
 use tree_svd::ppr::{forward_push_fresh, PprConfig, SubsetPpr};
 use tree_svd::prelude::*;
 
@@ -26,39 +23,24 @@ fn small_graph() -> (SyntheticDataset, DynGraph) {
 }
 
 #[test]
-fn three_ppr_estimators_agree() {
+fn push_ppr_agrees_with_power_iteration() {
     let (_, g) = small_graph();
     let alpha = 0.2;
     for source in [0u32, 17, 99] {
         let exact = exact_ppr_row(&g, Direction::Out, source, alpha, 1e-13);
         let push = forward_push_fresh(&g, Direction::Out, alpha, 1e-8, source);
-        let mc = monte_carlo_ppr(
-            &g,
-            Direction::Out,
-            source,
-            &MonteCarloConfig {
-                alpha,
-                num_walks: 150_000,
-                seed: 3,
-            },
-        );
         for u in 0..g.num_nodes() as u32 {
             let truth = exact[u as usize];
             assert!(
                 (push.estimate(u) - truth).abs() < 1e-4,
                 "push vs exact at ({source},{u})"
             );
-            assert!(
-                (mc.estimate(u) - truth).abs() < 6e-3,
-                "MC vs exact at ({source},{u}): {} vs {truth}",
-                mc.estimate(u)
-            );
         }
     }
 }
 
 #[test]
-fn four_svd_kernels_agree_on_proximity_matrix() {
+fn randomized_svd_agrees_with_exact_on_proximity_matrix() {
     let (ds, g) = small_graph();
     let subset = ds.sample_subset(40, 1);
     let ppr = SubsetPpr::build(
@@ -82,13 +64,6 @@ fn four_svd_kernels_agree_on_proximity_matrix() {
         },
         &mut <tsvd_rt::rng::StdRng as tsvd_rt::rng::SeedableRng>::seed_from_u64(1),
     );
-    let lanczos = lanczos_svd_csr(
-        &m,
-        &LanczosConfig {
-            rank: d,
-            extra_steps: 20,
-        },
-    );
 
     for j in 0..d {
         let truth = exact.s[j];
@@ -96,11 +71,6 @@ fn four_svd_kernels_agree_on_proximity_matrix() {
             (rand.s[j] - truth).abs() < 0.02 * exact.s[0],
             "randomized σ_{j}: {} vs {truth}",
             rand.s[j]
-        );
-        assert!(
-            (lanczos.s[j] - truth).abs() < 0.01 * exact.s[0],
-            "lanczos σ_{j}: {} vs {truth}",
-            lanczos.s[j]
         );
     }
 }

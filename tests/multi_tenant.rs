@@ -98,7 +98,6 @@ fn three_tenants_bitwise_equal_their_own_offline_replay() {
                 num_shards,
                 flush_max_events: usize::MAX,
                 flush_interval_ms: 60_000,
-                coalesce: true,
                 ..Default::default()
             },
         );
@@ -196,7 +195,6 @@ fn wire_quota_rejection_keeps_connection_open_and_tenants_isolated() {
             num_shards: 1,
             flush_max_events: usize::MAX,
             flush_interval_ms: 60_000,
-            coalesce: true,
             tenant_quota: 4,
             ..Default::default()
         },
@@ -291,7 +289,6 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
             num_shards: 2,
             flush_max_events: 24, // small windows: many flushes racing reads
             flush_interval_ms: 3,
-            coalesce: true,
             ..Default::default()
         },
     );
@@ -465,7 +462,6 @@ fn live_checkpoint_is_byte_equal_to_offline_host_json() {
         ServeConfig {
             flush_max_events: usize::MAX,
             flush_interval_ms: 60_000,
-            coalesce: true,
             ..Default::default()
         },
     );
@@ -550,7 +546,6 @@ fn live_checkpoint_file_is_byte_equal_to_offline_host_encoding() {
         ServeConfig {
             flush_max_events: usize::MAX,
             flush_interval_ms: 60_000,
-            coalesce: true,
             checkpoint_every: 1,
             ..Default::default()
         },

@@ -55,7 +55,6 @@ fn multi_client_tcp_soak_matches_offline_replay_bitwise() {
             num_shards: 3,
             flush_max_events: 24, // small windows: many flushes racing reads
             flush_interval_ms: 3,
-            coalesce: true,
             ..Default::default()
         },
     );
@@ -186,7 +185,6 @@ fn single_client_deadline_flush_soak_over_loopback() {
             num_shards: 2,
             flush_max_events: 1_000_000,
             flush_interval_ms: 2, // deadline decides every window boundary
-            coalesce: true,
             ..Default::default()
         },
     );

@@ -132,7 +132,6 @@ fn recovery_child_server() {
     let cfg = ServeConfig {
         flush_max_events: 1 << 20, // flushes are driven by flush_sync below
         flush_interval_ms: 10_000,
-        coalesce: true,
         checkpoint_every: 3,
         ..ServeConfig::default()
     };
@@ -311,14 +310,14 @@ fn a_json_only_directory_recovers_bitwise_and_migrates_on_its_next_checkpoint() 
     let cfg = ServeConfig {
         flush_max_events: 1 << 20,
         flush_interval_ms: 10_000,
-        coalesce: false,
         ..ServeConfig::default()
     };
     let server = EmbeddingServer::start_host_with_store(rec.host, cfg, Box::new(rec.store));
     server.submit_batch(batch(5));
     assert_eq!(server.flush_sync(), 6);
     let served = server.shutdown_host();
-    live.apply_batch(&batch(5));
+    // The server flushed the window coalesced.
+    live.apply_batch(&tsvd_graph::coalesce(&batch(5)));
     assert_eq!(checkpoints_in(&dir), vec![(6, Format::Bin)]);
     let rec = recover(StoreConfig::new(&dir)).unwrap();
     assert_eq!((rec.checkpoint_epoch, rec.windows_replayed), (6, 0));

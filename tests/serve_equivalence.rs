@@ -83,7 +83,6 @@ fn server_final_embedding_bitwise_equals_offline_replay() {
                 num_shards,
                 flush_max_events: usize::MAX,
                 flush_interval_ms: 60_000,
-                coalesce: true,
                 ..Default::default()
             },
         );
@@ -163,7 +162,6 @@ fn count_triggered_windows_bitwise_equal_offline_replay() {
             num_shards: 3,
             flush_max_events: flush_max,
             flush_interval_ms: 3_600_000, // deadline never fires
-            coalesce: true,
             ..Default::default()
         },
     );
@@ -210,7 +208,6 @@ fn count_triggered_serving_bitwise_equals_own_journal_at_any_shard_count() {
                 num_shards,
                 flush_max_events: flush_max,
                 flush_interval_ms: 3_600_000, // count-triggered only
-                coalesce: true,
                 ..Default::default()
             },
         );
@@ -276,7 +273,6 @@ fn flush_sync_is_exact_when_every_submission_is_a_window() {
             num_shards: 2,
             flush_max_events: 1,
             flush_interval_ms: 3_600_000,
-            coalesce: true,
             ..Default::default()
         },
     );
@@ -333,7 +329,6 @@ fn concurrent_readers_never_observe_torn_epochs() {
             num_shards: 2,
             flush_max_events: 48,
             flush_interval_ms: 1,
-            coalesce: true,
             ..Default::default()
         },
     );
