@@ -93,8 +93,7 @@ pub fn future_events(
 
 /// Replay `events` in `batch_size` chunks from snapshot `t_mid`, tracking
 /// every method in `methods`. `policy_override` replaces the dynamic
-/// update policy of the setup's tree config when given (Figure 13 and the
-/// change-measure ablation).
+/// update policy of the setup's tree config when given (Figure 13).
 pub fn run_batch_updates(
     s: &ExpSetup,
     t_mid: usize,
