@@ -10,6 +10,7 @@ use tsvd_bench::setup::standard_setup;
 use tsvd_core::TreeSvdConfig;
 use tsvd_datasets::DatasetConfig;
 use tsvd_rt::bench::BenchHarness;
+use tsvd_rt::bin::{fnv1a64, CHECKSUM_OFFSET};
 use tsvd_serve::net::wire::{self, Message, Reply, Request, RowsReply, HEADER_LEN};
 use tsvd_serve::{ClientConfig, EmbeddingServer, NetClient, NetFront, ServeConfig, TcpTransport};
 
@@ -58,7 +59,7 @@ fn main() {
     assert_eq!(frame.len(), 4156);
     let (header_tail, payload) = (&frame[2..20], &frame[HEADER_LEN..]);
     h.bench("frame_checksum/fnv1a/4156B", || {
-        wire::fnv1a64(wire::fnv1a64(wire::FNV_OFFSET, header_tail), payload)
+        fnv1a64(fnv1a64(CHECKSUM_OFFSET, header_tail), payload)
     });
     h.bench("frame_checksum/fold/4156B", || {
         wire::frame_checksum(header_tail, payload)

@@ -1,6 +1,9 @@
 //! Minimal binary codec: little-endian [`Encode`] into a `Vec<u8>`,
 //! bounded [`Decode`] from a [`Cursor`], and the word-folding
-//! [`checksum`] the checkpoint sections are sealed with.
+//! [`checksum`] the checkpoint sections are sealed with. It is the
+//! workspace's one binary codec: checkpoint sections, wire payloads
+//! (`serve::net::wire`) and WAL windows (`store::wal`) are all written and
+//! read through it.
 //!
 //! The counterpart of [`crate::json`] for state that is saved and loaded
 //! far more often than it is read by a person: a host checkpoint is ≈ 27 MB
@@ -20,7 +23,7 @@
 //! | `bool` | one byte, `0` or `1` (anything else is rejected) |
 //! | `f64` | the IEEE-754 bits as `u64` — every value, NaN payloads and signed zeros included, round-trips bit for bit by construction |
 //! | `String` | `u32` byte length, then UTF-8 |
-//! | `Vec<T>` | `u32` count, then the elements |
+//! | `Vec<T>`, `[T]` | `u32` count, then the elements |
 //! | `(A, B)` | `A` then `B` |
 //! | `Option<T>` | one byte `0`/`1`, then `T` if `1` |
 //! | `HashMap<K, V>` | `u32` count, then `(K, V)` pairs in **strictly ascending key order** |
@@ -33,11 +36,11 @@
 //! out-of-order key is an error), so `encode(decode(b)) == b` for every
 //! `b` that decodes.
 //!
-//! **The decode bounds discipline** (the one `serve::net::wire` and
-//! `store::wal` follow): every read is checked against the bytes that
-//! remain before it happens, and a count is checked against them —
-//! [`Cursor::count`], at [`Decode::MIN_BYTES`] per element — before any
-//! allocation is sized from it. No input makes a decoder panic or
+//! **The decode bounds discipline**: every read is checked against the
+//! bytes that remain before it happens, and a count is checked against
+//! them — [`Cursor::count`], at [`Decode::MIN_BYTES`] per element (for a
+//! struct, the sum of its fields') — before any allocation is sized from
+//! it. No input makes a decoder panic or
 //! allocate more than a constant factor of its own length, in debug or in
 //! release.
 
@@ -120,6 +123,30 @@ impl<'a> Cursor<'a> {
         Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
+    /// A run of `n` raw `f64`s (no count in front): bounds-checked once as
+    /// a whole, then converted word by word — the bulk reader for an
+    /// embedding row or a whole embedding.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, BinError> {
+        let Some(bytes) = n.checked_mul(8).filter(|&b| b <= self.remaining()) else {
+            return err(format!(
+                "a run of {n} f64s exceeds the {} bytes that remain",
+                self.remaining()
+            ));
+        };
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8-byte chunk"))))
+            .collect())
+    }
+
+    /// A `u32` byte length, then that many raw bytes, borrowed in one
+    /// [`take`](Self::take) — the decode of [`put_bytes`].
+    pub fn bytes(&mut self) -> Result<&'a [u8], BinError> {
+        let n = self.count(1)?;
+        self.take(n)
+    }
+
     /// A `u32` element count, rejected before anything is allocated if the
     /// remaining bytes cannot hold that many items of `min_item_bytes`.
     pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, BinError> {
@@ -148,6 +175,30 @@ fn put_count(out: &mut Vec<u8>, n: usize) {
     u32::try_from(n)
         .expect("collections of 2^32 or more items are not encodable")
         .encode(out);
+}
+
+/// Append `bytes` as a `u32` length and the raw bytes — a `Vec<u8>`'s
+/// encoding, written in one copy rather than one push per byte.
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_count(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// Append a run of `f64`s with no count in front, reserved in one step —
+/// the writer of [`Cursor::f64s`].
+pub fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    out.reserve(8 * vs.len());
+    for v in vs {
+        v.encode(out);
+    }
+}
+
+/// [`Decode::MIN_BYTES`] of the field an accessor reads, so
+/// `impl_json_struct!` can sum its fields' bounds without naming their
+/// types.
+#[doc(hidden)]
+pub const fn min_bytes_of<S, T: Decode>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
 }
 
 macro_rules! impl_bin_int {
@@ -214,27 +265,31 @@ impl Decode for f64 {
 
 impl Encode for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_count(out, self.len());
-        out.extend_from_slice(self.as_bytes());
+        put_bytes(out, self.as_bytes());
     }
 }
 
 impl Decode for String {
     const MIN_BYTES: usize = 4;
     fn decode(c: &mut Cursor<'_>) -> Result<String, BinError> {
-        let n = c.count(1)?;
-        std::str::from_utf8(c.take(n)?)
+        std::str::from_utf8(c.bytes()?)
             .map(str::to_string)
             .map_err(|_| BinError("string is not UTF-8".into()))
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         put_count(out, self.len());
         for v in self {
             v.encode(out);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 
@@ -334,6 +389,20 @@ pub const CHECKSUM_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// against damage, not against an adversary.
 pub fn checksum(bytes: &[u8]) -> u64 {
     checksum_from(CHECKSUM_OFFSET, bytes)
+}
+
+/// FNV-1a 64-bit, one byte at a time and chainable: feed the previous
+/// digest back in as `seed`, and start a fresh one from
+/// [`CHECKSUM_OFFSET`]. What WAL frames and the router's content-checksum
+/// chains are sealed with — bytes on disk and values callers compare, so
+/// they keep it; everything newer uses the word-folding [`checksum`].
+pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = seed;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// [`checksum`] continued from `seed` instead of [`CHECKSUM_OFFSET`], so
@@ -495,6 +564,35 @@ mod tests {
         // value for a fixed input must never move.
         assert_eq!(checksum(b""), 0xaf63_bd4c_8601_b7df);
         assert_eq!(checksum(b"tree-svd checkpoint"), 0x7f07_8bc9_c5eb_0a1d);
+    }
+
+    #[test]
+    fn fnv1a64_keeps_the_published_test_vectors() {
+        // The empty input is the offset basis; "a" is FNV-1a 64's
+        // published vector.
+        assert_eq!(fnv1a64(CHECKSUM_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(CHECKSUM_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a64(fnv1a64(CHECKSUM_OFFSET, b"fo"), b"o"),
+            fnv1a64(CHECKSUM_OFFSET, b"foo")
+        );
+    }
+
+    #[test]
+    fn bulk_runs_are_bounded_before_they_are_read() {
+        let mut bytes = bytes_of(&(-0.0f64, f64::NAN));
+        put_bytes(&mut bytes, b"raw");
+        let mut c = Cursor::new(&bytes);
+        let run = c.f64s(2).unwrap();
+        assert_eq!(bytes_of(&(run[0], run[1])), bytes[..16]);
+        assert_eq!(c.bytes().unwrap(), b"raw");
+        c.finish().unwrap();
+        // One word short, a length that overflows, a string one byte
+        // short: refused before anything is read.
+        let mut c = Cursor::new(&bytes[..16]);
+        assert!(c.f64s(3).is_err() && c.f64s(usize::MAX).is_err());
+        assert_eq!(c.remaining(), 16);
+        assert!(Cursor::new(&bytes[16..22]).bytes().is_err());
     }
 
     #[test]

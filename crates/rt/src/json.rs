@@ -773,8 +773,8 @@ macro_rules! impl_json_struct {
             }
         }
         impl $crate::bin::Decode for $ty {
-            // Every field takes at least one byte.
-            const MIN_BYTES: usize = <[&str]>::len(&[$(stringify!($field)),*]);
+            // The sum of the saved fields' bounds.
+            const MIN_BYTES: usize = 0 $(+ $crate::bin::min_bytes_of(|s: &$ty| &s.$field))*;
             fn decode(c: &mut $crate::bin::Cursor<'_>) -> Result<Self, $crate::bin::BinError> {
                 $(let $field = $crate::bin::Decode::decode(c).map_err(|e| {
                     $crate::bin::BinError(format!(
@@ -1088,6 +1088,8 @@ mod tests {
         let mut bytes = Vec::new();
         row.encode(&mut bytes);
         assert_eq!(bytes.len(), 4 + 12 + 1);
+        // The bound a count of rows is checked at: the saved fields' own.
+        assert_eq!(<Row as crate::bin::Decode>::MIN_BYTES, 4 + 1);
         assert_eq!(decode_all::<Row>(&bytes).unwrap(), rebuilt);
         let err = decode_all::<Row>(&bytes[..5]).unwrap_err();
         assert!(err.0.starts_with("Row.cells:"), "{err}");

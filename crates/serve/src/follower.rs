@@ -26,9 +26,9 @@ use std::fmt;
 use std::io;
 
 use tsvd_graph::EdgeEvent;
-use tsvd_rt::json::{FromJson, Json};
 
-use crate::net::{NetClient, WindowsPull};
+use crate::checkpoint::read_host;
+use crate::net::{CheckpointReply, NetClient, WindowsPull};
 use crate::server::EmbeddingReader;
 use crate::snapshot::Publisher;
 use crate::tenant::{TenantHost, TenantId};
@@ -206,18 +206,28 @@ impl Follower {
     /// (`GetCheckpoint`): install the checkpointed host in place of this
     /// follower's, re-publishing every tenant's cell at the checkpoint
     /// epoch — readers handed out earlier stay live and simply observe the
-    /// jump. The checkpoint must describe the *same* deployment (identical
-    /// tenant ids and subsets) and must not move the follower backwards
-    /// (reader epoch monotonicity); violations are typed
+    /// jump. The reply carries a checkpoint file, decoded with the reader
+    /// recovery uses; its header must name the reply's epoch. The
+    /// checkpoint must describe the *same* deployment (identical tenant ids
+    /// and subsets) and must not move the follower backwards (reader epoch
+    /// monotonicity); damaged bytes and violations are typed
     /// [`CatchUpError::SeedMismatch`]. Returns the new epoch.
     pub fn reseed_from(&mut self, client: &mut NetClient) -> Result<u64, CatchUpError> {
         let cp = client.get_checkpoint()?;
-        let json = Json::parse(&cp.host).map_err(|e| {
-            CatchUpError::SeedMismatch(format!("checkpoint JSON does not parse: {e}"))
-        })?;
-        let host = TenantHost::from_json(&json).map_err(|e| {
-            CatchUpError::SeedMismatch(format!("checkpoint does not deserialise: {e}"))
-        })?;
+        self.install(&cp)
+    }
+
+    /// Install a checkpoint reply: decode its file with the reader
+    /// recovery uses, check it against this follower, re-publish.
+    fn install(&mut self, cp: &CheckpointReply) -> Result<u64, CatchUpError> {
+        let (named, host) = read_host(&cp.host[..])
+            .map_err(|e| CatchUpError::SeedMismatch(format!("checkpoint does not decode: {e}")))?;
+        if named != cp.epoch {
+            return Err(CatchUpError::SeedMismatch(format!(
+                "checkpoint reply at epoch {} carries a file for epoch {named}",
+                cp.epoch
+            )));
+        }
         if host.batches_recorded() != cp.epoch {
             return Err(CatchUpError::SeedMismatch(format!(
                 "checkpoint claims epoch {} but its host is at {}",
@@ -467,6 +477,52 @@ mod tests {
         // Once caught up, further catch-up is a no-op, not an error.
         assert_eq!(follower.catch_up(&mut client, 16).unwrap(), 5);
         front.shutdown_host();
+    }
+
+    /// A checkpoint reply whose file is cut short, has a bit flipped, or
+    /// names another epoch than the reply is a typed error, not a panic,
+    /// and the follower keeps serving; the intact file installs.
+    #[test]
+    fn a_damaged_checkpoint_reply_is_a_typed_error() {
+        let g = fixed_graph();
+        let mut leader = build_host(&g);
+        for k in 0..3u32 {
+            leader.apply_batch(&window(k));
+        }
+        let file_at = |epoch| {
+            let mut file = Vec::new();
+            crate::checkpoint::write_host(&mut file, epoch, &leader).unwrap();
+            file
+        };
+        let file = file_at(3);
+        let mut follower = Follower::new(build_host(&g));
+        let reader = follower.reader(0).unwrap();
+        let mut refuse = |host: Vec<u8>, what: &str| match follower
+            .install(&CheckpointReply { epoch: 3, host })
+        {
+            Err(CatchUpError::SeedMismatch(_)) => {}
+            other => panic!("{what}: expected SeedMismatch, got {other:?}"),
+        };
+        for cut in (0..file.len()).step_by(61).chain([file.len() - 1]) {
+            refuse(file[..cut].to_vec(), &format!("cut at {cut}"));
+        }
+        for at in (0..file.len()).step_by(53) {
+            let mut flipped = file.clone();
+            flipped[at] ^= 1 << (at % 8);
+            refuse(flipped, &format!("bit flip at {at}"));
+        }
+        refuse(file_at(2), "a file for epoch 2");
+        assert_eq!((follower.epoch(), reader.epoch()), (0, 0));
+        assert_eq!(
+            follower
+                .install(&CheckpointReply {
+                    epoch: 3,
+                    host: file,
+                })
+                .unwrap(),
+            3
+        );
+        assert_eq!(reader.epoch(), 3);
     }
 
     /// A checkpoint that does not describe this follower's deployment is

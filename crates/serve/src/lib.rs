@@ -64,6 +64,7 @@
 //! # let _ = engine;
 //! ```
 
+pub mod checkpoint;
 mod config;
 mod engine;
 mod follower;

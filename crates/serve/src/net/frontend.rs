@@ -326,7 +326,7 @@ impl Handler for &FrontShared {
                 None => (Reply::Error("server is shut down".into()), true),
             },
             Request::GetCheckpoint => match &*shared.handle.read().unwrap() {
-                Some(h) => match h.checkpoint_json() {
+                Some(h) => match h.checkpoint_bytes() {
                     Some((epoch, host)) => (
                         Reply::Checkpoint(Box::new(CheckpointReply { epoch, host })),
                         false,
@@ -409,13 +409,13 @@ pub(crate) mod tests {
         let checkpoint = |len: usize| {
             Reply::Checkpoint(Box::new(CheckpointReply {
                 epoch: 7,
-                host: "x".repeat(len),
+                host: vec![0xA5; len],
             }))
         };
         let mut frame = Vec::new();
         let mut w = FrameWriter::with_cap(&mut frame, cap);
         // Exactly at the cap: a Checkpoint whose frame payload is the cap —
-        // `u64 epoch`, `u32 len`, then the text.
+        // `u64 epoch`, `u32 len`, then the file's bytes.
         w.push_reply(1, 0, checkpoint(cap - 12));
         w.flush().unwrap();
         let payload_len = u32::from_le_bytes(frame[16..20].try_into().unwrap()) as usize;

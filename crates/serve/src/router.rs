@@ -82,12 +82,11 @@ use std::time::Duration;
 use std::{fmt, thread};
 
 use tsvd_graph::EdgeEvent;
+use tsvd_rt::bin::{fnv1a64, CHECKSUM_OFFSET};
 
 use crate::config::RouterConfig;
 use crate::net::conn::{self, Conns, Handler};
-use crate::net::wire::{
-    fnv1a64, FrameWriter, Reply, Request, RowsReply, TopKReply, FNV_OFFSET, MAX_PAYLOAD,
-};
+use crate::net::wire::{FrameWriter, Reply, Request, RowsReply, TopKReply, MAX_PAYLOAD};
 use crate::net::{ClientConfig, Duplex, NetClient, TcpTransport};
 use crate::query::Metric;
 use crate::stats::RouterStats;
@@ -248,7 +247,7 @@ impl ShardMap {
         }
         let epoch = replies[0].epoch;
         let dim = replies[0].dim;
-        let mut checksum = FNV_OFFSET;
+        let mut checksum = CHECKSUM_OFFSET;
         for (k, r) in replies.iter().enumerate() {
             if r.epoch != epoch {
                 return Err(RouterError::Merge(format!(
@@ -1078,7 +1077,7 @@ impl ReadSession {
         k: u32,
         replies: &[TopKReply],
     ) -> Result<TopKReply, RouterError> {
-        let mut checksum = FNV_OFFSET;
+        let mut checksum = CHECKSUM_OFFSET;
         let mut hits: Vec<(f64, usize, u32)> = Vec::new();
         for (sk, r) in replies.iter().enumerate() {
             checksum = fnv1a64(checksum, &r.checksum_bits.to_le_bytes());
@@ -1394,7 +1393,7 @@ pub(crate) mod tests {
         assert_eq!(merged.rows[1], None); // 99: not in subset
         assert_eq!(merged.rows[2], Some(vec![1.0, 2.0])); // 10
         let expect = fnv1a64(
-            fnv1a64(FNV_OFFSET, &111u64.to_le_bytes()),
+            fnv1a64(CHECKSUM_OFFSET, &111u64.to_le_bytes()),
             &222u64.to_le_bytes(),
         );
         assert_eq!(merged.checksum_bits, expect);

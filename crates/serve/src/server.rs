@@ -53,8 +53,8 @@ use std::time::Instant;
 use tsvd_core::UpdateStats;
 use tsvd_graph::{CoalesceScratch, EdgeEvent};
 use tsvd_rt::exec::{Event, EventLoop, Flow, Mailbox, Timers};
-use tsvd_rt::json::ToJson;
 
+use crate::checkpoint::write_host;
 use crate::config::ServeConfig;
 use crate::engine::{ShardedEngine, TenantEngine};
 use crate::journal::{DurabilitySink, JournalError, JournalWindows, WindowJournal, JOURNAL_KEEP};
@@ -78,10 +78,10 @@ enum Msg {
     /// Flush whatever is pending now; ack with the epoch watermark every
     /// tenant has then published.
     Flush(mpsc::Sender<u64>),
-    /// Serialise the host as it stands (do NOT flush pending events) and
-    /// send back `(epoch, host JSON)` — what the `GetCheckpoint` wire
-    /// request serves to re-seeding followers.
-    Snapshot(mpsc::Sender<(u64, String)>),
+    /// Checkpoint the host as it stands (do NOT flush pending events) and
+    /// send back `(epoch, checkpoint file bytes)` — what the
+    /// `GetCheckpoint` wire request serves to re-seeding followers.
+    Snapshot(mpsc::Sender<(u64, Vec<u8>)>),
     /// Flush, stop the loop, and hand the host back.
     Shutdown(mpsc::Sender<TenantHost>),
 }
@@ -427,7 +427,9 @@ impl EmbeddingServer {
                         // A cut at whatever is *recorded*: pending
                         // (unflushed) events belong to a later epoch.
                         let epoch = inner.host.batches_recorded();
-                        let _ = tx.send((epoch, inner.host.to_json().to_string()));
+                        let mut file = Vec::new();
+                        write_host(&mut file, epoch, &inner.host).expect("writing to a Vec");
+                        let _ = tx.send((epoch, file));
                         Flow::Continue
                     }
                     Event::Message(Msg::Shutdown(tx)) => {
@@ -598,14 +600,14 @@ impl ServerHandle {
         self.journal.windows_after(after_epoch, max)
     }
 
-    /// A consistent-cut serialisation of the whole host: `(epoch, host
-    /// JSON)` with every window ≤ `epoch` applied and nothing newer
+    /// A consistent-cut checkpoint of the whole host: `(epoch, checkpoint
+    /// file bytes)` with every window ≤ `epoch` applied and nothing newer
     /// (pending *unflushed* events stay pending — they belong to a later
-    /// epoch) — byte-equal to `to_json()` of an offline [`TenantHost`]
-    /// that applied the same windows. This is what the
-    /// `GetCheckpoint` wire request serves to re-seeding followers.
-    /// `None` if the server is gone.
-    pub fn checkpoint_json(&self) -> Option<(u64, String)> {
+    /// epoch) — byte-equal, wall-clock timings aside, to
+    /// [`write_host`] of an offline [`TenantHost`] that applied the same
+    /// windows. This is what the `GetCheckpoint` wire request serves to
+    /// re-seeding followers. `None` if the server is gone.
+    pub fn checkpoint_bytes(&self) -> Option<(u64, Vec<u8>)> {
         let (tx, rx) = mpsc::channel();
         if !self.mailbox.send(Msg::Snapshot(tx)) {
             return None;

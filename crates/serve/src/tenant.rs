@@ -300,9 +300,9 @@ impl TenantHost {
     /// bytes are a function of the host's state alone: equal hosts give
     /// equal sections at any thread count, in any process.
     ///
-    /// This is what a checkpoint file is made of (`tsvd-store` adds the
-    /// framing and the checksums); [`to_json`](ToJson::to_json) remains
-    /// the readable export of the same state.
+    /// This is what a checkpoint file is made of ([`crate::checkpoint`]
+    /// adds the framing and the checksums); [`to_json`](ToJson::to_json)
+    /// remains the readable export of the same state.
     pub fn encode_sections<E>(
         &self,
         buf: &mut Vec<u8>,

@@ -172,12 +172,11 @@ fn gen_message(g: &mut Gen) -> Message {
         }
         17 => Message::Request(Request::GetCheckpoint),
         18 => {
-            // Checkpoint bodies are host JSON in production, but the codec
-            // promises byte transparency for any UTF-8 — fuzz it as such.
+            // Checkpoint bodies are checkpoint files in production, but
+            // the codec promises byte transparency for any bytes — fuzz it
+            // as such.
             let n = g.usize_in(0..200);
-            let host: String = (0..n)
-                .map(|_| char::from_u32(g.u32_in(32..0x2500)).unwrap_or('?'))
-                .collect();
+            let host: Vec<u8> = (0..n).map(|_| g.u32_in(0..256) as u8).collect();
             Message::Reply(Reply::Checkpoint(Box::new(CheckpointReply {
                 epoch: g.u64_in(0..u64::MAX),
                 host,
@@ -289,28 +288,28 @@ fn prop_tenant_id_byte_flips_are_rejected() {
 
 #[test]
 fn prop_old_version_frames_are_rejected_from_header_alone() {
-    // Version negotiation fails closed: a v1, v2 (or any non-current)
-    // version byte is rejected as BadVersion before the payload is even
-    // looked at.
+    // Version negotiation fails closed: every older version (v1, v2, v3)
+    // and any other non-current version byte is rejected as BadVersion
+    // before the payload is even looked at.
     Checker::new(200).run("wire_bad_version", |g| {
         let msg = gen_message(g);
         let mut buf = Vec::new();
         encode_frame(g.u64_in(0..u64::MAX), g.u32_in(0..64), &msg, &mut buf);
-        let bad = loop {
+        let drawn = loop {
             let v = g.u32_in(0..256) as u8;
             if v != buf[2] {
                 break v;
             }
         };
-        buf[2] = bad;
-        match decode_frame(&buf) {
-            Err(WireError::BadVersion(v)) => {
-                ensure_eq!(v, bad);
-                Ok(())
+        for bad in (1..WIRE_VERSION).chain([drawn]) {
+            buf[2] = bad;
+            match decode_frame(&buf) {
+                Err(WireError::BadVersion(v)) => ensure_eq!(v, bad),
+                Err(e) => return Err(format!("version {bad}: expected BadVersion, got {e}")),
+                Ok(_) => return Err(format!("version {bad} accepted")),
             }
-            Err(e) => Err(format!("version {bad}: expected BadVersion, got {e}")),
-            Ok(_) => Err(format!("version {bad} accepted")),
         }
+        Ok(())
     });
 }
 
@@ -378,14 +377,14 @@ fn checkpoint_body_length_beyond_payload_rejected_before_allocation() {
     // from the field — a header-level `payload_len` above MAX_PAYLOAD
     // never reaches the message decoder at all, so only this construction
     // exercises the checkpoint decoder. (The checkpoint reply is the
-    // largest message in practice: it carries a full host serialisation.)
+    // largest message in practice: it carries a whole checkpoint file.)
     let mut buf = Vec::new();
     encode_frame(
         7,
         0,
         &Message::Reply(Reply::Checkpoint(Box::new(CheckpointReply {
             epoch: 5,
-            host: "{}".into(),
+            host: b"TSVDCKPT".to_vec(),
         }))),
         &mut buf,
     );
@@ -393,8 +392,10 @@ fn checkpoint_body_length_beyond_payload_rejected_before_allocation() {
     buf[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&u32::MAX.to_le_bytes());
     let crc = frame_checksum(&buf[2..20], &buf[HEADER_LEN..]);
     buf[20..28].copy_from_slice(&crc.to_le_bytes());
-    assert_eq!(
-        decode_frame(&buf),
-        Err(WireError::Malformed("count exceeds payload"))
-    );
+    match decode_frame(&buf) {
+        Err(WireError::Malformed(why)) => {
+            assert!(why.contains("count") && why.contains("exceeds"), "{why}")
+        }
+        other => panic!("expected a count refusal, got {other:?}"),
+    }
 }

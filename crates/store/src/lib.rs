@@ -27,21 +27,23 @@
 //! observed is reproduced exactly by [`recover`].
 //!
 //! * [`wal`] — segment files of checksummed, length-prefixed frames
-//!   (FNV-1a/LE framing, same idiom as `serve::net::wire`), with the
-//!   torn-tail discipline: a truncated final frame is a clean stop, a
-//!   corrupted interior frame is a typed [`StoreError::Corrupt`].
+//!   (an FNV-1a seal over an `rt::bin` payload), with the torn-tail
+//!   discipline: a truncated final frame is a clean stop, a corrupted
+//!   interior frame is a typed [`StoreError::Corrupt`].
 //! * [`checkpoint`] — `checkpoint-<epoch>.bin`: a binary, checksummed
 //!   file of sections (graph, then per tenant its PPR shards, matrix, tree
 //!   and the rest) encoded straight from the live host through one reused
 //!   section buffer and written tmp + fsync + rename; each section is
-//!   verified before it is decoded. **One writer, two readers:** every
+//!   verified before it is decoded. The framing is `tsvd_serve::checkpoint`
+//!   (re-exported), which a follower's re-seed reply carries too; this
+//!   crate adds the files. **One writer, two readers:** every
 //!   production path writes this format, and loading takes the newest
 //!   epoch across `.bin` and the `.json` files earlier versions wrote
 //!   (same epoch in both: binary first, JSON as its fallback), falling
 //!   back to older checkpoints while the newest fails to load — which is
 //!   how a directory written before the format existed keeps recovering;
 //!   its first compaction afterwards removes the `.json`. The module docs
-//!   have the byte layout and the compaction rule.
+//!   have the compaction rule; `tsvd_serve::checkpoint`'s the byte layout.
 //! * [`WalStore`] — the [`DurabilitySink`] implementation the serving
 //!   reactor drives ([`EmbeddingServer::start_host_with_store`]);
 //!   [`recover`] rebuilds a host from disk and returns a store positioned
@@ -58,8 +60,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use tsvd_graph::EdgeEvent;
-use tsvd_rt::bin::BinError;
 use tsvd_rt::json::Json;
+use tsvd_serve::checkpoint::CheckpointError;
 use tsvd_serve::{DurabilitySink, TenantHost};
 
 /// Where and how a store keeps its files.
@@ -130,10 +132,12 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// A checkpoint section that verified but does not decode.
-impl From<BinError> for StoreError {
-    fn from(e: BinError) -> StoreError {
-        StoreError::BadCheckpoint(e.0)
+impl From<CheckpointError> for StoreError {
+    fn from(e: CheckpointError) -> StoreError {
+        match e {
+            CheckpointError::Io(e) => StoreError::Io(e),
+            CheckpointError::Bad(why) => StoreError::BadCheckpoint(why),
+        }
     }
 }
 

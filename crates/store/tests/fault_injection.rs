@@ -444,7 +444,7 @@ fn damage_sealed_under_a_valid_checksum_reaches_a_decoder_that_never_panics() {
         }
         let sum = checksum(&damaged[start..start + len]);
         damaged[start + len..start + len + 8].copy_from_slice(&sum.to_le_bytes());
-        match checkpoint::read_host(&damaged[..]) {
+        match checkpoint::read_host(&damaged[..]).map_err(StoreError::from) {
             Ok(_) => decoded += 1,
             Err(StoreError::BadCheckpoint(_)) => refused += 1,
             Err(other) => panic!("round {round}: wrong error class: {other}"),

@@ -413,40 +413,14 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
     }
 }
 
-/// The host JSON with every tenant's `back.timings` removed — the one
-/// wall-clock field of a checkpoint, different on every run by nature.
-fn without_timings(host_json: &str) -> String {
-    use tsvd_rt::json::Json;
-    let mut j = Json::parse(host_json).expect("host JSON parses");
-    let Json::Obj(top) = &mut j else {
-        panic!("host JSON is not an object")
-    };
-    let (_, Json::Arr(tenants)) = top.iter_mut().find(|(k, _)| k == "tenants").unwrap() else {
-        panic!("'tenants' is not an array")
-    };
-    for t in tenants {
-        let Json::Obj(fields) = t else {
-            panic!("tenant is not an object")
-        };
-        let (_, Json::Obj(back)) = fields.iter_mut().find(|(k, _)| k == "back").unwrap() else {
-            panic!("'back' is not an object")
-        };
-        let before = back.len();
-        back.retain(|(k, _)| k != "timings");
-        assert_eq!(back.len(), before - 1, "exactly one timings field");
-    }
-    j.to_string()
-}
-
 /// The reactor holds a whole `TenantHost`: on a live 2-tenant server, the
-/// checkpoint taken *between* flushes (with unflushed events pending) is
-/// byte-equal — wall-clock `timings` aside — to `to_json()` of an offline
-/// host that applied the same journal windows, and shutdown hands back
-/// that same host.
+/// checkpoint cut *between* flushes (with unflushed events pending) — what
+/// a `GetCheckpoint` reply carries — is, section by section and byte for
+/// byte (wall-clock `timings` aside), the encoding of an offline host that
+/// applied the same journal windows, and shutdown hands back that same
+/// host.
 #[test]
-fn live_checkpoint_is_byte_equal_to_offline_host_json() {
-    use tsvd_rt::json::ToJson;
-
+fn live_checkpoint_cut_is_byte_equal_to_offline_host_encoding() {
     let data = small_dataset();
     let g0 = data.stream.snapshot(1);
     let build = || {
@@ -482,11 +456,11 @@ fn live_checkpoint_is_byte_equal_to_offline_host_json() {
         // Leave an event pending (it rides into the next window): the cut
         // must stop at what is recorded.
         assert!(server.submit(EdgeEvent::insert(1, 2 + i as u32)));
-        let (cut_epoch, live_json) = server.checkpoint_json().expect("server is running");
+        let (cut_epoch, live) = server.checkpoint_bytes().expect("server is running");
         assert_eq!(cut_epoch, epoch, "cut includes an unflushed window");
-        assert_eq!(
-            without_timings(&live_json),
-            without_timings(&offline.to_json().to_string()),
+        assert_eq!(live[12..20], epoch.to_le_bytes(), "header epoch");
+        assert!(
+            sections_without_timings(&live) == sections_without_timings(&encoding_of(&offline)),
             "epoch {epoch}: live checkpoint differs from the offline host"
         );
     }
@@ -496,17 +470,24 @@ fn live_checkpoint_is_byte_equal_to_offline_host_json() {
     let host = server.shutdown_host();
     assert_eq!(host.batches_recorded(), mirrored + 1);
     offline.apply_batch(&[EdgeEvent::insert(1, 2 + 3)]);
-    assert_eq!(
-        without_timings(&host.to_json().to_string()),
-        without_timings(&offline.to_json().to_string()),
+    assert!(
+        sections_without_timings(&encoding_of(&host))
+            == sections_without_timings(&encoding_of(&offline)),
         "shutdown handed back a different host"
     );
 }
 
+/// `host`'s checkpoint at its own epoch.
+fn encoding_of(host: &TenantHost) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    checkpoint::write_host(&mut bytes, host.batches_recorded(), host).unwrap();
+    bytes
+}
+
 /// The verified sections of a binary checkpoint with the wall-clock part
-/// of every tenant's `timings` zeroed — the binary [`without_timings`]. A
-/// `Rest` section ends with `timings`: three `f64` seconds, then the
-/// update count (which is state, and stays).
+/// of every tenant's `timings` zeroed — the one field of a checkpoint that
+/// differs on every run by nature. A `Rest` section ends with `timings`:
+/// three `f64` seconds, then the update count (which is state, and stays).
 fn sections_without_timings(file: &[u8]) -> Vec<(HostSection, Vec<u8>)> {
     let mut reader = SectionReader::open(file).expect("a checkpoint header");
     let (mut buf, mut out) = (Vec::new(), Vec::new());
@@ -555,11 +536,6 @@ fn live_checkpoint_file_is_byte_equal_to_offline_host_encoding() {
     let file_of = |epoch: u64| {
         std::fs::read(checkpoint::checkpoint_path(&dir, epoch, Format::Bin))
             .unwrap_or_else(|e| panic!("checkpoint file of epoch {epoch}: {e}"))
-    };
-    let encoding_of = |host: &TenantHost| {
-        let mut bytes = Vec::new();
-        checkpoint::write_host(&mut bytes, host.batches_recorded(), host).unwrap();
-        bytes
     };
     // Epoch 0 — written by `create`, before the server existed.
     assert_eq!(

@@ -34,9 +34,9 @@ use std::time::{Duration, Instant};
 use tsvd_core::{Level1Method, PartitionStrategy, TreeSvdConfig, UpdatePolicy};
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
+use tsvd_rt::bin::{fnv1a64, CHECKSUM_OFFSET};
 use tsvd_rt::json::{Json, ToJson};
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
-use tsvd_serve::net::wire::{fnv1a64, FNV_OFFSET};
 use tsvd_serve::net::{ClientConfig, NetClient, RowsReply, TcpTransport, WindowsPull};
 use tsvd_serve::{
     EmbeddingServer, Follower, NetFront, Router, RouterConfig, RouterFront, ServeConfig,
@@ -343,7 +343,7 @@ fn assert_reply_matches_offline(reply: &RowsReply, offline: Vec<TenantHost>, epo
         .into_iter()
         .map(|h| Follower::new(h).reader(0).unwrap().snapshot())
         .collect();
-    let mut chain = FNV_OFFSET;
+    let mut chain = CHECKSUM_OFFSET;
     for snap in &snaps {
         assert_eq!(snap.epoch(), epoch, "offline replay epoch");
         chain = fnv1a64(chain, &snap.checksum().to_bits().to_le_bytes());

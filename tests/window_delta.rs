@@ -16,9 +16,9 @@
 
 use tree_svd::prelude::*;
 use tsvd_ppr::RecordedBatch;
+use tsvd_rt::bin::{fnv1a64, CHECKSUM_OFFSET};
 use tsvd_rt::json::ToJson;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
-use tsvd_serve::net::wire::{fnv1a64, FNV_OFFSET};
 
 fn random_graph(rng: &mut StdRng, n: usize, m: usize) -> DynGraph {
     let mut g = DynGraph::with_nodes(n);
@@ -159,7 +159,7 @@ fn golden_host_stream_embedding_bits() {
     for window in &windows {
         host.apply_batch(window);
     }
-    let mut digest = FNV_OFFSET;
+    let mut digest = CHECKSUM_OFFSET;
     for t in 0..subsets.len() as TenantId {
         let left = host.embedding(t).expect("registered").left();
         for x in left.as_slice() {
