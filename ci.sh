@@ -21,7 +21,9 @@
 #      recovery, follower, router_soak);
 #   6. the same with TSVD_THREADS=1 — the serial fallbacks of rt::pool must
 #      stay equivalent to the parallel paths;
-#   6b. the tsvd-store package (unit tests + fault_injection) and the wire
+#   6b. the tsvd-store package (unit tests, fault_injection, and
+#      sharded_checkpoints: committed files written with row-range PPR
+#      shards decode to the one-pipeline host, bitwise) and the wire
 #      codec's property battery (tsvd-serve's net_props: round trips,
 #      every byte flip, truncations, fuzz) once more with --release: what
 #      a decoder refuses must not depend on overflow checks or a

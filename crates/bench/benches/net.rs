@@ -65,11 +65,10 @@ fn main() {
         wire::frame_checksum(header_tail, payload)
     });
 
-    let engine = tsvd_serve::ShardedEngine::new(&g0, &s.subset, 2, s.ppr_cfg, tree_cfg);
+    let engine = tsvd_serve::ShardedEngine::new(&g0, &s.subset, 1, s.ppr_cfg, tree_cfg);
     let server = EmbeddingServer::start(
         engine,
         ServeConfig {
-            num_shards: 2,
             flush_max_events: 1_000_000,
             flush_interval_ms: 60_000,
             ..Default::default()

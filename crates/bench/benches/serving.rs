@@ -1,9 +1,9 @@
 //! Serving-layer benchmark: end-to-end flush latency (submit → new epoch
-//! published) of the sharded server across shard counts, plus the raw
-//! sharded-engine batch-apply cost and the reader's snapshot-load cost.
+//! published) of the server, the raw engine batch-apply cost, the
+//! multi-tenant fan-out and the reader's snapshot-load cost.
 //!
-//! Shard count `R` and the batching window are recorded in the bench JSON
-//! (`params`) so runs at different serving shapes are comparable.
+//! The batching window is recorded in the bench JSON (`params`) so runs at
+//! different serving shapes are comparable.
 
 use std::time::Duration;
 
@@ -38,7 +38,6 @@ fn main() {
 
     let batch = 256usize;
     let serve_cfg = ServeConfig {
-        num_shards: 1, // per-case override below; recorded per run
         flush_max_events: batch,
         flush_interval_ms: 60_000, // count-triggered only: measure the flush
         ..Default::default()
@@ -48,54 +47,39 @@ fn main() {
     h.record_param("batch_window_events", batch as u64);
     h.record_param("flush_interval_ms", serve_cfg.flush_interval_ms);
     h.record_param("subset_size", s.subset.len() as u64);
-    let shard_counts = [1usize, 2, 4, 8];
-    h.record_param(
-        "shard_counts",
-        shard_counts.iter().map(|&r| r as u64).collect::<Vec<u64>>(),
-    );
 
-    // Raw engine: one coalesced batch through apply_batch, per shard count.
-    for &r in &shard_counts {
-        let events = random_events(g0.num_nodes(), batch, 42);
-        h.bench(&format!("engine_apply_batch/shards_{r}"), || {
-            let mut engine = ShardedEngine::new(&g0, &s.subset, r, s.ppr_cfg, tree_cfg);
-            engine.apply_batch(&events);
-            engine.epoch()
-        });
-    }
+    // Raw engine: one coalesced batch through apply_batch.
+    let events = random_events(g0.num_nodes(), batch, 42);
+    h.bench("engine_apply_batch", || {
+        let mut engine = ShardedEngine::new(&g0, &s.subset, 1, s.ppr_cfg, tree_cfg);
+        engine.apply_batch(&events);
+        engine.epoch()
+    });
 
     // Full server round trip: submit a window, block until its epoch is
     // published (mailbox hop + batcher + engine + snapshot publish).
-    for &r in &shard_counts {
-        let engine = ShardedEngine::new(&g0, &s.subset, r, s.ppr_cfg, tree_cfg);
-        let server = EmbeddingServer::start(
-            engine,
-            ServeConfig {
-                num_shards: r,
-                ..serve_cfg
-            },
+    let engine = ShardedEngine::new(&g0, &s.subset, 1, s.ppr_cfg, tree_cfg);
+    let server = EmbeddingServer::start(engine, serve_cfg);
+    let reader = server.reader();
+    let mut round = 0u64;
+    h.bench("flush_round_trip", || {
+        round += 1;
+        let events = random_events(g0.num_nodes(), batch, round);
+        let want = server.epoch() + 1;
+        server.submit_batch(events); // exactly one count-triggered flush
+        assert!(
+            reader.wait_for_epoch(want, Duration::from_secs(120)),
+            "flush never published"
         );
-        let reader = server.reader();
-        let mut round = 0u64;
-        h.bench(&format!("flush_round_trip/shards_{r}"), || {
-            round += 1;
-            let events = random_events(g0.num_nodes(), batch, round);
-            let want = server.epoch() + 1;
-            server.submit_batch(events); // exactly one count-triggered flush
-            assert!(
-                reader.wait_for_epoch(want, Duration::from_secs(120)),
-                "flush never published"
-            );
-            want
-        });
-        server.shutdown();
-    }
+        want
+    });
+    server.shutdown();
 
     // Multi-tenant fan-out: one window recorded once on the shared graph
     // and replayed into every tenant — the per-window cost should grow
     // with the tenant count in the replay/refresh stages only, never in
     // the (shared) graph-mutation stage. Distinct overlapping subsets per
-    // tenant, two shards each.
+    // tenant.
     let tenant_counts = [1usize, 2, 4];
     h.record_param(
         "tenant_counts",
@@ -114,7 +98,7 @@ fn main() {
                 .take(s.subset.len() - 8)
                 .copied()
                 .collect();
-            host.register(t as u32, &subset, 2, s.ppr_cfg, tree_cfg)
+            host.register(t as u32, &subset, s.ppr_cfg, tree_cfg)
                 .expect("fresh tenant id");
         }
         let mut round = 10_000u64;
@@ -126,7 +110,7 @@ fn main() {
     }
 
     // Reader side: snapshot load + one embedding lookup under no writes.
-    let engine = ShardedEngine::new(&g0, &s.subset, 4, s.ppr_cfg, tree_cfg);
+    let engine = ShardedEngine::new(&g0, &s.subset, 1, s.ppr_cfg, tree_cfg);
     let server = EmbeddingServer::start(engine, serve_cfg);
     let reader = server.reader();
     let probe = s.subset[0];

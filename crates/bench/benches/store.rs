@@ -24,7 +24,7 @@ use tsvd_ppr::PprConfig;
 use tsvd_rt::bench::BenchHarness;
 use tsvd_rt::json::{FromJson, ToJson};
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
-use tsvd_serve::{DurabilitySink, HostSection, ServeConfig, TenantHost};
+use tsvd_serve::{DurabilitySink, HostSection, TenantHost};
 use tsvd_store::checkpoint::{self, Format, SectionReader};
 use tsvd_store::{read_windows, recover, StoreConfig, WalStore};
 
@@ -55,14 +55,8 @@ fn host() -> TenantHost {
         seed: 17,
         ..TreeSvdConfig::default()
     };
-    h.register(
-        0,
-        &(0..8).collect::<Vec<_>>(),
-        2,
-        PprConfig::default(),
-        tree,
-    )
-    .unwrap();
+    h.register(0, &(0..8).collect::<Vec<_>>(), PprConfig::default(), tree)
+        .unwrap();
     h
 }
 
@@ -92,8 +86,7 @@ fn base_host(windows: u64) -> TenantHost {
         alpha: 0.2,
         r_max: 1e-4,
     };
-    let shards = ServeConfig::default().num_shards;
-    h.register(0, &data.sample_subset(subset, 777), shards, ppr, tree)
+    h.register(0, &data.sample_subset(subset, 777), ppr, tree)
         .unwrap();
     let mut rng = StdRng::seed_from_u64(0xBA5E);
     for _ in 0..windows {

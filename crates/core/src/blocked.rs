@@ -61,8 +61,7 @@ impl BlockedProximityMatrix {
     }
 
     /// Build a matrix holding `rows` in `cfg.num_blocks` equal-width blocks
-    /// — the shared constructor behind `TreeSvdPipeline::new` and the
-    /// serving layer's sharded engine.
+    /// — the constructor behind `TreeSvdPipeline::new`.
     pub fn from_proximity_rows(
         num_cols: usize,
         cfg: &crate::config::TreeSvdConfig,

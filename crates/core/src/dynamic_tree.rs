@@ -47,7 +47,7 @@ tsvd_rt::impl_json_struct!(UpdateStats {
 });
 
 /// Field-wise accumulation, for aggregating stats across a stream of
-/// updates (or across serving shards) without hand-rolled field sums.
+/// updates (or across serving tenants) without hand-rolled field sums.
 /// `blocks_total` accumulates too: over `k` updates it counts `k·b`
 /// block-update opportunities, the natural denominator for
 /// `blocks_recomputed` rates.

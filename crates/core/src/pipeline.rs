@@ -1,13 +1,15 @@
 //! End-to-end dynamic subset embedding: graph → PPR → proximity matrix →
 //! Tree-SVD, wired together the way the paper's system runs.
 
+use std::time::Instant;
+
 use crate::blocked::BlockedProximityMatrix;
 use crate::config::TreeSvdConfig;
 use crate::dynamic_tree::{DynamicTreeSvd, UpdateStats};
 use crate::embedding::Embedding;
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_linalg::CsrMatrix;
-use tsvd_ppr::{PprConfig, SubsetPpr};
+use tsvd_ppr::{PprConfig, RecordedBatch, SubsetPpr};
 
 /// Cumulative wall-clock accounting of the pipeline's update phases —
 /// where a deployment's maintenance budget actually goes.
@@ -31,7 +33,7 @@ tsvd_rt::impl_json_struct!(PipelineTimings {
     updates
 });
 
-/// Field-wise accumulation (update counts add), so per-shard or per-window
+/// Field-wise accumulation (update counts add), so per-tenant or per-window
 /// timing records aggregate without hand-rolled field sums.
 impl std::ops::AddAssign for PipelineTimings {
     fn add_assign(&mut self, rhs: PipelineTimings) {
@@ -59,6 +61,10 @@ impl std::ops::Add for PipelineTimings {
 ///    Forward-Push refreshes PPR, dirty proximity rows are rebuilt, and
 ///    Algorithm 4 lazily re-factorises only the blocks that moved;
 /// 2. [`TreeSvdPipeline::embedding`] returns the current `X = U·√Σ`.
+///
+/// [`TreeSvdPipeline::apply_recorded`] is the one window path: `update`
+/// records the batch on the graph and calls it, and the serving layer calls
+/// it with a recording its shared graph made once for every tenant.
 ///
 /// # Examples
 ///
@@ -139,10 +145,39 @@ impl TreeSvdPipeline {
         }
     }
 
+    /// Rebuild a pipeline from the parts a checkpoint saved of one pipeline
+    /// (its `ppr()`, `matrix()`, `tree()`, `embedding()` and `timings()`);
+    /// the result continues bitwise as that pipeline would.
+    pub fn from_parts(
+        ppr: SubsetPpr,
+        matrix: BlockedProximityMatrix,
+        tree: DynamicTreeSvd,
+        embedding: Embedding,
+        timings: PipelineTimings,
+    ) -> Self {
+        TreeSvdPipeline {
+            ppr,
+            matrix,
+            tree,
+            embedding,
+            timings,
+        }
+    }
+
     /// Apply an event batch (mutating the shared graph `g`) and refresh the
     /// embedding via the lazy dynamic algorithm. Returns update statistics.
     pub fn update(&mut self, g: &mut DynGraph, events: &[EdgeEvent]) -> UpdateStats {
-        self.apply_events(g, events);
+        let rec = RecordedBatch::record(g, events);
+        self.apply_recorded(g, &rec)
+    }
+
+    /// Apply one window from a recording already made on `g` (see
+    /// [`RecordedBatch::record`]; `g` is the graph *after* the recording
+    /// mutated it): replay it on the PPR states, write the dirty rows into
+    /// the matrix, and refresh the embedding. The same recording can be
+    /// applied to any number of pipelines over the same graph.
+    pub fn apply_recorded(&mut self, g: &DynGraph, rec: &RecordedBatch) -> UpdateStats {
+        self.replay(g, rec);
         self.refresh_embedding()
     }
 
@@ -151,9 +186,18 @@ impl TreeSvdPipeline {
     /// separately so experiments can charge the (shared) PPR-maintenance
     /// cost fairly to every method that reuses this matrix.
     pub fn apply_events(&mut self, g: &mut DynGraph, events: &[EdgeEvent]) {
-        let t0 = std::time::Instant::now();
-        self.ppr.update(g, events);
-        let t1 = std::time::Instant::now();
+        let rec = RecordedBatch::record(g, events);
+        self.replay(g, &rec);
+    }
+
+    /// Replay `rec` on every PPR state, then write each dirty row's update
+    /// into the matrix serially in ascending row order, so the matrix's
+    /// version stamps (and the lazy layer's re-diff bookkeeping) are the
+    /// same at any thread count.
+    fn replay(&mut self, g: &DynGraph, rec: &RecordedBatch) {
+        let t0 = Instant::now();
+        self.ppr.apply_recorded(g, rec);
+        let t1 = Instant::now();
         for (i, update) in self.ppr.drain_row_updates() {
             self.matrix.apply_row_update(i, &update);
         }
@@ -164,7 +208,7 @@ impl TreeSvdPipeline {
     /// Phase 2 of [`TreeSvdPipeline::update`]: the lazy Tree-SVD refresh on
     /// the current matrix.
     pub fn refresh_embedding(&mut self) -> UpdateStats {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let (embedding, stats) = self.tree.update(&self.matrix);
         self.embedding = embedding;
         self.timings.svd_secs += t0.elapsed().as_secs_f64();
@@ -175,12 +219,6 @@ impl TreeSvdPipeline {
     /// Cumulative phase timings across all updates so far.
     pub fn timings(&self) -> PipelineTimings {
         self.timings
-    }
-
-    /// Throw away the Tree-SVD caches and rebuild from the current matrix
-    /// (the "static rebuild" arm of the paper's comparisons).
-    pub fn rebuild(&mut self) {
-        self.embedding = self.tree.build(&self.matrix);
     }
 
     /// The current subset embedding.
@@ -207,6 +245,11 @@ impl TreeSvdPipeline {
     /// The underlying PPR maintenance structure.
     pub fn ppr(&self) -> &SubsetPpr {
         &self.ppr
+    }
+
+    /// The dynamic Tree-SVD caches.
+    pub fn tree(&self) -> &DynamicTreeSvd {
+        &self.tree
     }
 }
 
@@ -398,29 +441,5 @@ mod tests {
         assert_eq!(t, t1 + t2);
         assert_eq!(t.updates, 5);
         assert_eq!((t.ppr_secs, t.rows_secs, t.svd_secs), (1.25, 0.75, 3.0));
-    }
-
-    #[test]
-    fn rebuild_matches_update_all_policy() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut g = random_graph(&mut rng, 60, 200);
-        let sources: Vec<u32> = (0..6).collect();
-        let mut cfg = tree_cfg();
-        cfg.policy = UpdatePolicy::All;
-        let mut pipe = TreeSvdPipeline::new(
-            &g,
-            &sources,
-            PprConfig {
-                alpha: 0.2,
-                r_max: 1e-4,
-            },
-            cfg,
-        );
-        let events = vec![EdgeEvent::insert(0, 59), EdgeEvent::insert(1, 58)];
-        pipe.update(&mut g, &events);
-        let after_update = pipe.embedding().left();
-        pipe.rebuild();
-        let after_rebuild = pipe.embedding().left();
-        assert!(after_update.sub(&after_rebuild).max_abs() < 1e-12);
     }
 }

@@ -47,11 +47,6 @@ impl NodeClassificationTask {
         self.num_classes
     }
 
-    /// Train/test sizes.
-    pub fn split_sizes(&self) -> (usize, usize) {
-        (self.train_idx.len(), self.test_idx.len())
-    }
-
     /// Train a classifier on the embedding's train rows and score the test
     /// rows. `embedding` must have one row per labelled item.
     pub fn evaluate(&self, embedding: &DenseMatrix) -> F1Scores {
@@ -131,9 +126,8 @@ mod tests {
     fn split_sizes_respect_ratio() {
         let labels: Vec<usize> = (0..100).map(|i| i % 3).collect();
         let task = NodeClassificationTask::new(&labels, 0.7, 1);
-        let (tr, te) = task.split_sizes();
-        assert_eq!(tr, 70);
-        assert_eq!(te, 30);
+        assert_eq!(task.train_idx.len(), 70);
+        assert_eq!(task.test_idx.len(), 30);
     }
 
     #[test]
@@ -148,5 +142,22 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn classification_split_partitions_indices() {
+        use tsvd_rt::check::Checker;
+        use tsvd_rt::{ensure, ensure_eq};
+        Checker::new(64).run("classification_split_partitions_indices", |g| {
+            let len = g.usize_in(4..80);
+            let ratio = g.f64_in(0.2..0.8);
+            let seed = g.u64_in(0..100);
+            let labels: Vec<usize> = (0..len).map(|i| i % 3).collect();
+            let task = NodeClassificationTask::new(&labels, ratio, seed);
+            let (tr, te) = (task.train_idx.len(), task.test_idx.len());
+            ensure_eq!(tr + te, len);
+            ensure!(tr >= 1 && te >= 1);
+            Ok(())
+        });
     }
 }

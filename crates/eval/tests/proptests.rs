@@ -1,8 +1,8 @@
 //! Property-based tests for the evaluation layer: metric bounds and
-//! identities, split integrity, link-prediction scoring invariants.
+//! identities, link-prediction scoring invariants.
 
 use tsvd_eval::metrics::f1_scores;
-use tsvd_eval::{LinkPredictionTask, NodeClassificationTask};
+use tsvd_eval::LinkPredictionTask;
 use tsvd_graph::DynGraph;
 use tsvd_linalg::DenseMatrix;
 use tsvd_rt::check::{Checker, Gen};
@@ -47,21 +47,6 @@ fn f1_invariant_under_label_permutation() {
         let b = f1_scores(&t2, &p2);
         ensure!((a.micro - b.micro).abs() < 1e-12);
         ensure!((a.macro_ - b.macro_).abs() < 1e-12);
-        Ok(())
-    });
-}
-
-#[test]
-fn classification_split_partitions_indices() {
-    Checker::new(64).run("classification_split_partitions_indices", |g| {
-        let len = g.usize_in(4..80);
-        let ratio = g.f64_in(0.2..0.8);
-        let seed = g.u64_in(0..100);
-        let labels: Vec<usize> = (0..len).map(|i| i % 3).collect();
-        let task = NodeClassificationTask::new(&labels, ratio, seed);
-        let (tr, te) = task.split_sizes();
-        ensure_eq!(tr + te, len);
-        ensure!(tr >= 1 && te >= 1);
         Ok(())
     });
 }

@@ -181,12 +181,6 @@ impl DynGraph {
         &self.out[u as usize]
     }
 
-    /// In-neighbors of `u`.
-    #[inline]
-    pub fn in_neighbors(&self, u: u32) -> &[u32] {
-        &self.inn[u as usize]
-    }
-
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: u32) -> usize {
@@ -205,26 +199,6 @@ impl DynGraph {
             .iter()
             .enumerate()
             .flat_map(|(u, l)| l.iter().map(move |&v| (u as u32, v)))
-    }
-
-    /// CSR-style arrays `(indptr, indices)` of the adjacency in `dir`,
-    /// with neighbor lists sorted. Used to hand the graph to the linear
-    /// algebra layer (e.g. RandNE's high-order projections).
-    pub fn to_csr_arrays(&self, dir: Direction) -> (Vec<usize>, Vec<u32>) {
-        let adj = match dir {
-            Direction::Out => &self.out,
-            Direction::In => &self.inn,
-        };
-        let mut indptr = Vec::with_capacity(adj.len() + 1);
-        let mut indices = Vec::with_capacity(self.num_edges);
-        indptr.push(0);
-        for l in adj {
-            let mut row: Vec<u32> = l.clone();
-            row.sort_unstable();
-            indices.extend_from_slice(&row);
-            indptr.push(indices.len());
-        }
-        (indptr, indices)
     }
 }
 
@@ -298,20 +272,6 @@ mod tests {
         assert!(g.insert_edge(1, 1));
         assert_eq!(g.out_degree(1), 1);
         assert_eq!(g.in_degree(1), 1);
-    }
-
-    #[test]
-    fn csr_arrays_sorted() {
-        let mut g = DynGraph::with_nodes(3);
-        g.insert_edge(0, 2);
-        g.insert_edge(0, 1);
-        g.insert_edge(2, 0);
-        let (indptr, indices) = g.to_csr_arrays(Direction::Out);
-        assert_eq!(indptr, vec![0, 2, 2, 3]);
-        assert_eq!(indices, vec![1, 2, 0]);
-        let (indptr_t, indices_t) = g.to_csr_arrays(Direction::In);
-        assert_eq!(indptr_t, vec![0, 1, 2, 3]);
-        assert_eq!(indices_t, vec![2, 0, 0]);
     }
 
     #[test]

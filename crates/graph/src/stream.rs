@@ -112,27 +112,6 @@ impl SnapshotStream {
             .enumerate()
             .map(|(i, b)| (i + 1, b.as_slice()))
     }
-
-    /// Split every batch into sub-batches of at most `size` events, producing
-    /// a finer-grained stream over the same event sequence. Used by the
-    /// batch-update experiments (Exp. 4) which replay 10⁴-event batches.
-    pub fn rebatched(&self, size: usize) -> SnapshotStream {
-        assert!(size > 0);
-        let mut batches = Vec::new();
-        for b in &self.batches {
-            if b.is_empty() {
-                batches.push(Vec::new());
-                continue;
-            }
-            for chunk in b.chunks(size) {
-                batches.push(chunk.to_vec());
-            }
-        }
-        SnapshotStream {
-            num_nodes: self.num_nodes,
-            batches,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,22 +166,6 @@ mod tests {
         let mut log = log3();
         log.swap(0, 3);
         let _ = SnapshotStream::from_log(3, &log, 2);
-    }
-
-    #[test]
-    fn rebatched_preserves_sequence() {
-        let s = SnapshotStream::from_log(3, &log3(), 1);
-        let fine = s.rebatched(1);
-        assert_eq!(fine.num_snapshots(), 4);
-        assert_eq!(fine.num_events(), 4);
-        // Final graphs must match.
-        let a = s.snapshot(s.num_snapshots());
-        let b = fine.snapshot(fine.num_snapshots());
-        let mut ea: Vec<_> = a.edges().collect();
-        let mut eb: Vec<_> = b.edges().collect();
-        ea.sort_unstable();
-        eb.sort_unstable();
-        assert_eq!(ea, eb);
     }
 
     #[test]

@@ -43,16 +43,6 @@ impl FrequentDirections {
         self.cols
     }
 
-    /// Append a dense row.
-    pub fn append_dense(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.cols);
-        if self.filled == 2 * self.l {
-            self.shrink();
-        }
-        self.buf.row_mut(self.filled).copy_from_slice(row);
-        self.filled += 1;
-    }
-
     /// Append a sparse row given as `(col, value)` pairs.
     pub fn append_sparse(&mut self, row: &[(u32, f64)]) {
         if self.filled == 2 * self.l {
@@ -111,6 +101,16 @@ mod tests {
     use tsvd_rt::rng::SeedableRng;
     use tsvd_rt::rng::StdRng;
 
+    /// Append a dense row as a sparse row listing every column.
+    fn append_dense(fd: &mut FrequentDirections, row: &[f64]) {
+        let entries: Vec<(u32, f64)> = row
+            .iter()
+            .enumerate()
+            .map(|(c, &v)| (c as u32, v))
+            .collect();
+        fd.append_sparse(&entries);
+    }
+
     /// Spectral norm via power iteration (test helper).
     fn spectral_norm(a: &DenseMatrix) -> f64 {
         let n = a.cols();
@@ -135,7 +135,7 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 4, 10);
         let mut fd = FrequentDirections::new(6, 10);
         for i in 0..4 {
-            fd.append_dense(a.row(i));
+            append_dense(&mut fd, a.row(i));
         }
         let b = fd.sketch();
         let ca = a.t_mul(&a);
@@ -150,7 +150,7 @@ mod tests {
         let l = 12;
         let mut fd = FrequentDirections::new(l, 30);
         for i in 0..a.rows() {
-            fd.append_dense(a.row(i));
+            append_dense(&mut fd, a.row(i));
         }
         let b = fd.sketch();
         let diff = a.t_mul(&a).sub(&b.t_mul(&b));
@@ -163,38 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_append_matches_dense() {
-        let mut fd1 = FrequentDirections::new(3, 8);
-        let mut fd2 = FrequentDirections::new(3, 8);
-        let rows = vec![
-            vec![(0u32, 1.0), (5, -2.0)],
-            vec![(2, 3.0)],
-            vec![(1, 1.0), (7, 4.0)],
-            vec![(0, -1.0), (2, 2.0), (4, 0.5)],
-            vec![(6, 2.5)],
-            vec![(3, 1.5), (5, 1.0)],
-            vec![(4, -3.0)],
-        ];
-        for r in &rows {
-            fd1.append_sparse(r);
-            let mut dense = vec![0.0; 8];
-            for &(c, v) in r {
-                dense[c as usize] = v;
-            }
-            fd2.append_dense(&dense);
-        }
-        let b1 = fd1.sketch();
-        let b2 = fd2.sketch();
-        assert!(b1.sub(&b2).max_abs() < 1e-12);
-    }
-
-    #[test]
     fn sketch_rank_at_most_l() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = gaussian_matrix(&mut rng, 50, 20);
         let mut fd = FrequentDirections::new(5, 20);
         for i in 0..a.rows() {
-            fd.append_dense(a.row(i));
+            append_dense(&mut fd, a.row(i));
         }
         let b = fd.sketch();
         assert_eq!(b.rows(), 5);

@@ -367,7 +367,9 @@ fn frequent_directions_covariance_bound() {
         let mut fd = FrequentDirections::new(l, 10);
         let mut frob_sq = 0.0;
         for r in &rows {
-            fd.append_dense(r);
+            let entries: Vec<(u32, f64)> =
+                r.iter().enumerate().map(|(c, &v)| (c as u32, v)).collect();
+            fd.append_sparse(&entries);
             frob_sq += r.iter().map(|v| v * v).sum::<f64>();
         }
         let b = fd.sketch();

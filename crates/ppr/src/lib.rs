@@ -30,4 +30,4 @@ mod subset;
 pub use proximity::proximity_row;
 pub use push::{forward_push, forward_push_fresh, FreshPushWorkspace};
 pub use state::PprState;
-pub use subset::{PprConfig, RecordedBatch, RowUpdate, SubsetPpr};
+pub use subset::{ConcatError, PprConfig, RecordedBatch, RowUpdate, SubsetPpr};

@@ -1,19 +1,22 @@
 //! Subset PPR maintenance: forward + reverse push states for every source
 //! in `S`, kept current across snapshots.
 
+use std::fmt;
+use std::ops::Range;
+
 use crate::dynamic::{batch_endpoints, dynamic_update, record_events, RecordedEvent};
 use crate::proximity::{proximity_entry, proximity_row};
 use crate::push::FreshPushWorkspace;
 use crate::state::{PprState, Touched};
 use tsvd_graph::{Direction, DynGraph, EdgeEvent};
+use tsvd_rt::bin::Encode;
 use tsvd_rt::pool::{par_for_each_mut, par_map, par_map_init};
 
 /// A batch of edge events already applied to the graph, recorded for replay
 /// on per-source PPR states — the graph-mutation half of
 /// [`SubsetPpr::update`], split out so *several* `SubsetPpr` instances
-/// (e.g. the row shards of a serving front) can share one graph mutation
-/// and then apply the identical recorded batch each, giving bitwise the
-/// same states as a single unsharded update.
+/// (e.g. the tenants of one serving host) can share one graph mutation and
+/// then apply the identical recorded batch each.
 #[derive(Debug, Clone)]
 pub struct RecordedBatch {
     fwd: Vec<RecordedEvent>,
@@ -62,7 +65,7 @@ impl RecordedBatch {
 }
 
 /// PPR parameters (Table 2): decay factor `α` and push threshold `r_max`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PprConfig {
     /// Stop probability of the α-decay walk. The literature default is 0.15–0.2.
     pub alpha: f64,
@@ -81,6 +84,18 @@ impl Default for PprConfig {
         }
     }
 }
+
+/// Why [`SubsetPpr::concat`] refused its parts (the message says which).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConcatError(pub String);
+
+impl fmt::Display for ConcatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConcatError {}
 
 /// Maintains approximate PPR for a fixed subset `S` of sources, in both
 /// graph directions, across graph updates.
@@ -189,9 +204,8 @@ impl SubsetPpr {
     /// Replay an already-recorded batch (see [`RecordedBatch::record`]) on
     /// every source state. `g` must be the graph the batch was recorded
     /// against, *after* the recording mutated it. Per-source work is
-    /// independent and bitwise-deterministic, so splitting `S` across
-    /// several `SubsetPpr` instances and calling this on each yields
-    /// exactly the states a single [`SubsetPpr::update`] would.
+    /// independent and bitwise-deterministic, so the same recording can be
+    /// replayed into any number of `SubsetPpr` instances.
     ///
     /// Every state must have seen every batch applied to `g` since it was
     /// built (the convergence precondition of
@@ -223,32 +237,21 @@ impl SubsetPpr {
     /// that rewrote most of the row, or a state no consumer has seen yet)
     /// it comes back whole. Either way, applying the update to a matrix row
     /// that held the previous drain's content yields exactly
-    /// `proximity_row(row)`.
+    /// `proximity_row(row)`. The dirty rows are worked out on the pool,
+    /// one row per task, and come back placed by index, so the result is
+    /// the same at any thread count.
     pub fn drain_row_updates(&mut self) -> Vec<(usize, RowUpdate)> {
-        let r_max = self.cfg.r_max;
-        let mut updates = Vec::new();
-        for (i, (fwd, bwd)) in self.fwd.iter_mut().zip(&mut self.bwd).enumerate() {
-            if !(fwd.dirty || bwd.dirty) {
-                continue;
-            }
-            let update = match (&fwd.touched, &bwd.touched) {
-                (Touched::Cols(f), Touched::Cols(b))
-                    if f.len() + b.len() < fwd.estimate_nnz() + bwd.estimate_nnz() =>
-                {
-                    let mut cols: Vec<u32> = f.iter().chain(b).copied().collect();
-                    cols.sort_unstable();
-                    cols.dedup();
-                    RowUpdate::Patch(
-                        cols.into_iter()
-                            .map(|v| (v, proximity_entry(fwd, bwd, r_max, v)))
-                            .collect(),
-                    )
-                }
-                _ => RowUpdate::Whole(proximity_row(fwd, bwd, r_max)),
-            };
-            fwd.clear_dirty();
-            bwd.clear_dirty();
-            updates.push((i, update));
+        let dirty: Vec<usize> = (0..self.len())
+            .filter(|&i| self.fwd[i].dirty || self.bwd[i].dirty)
+            .collect();
+        let (fwd, bwd, r_max) = (&self.fwd, &self.bwd, self.cfg.r_max);
+        let updates = par_map(dirty.len(), |k| {
+            let i = dirty[k];
+            (i, row_update(&fwd[i], &bwd[i], r_max))
+        });
+        for &i in &dirty {
+            self.fwd[i].clear_dirty();
+            self.bwd[i].clear_dirty();
         }
         updates
     }
@@ -276,6 +279,69 @@ impl SubsetPpr {
     /// All proximity rows (parallel). Row order matches `sources()`.
     pub fn proximity_rows(&self) -> Vec<Vec<(u32, f64)>> {
         par_map(self.sources.len(), |i| self.proximity_row(i))
+    }
+
+    /// Append the encoding of rows `rows` as a `SubsetPpr` of their own
+    /// (the same bytes as encoding a subset built from just those
+    /// sources) — how a checkpoint cuts a large subset into bounded
+    /// sections that [`SubsetPpr::concat`] joins back.
+    pub fn encode_rows(&self, rows: Range<usize>, out: &mut Vec<u8>) {
+        self.cfg.encode(out);
+        self.sources[rows.clone()].encode(out);
+        self.fwd[rows.clone()].encode(out);
+        self.bwd[rows].encode(out);
+    }
+
+    /// Join `(start row, part)` pairs cut from one subset back into it:
+    /// each part's sources and states follow the previous part's, so the
+    /// result is the subset the parts were cut from, state for state. The
+    /// parts must tile the rows from 0 in order and share one
+    /// [`PprConfig`]; anything else is a [`ConcatError`], never a panic
+    /// (the parts may come from a file).
+    pub fn concat(parts: Vec<(usize, SubsetPpr)>) -> Result<SubsetPpr, ConcatError> {
+        let mut whole: Option<SubsetPpr> = None;
+        for (k, (start, part)) in parts.into_iter().enumerate() {
+            let rows = whole.as_ref().map_or(0, SubsetPpr::len);
+            if start != rows {
+                return Err(ConcatError(format!(
+                    "PPR part {k} starts at row {start}, not at row {rows}"
+                )));
+            }
+            match &mut whole {
+                None => whole = Some(part),
+                Some(w) if w.cfg != part.cfg => {
+                    return Err(ConcatError(format!(
+                        "PPR part {k} has a different PprConfig than part 0"
+                    )))
+                }
+                Some(w) => {
+                    w.sources.extend(part.sources);
+                    w.fwd.extend(part.fwd);
+                    w.bwd.extend(part.bwd);
+                }
+            }
+        }
+        whole.ok_or_else(|| ConcatError("no PPR parts to concatenate".into()))
+    }
+}
+
+/// What changed in one dirty row since its last drain (see
+/// [`SubsetPpr::drain_row_updates`]).
+fn row_update(fwd: &PprState, bwd: &PprState, r_max: f64) -> RowUpdate {
+    match (&fwd.touched, &bwd.touched) {
+        (Touched::Cols(f), Touched::Cols(b))
+            if f.len() + b.len() < fwd.estimate_nnz() + bwd.estimate_nnz() =>
+        {
+            let mut cols: Vec<u32> = f.iter().chain(b).copied().collect();
+            cols.sort_unstable();
+            cols.dedup();
+            RowUpdate::Patch(
+                cols.into_iter()
+                    .map(|v| (v, proximity_entry(fwd, bwd, r_max, v)))
+                    .collect(),
+            )
+        }
+        _ => RowUpdate::Whole(proximity_row(fwd, bwd, r_max)),
     }
 }
 
@@ -482,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_apply_recorded_bitwise_matches_unsharded_update() {
+    fn parts_replayed_apart_concatenate_into_the_whole_update() {
         let mut rng = StdRng::seed_from_u64(21);
         let g0 = random_graph(&mut rng, 70, 280);
         let cfg = PprConfig {
@@ -508,7 +574,7 @@ mod tests {
         let mut whole = SubsetPpr::build(&g, &sources, cfg);
         whole.update(&mut g, &events);
 
-        // Sharded: three row-range replicas sharing one graph mutation.
+        // Three row-range parts sharing one graph mutation.
         let mut g2 = g0.clone();
         let mut shards: Vec<SubsetPpr> = sources
             .chunks(5)
@@ -521,19 +587,30 @@ mod tests {
             sh.apply_recorded(&g2, &rec);
         }
 
-        // Proximity rows must agree bitwise, row by row.
-        let mut row = 0usize;
-        for sh in &shards {
-            for local in 0..sh.len() {
-                assert_eq!(
-                    whole.proximity_row(row),
-                    sh.proximity_row(local),
-                    "row {row} diverged between sharded and unsharded update"
-                );
-                row += 1;
-            }
+        // Concatenated, the parts are the whole subset, byte for byte; and
+        // the whole subset's rows encode as the parts do.
+        let bytes = |p: &SubsetPpr| {
+            let mut out = Vec::new();
+            p.encode(&mut out);
+            out
+        };
+        let starts = [0usize, 5, 10];
+        let parts = || starts.into_iter().zip(shards.iter().cloned()).collect();
+        let joined = SubsetPpr::concat(parts()).unwrap();
+        assert_eq!(bytes(&joined), bytes(&whole));
+        for (&start, part) in starts.iter().zip(&shards) {
+            let mut cut = Vec::new();
+            whole.encode_rows(start..start + part.len(), &mut cut);
+            assert_eq!(cut, bytes(part), "rows from {start}");
         }
-        assert_eq!(row, sources.len());
+
+        // Parts that do not tile the rows are refused with a typed error
+        // (more cases: `tsvd-store`'s `sharded_checkpoints`).
+        let mut gap: Vec<(usize, SubsetPpr)> = parts();
+        gap[2].0 = 11;
+        let why = SubsetPpr::concat(gap).err().unwrap().to_string();
+        assert_eq!(why, "PPR part 2 starts at row 11, not at row 10");
+        assert!(SubsetPpr::concat(Vec::new()).is_err());
     }
 
     #[test]

@@ -25,13 +25,19 @@
 //! The sections, in file order ([`HostSection`]):
 //!
 //! ```text
-//! G  graph    shared graph · batches_recorded · shard count per tenant
+//! G  graph    shared graph · batches_recorded · P sections per tenant
 //! then per tenant, in registration order:
-//! P  shard    one per PPR replica: row range + every source's (p, r) state
+//! P  ppr      one per run of ≤ 64 rows: start row + each of its sources'
+//!             (p, r) states, both directions
 //! M  matrix   blocked proximity matrix
 //! T  tree     block caches + level factors
 //! R  rest     id · sources · embedding · counters · timings
 //! ```
+//!
+//! The runs of a tenant's rows may be cut anywhere as long as they tile
+//! the rows in order: files written when a tenant was `R` row-range
+//! shards hold one `P` section per shard, and decode concatenated
+//! (`SubsetPpr::concat`) into the same host.
 //!
 //! The writer streams: [`TenantHost::encode_sections`] fills **one reused
 //! section buffer** straight from the live host and each section goes out

@@ -2,8 +2,9 @@
 
 use std::time::Duration;
 
-/// Configuration of the serving front: shard fan-out plus the batching
-/// window that trades per-event latency against update amortisation.
+/// Configuration of the serving front: the batching window that trades
+/// per-event latency against update amortisation, admission, checkpoints
+/// and the follower journal.
 ///
 /// A flush is triggered by whichever fires first:
 ///
@@ -16,8 +17,9 @@ use std::time::Duration;
 /// so a hot edge flapping inside one window costs one update, not many.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of pipeline replicas `R` the subset's rows are sharded over.
-    /// Clamped to `|S|` at engine construction.
+    /// Ignored, and must be at least 1. Each tenant is one pipeline; the
+    /// field stays only until the `tsvd-e2e` benchmark, which reads it,
+    /// stops naming it.
     pub num_shards: usize,
     /// Flush as soon as this many events are pending.
     pub flush_max_events: usize,
@@ -52,7 +54,7 @@ tsvd_rt::impl_json_struct!(ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            num_shards: 4,
+            num_shards: 1,
             flush_max_events: 512,
             flush_interval_ms: 20,
             tenant_quota: 0,
@@ -73,7 +75,7 @@ impl ServeConfig {
         (self.tenant_quota > 0).then_some(self.tenant_quota)
     }
 
-    /// Panic on nonsensical settings (zero shards or degenerate windows).
+    /// Panic on nonsensical settings (`num_shards` 0 or degenerate windows).
     pub fn validate(&self) {
         assert!(self.num_shards >= 1, "need at least one shard");
         assert!(

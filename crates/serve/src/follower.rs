@@ -329,9 +329,9 @@ mod tests {
         let ppr = PprConfig::default();
         let build_host = |g: &DynGraph| {
             let mut h = TenantHost::new(g);
-            h.register(0, &(0..7).collect::<Vec<_>>(), 2, ppr, tree_cfg())
+            h.register(0, &(0..7).collect::<Vec<_>>(), ppr, tree_cfg())
                 .unwrap();
-            h.register(5, &(10..16).collect::<Vec<_>>(), 1, ppr, tree_cfg())
+            h.register(5, &(10..16).collect::<Vec<_>>(), ppr, tree_cfg())
                 .unwrap();
             h
         };
@@ -386,7 +386,6 @@ mod tests {
         h.register(
             0,
             &(0..8).collect::<Vec<_>>(),
-            2,
             PprConfig::default(),
             tree_cfg(),
         )
@@ -547,7 +546,6 @@ mod tests {
             .register(
                 0,
                 &(10..18).collect::<Vec<_>>(),
-                2,
                 PprConfig::default(),
                 tree_cfg(),
             )

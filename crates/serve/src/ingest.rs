@@ -3,7 +3,7 @@
 //! Tenancy splits the serving stack along the record/replay seam of
 //! [`tsvd_ppr::RecordedBatch`]: every flushed edge window mutates the
 //! *single* shared graph exactly once (here), and the captured recording
-//! is then replayed into each tenant's `SubsetPpr` shards. `GraphIngest`
+//! is then replayed into each tenant's pipeline. `GraphIngest`
 //! owns that graph and counts recordings, so tests can assert the
 //! record-once contract (`batches_recorded == windows`, not
 //! `windows × tenants`). The optional in-memory window log lives here for

@@ -1,6 +1,6 @@
 //! # tsvd-serve
 //!
-//! A sharded, double-buffered **embedding-serving layer** over the dynamic
+//! A double-buffered **embedding-serving layer** over the dynamic
 //! Tree-SVD pipeline — the "online" deployment shape of the paper's system:
 //! edge events stream in, queries read the subset embedding concurrently,
 //! and updates must neither block readers nor change results.
@@ -8,19 +8,17 @@
 //! Five pieces:
 //!
 //! * [`TenantHost`] — the update path, and the only one. One host owns
-//!   **one** shared graph; N registered tenants each own a subset, shard
-//!   fan-out, and Tree-SVD state. [`TenantHost::apply_batch`] records each
+//!   **one** shared graph; N registered tenants each own a subset and its
+//!   [`TreeSvdPipeline`](tsvd_core::TreeSvdPipeline). [`TenantHost::apply_batch`] records each
 //!   edge batch on the shared graph exactly once and replays the recording
 //!   into every tenant — so the graph work is paid once, not N times —
 //!   while every tenant's embedding stays bitwise equal to its own offline
 //!   [`TreeSvdPipeline`](tsvd_core::TreeSvdPipeline) replay. The server,
 //!   followers and crash recovery all apply windows through this call.
-//! * [`ShardedEngine`] — a one-tenant host under a single-engine API.
-//!   Subset rows are sharded across `R` contiguous-range PPR replicas
-//!   (phase 1 is per-source independent), feeding one global lazy
-//!   Tree-SVD. Output is **bitwise identical** to a single pipeline at any
-//!   `R` and any `TSVD_THREADS` — sharding is a throughput knob, not an
-//!   approximation (see `engine` module docs for why this holds).
+//! * [`ShardedEngine`] — a one-tenant host under a single-engine API. A
+//!   window is the pipeline's own `apply_recorded`, so output is **bitwise
+//!   identical** to the offline pipeline at any `TSVD_THREADS` (see
+//!   `engine` module docs for why this holds).
 //! * [`EmbeddingServer`] / [`ServerHandle`] / [`EmbeddingReader`] — the
 //!   asynchronous front. A dedicated reactor thread
 //!   ([`tsvd_rt::exec::EventLoop`] — no tokio; `std` only) owns the host,
@@ -50,7 +48,7 @@
 //! # let g = tsvd_graph::DynGraph::with_nodes(100);
 //! # let sources: Vec<u32> = (0..10).collect();
 //! let engine = ShardedEngine::new(
-//!     &g, &sources, 4,
+//!     &g, &sources, 1,
 //!     tsvd_ppr::PprConfig::default(),
 //!     tsvd_core::TreeSvdConfig { dim: 8, ..Default::default() },
 //! );

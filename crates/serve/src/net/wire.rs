@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic        0x5654 ("TV")
-//! 2       1     version      WIRE_VERSION (currently 4)
+//! 2       1     version      WIRE_VERSION (currently 5)
 //! 3       1     msg_id       message discriminant (see below)
 //! 4       8     request_id   client-chosen; echoed verbatim in the reply
 //! 12      4     tenant_id    the tenant this request/reply is pinned to
@@ -28,6 +28,10 @@
 //!
 //! Version history:
 //!
+//! * v5 — the `Stats` reply's `ServeStats` no longer has a `num_shards`
+//!   key (a tenant is one pipeline, not `R` shards). A v4 decoder needs
+//!   every key it knows, so it would read a v5 `Stats` body as `Malformed`;
+//!   the version byte makes it fail at the header instead;
 //! * v4 — a `Checkpoint` reply carries the bytes of a checkpoint file
 //!   (`crate::checkpoint`), not the host as JSON text;
 //! * v3 — frames are sealed with [`frame_checksum`], the word-folding sum
@@ -37,7 +41,7 @@
 //!   in either range still always changes the sum;
 //! * v2 — the header gained the `tenant_id` field.
 //!
-//! Frames of any other version byte (v1, v2, v3, …) are rejected with
+//! Frames of any other version byte (v1 … v4, …) are rejected with
 //! [`WireError::BadVersion`] straight from the header — mixed-version
 //! deployments fail closed at the first frame rather than misparsing
 //! offsets, checksums or bodies.
@@ -119,12 +123,12 @@ use crate::stats::StatsReply;
 /// First two bytes of every frame: "TV" little-endian.
 pub const WIRE_MAGIC: u16 = 0x5654;
 
-/// Protocol version stamped into (and required of) every frame. Version 4
-/// carries a `Checkpoint` reply as a checkpoint file instead of JSON;
-/// version 3 switched the frame checksum to [`frame_checksum`]'s word
-/// fold; version 2 added the `tenant_id` header field. Other versions are
-/// rejected.
-pub const WIRE_VERSION: u8 = 4;
+/// Protocol version stamped into (and required of) every frame. Version 5
+/// drops `num_shards` from the `Stats` reply; version 4 carries a
+/// `Checkpoint` reply as a checkpoint file instead of JSON; version 3
+/// switched the frame checksum to [`frame_checksum`]'s word fold; version
+/// 2 added the `tenant_id` header field. Other versions are rejected.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 28;
@@ -1410,7 +1414,6 @@ mod tests {
             tenant: crate::stats::ServeStats {
                 tenant: 2,
                 epoch: 12,
-                num_shards: 4,
                 events_submitted: 1000,
                 events_applied: 900,
                 events_coalesced: 80,
@@ -1539,7 +1542,7 @@ mod tests {
     fn every_payload_keeps_its_golden_bytes() {
         // `bin::checksum` of each payload above, in order. A codec change
         // that moves one byte of any of them breaks every peer and every
-        // recorded capture: these values never change.
+        // recorded capture: a value changes only with `WIRE_VERSION`.
         const GOLDEN: [u64; 30] = [
             0xaf63_bd4c_8601_b7df, // 0x01
             0x4da7_a300_08f6_c01c, // 0x02
@@ -1562,7 +1565,7 @@ mod tests {
             0x4ca5_9747_b2d7_c18d, // 0x84
             0xeb7e_a616_5833_b21f, // 0x85
             0x43fc_1b47_adef_c12f, // 0x85
-            0xb9c9_dfdd_9acd_2d7d, // 0x86
+            0x1c17_445e_8b9a_7070, // 0x86 (wire v5: `num_shards` left `ServeStats`)
             0xaf63_bd4c_8601_b7df, // 0x87
             0xb977_5836_7010_9aa0, // 0x88
             0xd573_d1e3_ad23_d024, // 0x88

@@ -108,9 +108,8 @@ pub struct ShardMap {
 
 impl ShardMap {
     /// Split `sources` into `num_shards` contiguous ranges of near-equal
-    /// size (first `len % n` ranges get one extra row — the same base/rem
-    /// rule `ShardedEngine` applies). `num_shards` is clamped to
-    /// `1..=sources.len()`.
+    /// size: the first `len % n` ranges get one extra row. `num_shards` is
+    /// clamped to `1..=sources.len()`.
     pub fn even_split(sources: &[u32], num_shards: usize) -> ShardMap {
         assert!(!sources.is_empty(), "shard map over an empty subset");
         let n = num_shards.clamp(1, sources.len());
@@ -1347,6 +1346,11 @@ pub(crate) mod tests {
         assert_eq!(map.range(2), (6, 9));
         assert_eq!(map.range(3), (9, 11));
         assert_eq!(map.sources_of(3), &[27, 30]);
+        // 10 rows over 4 shards: 3, 3, 2, 2 (a `div_ceil` rule would give
+        // 3, 3, 3, 1, which 11 rows cannot tell apart).
+        let ten = ShardMap::even_split(&sources[..10], 4);
+        let ranges: Vec<_> = (0..4).map(|k| ten.range(k)).collect();
+        assert_eq!(ranges, [(0, 3), (3, 6), (6, 8), (8, 10)]);
         // Clamped: more shards than rows degenerates to one row each.
         assert_eq!(ShardMap::even_split(&[5, 6], 10).num_shards(), 2);
     }

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! The edge stream is **global**: every flushed window is recorded on the
-//! shared graph exactly once and replayed into every tenant's shards (the
+//! shared graph exactly once and replayed into every tenant's pipeline (the
 //! shared graph demands it — a tenant that skipped a window would diverge
 //! from the graph its PPR states are defined over). Submissions are
 //! tenant-*tagged* for admission control and accounting: the per-tenant
@@ -330,7 +330,6 @@ struct TenantHandle {
     id: TenantId,
     cell: Arc<EpochCell>,
     counters: Arc<Counters>,
-    num_shards: usize,
 }
 
 impl EmbeddingServer {
@@ -378,7 +377,6 @@ impl EmbeddingServer {
                 id: engine.id,
                 cell: publisher.cell().clone(),
                 counters: counters.clone(),
-                num_shards: engine.num_shards(),
             });
             tenants.push(TenantState {
                 publisher,
@@ -679,7 +677,6 @@ impl ServerHandle {
         ServeStats {
             tenant: t.id,
             epoch: snap.epoch(),
-            num_shards: t.num_shards,
             events_submitted: submitted,
             events_applied: applied,
             events_coalesced: coalesced,
@@ -769,11 +766,11 @@ mod tests {
     use tsvd_ppr::PprConfig;
     use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 
-    fn setup(num_shards: usize) -> (DynGraph, ShardedEngine) {
-        setup_with(num_shards, TreeSvdConfig::default().policy)
+    fn setup() -> (DynGraph, ShardedEngine) {
+        setup_with(TreeSvdConfig::default().policy)
     }
 
-    fn setup_with(num_shards: usize, policy: UpdatePolicy) -> (DynGraph, ShardedEngine) {
+    fn setup_with(policy: UpdatePolicy) -> (DynGraph, ShardedEngine) {
         let mut rng = StdRng::seed_from_u64(11);
         let n = 60usize;
         let mut g = DynGraph::with_nodes(n);
@@ -791,13 +788,13 @@ mod tests {
             policy,
             ..Default::default()
         };
-        let engine = ShardedEngine::new(&g, &sources, num_shards, PprConfig::default(), cfg);
+        let engine = ShardedEngine::new(&g, &sources, 1, PprConfig::default(), cfg);
         (g, engine)
     }
 
     #[test]
     fn serves_epoch_zero_immediately() {
-        let (_, engine) = setup(2);
+        let (_, engine) = setup();
         let server = EmbeddingServer::start(engine, ServeConfig::default());
         let reader = server.reader();
         let snap = reader.snapshot();
@@ -811,7 +808,7 @@ mod tests {
 
     #[test]
     fn count_trigger_flushes_without_waiting_for_deadline() {
-        let (_, engine) = setup(2);
+        let (_, engine) = setup();
         let cfg = ServeConfig {
             flush_max_events: 4,
             flush_interval_ms: 60_000, // deadline effectively off
@@ -838,7 +835,7 @@ mod tests {
 
     #[test]
     fn deadline_trigger_flushes_partial_window() {
-        let (_, engine) = setup(3);
+        let (_, engine) = setup();
         let cfg = ServeConfig {
             flush_max_events: 1_000_000,
             flush_interval_ms: 5,
@@ -857,7 +854,7 @@ mod tests {
 
     #[test]
     fn flush_sync_applies_everything_submitted() {
-        let (_, engine) = setup(2);
+        let (_, engine) = setup();
         let cfg = ServeConfig {
             flush_max_events: 1_000_000,
             flush_interval_ms: 60_000,
@@ -882,42 +879,39 @@ mod tests {
     }
 
     #[test]
-    fn refactor_counter_matches_the_engine_at_any_shard_count() {
+    fn refactor_counter_matches_the_engine() {
         // The served counter accounts for every level-1 refactorisation
         // the flushes performed, as the engine's own totals count them.
-        for num_shards in [1, 3] {
-            let (_, engine) = setup_with(num_shards, UpdatePolicy::Lazy { delta: 0.05 });
-            let cfg = ServeConfig {
-                flush_max_events: 1_000_000,
-                flush_interval_ms: 60_000,
-                ..Default::default()
-            };
-            let server = EmbeddingServer::start(engine, cfg);
-            for w in 0..4u32 {
-                server.submit_batch(
-                    (0..8)
-                        .map(|i| EdgeEvent::insert(i, 20 + w * 8 + i))
-                        .collect(),
-                );
-                server.flush_sync();
-            }
-            let stats = server.stats();
-            let engine = server.shutdown();
-            let recomputed = engine.total_stats().blocks_recomputed as u64;
-            assert_eq!(stats.blocks_refactored, recomputed, "R = {num_shards}");
-            assert!(recomputed > 0, "R = {num_shards}: no block fired");
+        let (_, engine) = setup_with(UpdatePolicy::Lazy { delta: 0.05 });
+        let cfg = ServeConfig {
+            flush_max_events: 1_000_000,
+            flush_interval_ms: 60_000,
+            ..Default::default()
+        };
+        let server = EmbeddingServer::start(engine, cfg);
+        for w in 0..4u32 {
+            server.submit_batch(
+                (0..8)
+                    .map(|i| EdgeEvent::insert(i, 20 + w * 8 + i))
+                    .collect(),
+            );
+            server.flush_sync();
         }
+        let stats = server.stats();
+        let engine = server.shutdown();
+        let recomputed = engine.total_stats().blocks_recomputed as u64;
+        assert_eq!(stats.blocks_refactored, recomputed);
+        assert!(recomputed > 0, "no block fired");
     }
 
     #[test]
     fn coalescing_counts_dropped_events() {
-        let (_, engine) = setup(1);
+        let (_, engine) = setup();
         let server = EmbeddingServer::start(
             engine,
             ServeConfig {
                 flush_max_events: 1_000_000,
                 flush_interval_ms: 60_000,
-                num_shards: 1,
                 ..Default::default()
             },
         );
@@ -938,7 +932,7 @@ mod tests {
 
     #[test]
     fn readers_hold_consistent_epochs_across_swaps() {
-        let (_, engine) = setup(2);
+        let (_, engine) = setup();
         let cfg = ServeConfig {
             flush_max_events: 1_000_000,
             flush_interval_ms: 60_000,
@@ -960,7 +954,7 @@ mod tests {
 
     #[test]
     fn unknown_tenant_rejected_at_admission() {
-        let (_, engine) = setup(1);
+        let (_, engine) = setup();
         let server = EmbeddingServer::start(engine, ServeConfig::default());
         let err = server
             .submit_batch_to(99, vec![EdgeEvent::insert(0, 1)])
@@ -974,7 +968,7 @@ mod tests {
 
     #[test]
     fn quota_backpressures_at_admission_and_releases_after_flush() {
-        let (_, engine) = setup(1);
+        let (_, engine) = setup();
         let cfg = ServeConfig {
             flush_max_events: 1_000_000,
             flush_interval_ms: 60_000,

@@ -14,8 +14,6 @@ pub struct ServeStats {
     pub tenant: u32,
     /// Epoch currently being served (flushed batches since start).
     pub epoch: u64,
-    /// Shard fan-out `R` of the engine behind the server.
-    pub num_shards: usize,
     /// Events accepted by `submit`/`submit_batch`.
     pub events_submitted: u64,
     /// Events applied by the engine (after coalescing).
@@ -42,7 +40,6 @@ pub struct ServeStats {
 tsvd_rt::impl_json_struct!(ServeStats {
     tenant,
     epoch,
-    num_shards,
     events_submitted,
     events_applied,
     events_coalesced,
@@ -143,7 +140,6 @@ mod tests {
         let stats = ServeStats {
             tenant: 3,
             epoch: 7,
-            num_shards: 3,
             events_submitted: 100,
             events_applied: 90,
             events_coalesced: 6,

@@ -1,12 +1,12 @@
 //! Multi-subset tenancy: one shared graph, N per-subset engines.
 //!
 //! A [`TenantHost`] owns the single [`GraphIngest`] and a set of tenants,
-//! each a `TenantEngine` over its own subset `S_t` at its own shard count.
-//! The edge-event stream is global — every window is recorded on the
-//! shared graph **once** and the recording replayed into every tenant's
-//! PPR shards — so each tenant's published embedding stays bitwise-equal
-//! to an offline [`TreeSvdPipeline`](tsvd_core) replay of the same windows
-//! with that tenant's subset.
+//! each a `TenantEngine` (one [`TreeSvdPipeline`](tsvd_core::TreeSvdPipeline))
+//! over its own subset `S_t`. The edge-event stream is global — every
+//! window is recorded on the shared graph **once** and the recording
+//! replayed into every tenant's pipeline — so each tenant's published
+//! embedding stays bitwise-equal to an offline `TreeSvdPipeline` replay of
+//! the same windows with that tenant's subset.
 //!
 //! [`TenantHost::apply_batch`] is the one way `tsvd-serve` applies a
 //! window: the reactor ([`crate::server`]), the follower
@@ -71,9 +71,8 @@ impl TenantHost {
         host
     }
 
-    /// Register tenant `id` over subset `sources` with `num_shards`
-    /// contiguous PPR replicas, factorised against the shared graph's
-    /// *current* state (its offline replay baseline).
+    /// Register tenant `id` over subset `sources`, factorised against the
+    /// shared graph's *current* state (its offline replay baseline).
     ///
     /// Duplicate ids are rejected with [`TenantError::DuplicateId`] —
     /// never silently shadowed.
@@ -81,7 +80,6 @@ impl TenantHost {
         &mut self,
         id: TenantId,
         sources: &[u32],
-        num_shards: usize,
         ppr_cfg: PprConfig,
         tree_cfg: TreeSvdConfig,
     ) -> Result<(), TenantError> {
@@ -92,7 +90,6 @@ impl TenantHost {
             id,
             self.ingest.graph(),
             sources,
-            num_shards,
             ppr_cfg,
             tree_cfg,
         ));
@@ -198,11 +195,6 @@ impl TenantHost {
         Some(self.tenant(id)?.sources())
     }
 
-    /// Tenant `id`'s actual shard count (after clamping to `|S|`).
-    pub fn num_shards(&self, id: TenantId) -> Option<usize> {
-        Some(self.tenant(id)?.num_shards())
-    }
-
     /// View a one-tenant host as a standalone engine (a move).
     ///
     /// # Panics
@@ -223,24 +215,25 @@ impl TenantHost {
 
 /// The sections a host's binary encoding is cut into, in the order
 /// [`TenantHost::encode_sections`] writes them: one [`Graph`], then per
-/// tenant its [`Shard`]s, [`Matrix`], [`Tree`] and [`Rest`]. The
+/// tenant its [`Ppr`], [`Matrix`], [`Tree`] and [`Rest`]. The
 /// discriminant is the tag byte a container stores in front of each.
 ///
 /// [`Graph`]: HostSection::Graph
-/// [`Shard`]: HostSection::Shard
+/// [`Ppr`]: HostSection::Ppr
 /// [`Matrix`]: HostSection::Matrix
 /// [`Tree`]: HostSection::Tree
 /// [`Rest`]: HostSection::Rest
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum HostSection {
-    /// The shared graph, the record-once counter, and each tenant's shard
-    /// count (what tells a reader how many sections follow).
+    /// The shared graph, the record-once counter, and per tenant how many
+    /// `Ppr` sections follow.
     Graph = b'G',
-    /// One PPR replica of one tenant: its row range and the `(p, r)` push
-    /// state of every source in it, both directions — two thirds of a
-    /// checkpoint's bytes.
-    Shard = b'P',
+    /// A run of a tenant's PPR states: the first row it covers, then the
+    /// `(p, r)` push state of each of its sources, both directions — two
+    /// thirds of a checkpoint's bytes. A tenant's runs tile its rows in
+    /// order and decode concatenated.
+    Ppr = b'P',
     /// A tenant's blocked proximity matrix.
     Matrix = b'M',
     /// A tenant's dynamic Tree-SVD: block caches and the level factors.
@@ -254,7 +247,7 @@ impl HostSection {
     /// Every section kind, in first-appearance order.
     pub const ALL: [HostSection; 5] = [
         HostSection::Graph,
-        HostSection::Shard,
+        HostSection::Ppr,
         HostSection::Matrix,
         HostSection::Tree,
         HostSection::Rest,
@@ -312,8 +305,8 @@ impl TenantHost {
         buf.clear();
         ingest.graph().encode(buf);
         ingest.batches_recorded().encode(buf);
-        let shard_counts: Vec<u32> = tenants.iter().map(|t| t.num_shards() as u32).collect();
-        shard_counts.encode(buf);
+        let ppr_sections: Vec<u32> = tenants.iter().map(|t| t.ppr_sections() as u32).collect();
+        ppr_sections.encode(buf);
         emit(HostSection::Graph, buf)?;
         for t in tenants {
             t.encode_sections(buf, &mut emit)?;
@@ -336,13 +329,11 @@ impl TenantHost {
         let mut c = Cursor::new(&buf);
         let graph = DynGraph::decode(&mut c)?;
         let batches_recorded = u64::decode(&mut c)?;
-        let shard_counts = Vec::<u32>::decode(&mut c)?;
+        let ppr_sections = Vec::<u32>::decode(&mut c)?;
         c.finish()?;
         let mut tenants = Vec::new();
-        for num_shards in shard_counts {
-            tenants.push(TenantEngine::decode_sections(
-                num_shards, &mut buf, &mut next,
-            )?);
+        for count in ppr_sections {
+            tenants.push(TenantEngine::decode_sections(count, &mut buf, &mut next)?);
         }
         Ok(TenantHost {
             ingest: GraphIngest::restore(graph, batches_recorded),
@@ -406,9 +397,9 @@ mod tests {
         let g = random_graph(&mut rng, 60, 240);
         let ppr = PprConfig::default();
         let mut host = TenantHost::new(&g);
-        host.register(7, &[0, 1, 2], 1, ppr, tree_cfg()).unwrap();
+        host.register(7, &[0, 1, 2], ppr, tree_cfg()).unwrap();
         let err = host
-            .register(7, &[3, 4, 5], 2, ppr, tree_cfg())
+            .register(7, &[3, 4, 5], ppr, tree_cfg())
             .expect_err("second registration of id 7 must fail");
         assert_eq!(err, TenantError::DuplicateId(7));
         assert_eq!(err.to_string(), "tenant id 7 is already registered");
@@ -416,7 +407,7 @@ mod tests {
         assert_eq!(host.tenant_ids(), vec![7]);
         assert_eq!(host.sources(7).unwrap(), &[0, 1, 2]);
         // A different id is still accepted.
-        host.register(8, &[3, 4, 5], 2, ppr, tree_cfg()).unwrap();
+        host.register(8, &[3, 4, 5], ppr, tree_cfg()).unwrap();
         assert_eq!(host.num_tenants(), 2);
     }
 
@@ -432,19 +423,19 @@ mod tests {
             alpha: 0.2,
             r_max: 1e-4,
         };
-        // Overlapping subsets at different shard counts.
-        let subsets: Vec<(TenantId, Vec<u32>, usize)> = vec![
-            (0, (0..9).collect(), 1),
-            (10, (5..17).collect(), 3),
-            (20, (40..48).collect(), 2),
+        // Overlapping subsets.
+        let subsets: Vec<(TenantId, Vec<u32>)> = vec![
+            (0, (0..9).collect()),
+            (10, (5..17).collect()),
+            (20, (40..48).collect()),
         ];
         let mut host = TenantHost::new(&g0);
-        for (id, s, r) in &subsets {
-            host.register(*id, s, *r, ppr, tree_cfg()).unwrap();
+        for (id, s) in &subsets {
+            host.register(*id, s, ppr, tree_cfg()).unwrap();
         }
         let mut offline: Vec<(DynGraph, TreeSvdPipeline)> = subsets
             .iter()
-            .map(|(_, s, _)| {
+            .map(|(_, s)| {
                 let g = g0.clone();
                 let p = TreeSvdPipeline::new(&g, s, ppr, tree_cfg());
                 (g, p)
@@ -455,7 +446,7 @@ mod tests {
         for batch in &batches {
             let stats = host.apply_batch(batch);
             assert_eq!(stats.len(), subsets.len());
-            for ((g, pipe), (id, _, _)) in offline.iter_mut().zip(&subsets) {
+            for ((g, pipe), (id, _)) in offline.iter_mut().zip(&subsets) {
                 pipe.update(g, batch);
                 let served = host.embedding(*id).unwrap();
                 assert_eq!(
@@ -468,7 +459,7 @@ mod tests {
         }
         // One recording per batch — the record-once acceptance counter.
         assert_eq!(host.batches_recorded(), batches.len() as u64);
-        for (id, _, _) in &subsets {
+        for (id, _) in &subsets {
             assert_eq!(host.epoch(*id).unwrap(), batches.len() as u64);
         }
     }
@@ -491,9 +482,9 @@ mod tests {
         };
         let windows: Vec<Vec<EdgeEvent>> = (0..5).map(|_| random_batch(&mut rng, n, 24)).collect();
 
-        let mut serial = ShardedEngine::new(&g, &sources, 3, ppr, tree_cfg());
+        let mut serial = ShardedEngine::new(&g, &sources, 1, ppr, tree_cfg());
         let server = EmbeddingServer::start(
-            ShardedEngine::new(&g, &sources, 3, ppr, tree_cfg()),
+            ShardedEngine::new(&g, &sources, 1, ppr, tree_cfg()),
             ServeConfig {
                 flush_max_events: usize::MAX,
                 flush_interval_ms: 60_000,
@@ -533,7 +524,7 @@ mod tests {
         let mut engine = ShardedEngine::new(
             &g,
             &(0..6).collect::<Vec<_>>(),
-            2,
+            1,
             PprConfig::default(),
             tree_cfg(),
         );
@@ -551,9 +542,9 @@ mod tests {
     fn into_single_engine_rejects_multi_tenant_hosts() {
         let g = DynGraph::with_nodes(8);
         let mut host = TenantHost::new(&g);
-        host.register(0, &[0, 1], 1, PprConfig::default(), tree_cfg())
+        host.register(0, &[0, 1], PprConfig::default(), tree_cfg())
             .unwrap();
-        host.register(1, &[2, 3], 1, PprConfig::default(), tree_cfg())
+        host.register(1, &[2, 3], PprConfig::default(), tree_cfg())
             .unwrap();
         let _ = host.into_single_engine();
     }

@@ -33,21 +33,19 @@ fn base_graph() -> DynGraph {
     g
 }
 
-fn engine(g: &DynGraph, num_shards: usize) -> ShardedEngine {
+fn engine(g: &DynGraph) -> ShardedEngine {
     let sources: Vec<u32> = (0..12).collect();
     let cfg = TreeSvdConfig {
         dim: 8,
         num_blocks: 3,
         ..Default::default()
     };
-    ShardedEngine::new(g, &sources, num_shards, PprConfig::default(), cfg)
+    ShardedEngine::new(g, &sources, 1, PprConfig::default(), cfg)
 }
 
-/// Manual-flush config: windows are exactly the submitted chunks, so runs
-/// are comparable across shard counts.
-fn manual_flush(num_shards: usize) -> ServeConfig {
+/// Manual-flush config: windows are exactly the submitted chunks.
+fn manual_flush() -> ServeConfig {
     ServeConfig {
-        num_shards,
         flush_max_events: 1_000_000,
         flush_interval_ms: 60_000,
         ..Default::default()
@@ -76,81 +74,68 @@ fn event_chunks() -> Vec<Vec<EdgeEvent>> {
 }
 
 #[test]
-fn loopback_replies_bitwise_equal_in_process_at_any_shard_count() {
+fn loopback_replies_bitwise_equal_in_process() {
     let g = base_graph();
     let chunks = event_chunks();
     let probe: Vec<u32> = vec![0, 5, 11, 70, 200]; // mixes subset, non-subset, out-of-range
-    let mut final_bits: Vec<Vec<u64>> = Vec::new();
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
+    let in_process = server.reader();
+    let front = NetFront::start(server);
+    let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
 
-    for num_shards in [1usize, 3] {
-        let server = EmbeddingServer::start(engine(&g, num_shards), manual_flush(num_shards));
-        let in_process = server.reader();
-        let front = NetFront::start(server);
-        let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
+    for (i, chunk) in chunks.iter().enumerate() {
+        let accepted = client.submit_events(chunk.clone()).unwrap();
+        assert_eq!(accepted, chunk.len() as u64);
+        let epoch = client.flush().unwrap();
+        assert_eq!(epoch, i as u64 + 1);
 
-        for (i, chunk) in chunks.iter().enumerate() {
-            let accepted = client.submit_events(chunk.clone()).unwrap();
-            assert_eq!(accepted, chunk.len() as u64);
-            let epoch = client.flush().unwrap();
-            assert_eq!(epoch, i as u64 + 1);
-
-            // The wire reply and the in-process snapshot must agree bitwise.
-            let snap = in_process.snapshot();
-            let rows = client.get_rows(&probe).unwrap();
-            assert_eq!(rows.epoch, snap.epoch());
-            assert_eq!(rows.checksum_bits, snap.checksum().to_bits());
-            assert_eq!(rows.dim as usize, snap.dim());
-            for (&node, got) in probe.iter().zip(&rows.rows) {
-                match (snap.get(node), got) {
-                    (None, None) => {}
-                    (Some(want), Some(got)) => {
-                        assert_eq!(want.len(), got.len());
-                        for (a, b) in want.iter().zip(got) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "row bits differ over the wire");
-                        }
+        // The wire reply and the in-process snapshot must agree bitwise.
+        let snap = in_process.snapshot();
+        let rows = client.get_rows(&probe).unwrap();
+        assert_eq!(rows.epoch, snap.epoch());
+        assert_eq!(rows.checksum_bits, snap.checksum().to_bits());
+        assert_eq!(rows.dim as usize, snap.dim());
+        for (&node, got) in probe.iter().zip(&rows.rows) {
+            match (snap.get(node), got) {
+                (None, None) => {}
+                (Some(want), Some(got)) => {
+                    assert_eq!(want.len(), got.len());
+                    for (a, b) in want.iter().zip(got) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "row bits differ over the wire");
                     }
-                    (want, got) => panic!("presence mismatch for node {node}: {want:?} vs {got:?}"),
                 }
+                (want, got) => panic!("presence mismatch for node {node}: {want:?} vs {got:?}"),
             }
-
-            let emb = client.get_embedding().unwrap();
-            assert!(emb.verify_checksum(), "end-to-end checksum failed");
-            assert_eq!(emb.sources, snap.sources());
-            for (r, &src) in snap.sources().iter().enumerate() {
-                let want = snap.get(src).unwrap();
-                for (a, b) in want.iter().zip(emb.row(r)) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "embedding bits differ over the wire"
-                    );
-                }
-            }
-
-            let stats = client.stats().unwrap();
-            assert_eq!(stats.tenant.epoch, snap.epoch());
-            assert_eq!(stats.tenant.num_shards, num_shards.min(12));
-            assert_eq!(stats.host.tenants, 1);
-            assert_eq!(stats.host.epoch, snap.epoch());
         }
 
         let emb = client.get_embedding().unwrap();
-        final_bits.push(emb.data.iter().map(|v| v.to_bits()).collect());
-        drop(client);
-        front.shutdown();
+        assert!(emb.verify_checksum(), "end-to-end checksum failed");
+        assert_eq!(emb.sources, snap.sources());
+        for (r, &src) in snap.sources().iter().enumerate() {
+            let want = snap.get(src).unwrap();
+            for (a, b) in want.iter().zip(emb.row(r)) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "embedding bits differ over the wire"
+                );
+            }
+        }
+
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.tenant.epoch, snap.epoch());
+        assert_eq!(stats.host.tenants, 1);
+        assert_eq!(stats.host.epoch, snap.epoch());
     }
 
-    // Sharding must stay invisible over the wire too.
-    assert_eq!(
-        final_bits[0], final_bits[1],
-        "final embedding differs between shard counts over the wire"
-    );
+    drop(client);
+    front.shutdown();
 }
 
 #[test]
 fn pipelined_requests_execute_in_order_with_one_round_trip_per_batch() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 2), manual_flush(2));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
 
@@ -194,7 +179,7 @@ fn pipelined_requests_execute_in_order_with_one_round_trip_per_batch() {
 #[test]
 fn pipelined_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 2), manual_flush(2));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
     client.submit_events(event_chunks().remove(0)).unwrap();
@@ -238,7 +223,7 @@ fn pipelined_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
 #[test]
 fn pipelined_top_k_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 2), manual_flush(2));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
     client.submit_events(event_chunks().remove(0)).unwrap();
@@ -291,7 +276,7 @@ fn pipelined_top_k_replies_are_bitwise_the_single_calls_at_the_same_epoch() {
 #[test]
 fn client_reconnects_and_retries_idempotent_calls() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 1), manual_flush(1));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
 
@@ -319,7 +304,7 @@ fn client_reconnects_and_retries_idempotent_calls() {
 #[test]
 fn corrupt_frame_draws_connection_error_then_close() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 1), manual_flush(1));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
 
     // Talk raw bytes through the transport, bypassing the client: three
@@ -365,7 +350,7 @@ fn corrupt_frame_draws_connection_error_then_close() {
 #[test]
 fn old_version_frame_draws_connection_error_then_close() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 1), manual_flush(1));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
 
     // A well-formed current frame downgraded to v1 or v2: the version
@@ -403,7 +388,7 @@ fn old_version_frame_draws_connection_error_then_close() {
 #[test]
 fn shutdown_request_flushes_and_stops_the_front() {
     let g = base_graph();
-    let server = EmbeddingServer::start(engine(&g, 2), manual_flush(2));
+    let server = EmbeddingServer::start(engine(&g), manual_flush());
     let front = NetFront::start(server);
     let mut client = NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
 
@@ -433,7 +418,7 @@ fn shutdown_request_flushes_and_stops_the_front() {
 fn a_client_that_reads_nothing_is_held_back_and_loses_no_reply() {
     const N: u64 = 20_000;
     let g = base_graph();
-    let front = NetFront::start(EmbeddingServer::start(engine(&g, 1), manual_flush(1)));
+    let front = NetFront::start(EmbeddingServer::start(engine(&g), manual_flush()));
     let duplex = front.loopback().open().unwrap();
     let (reader, mut writer) = (duplex.reader, duplex.writer);
     let mut bytes = Vec::new();

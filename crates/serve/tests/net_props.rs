@@ -128,7 +128,6 @@ fn gen_message(g: &mut Gen) -> Message {
             tenant: ServeStats {
                 tenant: g.u32_in(0..64),
                 epoch: g.u64_in(0..1_000_000),
-                num_shards: g.usize_in(1..16),
                 events_submitted: g.u64_in(0..1_000_000),
                 events_applied: g.u64_in(0..1_000_000),
                 events_coalesced: g.u64_in(0..1_000_000),

@@ -21,7 +21,7 @@ use tsvd_ppr::PprConfig;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 use tsvd_serve::{EmbeddingServer, EpochCell, EpochSnapshot, ServeConfig, ShardedEngine};
 
-fn tiny_engine(num_shards: usize) -> ShardedEngine {
+fn tiny_engine() -> ShardedEngine {
     let mut rng = StdRng::seed_from_u64(5);
     let n = 40usize;
     let mut g = DynGraph::with_nodes(n);
@@ -38,7 +38,7 @@ fn tiny_engine(num_shards: usize) -> ShardedEngine {
         num_blocks: 2,
         ..Default::default()
     };
-    ShardedEngine::new(&g, &sources, num_shards, PprConfig::default(), cfg)
+    ShardedEngine::new(&g, &sources, 1, PprConfig::default(), cfg)
 }
 
 /// Readers sample `stats()` as fast as they can while submitters and the
@@ -46,7 +46,7 @@ fn tiny_engine(num_shards: usize) -> ShardedEngine {
 #[test]
 fn stats_invariants_hold_under_concurrent_submit_and_flush() {
     let server = Arc::new(EmbeddingServer::start(
-        tiny_engine(2),
+        tiny_engine(),
         ServeConfig {
             flush_max_events: 1_000_000, // flushes only via flush_sync
             flush_interval_ms: 60_000,
@@ -197,7 +197,7 @@ fn epoch_probe_never_runs_ahead_of_load() {
 #[test]
 fn submit_counts_are_visible_on_return() {
     let server = EmbeddingServer::start(
-        tiny_engine(1),
+        tiny_engine(),
         ServeConfig {
             flush_max_events: 1, // apply immediately: maximal overlap
             flush_interval_ms: 60_000,

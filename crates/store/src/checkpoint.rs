@@ -304,7 +304,7 @@ mod tests {
         assert_eq!(epoch, 3);
         assert_eq!(back.to_json().to_string(), host.to_json().to_string());
         assert_eq!(encode(&back), bytes, "decode then encode changed bytes");
-        // One graph section, then the tenant's two shards, matrix, tree,
+        // One graph section, then the tenant's PPR states, matrix, tree,
         // rest — and nothing in the file but the header and their frames.
         let mut reader = SectionReader::open(&bytes[..]).unwrap();
         let (mut buf, mut tags, mut framed) = (Vec::new(), Vec::new(), CHECKPOINT_HEADER_LEN);
@@ -312,7 +312,7 @@ mod tests {
             tags.push(section as u8);
             framed += 9 + buf.len() + 8;
         }
-        assert_eq!(tags, b"GPPMTR");
+        assert_eq!(tags, b"GPMTR");
         assert_eq!(framed, bytes.len());
         // Smaller than the text it replaces even here, where most values
         // are one- and two-digit integers (at serving sizes: 26 MB vs 60).

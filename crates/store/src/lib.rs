@@ -6,8 +6,8 @@
 //!
 //! The layering deliberately mirrors the serving invariant. Every layer
 //! below the reactor is deterministic — the same post-coalesce windows
-//! replayed in the same order produce the same bits at any shard count,
-//! thread count, or tenant mix. So durability only has to preserve two
+//! replayed in the same order produce the same bits at any thread count
+//! or tenant mix. So durability only has to preserve two
 //! things: the host state at some epoch (a checkpoint) and the exact
 //! window sequence after it (the WAL). Recovery is then *replay*, not
 //! reconstruction:
@@ -31,7 +31,7 @@
 //!   discipline: a truncated final frame is a clean stop, a corrupted
 //!   interior frame is a typed [`StoreError::Corrupt`].
 //! * [`checkpoint`] — `checkpoint-<epoch>.bin`: a binary, checksummed
-//!   file of sections (graph, then per tenant its PPR shards, matrix, tree
+//!   file of sections (graph, then per tenant its PPR states, matrix, tree
 //!   and the rest) encoded straight from the live host through one reused
 //!   section buffer and written tmp + fsync + rename; each section is
 //!   verified before it is decoded. The framing is `tsvd_serve::checkpoint`
@@ -399,7 +399,7 @@ pub(crate) mod testutil {
         d
     }
 
-    /// One tenant, six sources in two shards, on a 40-node ring-with-chords.
+    /// One tenant, six sources, on a 40-node ring-with-chords.
     pub fn small_host() -> TenantHost {
         let mut g = DynGraph::with_nodes(40);
         for i in 0..40u32 {
@@ -418,14 +418,8 @@ pub(crate) mod testutil {
             partition: PartitionStrategy::EqualWidth,
             seed: 3,
         };
-        h.register(
-            0,
-            &(0..6).collect::<Vec<_>>(),
-            2,
-            PprConfig::default(),
-            tree,
-        )
-        .unwrap();
+        h.register(0, &(0..6).collect::<Vec<_>>(), PprConfig::default(), tree)
+            .unwrap();
         h
     }
 

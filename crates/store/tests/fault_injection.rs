@@ -80,7 +80,6 @@ fn fresh_host() -> TenantHost {
     h.register(
         0,
         &(0..6).collect::<Vec<_>>(),
-        2,
         PprConfig::default(),
         tree_cfg(),
     )
@@ -314,7 +313,7 @@ fn tiny_host() -> TenantHost {
         alpha: 0.2,
         r_max: 1e-2,
     };
-    h.register(0, &[0, 5], 1, ppr, tree).unwrap();
+    h.register(0, &[0, 5], ppr, tree).unwrap();
     h
 }
 

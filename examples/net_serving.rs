@@ -28,26 +28,18 @@ fn main() {
         ..TreeSvdConfig::default()
     };
     let serve_cfg = ServeConfig {
-        num_shards: 4,
         flush_max_events: 128,
         flush_interval_ms: 10,
         ..Default::default()
     };
 
     println!(
-        "building sharded engine: |S|={} R={} over {} edges",
+        "building engine: |S|={} over {} edges",
         subset.len(),
-        serve_cfg.num_shards,
         g0.num_edges()
     );
     let t0 = Instant::now();
-    let engine = ShardedEngine::new(
-        &g0,
-        &subset,
-        serve_cfg.num_shards,
-        PprConfig::default(),
-        tree_cfg,
-    );
+    let engine = ShardedEngine::new(&g0, &subset, 1, PprConfig::default(), tree_cfg);
     println!(
         "initial factorisation: {:.1}ms",
         t0.elapsed().as_secs_f64() * 1e3

@@ -1,5 +1,5 @@
 //! Serve a subset embedding live while an edge stream pours in: the
-//! sharded server batches events per window, flushes them through the
+//! server batches events per window, flushes them through the
 //! engine, and publishes each epoch with an `Arc` swap — query threads
 //! read concurrently and never block on updates.
 //!
@@ -38,19 +38,17 @@ fn main() {
     };
 
     let serve_cfg = ServeConfig {
-        num_shards: 4,
         flush_max_events: 256,
         flush_interval_ms: 10,
         ..Default::default()
     };
     println!(
-        "building sharded engine: |S|={} R={} over {} edges",
+        "building engine: |S|={} over {} edges",
         subset.len(),
-        serve_cfg.num_shards,
         g0.num_edges()
     );
     let t0 = Instant::now();
-    let engine = ShardedEngine::new(&g0, &subset, serve_cfg.num_shards, ppr_cfg, tree_cfg);
+    let engine = ShardedEngine::new(&g0, &subset, 1, ppr_cfg, tree_cfg);
     println!(
         "initial factorisation: {:.1}ms\n",
         t0.elapsed().as_secs_f64() * 1e3

@@ -1,9 +1,10 @@
 //! The round trip is the spec of the binary checkpoint format.
 //!
-//! For hosts driven by random window streams — one and two tenants, shard
-//! counts 1 and 3, each of the three `UpdatePolicy` variants (`Lazy`,
-//! `ChangedOnly`, `All`; the binary tag is part of the tree section), windows of inserts, deletes and events that change
-//! nothing — a checkpoint `encode(H)` must satisfy, **as bytes**:
+//! For hosts driven by random window streams — one and two tenants, each of
+//! the three `UpdatePolicy` variants (`Lazy`, `ChangedOnly`, `All`; the
+//! binary tag is part of the tree section), windows of inserts, deletes and
+//! events that change nothing — a checkpoint `encode(H)` must satisfy, **as
+//! bytes**:
 //!
 //! * `decode(encode(H)).to_json() == H.to_json()` — nothing of the state
 //!   the readable export shows is lost or altered;
@@ -100,50 +101,47 @@ fn a_host_round_trips_through_its_checkpoint_and_continues_bitwise() {
         UpdatePolicy::All,
     ];
     for tenants in [1usize, 2] {
-        for shards in [1usize, 3] {
-            for policy in policies {
-                let name = format!("checkpoint_round_trip/t{tenants}/r{shards}/{policy:?}");
-                Checker::new(3).run(&name, |g| {
-                    let mut host = TenantHost::new(&random_graph(g));
-                    for t in 0..tenants {
-                        let sources: Vec<u32> = (0..5).map(|i| (t * 7 + i * 3) as u32).collect();
-                        host.register(
-                            t as TenantId,
-                            &sources,
-                            shards,
-                            ppr_cfg(),
-                            tree_cfg(policy, 5 + t as u64),
-                        )
-                        .expect("fresh id");
-                    }
-                    for _ in 0..g.usize_in(0..8) {
-                        host.apply_batch(&random_window(g));
-                    }
+        for policy in policies {
+            let name = format!("checkpoint_round_trip/t{tenants}/{policy:?}");
+            Checker::new(6).run(&name, |g| {
+                let mut host = TenantHost::new(&random_graph(g));
+                for t in 0..tenants {
+                    let sources: Vec<u32> = (0..5).map(|i| (t * 7 + i * 3) as u32).collect();
+                    host.register(
+                        t as TenantId,
+                        &sources,
+                        ppr_cfg(),
+                        tree_cfg(policy, 5 + t as u64),
+                    )
+                    .expect("fresh id");
+                }
+                for _ in 0..g.usize_in(0..8) {
+                    host.apply_batch(&random_window(g));
+                }
 
-                    let bytes = encode(&host);
-                    let (epoch, mut back) =
-                        read_host(&bytes[..]).map_err(|e| format!("decode failed: {e}"))?;
-                    ensure!(epoch == host.batches_recorded(), "header epoch {epoch}");
+                let bytes = encode(&host);
+                let (epoch, mut back) =
+                    read_host(&bytes[..]).map_err(|e| format!("decode failed: {e}"))?;
+                ensure!(epoch == host.batches_recorded(), "header epoch {epoch}");
+                ensure!(
+                    back.to_json().to_string() == host.to_json().to_string(),
+                    "decode(encode(H)).to_json() differs from H.to_json()"
+                );
+                ensure!(
+                    encode(&back) == bytes,
+                    "encode(decode(encode(H))) differs from encode(H)"
+                );
+                for step in 0..20 {
+                    let window = random_window(g);
+                    host.apply_batch(&window);
+                    back.apply_batch(&window);
                     ensure!(
-                        back.to_json().to_string() == host.to_json().to_string(),
-                        "decode(encode(H)).to_json() differs from H.to_json()"
+                        state(&host) == state(&back),
+                        "diverged {step} windows after the reload"
                     );
-                    ensure!(
-                        encode(&back) == bytes,
-                        "encode(decode(encode(H))) differs from encode(H)"
-                    );
-                    for step in 0..20 {
-                        let window = random_window(g);
-                        host.apply_batch(&window);
-                        back.apply_batch(&window);
-                        ensure!(
-                            state(&host) == state(&back),
-                            "diverged {step} windows after the reload"
-                        );
-                    }
-                    Ok(())
-                });
-            }
+                }
+                Ok(())
+            });
         }
     }
 }

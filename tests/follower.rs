@@ -59,7 +59,7 @@ fn build_host(g: &DynGraph) -> TenantHost {
     let mut host = TenantHost::new(g);
     for (i, &t) in TENANTS.iter().enumerate() {
         let sources: Vec<u32> = (0..6).map(|k| (i * 10 + k) as u32).collect();
-        host.register(t, &sources, 2, PprConfig::default(), tree_cfg(t))
+        host.register(t, &sources, PprConfig::default(), tree_cfg(t))
             .unwrap();
     }
     host

@@ -1,12 +1,11 @@
 //! Multi-subset tenancy acceptance tests — N engines, one graph:
 //!
-//! 1. **Per-tenant equivalence.** Three tenants with distinct subsets and
-//!    shard counts share one `TenantHost`; every flushed window is
-//!    recorded on the shared graph exactly once and replayed into every
-//!    tenant. Each tenant's final embedding must be **bitwise identical**
-//!    to an offline single-pipeline replay of its own journal over its
-//!    own subset — at R ∈ {1, 3}, under whatever `TSVD_THREADS` the ci
-//!    matrix sets.
+//! 1. **Per-tenant equivalence.** Three tenants with distinct subsets
+//!    share one `TenantHost`; every flushed window is recorded on the
+//!    shared graph exactly once and replayed into every tenant. Each
+//!    tenant's final embedding must be **bitwise identical** to an offline
+//!    pipeline replay of its own journal over its own subset, under
+//!    whatever `TSVD_THREADS` the ci matrix sets.
 //! 2. **Quota backpressure over the wire.** A tenant over its submission
 //!    quota draws a tenant-level `Reply::Error` that leaves the
 //!    connection open and the other tenant unaffected.
@@ -65,8 +64,8 @@ fn tenant_count() -> usize {
 }
 
 /// Three tenants, distinct subsets, shared edge stream: each tenant's
-/// served embedding must equal its own offline replay bitwise, at every
-/// shard count — and the shared graph records each window exactly once.
+/// served embedding must equal its own offline replay bitwise — and the
+/// shared graph records each window exactly once.
 #[test]
 fn three_tenants_bitwise_equal_their_own_offline_replay() {
     let data = small_dataset();
@@ -84,97 +83,80 @@ fn three_tenants_bitwise_equal_their_own_offline_replay() {
     let chunks: Vec<Vec<EdgeEvent>> = events.chunks(75).map(|c| c.to_vec()).collect();
     assert!(chunks.len() >= 4, "want several flush windows");
 
-    let mut per_r: Vec<Vec<Vec<u64>>> = Vec::new(); // [run][tenant] -> left bits
-    for num_shards in [1usize, 3] {
-        let mut host = TenantHost::new(&g0);
-        for (t, subset) in subsets.iter().enumerate() {
-            host.register(t as TenantId, subset, num_shards, ppr_cfg(), tree_cfg())
-                .expect("fresh id");
-        }
-        host.enable_window_log();
-        let server = EmbeddingServer::start_host(
-            host,
-            ServeConfig {
-                num_shards,
-                flush_max_events: usize::MAX,
-                flush_interval_ms: 60_000,
-                ..Default::default()
-            },
-        );
-
-        // Submissions rotate over tenants: the tag picks who is charged
-        // for the events, not who sees them — the stream is global.
-        for (i, chunk) in chunks.iter().enumerate() {
-            let tenant = (i % subsets.len()) as TenantId;
-            server
-                .submit_batch_to(tenant, chunk.clone())
-                .expect("admission");
-            assert_eq!(server.flush_sync(), (i + 1) as u64);
-        }
-
-        // Record-once: one `RecordedBatch` per window, every tenant at the
-        // same epoch, rollup pending drained.
-        let host_stats = server.host_stats();
-        assert_eq!(host_stats.tenants, subsets.len());
-        assert_eq!(host_stats.batches_recorded, chunks.len() as u64);
-        assert_eq!(host_stats.epoch, chunks.len() as u64);
-        assert_eq!(host_stats.events_pending, 0);
-        assert_eq!(host_stats.events_submitted, events.len() as u64);
-        for t in 0..subsets.len() as TenantId {
-            let s = server.stats_for(t).expect("registered tenant");
-            assert_eq!(s.tenant, t);
-            assert_eq!(s.epoch, chunks.len() as u64);
-            assert_eq!(s.events_pending, 0);
-            assert_eq!(s.events_submitted, s.events_applied + s.events_coalesced);
-        }
-
-        let host = server.shutdown_host();
-        let mut bits_per_tenant = Vec::new();
-        for (t, subset) in subsets.iter().enumerate() {
-            let t = t as TenantId;
-            let log = host.window_log(t).expect("journal enabled").to_vec();
-            assert_eq!(log.len() as u64, chunks.len() as u64);
-            // Ground truth: this tenant's own single-pipeline replay of
-            // the shared journal over its own subset.
-            let mut g = g0.clone();
-            let mut pipe = TreeSvdPipeline::new(&g, subset, ppr_cfg(), tree_cfg());
-            for window in &log {
-                pipe.update(&mut g, window);
-            }
-            let left = host.embedding(t).expect("tenant embedding").left();
-            assert_eq!(
-                left.sub(&pipe.embedding().left()).max_abs(),
-                0.0,
-                "R={num_shards} tenant {t}: diverged from offline replay"
-            );
-            assert_eq!(
-                host.embedding(t).unwrap().sigma,
-                pipe.embedding().sigma,
-                "R={num_shards} tenant {t}: sigma diverged"
-            );
-            bits_per_tenant.push(
-                left.as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<u64>>(),
-            );
-        }
-        // All tenants journal the identical global window sequence.
-        let log0 = host.window_log(0).unwrap().to_vec();
-        for t in 1..subsets.len() as TenantId {
-            assert_eq!(
-                host.window_log(t).unwrap().to_vec(),
-                log0,
-                "tenant {t} journalled a different window sequence"
-            );
-        }
-        per_r.push(bits_per_tenant);
+    let mut host = TenantHost::new(&g0);
+    for (t, subset) in subsets.iter().enumerate() {
+        host.register(t as TenantId, subset, ppr_cfg(), tree_cfg())
+            .expect("fresh id");
     }
-    // Sharding stays invisible per tenant.
-    assert_eq!(
-        per_r[0], per_r[1],
-        "per-tenant embeddings differ between shard counts"
+    host.enable_window_log();
+    let server = EmbeddingServer::start_host(
+        host,
+        ServeConfig {
+            flush_max_events: usize::MAX,
+            flush_interval_ms: 60_000,
+            ..Default::default()
+        },
     );
+
+    // Submissions rotate over tenants: the tag picks who is charged
+    // for the events, not who sees them — the stream is global.
+    for (i, chunk) in chunks.iter().enumerate() {
+        let tenant = (i % subsets.len()) as TenantId;
+        server
+            .submit_batch_to(tenant, chunk.clone())
+            .expect("admission");
+        assert_eq!(server.flush_sync(), (i + 1) as u64);
+    }
+
+    // Record-once: one `RecordedBatch` per window, every tenant at the
+    // same epoch, rollup pending drained.
+    let host_stats = server.host_stats();
+    assert_eq!(host_stats.tenants, subsets.len());
+    assert_eq!(host_stats.batches_recorded, chunks.len() as u64);
+    assert_eq!(host_stats.epoch, chunks.len() as u64);
+    assert_eq!(host_stats.events_pending, 0);
+    assert_eq!(host_stats.events_submitted, events.len() as u64);
+    for t in 0..subsets.len() as TenantId {
+        let s = server.stats_for(t).expect("registered tenant");
+        assert_eq!(s.tenant, t);
+        assert_eq!(s.epoch, chunks.len() as u64);
+        assert_eq!(s.events_pending, 0);
+        assert_eq!(s.events_submitted, s.events_applied + s.events_coalesced);
+    }
+
+    let host = server.shutdown_host();
+    for (t, subset) in subsets.iter().enumerate() {
+        let t = t as TenantId;
+        let log = host.window_log(t).expect("journal enabled").to_vec();
+        assert_eq!(log.len() as u64, chunks.len() as u64);
+        // Ground truth: this tenant's own pipeline replay of the shared
+        // journal over its own subset.
+        let mut g = g0.clone();
+        let mut pipe = TreeSvdPipeline::new(&g, subset, ppr_cfg(), tree_cfg());
+        for window in &log {
+            pipe.update(&mut g, window);
+        }
+        let left = host.embedding(t).expect("tenant embedding").left();
+        assert_eq!(
+            left.sub(&pipe.embedding().left()).max_abs(),
+            0.0,
+            "tenant {t}: diverged from offline replay"
+        );
+        assert_eq!(
+            host.embedding(t).unwrap().sigma,
+            pipe.embedding().sigma,
+            "tenant {t}: sigma diverged"
+        );
+    }
+    // All tenants journal the identical global window sequence.
+    let log0 = host.window_log(0).unwrap().to_vec();
+    for t in 1..subsets.len() as TenantId {
+        assert_eq!(
+            host.window_log(t).unwrap().to_vec(),
+            log0,
+            "tenant {t} journalled a different window sequence"
+        );
+    }
 }
 
 /// Over-quota submissions draw a tenant-level error that keeps the
@@ -185,14 +167,13 @@ fn wire_quota_rejection_keeps_connection_open_and_tenants_isolated() {
     let data = small_dataset();
     let g0 = data.stream.snapshot(1);
     let mut host = TenantHost::new(&g0);
-    host.register(0, &data.sample_subset(12, 1), 1, ppr_cfg(), tree_cfg())
+    host.register(0, &data.sample_subset(12, 1), ppr_cfg(), tree_cfg())
         .unwrap();
-    host.register(1, &data.sample_subset(12, 2), 1, ppr_cfg(), tree_cfg())
+    host.register(1, &data.sample_subset(12, 2), ppr_cfg(), tree_cfg())
         .unwrap();
     let server = EmbeddingServer::start_host(
         host,
         ServeConfig {
-            num_shards: 1,
             flush_max_events: usize::MAX,
             flush_interval_ms: 60_000,
             tenant_quota: 4,
@@ -276,9 +257,9 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
     let mut host = TenantHost::new(&g0);
     let mut subsets = Vec::new();
     for t in 0..nt {
-        // Distinct (overlapping) subsets and varying shard counts.
+        // Distinct (overlapping) subsets.
         let subset: Vec<u32> = (t as u32 * 6..t as u32 * 6 + 12).collect();
-        host.register(t as TenantId, &subset, 1 + t % 3, ppr_cfg(), tree_cfg())
+        host.register(t as TenantId, &subset, ppr_cfg(), tree_cfg())
             .expect("fresh id");
         subsets.push(subset);
     }
@@ -286,7 +267,6 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
     let server = EmbeddingServer::start_host(
         host,
         ServeConfig {
-            num_shards: 2,
             flush_max_events: 24, // small windows: many flushes racing reads
             flush_interval_ms: 3,
             ..Default::default()
@@ -425,9 +405,9 @@ fn live_checkpoint_cut_is_byte_equal_to_offline_host_encoding() {
     let g0 = data.stream.snapshot(1);
     let build = || {
         let mut host = TenantHost::new(&g0);
-        host.register(0, &data.sample_subset(16, 5), 2, ppr_cfg(), tree_cfg())
+        host.register(0, &data.sample_subset(16, 5), ppr_cfg(), tree_cfg())
             .unwrap();
-        host.register(9, &data.sample_subset(12, 11), 1, ppr_cfg(), tree_cfg())
+        host.register(9, &data.sample_subset(12, 11), ppr_cfg(), tree_cfg())
             .unwrap();
         host
     };
@@ -512,9 +492,9 @@ fn live_checkpoint_file_is_byte_equal_to_offline_host_encoding() {
     let g0 = data.stream.snapshot(1);
     let build = || {
         let mut host = TenantHost::new(&g0);
-        host.register(0, &data.sample_subset(16, 5), 2, ppr_cfg(), tree_cfg())
+        host.register(0, &data.sample_subset(16, 5), ppr_cfg(), tree_cfg())
             .unwrap();
-        host.register(9, &data.sample_subset(12, 11), 1, ppr_cfg(), tree_cfg())
+        host.register(9, &data.sample_subset(12, 11), ppr_cfg(), tree_cfg())
             .unwrap();
         host
     };
@@ -563,7 +543,7 @@ fn live_checkpoint_file_is_byte_equal_to_offline_host_encoding() {
             sections_without_timings(&encoding_of(&offline)),
         );
         let tags: Vec<u8> = live.iter().map(|(s, _)| *s as u8).collect();
-        assert_eq!(tags, b"GPPMTRPMTR", "graph, then 2 + 1 shards' tenants");
+        assert_eq!(tags, b"GPMTRPMTR", "graph, then two tenants");
         for (k, (a, b)) in live.iter().zip(&want).enumerate() {
             assert!(
                 a == b,

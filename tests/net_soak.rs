@@ -47,12 +47,11 @@ fn multi_client_tcp_soak_matches_offline_replay_bitwise() {
     let g0 = base_graph(n, 500, 3);
     let sources: Vec<u32> = (0..16).collect();
 
-    let mut engine = ShardedEngine::new(&g0, &sources, 3, PprConfig::default(), tree_cfg());
+    let mut engine = ShardedEngine::new(&g0, &sources, 1, PprConfig::default(), tree_cfg());
     engine.enable_window_log(); // journal every applied window for the replay
     let server = EmbeddingServer::start(
         engine,
         ServeConfig {
-            num_shards: 3,
             flush_max_events: 24, // small windows: many flushes racing reads
             flush_interval_ms: 3,
             ..Default::default()
@@ -177,12 +176,11 @@ fn single_client_deadline_flush_soak_over_loopback() {
     let n = 80usize;
     let g0 = base_graph(n, 300, 9);
     let sources: Vec<u32> = (0..10).collect();
-    let mut engine = ShardedEngine::new(&g0, &sources, 2, PprConfig::default(), tree_cfg());
+    let mut engine = ShardedEngine::new(&g0, &sources, 1, PprConfig::default(), tree_cfg());
     engine.enable_window_log();
     let server = EmbeddingServer::start(
         engine,
         ServeConfig {
-            num_shards: 2,
             flush_max_events: 1_000_000,
             flush_interval_ms: 2, // deadline decides every window boundary
             ..Default::default()

@@ -1,7 +1,6 @@
 //! Kill-and-recover: a server streaming windows through a `tsvd-store` WAL
 //! is SIGKILLed mid-stream, and recovery must land on an embedding
-//! **bitwise identical** to an uninterrupted offline replay — per tenant,
-//! at any shard count.
+//! **bitwise identical** to an uninterrupted offline replay — per tenant.
 //!
 //! The parent spawns this same test binary as a child
 //! (`recovery_child_server`, the `thread_determinism` subprocess pattern),
@@ -71,14 +70,13 @@ fn tenant_sources(tenant: usize) -> Vec<u32> {
 }
 
 /// The host every process builds identically: `TSVD_TENANTS` tenants over
-/// one shared graph, all sharded `shards` ways.
-fn build_host(g: &DynGraph, shards: usize) -> TenantHost {
+/// one shared graph.
+fn build_host(g: &DynGraph) -> TenantHost {
     let mut host = TenantHost::new(g);
     for t in 0..num_tenants() {
         host.register(
             t as u32,
             &tenant_sources(t),
-            shards,
             PprConfig::default(),
             tree_cfg(t),
         )
@@ -122,12 +120,8 @@ fn recovery_child_server() {
         return;
     };
     let dir = PathBuf::from(dir);
-    let shards: usize = std::env::var("TSVD_RECOVERY_SHARDS")
-        .expect("parent sets shard count")
-        .parse()
-        .unwrap();
     let g = base_graph();
-    let host = build_host(&g, shards);
+    let host = build_host(&g);
     let store = WalStore::create(StoreConfig::new(&dir), &host).expect("fresh store");
     let cfg = ServeConfig {
         flush_max_events: 1 << 20, // flushes are driven by flush_sync below
@@ -150,76 +144,65 @@ fn recovery_child_server() {
 #[test]
 fn kill_and_recover_matches_offline_replay() {
     let exe = std::env::current_exe().expect("test binary path");
-    for shards in [1usize, 3] {
-        let dir =
-            std::env::temp_dir().join(format!("tsvd-recovery-{}-s{shards}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    let dir = std::env::temp_dir().join(format!("tsvd-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
 
-        let mut child = Command::new(&exe)
-            .args(["--exact", "recovery_child_server", "--include-ignored"])
-            .env("TSVD_RECOVERY_DIR", &dir)
-            .env("TSVD_RECOVERY_SHARDS", shards.to_string())
-            .spawn()
-            .expect("spawn child server process");
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while !marker_path(&dir).exists() {
-            assert!(
-                Instant::now() < deadline,
-                "child (shards={shards}) never reached epoch 5"
-            );
-            if let Some(status) = child.try_wait().unwrap() {
-                panic!("child (shards={shards}) exited early: {status}");
-            }
-            std::thread::sleep(Duration::from_millis(20));
+    let mut child = Command::new(&exe)
+        .args(["--exact", "recovery_child_server", "--include-ignored"])
+        .env("TSVD_RECOVERY_DIR", &dir)
+        .spawn()
+        .expect("spawn child server process");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !marker_path(&dir).exists() {
+        assert!(Instant::now() < deadline, "child never reached epoch 5");
+        if let Some(status) = child.try_wait().unwrap() {
+            panic!("child exited early: {status}");
         }
-        child.kill().expect("SIGKILL child"); // no cleanup, no final checkpoint
-        let _ = child.wait();
-
-        // Recover from checkpoint + WAL…
-        let rec = recover(StoreConfig::new(&dir)).expect("recovery");
-        assert!(
-            rec.checkpoint_epoch >= 3,
-            "shards={shards}: periodic checkpoint never fired"
-        );
-        assert!(rec.host.batches_recorded() >= 5);
-
-        // …and rebuild the ground truth offline from the durable windows.
-        let windows = read_windows(&dir).unwrap();
-        assert_eq!(windows.len() as u64, rec.host.batches_recorded());
-        let g = base_graph();
-        let mut offline = build_host(&g, shards);
-        for (i, (epoch, events)) in windows.iter().enumerate() {
-            assert_eq!(*epoch, i as u64 + 1, "log epochs must be dense");
-            offline.apply_batch(events);
-        }
-        for t in 0..num_tenants() as u32 {
-            let a = rec.host.tagged(t).unwrap();
-            let b = offline.tagged(t).unwrap();
-            assert_eq!(
-                a.left().sub(b.left()).max_abs(),
-                0.0,
-                "shards={shards}: tenant {t} recovered differently than offline replay"
-            );
-        }
-
-        // The paper-trail check: tenant 0 must also equal a plain
-        // single-pipeline replay (no serving layer at all).
-        let mut g = base_graph();
-        let mut pipe =
-            TreeSvdPipeline::new(&g, &tenant_sources(0), PprConfig::default(), tree_cfg(0));
-        for (_, events) in &windows {
-            pipe.update(&mut g, events);
-        }
-        let rec0 = rec.host.tagged(0).unwrap();
-        assert_eq!(
-            pipe.embedding().left().sub(rec0.left()).max_abs(),
-            0.0,
-            "shards={shards}: recovery diverged from TreeSvdPipeline replay"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
+        std::thread::sleep(Duration::from_millis(20));
     }
+    child.kill().expect("SIGKILL child"); // no cleanup, no final checkpoint
+    let _ = child.wait();
+
+    // Recover from checkpoint + WAL…
+    let rec = recover(StoreConfig::new(&dir)).expect("recovery");
+    assert!(rec.checkpoint_epoch >= 3, "periodic checkpoint never fired");
+    assert!(rec.host.batches_recorded() >= 5);
+
+    // …and rebuild the ground truth offline from the durable windows.
+    let windows = read_windows(&dir).unwrap();
+    assert_eq!(windows.len() as u64, rec.host.batches_recorded());
+    let g = base_graph();
+    let mut offline = build_host(&g);
+    for (i, (epoch, events)) in windows.iter().enumerate() {
+        assert_eq!(*epoch, i as u64 + 1, "log epochs must be dense");
+        offline.apply_batch(events);
+    }
+    for t in 0..num_tenants() as u32 {
+        let a = rec.host.tagged(t).unwrap();
+        let b = offline.tagged(t).unwrap();
+        assert_eq!(
+            a.left().sub(b.left()).max_abs(),
+            0.0,
+            "tenant {t} recovered differently than offline replay"
+        );
+    }
+
+    // The paper-trail check: tenant 0 must also equal a plain
+    // single-pipeline replay (no serving layer at all).
+    let mut g = base_graph();
+    let mut pipe = TreeSvdPipeline::new(&g, &tenant_sources(0), PprConfig::default(), tree_cfg(0));
+    for (_, events) in &windows {
+        pipe.update(&mut g, events);
+    }
+    let rec0 = rec.host.tagged(0).unwrap();
+    assert_eq!(
+        pipe.embedding().left().sub(rec0.left()).max_abs(),
+        0.0,
+        "recovery diverged from TreeSvdPipeline replay"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Clean shutdown writes a final checkpoint at the last epoch, so a
@@ -229,7 +212,7 @@ fn clean_shutdown_checkpoints_and_restarts_without_replay() {
     let dir = std::env::temp_dir().join(format!("tsvd-clean-shutdown-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let g = base_graph();
-    let host = build_host(&g, 2);
+    let host = build_host(&g);
     let store = WalStore::create(StoreConfig::new(&dir), &host).unwrap();
     let cfg = ServeConfig {
         flush_max_events: 1 << 20,
@@ -285,7 +268,7 @@ fn a_json_only_directory_recovers_bitwise_and_migrates_on_its_next_checkpoint() 
     let dir = std::env::temp_dir().join(format!("tsvd-legacy-dir-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let g = base_graph();
-    let mut live = build_host(&g, 2);
+    let mut live = build_host(&g);
     let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
     for k in 0..5u64 {
         let window = batch(k);
@@ -337,7 +320,7 @@ fn one_epoch_in_both_formats_recovers_from_either() {
     let dir = std::env::temp_dir().join(format!("tsvd-both-formats-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let g = base_graph();
-    let mut live = build_host(&g, 3);
+    let mut live = build_host(&g);
     let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
     store.checkpoint(0, &live.to_json()).unwrap();
     for k in 0..3u64 {

@@ -1,8 +1,8 @@
 //! Serving-layer integration tests — the PR's acceptance criteria:
 //!
-//! 1. the sharded server's final embedding is **bitwise identical** to an
-//!    offline single-pipeline replay of the same flushed windows, at any
-//!    shard count `R` and submission granularity;
+//! 1. the server's final embedding is **bitwise identical** to an offline
+//!    pipeline replay of the same flushed windows, at any submission
+//!    granularity;
 //! 2. concurrent readers only ever observe whole-epoch snapshots — never a
 //!    torn mix of two epochs — while flushes race underneath them.
 
@@ -53,7 +53,7 @@ fn random_chunks(events: &[EdgeEvent], seed: u64, max_chunk: usize) -> Vec<Vec<E
 
 /// Drive a server with explicit `flush_sync` window boundaries and compare
 /// bitwise against an offline pipeline replaying the identical coalesced
-/// windows — for several shard counts over the same randomized chunking.
+/// windows over the same randomized chunking.
 #[test]
 fn server_final_embedding_bitwise_equals_offline_replay() {
     let data = small_dataset();
@@ -66,7 +66,7 @@ fn server_final_embedding_bitwise_equals_offline_replay() {
     let chunks = random_chunks(&events, 99, 120);
     assert!(chunks.len() >= 3, "want several flush windows");
 
-    // Offline ground truth: one unsharded pipeline replaying the same
+    // Offline ground truth: one pipeline replaying the same
     // last-write-wins-coalesced windows the server will flush.
     let mut g = g0.clone();
     let mut pipe = TreeSvdPipeline::new(&g, &subset, ppr_cfg(), tree_cfg());
@@ -75,41 +75,35 @@ fn server_final_embedding_bitwise_equals_offline_replay() {
         pipe.update(&mut g, &window);
     }
 
-    for num_shards in [1usize, 3] {
-        let engine = ShardedEngine::new(&g0, &subset, num_shards, ppr_cfg(), tree_cfg());
-        let server = EmbeddingServer::start(
-            engine,
-            ServeConfig {
-                num_shards,
-                flush_max_events: usize::MAX,
-                flush_interval_ms: 60_000,
-                ..Default::default()
-            },
-        );
-        for (i, chunk) in chunks.iter().enumerate() {
-            assert!(server.submit_batch(chunk.clone()));
-            assert_eq!(server.flush_sync(), (i + 1) as u64);
-        }
-        let reader = server.reader();
-        let snap = reader.snapshot();
-        assert_eq!(snap.epoch(), chunks.len() as u64);
-        assert!(snap.verify());
-        let engine = server.shutdown();
-        let diff = engine
-            .embedding()
-            .left()
-            .sub(&pipe.embedding().left())
-            .max_abs();
-        assert_eq!(
-            diff, 0.0,
-            "R={num_shards}: served embedding diverged from offline replay"
-        );
-        assert_eq!(engine.embedding().sigma, pipe.embedding().sigma);
-        // The published snapshot is the same epoch the engine ended on.
-        let served = snap.tagged().left().sub(&engine.embedding().left());
-        assert_eq!(served.max_abs(), 0.0, "snapshot lags the engine");
-        assert_eq!(engine.graph().num_edges(), g.num_edges());
+    let engine = ShardedEngine::new(&g0, &subset, 1, ppr_cfg(), tree_cfg());
+    let server = EmbeddingServer::start(
+        engine,
+        ServeConfig {
+            flush_max_events: usize::MAX,
+            flush_interval_ms: 60_000,
+            ..Default::default()
+        },
+    );
+    for (i, chunk) in chunks.iter().enumerate() {
+        assert!(server.submit_batch(chunk.clone()));
+        assert_eq!(server.flush_sync(), (i + 1) as u64);
     }
+    let reader = server.reader();
+    let snap = reader.snapshot();
+    assert_eq!(snap.epoch(), chunks.len() as u64);
+    assert!(snap.verify());
+    let engine = server.shutdown();
+    let diff = engine
+        .embedding()
+        .left()
+        .sub(&pipe.embedding().left())
+        .max_abs();
+    assert_eq!(diff, 0.0, "served embedding diverged from offline replay");
+    assert_eq!(engine.embedding().sigma, pipe.embedding().sigma);
+    // The published snapshot is the same epoch the engine ended on.
+    let served = snap.tagged().left().sub(&engine.embedding().left());
+    assert_eq!(served.max_abs(), 0.0, "snapshot lags the engine");
+    assert_eq!(engine.graph().num_edges(), g.num_edges());
 }
 
 fn tree_svd_coalesce(chunk: &[EdgeEvent]) -> Vec<EdgeEvent> {
@@ -155,11 +149,10 @@ fn count_triggered_windows_bitwise_equal_offline_replay() {
     }
     assert!(windows >= 3, "want several count-triggered windows");
 
-    let engine = ShardedEngine::new(&g0, &subset, 3, ppr_cfg(), tree_cfg());
+    let engine = ShardedEngine::new(&g0, &subset, 1, ppr_cfg(), tree_cfg());
     let server = EmbeddingServer::start(
         engine,
         ServeConfig {
-            num_shards: 3,
             flush_max_events: flush_max,
             flush_interval_ms: 3_600_000, // deadline never fires
             ..Default::default()
@@ -179,14 +172,12 @@ fn count_triggered_windows_bitwise_equal_offline_replay() {
     assert_eq!(diff, 0.0, "count-triggered serving diverged from replay");
 }
 
-/// Shard-count sweep against the server's own journal: at `R ∈ {1, 3}`
-/// the server produces the **bitwise identical** embedding — equal to the
-/// offline replay of its own window journal and equal across both
-/// configurations. Windows are count-triggered (message granularity), so
-/// every run flushes the same boundaries; the run ends in `shutdown` with a
-/// pending tail window, which exercises shutdown's own final flush.
+/// Against the server's own journal: count-triggered windows (message
+/// granularity) replayed offline give the **bitwise identical** embedding.
+/// The run ends in `shutdown` with a pending tail window, which exercises
+/// shutdown's own final flush.
 #[test]
-fn count_triggered_serving_bitwise_equals_own_journal_at_any_shard_count() {
+fn count_triggered_serving_bitwise_equals_own_journal() {
     let data = small_dataset();
     let subset = data.sample_subset(40, 11);
     let g0 = data.stream.snapshot(1);
@@ -198,56 +189,40 @@ fn count_triggered_serving_bitwise_equals_own_journal_at_any_shard_count() {
     let chunks = random_chunks(&events, 21, 40);
     let flush_max = 120usize;
 
-    let mut reference: Option<(DenseMatrix, u64)> = None;
-    for num_shards in [1usize, 3] {
-        let mut engine = ShardedEngine::new(&g0, &subset, num_shards, ppr_cfg(), tree_cfg());
-        engine.enable_window_log();
-        let server = EmbeddingServer::start(
-            engine,
-            ServeConfig {
-                num_shards,
-                flush_max_events: flush_max,
-                flush_interval_ms: 3_600_000, // count-triggered only
-                ..Default::default()
-            },
-        );
-        for chunk in &chunks {
-            assert!(server.submit_batch(chunk.clone()));
-        }
-        // No flush_sync: shutdown flushes the pending tail window itself.
-        let engine = server.shutdown();
-        assert!(engine.epoch() >= 4, "want several windows");
-
-        // Ground truth: replay this run's own journal offline.
-        let log = engine.window_log().expect("journal enabled").to_vec();
-        assert_eq!(log.len() as u64, engine.epoch());
-        let mut g = g0.clone();
-        let mut pipe = TreeSvdPipeline::new(&g, &subset, ppr_cfg(), tree_cfg());
-        for window in &log {
-            pipe.update(&mut g, window);
-        }
-        let left = engine.embedding().left();
-        assert_eq!(
-            left.sub(&pipe.embedding().left()).max_abs(),
-            0.0,
-            "R={num_shards}: diverged from offline replay"
-        );
-        match &reference {
-            None => reference = Some((left, engine.epoch())),
-            Some((ref_left, ref_epoch)) => {
-                assert_eq!(
-                    engine.epoch(),
-                    *ref_epoch,
-                    "R={num_shards}: window boundaries diverged"
-                );
-                assert_eq!(
-                    left.sub(ref_left).max_abs(),
-                    0.0,
-                    "R={num_shards}: diverged across configurations"
-                );
-            }
-        }
+    let mut engine = ShardedEngine::new(&g0, &subset, 1, ppr_cfg(), tree_cfg());
+    engine.enable_window_log();
+    let server = EmbeddingServer::start(
+        engine,
+        ServeConfig {
+            flush_max_events: flush_max,
+            flush_interval_ms: 3_600_000, // count-triggered only
+            ..Default::default()
+        },
+    );
+    for chunk in &chunks {
+        assert!(server.submit_batch(chunk.clone()));
     }
+    // No flush_sync: shutdown flushes the pending tail window itself.
+    let engine = server.shutdown();
+    assert!(engine.epoch() >= 4, "want several windows");
+
+    // Ground truth: replay this run's own journal offline.
+    let log = engine.window_log().expect("journal enabled").to_vec();
+    assert_eq!(log.len() as u64, engine.epoch());
+    let mut g = g0.clone();
+    let mut pipe = TreeSvdPipeline::new(&g, &subset, ppr_cfg(), tree_cfg());
+    for window in &log {
+        pipe.update(&mut g, window);
+    }
+    assert_eq!(
+        engine
+            .embedding()
+            .left()
+            .sub(&pipe.embedding().left())
+            .max_abs(),
+        0.0,
+        "diverged from offline replay"
+    );
 }
 
 /// `flush_sync` exactness under maximal window churn: with
@@ -265,12 +240,11 @@ fn flush_sync_is_exact_when_every_submission_is_a_window() {
     }
     events.truncate(120);
 
-    let mut engine = ShardedEngine::new(&g0, &subset, 2, ppr_cfg(), tree_cfg());
+    let mut engine = ShardedEngine::new(&g0, &subset, 1, ppr_cfg(), tree_cfg());
     engine.enable_window_log();
     let server = EmbeddingServer::start(
         engine,
         ServeConfig {
-            num_shards: 2,
             flush_max_events: 1,
             flush_interval_ms: 3_600_000,
             ..Default::default()
@@ -321,12 +295,11 @@ fn concurrent_readers_never_observe_torn_epochs() {
     }
     events.truncate(600);
 
-    let engine = ShardedEngine::new(&g0, &subset, 2, ppr_cfg(), tree_cfg());
+    let engine = ShardedEngine::new(&g0, &subset, 1, ppr_cfg(), tree_cfg());
     let dim = tree_cfg().dim;
     let server = EmbeddingServer::start(
         engine,
         ServeConfig {
-            num_shards: 2,
             flush_max_events: 48,
             flush_interval_ms: 1,
             ..Default::default()

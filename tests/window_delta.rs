@@ -153,7 +153,7 @@ fn golden_host_stream_embedding_bits() {
         (0..20).map(|i| 399 - i * 3).collect(),
     ];
     for (t, subset) in subsets.iter().enumerate() {
-        host.register(t as TenantId, subset, 1 + 2 * t, ppr_cfg(), tree_cfg())
+        host.register(t as TenantId, subset, ppr_cfg(), tree_cfg())
             .expect("fresh id");
     }
     for window in &windows {
