@@ -1,23 +1,14 @@
 //! Checkpoints written while each tenant's rows were cut into row-range
 //! PPR shards still recover, to the host this version builds.
 //!
-//! `fixtures/host-r4.bin` and `fixtures/host-r1.bin` were written by the
-//! last version that cut rows into shards, from the host [`recipe`]
-//! builds — two tenants of 10 and 7 sources, three windows — at `R = 4`
-//! (shards of 3/3/3/1 and 2/2/2/1 rows, so eight `P` sections) and at
-//! `R = 1`. Their wall-clock `timings` were zeroed before writing, so the
-//! two files differ only in how the PPR states are cut. They must:
-//!
-//! * recover (checkpoint + empty WAL) to hosts equal to each other and to
-//!   [`recipe`]'s host built here, and walk ten more windows in lockstep
-//!   with it, bit for bit;
-//! * re-encode, both of them, to the `R = 1` file byte for byte — what
-//!   this version writes is the one-section layout the old `R = 1` wrote.
-//!
-//! PPR sections whose start rows do not tile the rows, whose configs
-//! differ, or whose sources disagree with the `Rest` section are outside
-//! input: recovery refuses them with a typed
-//! [`StoreError::BadCheckpoint`].
+//! `fixtures/host-r{4,1}.bin` were written by the last version with shards,
+//! from the host [`recipe`] builds (tenants of 10 and 7 sources, three
+//! windows) at `R = 4` (eight `P` sections) and `R = 1`, wall-clock
+//! `timings` zeroed. Both must recover to today's host, walk ten more
+//! windows in lockstep with it, and re-encode to the `R = 1` file byte for
+//! byte. PPR sections that do not tile the rows, disagree on the config,
+//! or name other sources than the `Rest` section are outside input: a
+//! typed [`StoreError::BadCheckpoint`].
 
 use std::fs;
 use std::path::PathBuf;

@@ -141,7 +141,7 @@ fn multi_client_tcp_soak_matches_offline_replay_bitwise() {
     drop(tail);
 
     // Offline ground truth: replay the journaled windows through one
-    // unsharded pipeline on the same initial graph.
+    // pipeline on the same initial graph.
     let engine = front.shutdown();
     let log = engine
         .window_log()
