@@ -40,6 +40,13 @@
 #      loop's write-log tests under both fronts' handlers, its registry
 #      leak test and the loopback backpressure test with --release,
 #      because every benchmark number is taken from an optimised build;
+#      and the server reactor's trigger tests with --release, for the
+#      same reason (count_trigger_flushes_without_waiting_for_deadline,
+#      deadline_trigger_flushes_partial_window,
+#      deadline_trigger_is_not_pushed_out_by_a_later_submission and
+#      dropped_handle_flushes_and_checkpoints_without_waiting_for_deadline:
+#      a count flush, a deadline flush, a deadline a later submission
+#      does not move, and a flush + checkpoint once every sender is gone);
 #   7. env matrix — three env vars are settings a suite reads (the rest
 #      pass paths and roles to child processes), and each leg runs exactly
 #      the suites that read its var under a value steps 5–6 did not
@@ -72,7 +79,7 @@
 #
 # The workspace builds offline by design (.cargo/config.toml pins
 # `net.offline`); every dependency is an in-tree `tsvd-*` path crate, with
-# `tsvd-rt` providing the runtime substrate (rng/json/check/bench).
+# `tsvd-rt` providing the runtime substrate (rng/json/bin/check/bench/pool).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -143,7 +150,7 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop"
+step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop, reactor triggers"
 cargo test --release -q -p tsvd-store
 cargo test --release -q -p tsvd-serve --test net_props
 cargo test --release -q -p tsvd-linalg topk
@@ -151,6 +158,7 @@ cargo test --release -q -p tsvd-linalg -- usigma left_only
 cargo test --release -q -p tsvd-serve --test query_equivalence
 cargo test --release -q -p tsvd-serve --lib conn
 cargo test --release -q -p tsvd-serve --test net_loopback a_client_that_reads_nothing
+cargo test --release -q -p tsvd-serve --lib -- count_trigger deadline_trigger dropped_handle
 
 # Env matrix (header, step 7).
 step "env matrix: tenants3 (TSVD_TENANTS=3)"

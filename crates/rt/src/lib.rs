@@ -21,15 +21,14 @@
 //! the workspace dispatches through — places results by index so outputs
 //! are bitwise identical for every thread count (and keeps its participants
 //! on separate CPUs, `cpu.rs`, so that timings do not depend on where the
-//! kernel happened to wake a worker); [`exec`] is the hermetic
-//! single-threaded event loop (mailbox + keyed deadlines, no tokio) that
-//! the serving layer sequences its batching and flushing on.
+//! kernel happened to wake a worker). There is no event loop here: the
+//! serving layer's one reactor is a plain loop over its own
+//! `std::sync::mpsc` channel, with its one flush deadline.
 
 pub mod bench;
 pub mod bin;
 pub mod check;
 mod cpu;
-pub mod exec;
 pub mod json;
 pub mod pool;
 pub mod rng;

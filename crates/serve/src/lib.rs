@@ -20,8 +20,9 @@
 //!   identical** to the offline pipeline at any `TSVD_THREADS` (see
 //!   `engine` module docs for why this holds).
 //! * [`EmbeddingServer`] / [`ServerHandle`] / [`EmbeddingReader`] — the
-//!   asynchronous front. A dedicated reactor thread
-//!   ([`tsvd_rt::exec::EventLoop`] — no tokio; `std` only) owns the host,
+//!   asynchronous front. A dedicated reactor thread (a plain loop over
+//!   its own `std::sync::mpsc` channel and one flush deadline — no tokio)
+//!   owns the host,
 //!   batches incoming [`EdgeEvent`](tsvd_graph::EdgeEvent)s per
 //!   [`ServeConfig`] window (count- or deadline-triggered, last-write-wins
 //!   coalesced) and applies each window serially, tenants

@@ -1,12 +1,12 @@
 //! The scale-out router tier: stateless scatter-gather over `serve::net`.
 //!
 //! One process caps the system at one machine. The router splits the
-//! subset's global row order into contiguous ranges — the same split
-//! [`ShardedEngine`](crate::ShardedEngine) uses in-process — and places
-//! each range in its own **shard process** (an `EmbeddingServer` +
-//! [`NetFront`](crate::NetFront) over that sub-subset). The router itself
-//! holds no embedding state: just a [`ShardMap`], one pipelining
-//! [`NetClient`] per range, and counters.
+//! subset's global row order into contiguous ranges — with `n` shards over
+//! `len` rows each range gets `len / n` rows and the first `len % n` one
+//! more ([`ShardMap::even_split`]) — and places each range in its own
+//! **shard process** (an `EmbeddingServer` + [`NetFront`](crate::NetFront)
+//! over that sub-subset). The router itself holds no embedding state: just
+//! a [`ShardMap`], one pipelining [`NetClient`] per range, and counters.
 //!
 //! ```text
 //!             ┌────────────┐  SubmitEvents/Flush: broadcast (lockstep)
