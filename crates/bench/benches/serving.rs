@@ -57,7 +57,7 @@ fn main() {
     });
 
     // Full server round trip: submit a window, block until its epoch is
-    // published (mailbox hop + batcher + engine + snapshot publish).
+    // published (channel hop + batcher + engine + snapshot publish).
     let engine = ShardedEngine::new(&g0, &s.subset, 1, s.ppr_cfg, tree_cfg);
     let server = EmbeddingServer::start(engine, serve_cfg);
     let reader = server.reader();

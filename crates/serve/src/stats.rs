@@ -7,7 +7,7 @@ use tsvd_core::PipelineTimings;
 ///
 /// `events_pending` is the staleness estimate `submitted − applied −
 /// coalesced`: events accepted by a handle but not yet reflected in the
-/// served epoch (in the mailbox or in the open flush window).
+/// served epoch (in the server's channel or in the open flush window).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeStats {
     /// Tenant these statistics describe (`0` for a single-tenant server).
