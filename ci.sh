@@ -7,6 +7,9 @@
 #   1. hermeticity — no external crate dependencies may reappear;
 #   2. cargo fmt --check;
 #   3. cargo clippy --workspace --all-targets -D warnings;
+#   3b. cargo doc --workspace --no-deps with rustdoc warnings as errors:
+#      an intra-doc link to a deleted, renamed or private item, or an
+#      ambiguous one, fails here instead of rendering as plain text;
 #   4. cargo build --release;
 #   4b. the frozen end-to-end benchmark (`tsvd-e2e/`, a package of its own
 #      that BENCHMARK.json's command builds against this workspace) —
@@ -137,6 +140,9 @@ cargo fmt --check
 
 step "cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+step "cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 step "cargo build --release"
 cargo build --release -q

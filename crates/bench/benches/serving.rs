@@ -15,16 +15,19 @@ use tsvd_rt::bench::BenchHarness;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 use tsvd_serve::{EmbeddingServer, ServeConfig, ShardedEngine, TenantHost};
 
+/// `len` random inserts, self-loops redrawn: a window of exactly `len`
+/// events, so a `flush_max_events`-sized batch trips the count trigger.
 fn random_events(n_nodes: usize, len: usize, seed: u64) -> Vec<EdgeEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| {
-            let u = rng.gen_range(0..n_nodes) as u32;
-            let v = rng.gen_range(0..n_nodes) as u32;
-            EdgeEvent::insert(u, v)
-        })
-        .filter(|e| e.u != e.v)
-        .collect()
+    let mut events = Vec::with_capacity(len);
+    while events.len() < len {
+        let u = rng.gen_range(0..n_nodes) as u32;
+        let v = rng.gen_range(0..n_nodes) as u32;
+        if u != v {
+            events.push(EdgeEvent::insert(u, v));
+        }
+    }
+    events
 }
 
 fn main() {

@@ -22,7 +22,7 @@ use tsvd_graph::{Direction, DynGraph};
 /// residue key in ascending order. It serves fresh sparse pushes (the
 /// DynPPE build) and arbitrary hand-made residue profiles; the dynamic
 /// update, which knows where residue moved, seeds through
-/// [`push_from_candidates`] instead. Both run the same push loop.
+/// `push_from_candidates` instead. Both run the same push loop.
 ///
 /// Cost: `O(|r| log |r| + total pushed mass / (α·r_max))`; for a fresh
 /// one-hot residue this is the classic `O(1/(α·r_max))`.

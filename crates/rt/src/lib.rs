@@ -6,7 +6,7 @@
 //! where that commitment lands for the *infrastructure* dependencies the
 //! seed still declared: it replaces `rand` ([`rng`]), `serde`/`serde_json`
 //! ([`json`], and [`bin`] for state that is saved more often than it is
-//! read by a person), `proptest` ([`check`]), and `criterion` ([`bench`]) with
+//! read by a person), `proptest` ([`check`]), and `criterion` ([`mod@bench`]) with
 //! in-tree implementations small enough to audit and deterministic by
 //! construction. The workspace builds hermetically: `cargo build` touches no
 //! registry, no network, no vendored sources.
@@ -16,7 +16,7 @@
 //! line of work it follows) depends on seeded reproducibility. [`rng`] is a
 //! counter-seeded xoshiro256++ whose stream is fixed forever by this file;
 //! [`check`] derives every test case from an explicit seed and reports the
-//! failing seed on error; [`bench`] never samples timers for control flow;
+//! failing seed on error; [`mod@bench`] never samples timers for control flow;
 //! [`pool`] — the persistent work-stealing pool every parallel region in
 //! the workspace dispatches through — places results by index so outputs
 //! are bitwise identical for every thread count (and keeps its participants

@@ -99,16 +99,12 @@ pub struct RouterConfig {
     /// Backoff between barrier retries, milliseconds (linear: attempt `k`
     /// sleeps `k * barrier_backoff_ms`).
     pub barrier_backoff_ms: u64,
-    /// Page size (windows per pull) a failed-over follower uses while
-    /// catching up / re-seeding.
-    pub catch_up_page: u32,
 }
 
 tsvd_rt::impl_json_struct!(RouterConfig {
     tenant,
     barrier_retries,
-    barrier_backoff_ms,
-    catch_up_page
+    barrier_backoff_ms
 });
 
 impl Default for RouterConfig {
@@ -117,7 +113,6 @@ impl Default for RouterConfig {
             tenant: 0,
             barrier_retries: 8,
             barrier_backoff_ms: 2,
-            catch_up_page: 64,
         }
     }
 }
@@ -143,7 +138,6 @@ mod tests {
             tenant: 3,
             barrier_retries: 2,
             barrier_backoff_ms: 7,
-            catch_up_page: 16,
         };
         let j = Json::parse(&tsvd_rt::json::ToJson::to_json(&cfg).to_string()).unwrap();
         assert_eq!(RouterConfig::from_json(&j).unwrap(), cfg);

@@ -10,7 +10,7 @@
 //! `k + lag`.
 //!
 //! Windows arrive over the existing `serve::net` protocol: the follower
-//! polls `GetWindows{after_epoch, max}` ([`NetClient::get_windows`]),
+//! polls `GetWindows{after_epoch, max}` ([`NetClient::pull_windows`]),
 //! which streams the leader's bounded in-memory journal tail. Because
 //! those windows are exactly the post-coalesce windows the leader applied
 //! — and every layer below is bitwise deterministic — the follower's

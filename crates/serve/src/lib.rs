@@ -84,7 +84,7 @@ pub use ingest::GraphIngest;
 pub use journal::{DurabilitySink, JournalError, JournalWindows, WindowJournal, JOURNAL_KEEP};
 pub use net::{ClientConfig, NetClient, NetFront, TcpTransport, WindowsPull};
 pub use query::Metric;
-pub use router::{ReadSession, Router, RouterError, RouterFront, ShardEndpoint, ShardMap};
+pub use router::{Router, RouterError, RouterFront, ShardEndpoint, ShardMap};
 pub use server::{EmbeddingReader, EmbeddingServer, ServerHandle, SubmitError, DEFAULT_TENANT};
 pub use snapshot::{EpochCell, EpochSnapshot, TopKQuery};
 pub use stats::{HostStats, RouterStats, ServeStats, StatsReply};

@@ -18,11 +18,18 @@
 //!
 //! # Retry policy
 //!
-//! Only idempotent requests (`Ping`, `Flush`, `GetRows`, `GetEmbedding`,
-//! `GetStats`, `GetWindows`, `TopK`) are retried after a transport failure. `SubmitEvents` is
-//! **never** auto-retried: the failure may have struck after the server
-//! applied the batch, and a blind resend would double-apply events. The
-//! caller decides (e.g. by comparing `stats().events_submitted`).
+//! A single call whose transport fails with a transient error (the
+//! connection or the process behind it is gone) reconnects and is sent
+//! again, at most twice, if its request is idempotent: every request but
+//! `SubmitEvents` and `Shutdown` (`Ping`, `Flush`, `GetRows`, `TopK`,
+//! `GetEmbedding`, `GetStats`, `GetWindows`, `GetCheckpoint`).
+//! `SubmitEvents` is **never** auto-retried: the failure may have struck
+//! after the server applied the batch, and a blind resend would
+//! double-apply events. The caller decides (e.g. by comparing
+//! `stats().events_submitted`). [`NetClient::pipeline`] and the
+//! split-phase [`dispatch`](NetClient::dispatch) /
+//! [`collect`](NetClient::collect) pair are never retried: their caller
+//! owns what is in flight.
 
 use std::io::{self, Read, Write};
 
@@ -33,8 +40,8 @@ use crate::stats::StatsReply;
 
 use super::transport::{Duplex, Transport};
 use super::wire::{
-    CheckpointReply, EmbeddingReply, Frame, FrameReader, FrameWriter, Message, Reply, Request,
-    RowsReply, WindowsReply,
+    CheckpointReply, EmbeddingReply, FrameReader, FrameWriter, Message, Reply, Request, RowsReply,
+    WindowsReply,
 };
 
 /// Typed outcome of a journal pull ([`NetClient::pull_windows`]): either a
@@ -54,27 +61,39 @@ pub enum WindowsPull {
     },
 }
 
-/// Client behaviour knobs (the reply-read timeout lives on the transport).
-#[derive(Debug, Clone, Copy)]
+/// How many times a single idempotent call is sent again, on a fresh
+/// connection, after a transient transport failure.
+const MAX_RETRIES: u32 = 2;
+
+/// Client settings (the reply-read timeout lives on the transport).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClientConfig {
-    /// Reopen the transport and retry idempotent requests on failure.
-    pub reconnect: bool,
-    /// Retry attempts per call after the initial try.
-    pub max_retries: u32,
     /// Tenant every request from this client is pinned to (stamped into
     /// the frame header and verified against each reply's echo). `0` is
     /// the default tenant of a single-tenant server.
     pub tenant: u32,
 }
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            reconnect: true,
-            max_retries: 2,
-            tenant: 0,
-        }
-    }
+/// Whether a transport failure means the connection (or the process
+/// behind it) is gone rather than that one request was refused: the
+/// client's retry trigger, and the router's failover trigger.
+pub(crate) fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::BrokenPipe
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionRefused
+            | io::ErrorKind::TimedOut
+            | io::ErrorKind::WouldBlock
+    )
+}
+
+/// Whether `req` may be sent twice: all but the two that change state
+/// ([`NetClient::submit_events`], [`NetClient::shutdown_server`]).
+fn idempotent(req: &Request) -> bool {
+    !matches!(req, Request::SubmitEvents(_) | Request::Shutdown)
 }
 
 /// One open connection: a transport's [`Duplex`] behind the buffered
@@ -99,17 +118,38 @@ impl Conn {
             .push(id, tenant, &Message::Request(req.clone()))?)
     }
 
-    /// Write one request frame.
-    fn send(&mut self, id: u64, tenant: u32, req: &Request) -> io::Result<()> {
-        self.push(id, tenant, req)?;
-        self.writer.flush()
-    }
-
-    /// The next frame, which must exist.
-    fn next_frame(&mut self) -> io::Result<Frame> {
-        self.reader
+    /// The reply to request `id`: the next frame, which must answer in
+    /// the reply direction, echo `id` and echo `tenant`. A connection-level
+    /// error (id 0, not tenant-addressed, the server's last frame before
+    /// it closes) surfaces as that server error, whichever request it
+    /// answers.
+    fn read_reply(&mut self, id: u64, tenant: u32) -> io::Result<Reply> {
+        let frame = self
+            .reader
             .read_frame()?
-            .ok_or_else(|| closed("server closed connection"))
+            .ok_or_else(|| closed("server closed connection"))?;
+        let Message::Reply(reply) = frame.message else {
+            return Err(protocol("request frame in reply direction".into()));
+        };
+        if frame.request_id == 0 {
+            return Err(match reply {
+                Reply::Error(msg) => server_error(&msg),
+                other => unexpected(&other),
+            });
+        }
+        if frame.request_id != id {
+            return Err(protocol(format!(
+                "reply id {} does not match request id {id}",
+                frame.request_id
+            )));
+        }
+        if frame.tenant != tenant {
+            return Err(protocol(format!(
+                "reply tenant {} does not match pinned tenant {tenant}",
+                frame.tenant
+            )));
+        }
+        Ok(reply)
     }
 }
 
@@ -147,7 +187,7 @@ impl NetClient {
 
     /// Liveness round trip.
     pub fn ping(&mut self) -> io::Result<()> {
-        match self.call(Request::Ping, true)? {
+        match self.call(Request::Ping)? {
             Reply::Pong => Ok(()),
             other => Err(unexpected(&other)),
         }
@@ -156,7 +196,7 @@ impl NetClient {
     /// Submit an event batch; returns the number of accepted events.
     /// Never auto-retried (see the module docs on double-apply).
     pub fn submit_events(&mut self, events: Vec<EdgeEvent>) -> io::Result<u64> {
-        match self.call(Request::SubmitEvents(events), false)? {
+        match self.call(Request::SubmitEvents(events))? {
             Reply::SubmitAck { accepted } => Ok(accepted),
             other => Err(unexpected(&other)),
         }
@@ -164,7 +204,7 @@ impl NetClient {
 
     /// Flush everything pending server-side; returns the epoch then served.
     pub fn flush(&mut self) -> io::Result<u64> {
-        match self.call(Request::Flush, true)? {
+        match self.call(Request::Flush)? {
             Reply::FlushAck { epoch } => Ok(epoch),
             other => Err(unexpected(&other)),
         }
@@ -172,7 +212,7 @@ impl NetClient {
 
     /// Embedding rows for `nodes` from the served snapshot.
     pub fn get_rows(&mut self, nodes: &[u32]) -> io::Result<RowsReply> {
-        match self.call(Request::GetRows(nodes.to_vec()), true)? {
+        match self.call(Request::GetRows(nodes.to_vec()))? {
             Reply::Rows(rows) => Ok(rows),
             other => Err(unexpected(&other)),
         }
@@ -197,7 +237,7 @@ impl NetClient {
             metric,
             query: None,
         };
-        match self.call(req, true)? {
+        match self.call(req)? {
             Reply::TopKReply(t) => Ok(t.found.then_some(t.neighbors)),
             other => Err(unexpected(&other)),
         }
@@ -205,7 +245,7 @@ impl NetClient {
 
     /// The full served embedding (checksum-verified end to end).
     pub fn get_embedding(&mut self) -> io::Result<EmbeddingReply> {
-        match self.call(Request::GetEmbedding, true)? {
+        match self.call(Request::GetEmbedding)? {
             Reply::Embedding(e) => Ok(e),
             other => Err(unexpected(&other)),
         }
@@ -213,7 +253,7 @@ impl NetClient {
 
     /// Point-in-time statistics: this client's tenant plus the host rollup.
     pub fn stats(&mut self) -> io::Result<StatsReply> {
-        match self.call(Request::GetStats, true)? {
+        match self.call(Request::GetStats)? {
             Reply::Stats(s) => Ok(*s),
             other => Err(unexpected(&other)),
         }
@@ -222,29 +262,12 @@ impl NetClient {
     /// Journal windows for epochs `> after_epoch`, up to `max` per reply —
     /// the follower catch-up pull ([`Follower::catch_up`] loops this).
     /// Idempotent, so safe to retry. A leader that compacted past
-    /// `after_epoch` answers with an error reply (surfaced as
-    /// [`io::ErrorKind::InvalidData`]): re-seed from a checkpoint.
+    /// `after_epoch` answers with the typed [`WindowsPull::Compacted`]:
+    /// the caller can re-seed ([`NetClient::get_checkpoint`]) and resume.
     ///
     /// [`Follower::catch_up`]: crate::Follower::catch_up
-    pub fn get_windows(&mut self, after_epoch: u64, max: u32) -> io::Result<WindowsReply> {
-        match self.pull_windows(after_epoch, max)? {
-            WindowsPull::Windows(w) => Ok(w),
-            WindowsPull::Compacted { oldest, requested } => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "window {requested} compacted out of the leader's journal \
-                     (oldest retained: {oldest}); re-seed from a checkpoint"
-                ),
-            )),
-        }
-    }
-
-    /// Like [`get_windows`](Self::get_windows), but surfaces the leader's
-    /// compaction condition as the typed [`WindowsPull::Compacted`] instead
-    /// of an opaque error — the caller can re-seed
-    /// ([`NetClient::get_checkpoint`]) and retry instead of giving up.
     pub fn pull_windows(&mut self, after_epoch: u64, max: u32) -> io::Result<WindowsPull> {
-        match self.call(Request::GetWindows { after_epoch, max }, true)? {
+        match self.call(Request::GetWindows { after_epoch, max })? {
             Reply::Windows(w) => Ok(WindowsPull::Windows(w)),
             Reply::JournalGap { oldest, requested } => {
                 Ok(WindowsPull::Compacted { oldest, requested })
@@ -258,7 +281,7 @@ impl NetClient {
     /// Idempotent (the leader drains in-flight windows and serialises; no
     /// state changes), so safe to retry.
     pub fn get_checkpoint(&mut self) -> io::Result<CheckpointReply> {
-        match self.call(Request::GetCheckpoint, true)? {
+        match self.call(Request::GetCheckpoint)? {
             Reply::Checkpoint(ck) => Ok(*ck),
             other => Err(unexpected(&other)),
         }
@@ -266,7 +289,7 @@ impl NetClient {
 
     /// Ask the server to flush and stop its network front. Not retried.
     pub fn shutdown_server(&mut self) -> io::Result<()> {
-        match self.call(Request::Shutdown, false)? {
+        match self.call(Request::Shutdown)? {
             Reply::ShutdownAck => Ok(()),
             other => Err(unexpected(&other)),
         }
@@ -281,49 +304,17 @@ impl NetClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let first = self.next_id;
-        self.next_id += requests.len() as u64;
-        let raw = {
-            let tenant = self.cfg.tenant;
-            let conn = self.conn()?;
-            let io = (|| {
-                for (i, req) in requests.iter().enumerate() {
-                    conn.push(first + i as u64, tenant, req)?;
-                }
-                conn.writer.flush()?;
-                let mut raw = Vec::with_capacity(requests.len());
-                for i in 0..requests.len() {
-                    let frame = conn.next_frame()?;
-                    let want = first + i as u64;
-                    if frame.request_id != want {
-                        return Err(protocol(format!(
-                            "pipelined reply id {} (expected {want})",
-                            frame.request_id
-                        )));
-                    }
-                    if frame.tenant != tenant {
-                        return Err(protocol(format!(
-                            "pipelined reply tenant {} (expected {tenant})",
-                            frame.tenant
-                        )));
-                    }
-                    match frame.message {
-                        Message::Reply(reply) => raw.push(reply),
-                        Message::Request(_) => {
-                            return Err(protocol("request frame in reply direction".into()))
-                        }
-                    }
-                }
-                Ok(raw)
-            })();
-            match io {
-                Ok(raw) => raw,
-                Err(e) => {
-                    self.disconnect();
-                    return Err(e);
-                }
+        let ids = self.next_id..self.next_id + requests.len() as u64;
+        self.next_id = ids.end;
+        let tenant = self.cfg.tenant;
+        let raw = self.conn().and_then(|conn| {
+            for (id, req) in ids.clone().zip(requests) {
+                conn.push(id, tenant, req)?;
             }
-        };
+            conn.writer.flush()?;
+            ids.map(|id| conn.read_reply(id, tenant)).collect()
+        });
+        let raw: Vec<Reply> = self.drop_on_error(raw)?;
         raw.into_iter().map(|r| self.observe(r)).collect()
     }
 
@@ -338,14 +329,11 @@ impl NetClient {
         let id = self.next_id;
         self.next_id += 1;
         let tenant = self.cfg.tenant;
-        let conn = self.conn()?;
-        match conn.send(id, tenant, req) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                self.disconnect();
-                Err(e)
-            }
-        }
+        let sent = self.conn().and_then(|conn| {
+            conn.push(id, tenant, req)?;
+            conn.writer.flush()
+        });
+        self.drop_on_error(sent).map(|()| id)
     }
 
     /// Split-phase receive half: read the reply for a
@@ -356,36 +344,12 @@ impl NetClient {
     /// the next call reconnects).
     pub fn collect(&mut self, id: u64) -> io::Result<Reply> {
         let tenant = self.cfg.tenant;
-        let io = (|| {
-            let conn = self
-                .conn
-                .as_mut()
-                .ok_or_else(|| closed("no connection holds the in-flight request"))?;
-            let frame = conn.next_frame()?;
-            if frame.request_id != id && frame.request_id != 0 {
-                return Err(protocol(format!(
-                    "reply id {} does not match dispatched id {id}",
-                    frame.request_id
-                )));
-            }
-            if frame.request_id != 0 && frame.tenant != tenant {
-                return Err(protocol(format!(
-                    "reply tenant {} does not match pinned tenant {tenant}",
-                    frame.tenant
-                )));
-            }
-            match frame.message {
-                Message::Reply(reply) => Ok(reply),
-                Message::Request(_) => Err(protocol("request frame in reply direction".into())),
-            }
-        })();
-        match io {
-            Ok(reply) => self.observe(reply),
-            Err(e) => {
-                self.disconnect();
-                Err(e)
-            }
-        }
+        let reply = match self.conn.as_mut() {
+            Some(conn) => conn.read_reply(id, tenant),
+            None => Err(closed("no connection holds the in-flight request")),
+        };
+        let reply = self.drop_on_error(reply)?;
+        self.observe(reply)
     }
 
     /// Drop the current connection; the next call reopens the transport.
@@ -413,60 +377,26 @@ impl NetClient {
         Ok(self.conn.as_mut().expect("connection just opened"))
     }
 
-    /// One request → one reply on the current connection.
-    fn exchange(&mut self, req: &Request) -> io::Result<Reply> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let tenant = self.cfg.tenant;
-        let conn = self.conn()?;
-        conn.send(id, tenant, req)?;
-        let frame = conn.next_frame()?;
-        if frame.request_id != id && frame.request_id != 0 {
-            return Err(protocol(format!(
-                "reply id {} does not match request id {id}",
-                frame.request_id
-            )));
+    /// A transport failure leaves the stream in an unknown state: drop the
+    /// connection so the next call reopens it.
+    fn drop_on_error<T>(&mut self, res: io::Result<T>) -> io::Result<T> {
+        if res.is_err() {
+            self.disconnect();
         }
-        // Connection-level errors (id 0) are not tenant-addressed; every
-        // real reply must echo the tenant the request was pinned to.
-        if frame.request_id != 0 && frame.tenant != tenant {
-            return Err(protocol(format!(
-                "reply tenant {} does not match pinned tenant {tenant}",
-                frame.tenant
-            )));
-        }
-        match frame.message {
-            Message::Reply(reply) => Ok(reply),
-            Message::Request(_) => Err(protocol("request frame in reply direction".into())),
-        }
+        res
     }
 
-    /// `exchange` plus freshness guards plus (for `retryable` requests)
-    /// reconnect-and-retry on transport-level failures.
-    fn call(&mut self, req: Request, retryable: bool) -> io::Result<Reply> {
-        let mut attempts = 0u32;
+    /// One request, one reply, through the freshness guards; an
+    /// idempotent request is sent again on a fresh connection after a
+    /// transient failure, at most [`MAX_RETRIES`] times.
+    pub(crate) fn call(&mut self, req: Request) -> io::Result<Reply> {
+        let mut retries = 0;
         loop {
-            match self.exchange(&req) {
-                Ok(reply) => return self.observe(reply),
-                Err(e) => {
-                    self.disconnect();
-                    let transient = matches!(
-                        e.kind(),
-                        io::ErrorKind::UnexpectedEof
-                            | io::ErrorKind::BrokenPipe
-                            | io::ErrorKind::ConnectionReset
-                            | io::ErrorKind::ConnectionAborted
-                            | io::ErrorKind::ConnectionRefused
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::WouldBlock
-                    );
-                    if !(retryable && self.cfg.reconnect && transient)
-                        || attempts >= self.cfg.max_retries
-                    {
-                        return Err(e);
-                    }
-                    attempts += 1;
+            match self.dispatch(&req).and_then(|id| self.collect(id)) {
+                Err(e) if is_transient(&e) && idempotent(&req) && retries < MAX_RETRIES => {
+                    retries += 1;
                 }
+                done => return done,
             }
         }
     }
@@ -487,9 +417,7 @@ impl NetClient {
             }
             Reply::FlushAck { epoch } => self.check_epoch(*epoch, None)?,
             Reply::Stats(s) => self.check_epoch(s.tenant.epoch, None)?,
-            Reply::Error(msg) => {
-                return Err(io::Error::other(format!("server error: {msg}")));
-            }
+            Reply::Error(msg) => return Err(server_error(msg)),
             // Journal/checkpoint epochs are global window counts, not this
             // tenant's read epochs — no freshness guard.
             Reply::Pong
@@ -527,8 +455,14 @@ impl NetClient {
     }
 }
 
-fn unexpected(reply: &Reply) -> io::Error {
+pub(crate) fn unexpected(reply: &Reply) -> io::Error {
     protocol(format!("unexpected reply variant: {reply:?}"))
+}
+
+/// A request the server answered with [`Reply::Error`]: it is alive and
+/// refused (or could not serve) the request.
+fn server_error(msg: &str) -> io::Error {
+    io::Error::other(format!("server error: {msg}"))
 }
 
 fn protocol(msg: String) -> io::Error {

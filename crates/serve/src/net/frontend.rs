@@ -1,8 +1,8 @@
 //! The network front: accepts connections (TCP or in-process loopback)
-//! and serves the wire protocol against a running [`EmbeddingServer`].
+//! and serves the wire protocol against a running [`EmbeddingServer`](crate::EmbeddingServer).
 //!
 //! Every connection is served on one thread by the shared loop in
-//! [`conn`](super::conn):
+//! `conn`:
 //!
 //! ```text
 //!  socket ──▶ FrameReader ──▶ execute / one batch scan per TopK run ──▶ FrameWriter ──▶ socket

@@ -201,7 +201,7 @@ pub enum Request {
     GetRows(Vec<u32>),
     /// The whole served embedding (all subset rows) at the current epoch.
     GetEmbedding,
-    /// Point-in-time [`ServeStats`].
+    /// Point-in-time [`ServeStats`](crate::ServeStats).
     GetStats,
     /// Flush, then stop accepting traffic (the owner reclaims the engine).
     Shutdown,

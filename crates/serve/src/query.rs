@@ -1,7 +1,7 @@
 //! Top-k similarity over one published epoch: the [`Metric`], the per-row
 //! norm cache, and the single query path.
 //!
-//! Every [`EpochSnapshot`](crate::EpochSnapshot) carries a [`QueryState`]:
+//! Every [`EpochSnapshot`](crate::EpochSnapshot) carries a `QueryState`:
 //! the L2 norm and inverse norm of every embedding row, computed from
 //! scratch when the snapshot is assembled (|S|·d multiply-adds) — never
 //! per query, and never carried over from the previous epoch, so publish

@@ -77,7 +77,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use std::{fmt, thread};
 
@@ -85,6 +85,7 @@ use tsvd_graph::EdgeEvent;
 use tsvd_rt::bin::{fnv1a64, CHECKSUM_OFFSET};
 
 use crate::config::RouterConfig;
+use crate::net::client::{is_transient, unexpected};
 use crate::net::conn::{self, Conns, Handler};
 use crate::net::wire::{FrameWriter, Reply, Request, RowsReply, TopKReply, MAX_PAYLOAD};
 use crate::net::{ClientConfig, Duplex, NetClient, TcpTransport};
@@ -100,7 +101,7 @@ use crate::stats::RouterStats;
 pub struct ShardMap {
     sources: Vec<u32>,
     /// Half-open `(start, end)` global-row ranges, ascending, tiling
-    /// `0..sources.len()` exactly (validated at construction).
+    /// `0..sources.len()` exactly.
     ranges: Vec<(usize, usize)>,
     /// node id → (owning shard, global row).
     owner: HashMap<u32, (usize, usize)>,
@@ -109,68 +110,31 @@ pub struct ShardMap {
 impl ShardMap {
     /// Split `sources` into `num_shards` contiguous ranges of near-equal
     /// size: the first `len % n` ranges get one extra row. `num_shards` is
-    /// clamped to `1..=sources.len()`.
+    /// clamped to `1..=sources.len()`. Panics on an empty subset or on a
+    /// node listed twice.
     pub fn even_split(sources: &[u32], num_shards: usize) -> ShardMap {
         assert!(!sources.is_empty(), "shard map over an empty subset");
         let n = num_shards.clamp(1, sources.len());
         let base = sources.len() / n;
         let rem = sources.len() % n;
-        let ranges = (0..n)
+        let ranges: Vec<(usize, usize)> = (0..n)
             .map(|k| {
                 let start = k * base + k.min(rem);
-                let len = base + usize::from(k < rem);
-                (start, start + len)
+                (start, start + base + usize::from(k < rem))
             })
             .collect();
-        Self::from_ranges(sources, ranges).expect("even split tiles by construction")
-    }
-
-    /// Build a map from explicit ranges, rejecting any gap or overlap in
-    /// the tiling of `0..sources.len()` with a typed
-    /// [`RouterError::BadMap`].
-    pub fn from_ranges(
-        sources: &[u32],
-        ranges: Vec<(usize, usize)>,
-    ) -> Result<ShardMap, RouterError> {
-        if ranges.is_empty() {
-            return Err(RouterError::BadMap("no shard ranges".into()));
-        }
-        let mut expected = 0usize;
-        for (k, &(start, end)) in ranges.iter().enumerate() {
-            if start != expected {
-                let what = if start > expected { "gap" } else { "overlap" };
-                return Err(RouterError::BadMap(format!(
-                    "{what} before shard {k}: range starts at row {start}, expected {expected}"
-                )));
-            }
-            if end <= start {
-                return Err(RouterError::BadMap(format!(
-                    "shard {k} owns an empty range ({start}, {end})"
-                )));
-            }
-            expected = end;
-        }
-        if expected != sources.len() {
-            return Err(RouterError::BadMap(format!(
-                "ranges cover {expected} rows, subset has {}",
-                sources.len()
-            )));
-        }
         let mut owner = HashMap::with_capacity(sources.len());
         for (k, &(start, end)) in ranges.iter().enumerate() {
             for (row, &node) in sources[start..end].iter().enumerate() {
-                if owner.insert(node, (k, start + row)).is_some() {
-                    return Err(RouterError::BadMap(format!(
-                        "node {node} appears twice in the subset"
-                    )));
-                }
+                let twice = owner.insert(node, (k, start + row)).is_some();
+                assert!(!twice, "node {node} appears twice in the subset");
             }
         }
-        Ok(ShardMap {
+        ShardMap {
             sources: sources.to_vec(),
             ranges,
             owner,
-        })
+        }
     }
 
     /// Number of shard ranges.
@@ -313,8 +277,6 @@ impl ScatterPlan {
 /// Typed failures of router operations.
 #[derive(Debug)]
 pub enum RouterError {
-    /// A shard map that does not tile the global row order.
-    BadMap(String),
     /// A shard stayed below the barrier epoch through every bounded
     /// retry: the read fails typed rather than serving a torn mix.
     EpochBarrier {
@@ -334,8 +296,9 @@ pub enum RouterError {
     ShardDown {
         /// The dead range.
         shard: usize,
-        /// The underlying failure.
-        error: io::Error,
+        /// The underlying failure. Shared: a range poisoned by a write
+        /// fault reports the fault that poisoned it to every later read.
+        error: Arc<io::Error>,
     },
     /// A request-level fault on one shard (corrupt frame, server-side
     /// error). The router stays up; only this request fails.
@@ -353,7 +316,6 @@ pub enum RouterError {
 impl fmt::Display for RouterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RouterError::BadMap(what) => write!(f, "bad shard map: {what}"),
             RouterError::EpochBarrier {
                 target,
                 shard,
@@ -377,7 +339,8 @@ impl fmt::Display for RouterError {
 impl std::error::Error for RouterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RouterError::ShardDown { error, .. } | RouterError::Io { error, .. } => Some(error),
+            RouterError::ShardDown { error, .. } => Some(&**error),
+            RouterError::Io { error, .. } => Some(error),
             _ => None,
         }
     }
@@ -412,25 +375,26 @@ impl ShardEndpoint {
 }
 
 /// One shard range's health, published once and observed by the writer
-/// and by every [`ReadSession`]: a range failed over (or poisoned) by any
+/// and by every read session: a range failed over (or poisoned) by any
 /// path is failed over for all of them.
 struct RangeHealth {
     /// Once true, this range reads from its follower and receives no more
     /// writes (the leader is dead or diverged — see module docs).
     failed_over: AtomicBool,
-    /// Once true, this range is out of service entirely: its leader
+    /// Once set, this range is out of service entirely: its leader
     /// diverged from the broadcast order (missed a write) and no follower
-    /// replica could take over. A poisoned range is never written to or
-    /// read from again — the client would transparently reconnect, and a
-    /// diverged leader must not serve as if healthy.
-    poisoned: AtomicBool,
+    /// replica could take over. Holds the fault that poisoned it. A
+    /// poisoned range is never written to or read from again — the client
+    /// would transparently reconnect, and a diverged leader must not serve
+    /// as if healthy.
+    poisoned: OnceLock<Arc<io::Error>>,
 }
 
-/// State shared by the [`Router`] (the single writer) and every
-/// [`ReadSession`]: the immutable deployment shape plus the mutable
-/// range-health flags and traffic counters. Connections are *not* here —
-/// each session owns its own, which is what lets reads on different
-/// connections proceed concurrently.
+/// State shared by the [`Router`] (the single writer) and every read
+/// session: the immutable deployment shape plus the mutable range-health
+/// flags and traffic counters. Connections are *not* here — each session
+/// owns its own, which is what lets reads on different connections
+/// proceed concurrently.
 struct RouterShared {
     map: ShardMap,
     cfg: RouterConfig,
@@ -445,24 +409,33 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn client_cfg(&self) -> ClientConfig {
-        ClientConfig {
-            tenant: self.cfg.tenant,
-            ..ClientConfig::default()
-        }
-    }
-
     fn failed_over(&self, k: usize) -> bool {
         self.health[k].failed_over.load(Ordering::Acquire)
     }
 
     fn is_poisoned(&self, k: usize) -> bool {
-        self.health[k].poisoned.load(Ordering::Acquire)
+        self.health[k].poisoned.get().is_some()
     }
 
     /// Whether range `k` still takes lockstep writes.
     fn is_writer(&self, k: usize) -> bool {
         !self.failed_over(k) && !self.is_poisoned(k)
+    }
+
+    /// The epoch barriers' one bounded linear backoff (the rows barrier
+    /// and the top-k round): `false` once `retries` has reached
+    /// [`RouterConfig::barrier_retries`]; otherwise count one more retry
+    /// and sleep `retries × barrier_backoff_ms`.
+    fn backoff(&self, retries: &mut u32) -> bool {
+        if *retries >= self.cfg.barrier_retries {
+            return false;
+        }
+        *retries += 1;
+        self.barrier_retries.fetch_add(1, Ordering::Relaxed);
+        thread::sleep(Duration::from_millis(
+            self.cfg.barrier_backoff_ms * u64::from(*retries),
+        ));
+        true
     }
 }
 
@@ -480,9 +453,9 @@ struct RangeConn {
 ///
 /// The router is the deployment's single *writer*: lockstep requires a
 /// total broadcast order, so writes serialize on `&mut self`. Reads do
-/// not need that order — [`Router::read_session`] hands out independent
-/// [`ReadSession`]s (own connections, shared health) that scatter-gather
-/// concurrently with each other and with this router's own calls.
+/// not need that order: every connection a [`RouterFront`] accepts reads
+/// on its own connections to the ranges, over the same health flags and
+/// counters, concurrently with each other and with this router's calls.
 pub struct Router {
     shared: Arc<RouterShared>,
     /// The router's own connections — opened eagerly at
@@ -491,19 +464,9 @@ pub struct Router {
     session: ReadSession,
 }
 
-/// Transport failure kinds that mean "the connection/process is gone" —
-/// the failover trigger. Mirrors the client's own transient set.
-fn is_transport_dead(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::BrokenPipe
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::ConnectionRefused
-            | io::ErrorKind::TimedOut
-            | io::ErrorKind::WouldBlock
-    )
+/// A client pinned to the router's tenant, connected to `addr`.
+fn connect(addr: &str, tenant: u32) -> io::Result<NetClient> {
+    NetClient::connect(TcpTransport::new(addr), ClientConfig { tenant })
 }
 
 /// A request-level server rejection: the shard answered the request with
@@ -532,7 +495,7 @@ impl Router {
         let health = (0..map.num_shards())
             .map(|_| RangeHealth {
                 failed_over: AtomicBool::new(false),
-                poisoned: AtomicBool::new(false),
+                poisoned: OnceLock::new(),
             })
             .collect();
         let shared = Arc::new(RouterShared {
@@ -560,7 +523,7 @@ impl Router {
     }
 
     /// Traffic and fault counters so far (across this router *and* every
-    /// [`ReadSession`] it handed out — the counters are shared).
+    /// connection of a [`RouterFront`] over it — the counters are shared).
     pub fn stats(&self) -> RouterStats {
         RouterStats {
             shards: self.shared.map.num_shards(),
@@ -589,14 +552,6 @@ impl Router {
             .collect()
     }
 
-    /// A fresh read session over the same deployment: its own lazily
-    /// opened connection per range, the shared health flags and counters.
-    /// Sessions scatter-gather reads concurrently with each other and
-    /// with this router — lockstep only requires serializing *writes*.
-    pub fn read_session(&self) -> ReadSession {
-        ReadSession::new(self.shared.clone())
-    }
-
     /// After a diverging write fault on range `k`: the leader either
     /// missed the write or is unreachable — both mean its stream has
     /// diverged from the broadcast order and it must never serve again
@@ -607,16 +562,10 @@ impl Router {
     /// it as healthy. Returns the [`RouterError::ShardDown`] to surface
     /// (after the broadcast completes) when the range is lost for good.
     fn write_fault(&mut self, k: usize, error: io::Error) -> Option<RouterError> {
-        match self.session.failover(k, error) {
-            Ok(()) => None,
-            Err(err) => {
-                self.shared.health[k]
-                    .poisoned
-                    .store(true, Ordering::Release);
-                self.shared.poisoned.fetch_add(1, Ordering::Relaxed);
-                Some(err)
-            }
-        }
+        let error = Arc::new(self.session.failover(k, error).err()?);
+        let _ = self.shared.health[k].poisoned.set(error.clone());
+        self.shared.poisoned.fetch_add(1, Ordering::Relaxed);
+        Some(RouterError::ShardDown { shard: k, error })
     }
 
     /// Broadcast one write-path request (`op`) to every shard that still
@@ -683,8 +632,8 @@ impl Router {
 
     /// Broadcast one event batch to every healthy shard (lockstep order —
     /// callers serialize on `&mut self`). Returns the accepted count. A
-    /// faulting shard is failed over to its replica (or poisoned — see
-    /// [`Router::write_fault`]); the write succeeds as long as one leader
+    /// faulting shard is failed over to its replica (or poisoned, when it
+    /// has none); the write succeeds as long as one leader
     /// remains and no range was lost outright.
     pub fn submit(&mut self, events: Vec<EdgeEvent>) -> Result<u64, RouterError> {
         self.shared.writes.fetch_add(1, Ordering::Relaxed);
@@ -708,8 +657,15 @@ impl Router {
         self.session.get_rows(nodes)
     }
 
-    /// Cross-shard top-k on this router's own connections — see
-    /// [`ReadSession::top_k`].
+    /// Cross-shard top-k on this router's own connections: `node`'s own
+    /// row, read through the rows barrier, is scored against every range
+    /// (the owner excludes `node` from its own answer), and the per-range
+    /// lists merge under the canonical total order — score descending by
+    /// `total_cmp`, ties by ascending **global** row — into bitwise what a
+    /// single unsharded process answers. Every range must answer at the
+    /// row's epoch; a flush racing between the two reads retries the
+    /// whole round under the barrier's bounded backoff. The checksum is
+    /// the per-range chain a merged `GetRows` carries at the same epoch.
     pub fn top_k(&mut self, node: u32, k: u32, metric: Metric) -> Result<TopKReply, RouterError> {
         self.session.top_k(node, k, metric, None)
     }
@@ -735,12 +691,9 @@ impl Router {
 /// the shared health flags. A [`RouterFront`] gives every incoming
 /// connection its own session, so concurrent reads from different
 /// connections proceed in parallel — only writes serialize (on the
-/// [`Router`] itself, whose lock *is* the lockstep order).
-///
-/// A session is a single ordered request stream per range (methods take
-/// `&mut self`); share read load across threads by creating one session
-/// per thread via [`Router::read_session`].
-pub struct ReadSession {
+/// [`Router`] itself, whose lock *is* the lockstep order). A session is
+/// a single ordered request stream per range (methods take `&mut self`).
+struct ReadSession {
     shared: Arc<RouterShared>,
     conns: Vec<RangeConn>,
 }
@@ -762,20 +715,14 @@ impl ReadSession {
     /// re-dialed here).
     fn client(&mut self, k: usize) -> io::Result<&mut NetClient> {
         let fo = self.shared.failed_over(k);
+        let endpoint = &self.shared.endpoints[k];
         let conn = &mut self.conns[k];
         if conn.client.is_none() || (fo && !conn.on_follower) {
-            let addr = if fo {
-                self.shared.endpoints[k]
-                    .follower
-                    .clone()
-                    .expect("failed-over range has a follower endpoint")
-            } else {
-                self.shared.endpoints[k].addr.clone()
+            let addr = match &endpoint.follower {
+                Some(follower) if fo => follower,
+                _ => &endpoint.addr,
             };
-            conn.client = Some(NetClient::connect(
-                TcpTransport::new(addr),
-                self.shared.client_cfg(),
-            )?);
+            conn.client = Some(connect(addr, self.shared.cfg.tenant)?);
             conn.on_follower = fo;
         }
         Ok(conn.client.as_mut().expect("connection just opened"))
@@ -783,21 +730,16 @@ impl ReadSession {
 
     /// Switch range `k` to its follower replica and publish the failover
     /// to the shared health (every other session re-pins on its next
-    /// touch of the range). Idempotent; errors if no follower is
-    /// configured or it is unreachable.
-    fn failover(&mut self, k: usize, cause: io::Error) -> Result<(), RouterError> {
+    /// touch of the range). Idempotent. Fails with `cause` when no
+    /// follower is configured, or with the follower's connect error.
+    fn failover(&mut self, k: usize, cause: io::Error) -> io::Result<()> {
         if self.shared.failed_over(k) && self.conns[k].on_follower {
             return Ok(());
         }
-        let Some(follower) = self.shared.endpoints[k].follower.clone() else {
-            return Err(RouterError::ShardDown {
-                shard: k,
-                error: cause,
-            });
+        let Some(follower) = &self.shared.endpoints[k].follower else {
+            return Err(cause);
         };
-        let client = NetClient::connect(TcpTransport::new(follower), self.shared.client_cfg())
-            .map_err(|e| RouterError::ShardDown { shard: k, error: e })?;
-        self.conns[k].client = Some(client);
+        self.conns[k].client = Some(connect(follower, self.shared.cfg.tenant)?);
         self.conns[k].on_follower = true;
         if !self.shared.health[k]
             .failed_over
@@ -817,21 +759,17 @@ impl ReadSession {
         k: usize,
         op: impl Fn(&mut NetClient) -> io::Result<T>,
     ) -> Result<T, RouterError> {
-        let first = match self.client(k) {
-            Ok(c) => op(c),
-            Err(e) => Err(e),
+        let down = |error| RouterError::ShardDown {
+            shard: k,
+            error: Arc::new(error),
         };
-        match first {
+        match self.client(k).and_then(&op) {
             Ok(r) => Ok(r),
-            Err(e) if is_transport_dead(&e) && !self.conns[k].on_follower => {
-                self.failover(k, e)?;
-                match self.client(k) {
-                    Ok(c) => op(c),
-                    Err(e) => Err(e),
-                }
-                .map_err(|error| RouterError::ShardDown { shard: k, error })
+            Err(e) if is_transient(&e) && !self.conns[k].on_follower => {
+                self.failover(k, e).map_err(down)?;
+                self.client(k).and_then(&op).map_err(down)
             }
-            Err(e) if is_transport_dead(&e) => Err(RouterError::ShardDown { shard: k, error: e }),
+            Err(e) if is_transient(&e) => Err(down(e)),
             Err(error) => Err(RouterError::Io { shard: k, error }),
         }
     }
@@ -841,71 +779,55 @@ impl ReadSession {
     /// epoch probe) — re-dialing the diverged leader through the client's
     /// transparent reconnect would serve it as healthy.
     fn check_poisoned(&self) -> Result<(), RouterError> {
-        let n = self.shared.map.num_shards();
-        if let Some(k) = (0..n).find(|&k| self.shared.is_poisoned(k)) {
-            return Err(RouterError::ShardDown {
-                shard: k,
-                error: io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "range poisoned: its leader diverged and no follower took over",
-                ),
-            });
+        for (shard, health) in self.shared.health.iter().enumerate() {
+            if let Some(error) = health.poisoned.get() {
+                let error = error.clone();
+                return Err(RouterError::ShardDown { shard, error });
+            }
         }
         Ok(())
     }
 
     /// Split-phase scatter of one request per range, gathering every
     /// in-flight reply (skipping one on a fault would leave its bytes in
-    /// the socket and poison the next request on that connection), then
-    /// filling holes synchronously — which is where failover happens.
-    /// `parse` extracts the expected reply variant; `sync_op` is the
-    /// same call in one-shot form for the hole-filling path.
+    /// the socket and poison the next request on that connection). Then
+    /// each range whose transport died gets the same request again
+    /// through [`range_call`](Self::range_call) — which is where failover
+    /// happens. `parse` extracts the expected reply variant.
     fn scatter<T>(
         &mut self,
         mk_req: impl Fn(usize) -> Request,
         parse: impl Fn(Reply) -> io::Result<T>,
-        sync_op: impl Fn(&mut NetClient, usize) -> io::Result<T>,
     ) -> Result<Vec<T>, RouterError> {
         let n = self.shared.map.num_shards();
-        let mut pending: Vec<Option<u64>> = Vec::with_capacity(n);
-        for k in 0..n {
-            let req = mk_req(k);
-            pending.push(match self.client(k) {
-                Ok(c) => c.dispatch(&req).ok(),
-                Err(_) => None, // lazy connect failed: a hole for sync
-            });
-        }
-        let mut gathered: Vec<Result<T, io::Error>> = Vec::with_capacity(n);
-        for (k, slot) in pending.into_iter().enumerate() {
-            gathered.push(match slot {
-                Some(id) => {
-                    let client = self.conns[k]
-                        .client
-                        .as_mut()
-                        .expect("dispatched range has a client");
-                    client.collect(id).and_then(&parse)
+        let sent: Vec<io::Result<u64>> = (0..n)
+            .map(|k| self.client(k).and_then(|c| c.dispatch(&mk_req(k))))
+            .collect();
+        let gathered: Vec<io::Result<T>> = sent
+            .into_iter()
+            .enumerate()
+            .map(|(k, sent)| {
+                let client = self.conns[k].client.as_mut();
+                sent.and_then(|id| client.expect("dispatched range has a client").collect(id))
+                    .and_then(&parse)
+            })
+            .collect();
+        gathered
+            .into_iter()
+            .enumerate()
+            .map(|(k, got)| match got {
+                Err(e) if is_transient(&e) => {
+                    self.range_call(k, |c| c.call(mk_req(k)).and_then(&parse))
                 }
-                None => Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "dispatch failed; connection is down",
-                )),
-            });
-        }
-        let mut replies: Vec<T> = Vec::with_capacity(n);
-        for (k, got) in gathered.into_iter().enumerate() {
-            replies.push(match got {
-                Ok(r) => r,
-                Err(e) if is_transport_dead(&e) => self.range_call(k, |c| sync_op(c, k))?,
-                Err(error) => return Err(RouterError::Io { shard: k, error }),
-            });
-        }
-        Ok(replies)
+                got => got.map_err(|error| RouterError::Io { shard: k, error }),
+            })
+            .collect()
     }
 
     /// Scatter-gather one `GetRows` across every range and merge under
     /// the epoch barrier. The merged reply is aligned with `nodes`
     /// (request order); nodes outside the subset come back `None`.
-    pub fn get_rows(&mut self, nodes: &[u32]) -> Result<RowsReply, RouterError> {
+    fn get_rows(&mut self, nodes: &[u32]) -> Result<RowsReply, RouterError> {
         self.shared.reads.fetch_add(1, Ordering::Relaxed);
         self.get_rows_inner(nodes)
     }
@@ -918,12 +840,8 @@ impl ReadSession {
             |k| Request::GetRows(plan.shard_nodes(k).to_vec()),
             |reply| match reply {
                 Reply::Rows(r) => Ok(r),
-                other => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected reply variant: {other:?}"),
-                )),
+                other => Err(unexpected(&other)),
             },
-            |c, k| c.get_rows(plan.shard_nodes(k)),
         )?;
 
         // Epoch barrier: re-probe every range below the freshest epoch
@@ -932,47 +850,37 @@ impl ReadSession {
         loop {
             let target = replies.iter().map(|r| r.epoch).max().expect("n >= 1");
             let lagging: Vec<usize> = (0..n).filter(|&k| replies[k].epoch < target).collect();
-            if lagging.is_empty() {
-                break;
-            }
-            if retries >= self.shared.cfg.barrier_retries {
-                let k = lagging[0];
+            let Some(&first) = lagging.first() else {
+                return self.shared.map.merge(&plan, &replies);
+            };
+            if !self.shared.backoff(&mut retries) {
                 return Err(RouterError::EpochBarrier {
                     target,
-                    shard: k,
-                    stuck_at: replies[k].epoch,
+                    shard: first,
+                    stuck_at: replies[first].epoch,
                     retries,
                 });
             }
-            retries += 1;
-            self.shared.barrier_retries.fetch_add(1, Ordering::Relaxed);
-            thread::sleep(Duration::from_millis(
-                self.shared.cfg.barrier_backoff_ms * retries as u64,
-            ));
             for k in lagging {
                 replies[k] = self.range_call(k, |c| c.get_rows(plan.shard_nodes(k)))?;
             }
         }
-        self.shared.map.merge(&plan, &replies)
     }
 
-    /// Cross-shard top-k: resolve the query vector (via an epoch-barriered
-    /// [`get_rows`](Self::get_rows) when `query` is `None`), scatter a
-    /// [`Request::TopK`] carrying the explicit vector to *every* range —
-    /// the owner excludes `node` from its own answer — and merge the
-    /// per-range lists under the canonical total order (score descending
-    /// by `total_cmp`, ties by ascending **global** row). Every reply
-    /// must answer at one epoch; a flush racing between the two phases
-    /// triggers a bounded retry of the whole round.
+    /// Cross-shard top-k ([`Router::top_k`]): resolve the query vector
+    /// (via an epoch-barriered [`get_rows`](Self::get_rows) when `query`
+    /// is `None`), scatter a [`Request::TopK`] carrying the explicit
+    /// vector to *every* range, and merge the per-range lists. Every
+    /// reply must answer at one epoch — the row's, or with an explicit
+    /// vector the first range's; a flush racing between the two phases,
+    /// or a failed-over range answering from a follower at another epoch,
+    /// retries the whole round.
     ///
-    /// The merged reply's checksum is the FNV-1a 64 chain of the
-    /// per-range checksums in ascending range order — bitwise the same
-    /// chain a merged `GetRows` carries at the same epoch. The merged
-    /// neighbor list is bitwise identical to what a single unsharded
-    /// process answers: per-range scores are computed by the same
-    /// sequential kernel, and each range's local-row tie order is the
+    /// The merged neighbor list is bitwise identical to what a single
+    /// unsharded process answers: per-range scores are computed by the
+    /// same sequential kernel, and each range's local-row tie order is the
     /// global order restricted to its contiguous range.
-    pub fn top_k(
+    fn top_k(
         &mut self,
         node: u32,
         k: u32,
@@ -1012,40 +920,14 @@ impl ReadSession {
                 },
                 |reply| match reply {
                     Reply::TopKReply(t) => Ok(t),
-                    other => Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected reply variant: {other:?}"),
-                    )),
+                    other => Err(unexpected(&other)),
                 },
-                |_c, _| {
-                    Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "in-flight top-k lost to failover; retrying the round",
-                    ))
-                },
-            );
-            // A failover mid-scatter restarts the round: the follower may
-            // sit at a different epoch, and the anchor must be re-probed.
-            let replies = match replies {
-                Ok(r) => r,
-                Err(RouterError::ShardDown { .. }) if rounds < self.shared.cfg.barrier_retries => {
-                    rounds += 1;
-                    self.shared.barrier_retries.fetch_add(1, Ordering::Relaxed);
-                    thread::sleep(Duration::from_millis(
-                        self.shared.cfg.barrier_backoff_ms * rounds as u64,
-                    ));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
+            )?;
             let epoch = anchor.unwrap_or(replies[0].epoch);
             if replies.iter().all(|r| r.epoch == epoch) {
                 return self.merge_top_k(epoch, k, &replies);
             }
-            // A flush landed between the phases (or mid-scatter): the
-            // ranges answered at mixed epochs. Bounded retry, like the
-            // rows barrier.
-            if rounds >= self.shared.cfg.barrier_retries {
+            if !self.shared.backoff(&mut rounds) {
                 let freshest = replies.iter().map(|r| r.epoch).max().expect("n >= 1");
                 let (shard, stuck_at) = replies
                     .iter()
@@ -1061,11 +943,6 @@ impl ReadSession {
                     retries: rounds,
                 });
             }
-            rounds += 1;
-            self.shared.barrier_retries.fetch_add(1, Ordering::Relaxed);
-            thread::sleep(Duration::from_millis(
-                self.shared.cfg.barrier_backoff_ms * rounds as u64,
-            ));
         }
     }
 
@@ -1121,9 +998,9 @@ struct FrontInner {
 /// through the router's lock — that serialization *is* the lockstep
 /// write order the shards' journals rely on.
 ///
-/// **Reads do not serialize.** Every accepted connection owns a
-/// [`ReadSession`] — its own connection per shard range over the shared
-/// health flags and counters — so `GetRows` and `TopK` from different
+/// **Reads do not serialize.** Every accepted connection owns a read
+/// session — its own connection per shard range over the shared health
+/// flags and counters — so `GetRows` and `TopK` from different
 /// connections scatter-gather in parallel, including across any
 /// epoch-barrier backoff sleeps and even while a write holds the router
 /// lock. The shards' epoch/checksum guards keep every session's merges
@@ -1353,20 +1230,6 @@ pub(crate) mod tests {
         assert_eq!(ranges, [(0, 3), (3, 6), (6, 8), (8, 10)]);
         // Clamped: more shards than rows degenerates to one row each.
         assert_eq!(ShardMap::even_split(&[5, 6], 10).num_shards(), 2);
-    }
-
-    #[test]
-    fn from_ranges_rejects_gap_overlap_and_short_cover() {
-        let s: Vec<u32> = (0..6).collect();
-        let gap = ShardMap::from_ranges(&s, vec![(0, 2), (3, 6)]).unwrap_err();
-        assert!(gap.to_string().contains("gap"), "{gap}");
-        let overlap = ShardMap::from_ranges(&s, vec![(0, 3), (2, 6)]).unwrap_err();
-        assert!(overlap.to_string().contains("overlap"), "{overlap}");
-        let short = ShardMap::from_ranges(&s, vec![(0, 3), (3, 5)]).unwrap_err();
-        assert!(short.to_string().contains("cover 5 rows"), "{short}");
-        let empty = ShardMap::from_ranges(&s, vec![(0, 0), (0, 6)]).unwrap_err();
-        assert!(empty.to_string().contains("empty range"), "{empty}");
-        assert!(ShardMap::from_ranges(&s, vec![(0, 3), (3, 6)]).is_ok());
     }
 
     #[test]

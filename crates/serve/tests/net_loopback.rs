@@ -4,9 +4,11 @@
 //! count. This extends the repo's equivalence chain
 //! (pipeline == engine == server) across the network boundary.
 
-use std::io::Write;
+use std::io::{self, Write};
+use std::net::{Shutdown, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use tsvd_core::TreeSvdConfig;
@@ -14,7 +16,7 @@ use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_ppr::PprConfig;
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 use tsvd_serve::net::wire::{self, FrameReader, Message, Reply, Request, WIRE_VERSION};
-use tsvd_serve::net::Transport;
+use tsvd_serve::net::{TcpTransport, Transport};
 use tsvd_serve::{
     ClientConfig, EmbeddingServer, Metric, NetClient, NetFront, ServeConfig, ShardedEngine,
 };
@@ -345,6 +347,51 @@ fn corrupt_frame_draws_connection_error_then_close() {
     drop(client);
     drop(duplex);
     front.shutdown();
+}
+
+/// A scripted peer that answers the first frame of every connection the
+/// way a front answers a byte stream it cannot read: one connection-level
+/// error (request id 0), then it stops writing and drains until the
+/// client hangs up.
+fn refusing_peer(why: &'static str) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    thread::Builder::new()
+        .name("tsvd-test-refusing-peer".into())
+        .spawn(move || {
+            while let Ok((mut stream, _)) = listener.accept() {
+                thread::spawn(move || {
+                    let mut frames = FrameReader::new(stream.try_clone().unwrap());
+                    if let Ok(Some(_)) = frames.read_frame() {
+                        let mut buf = Vec::new();
+                        let error = Message::Reply(Reply::Error(why.into()));
+                        wire::encode_frame(0, 0, &error, &mut buf);
+                        let _ = stream.write_all(&buf);
+                        let _ = stream.shutdown(Shutdown::Write);
+                    }
+                    while let Ok(Some(_)) = frames.read_frame() {}
+                });
+            }
+        })
+        .expect("spawn refusing peer");
+    addr
+}
+
+/// A connection-level error answering a pipelined burst surfaces as the
+/// server's error, exactly as it does for a single call — not as a reply
+/// with the wrong request id.
+#[test]
+fn a_connection_level_error_answers_a_burst_as_it_answers_a_single_call() {
+    let addr = refusing_peer("unreadable byte stream");
+    let connect =
+        || NetClient::connect(TcpTransport::new(addr.clone()), ClientConfig::default()).unwrap();
+    let single = connect().get_rows(&[1, 2]).unwrap_err();
+    let burst: Vec<Request> = (0..16).map(|i| Request::GetRows(vec![i])).collect();
+    let piped = connect().pipeline(&burst).unwrap_err();
+    for e in [single, piped] {
+        assert_eq!(e.kind(), io::ErrorKind::Other, "{e}");
+        assert_eq!(e.to_string(), "server error: unreadable byte stream");
+    }
 }
 
 #[test]

@@ -410,6 +410,77 @@ fn dead_leader_fails_over_to_follower_and_writes_continue() {
     front_f.shutdown_readers();
 }
 
+/// An explicit-vector `TopK` through a range whose leader died is failed
+/// over and sent again to that range's follower inside the same round:
+/// the answer is bitwise the one the leader gave at the same epoch, and
+/// no barrier retry (or backoff sleep) is spent on it.
+#[test]
+fn explicit_vector_top_k_fails_over_to_the_follower_in_one_round() {
+    let g = fixed_graph();
+    let sub = subset();
+    let map = ShardMap::even_split(&sub, 2);
+    let (front0, a0) = spawn_shard(&g, map.sources_of(0), serve_cfg());
+    let (front1, a1) = spawn_shard(&g, map.sources_of(1), serve_cfg());
+    let mut follower0 = Follower::new(range_host(&g, map.sources_of(0)));
+    let front_f = NetFront::start_readers(vec![(0, follower0.reader(0).unwrap())]);
+    let af = front_f.listen("127.0.0.1:0").unwrap().to_string();
+
+    let mut router = Router::connect(
+        map.clone(),
+        vec![
+            ShardEndpoint::with_follower(&a0, &af),
+            ShardEndpoint::leader_only(&a1),
+        ],
+        RouterConfig {
+            barrier_retries: 4,
+            barrier_backoff_ms: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    for k in 0..2u32 {
+        router.submit(window(k)).unwrap();
+        assert_eq!(router.flush().unwrap(), (k + 1) as u64);
+    }
+    let mut feed = direct_client(&a1);
+    assert_eq!(follower0.catch_up(&mut feed, 16).unwrap(), 2);
+    let retries_before = router.stats().barrier_retries;
+
+    let front = RouterFront::start(router);
+    let mut client = direct_client(&front.listen("127.0.0.1:0").unwrap().to_string());
+    let node = sub[0];
+    let query = client.get_rows(&[node]).unwrap().rows[0].clone();
+    let top_k = Request::TopK {
+        node,
+        k: 5,
+        metric: Metric::Dot,
+        query,
+    };
+    let mut ask = || match client.pipeline(std::slice::from_ref(&top_k)).unwrap().pop() {
+        Some(Reply::TopKReply(t)) => t,
+        other => panic!("expected a TopK reply, got {other:?}"),
+    };
+    let from_leader = ask();
+    assert_eq!(from_leader.epoch, 2);
+
+    front0.shutdown_host();
+    let from_follower = ask();
+    let bits = |t: &TopKReply| -> Vec<(u32, u64)> {
+        t.neighbors.iter().map(|&(n, s)| (n, s.to_bits())).collect()
+    };
+    assert_eq!(from_follower.epoch, 2);
+    assert_eq!(from_follower.checksum_bits, from_leader.checksum_bits);
+    assert_eq!(bits(&from_follower), bits(&from_leader));
+
+    drop(client);
+    let router = front.shutdown().unwrap();
+    assert_eq!(router.failed_over(), vec![0]);
+    assert_eq!(router.stats().failovers, 1);
+    assert_eq!(router.stats().barrier_retries, retries_before);
+    front1.shutdown_host();
+    front_f.shutdown_readers();
+}
+
 /// A follower that outlived the leader's bounded journal re-seeds over
 /// real TCP (`GetCheckpoint` → install → finish catch-up from the
 /// journal tail) and lands bitwise on the offline replay.

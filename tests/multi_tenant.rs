@@ -181,22 +181,8 @@ fn wire_quota_rejection_keeps_connection_open_and_tenants_isolated() {
         },
     );
     let front = NetFront::start(server);
-    let mut a = NetClient::connect(
-        front.loopback(),
-        ClientConfig {
-            tenant: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut b = NetClient::connect(
-        front.loopback(),
-        ClientConfig {
-            tenant: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut a = NetClient::connect(front.loopback(), ClientConfig { tenant: 0 }).unwrap();
+    let mut b = NetClient::connect(front.loopback(), ClientConfig { tenant: 1 }).unwrap();
 
     let batch = vec![EdgeEvent::insert(0, 50), EdgeEvent::insert(1, 51)];
     assert_eq!(a.submit_events(batch.clone()).unwrap(), 2);
@@ -220,14 +206,7 @@ fn wire_quota_rejection_keeps_connection_open_and_tenants_isolated() {
 
     // A client pinned to an unregistered tenant is rejected per request,
     // connection-level liveness intact.
-    let mut ghost = NetClient::connect(
-        front.loopback(),
-        ClientConfig {
-            tenant: 99,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut ghost = NetClient::connect(front.loopback(), ClientConfig { tenant: 99 }).unwrap();
     assert!(ghost.get_rows(&[0]).is_err());
     ghost.ping().expect("unknown tenant still gets transport");
 
@@ -281,14 +260,9 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
             let addr = addr.to_string();
             let probe: Vec<u32> = subsets[t].iter().take(4).copied().collect();
             std::thread::spawn(move || -> u64 {
-                let mut client = NetClient::connect(
-                    TcpTransport::new(addr),
-                    ClientConfig {
-                        tenant: t as u32,
-                        ..Default::default()
-                    },
-                )
-                .expect("client connect");
+                let mut client =
+                    NetClient::connect(TcpTransport::new(addr), ClientConfig { tenant: t as u32 })
+                        .expect("client connect");
                 let mut rng = StdRng::seed_from_u64(500 + t as u64);
                 let mut submitted = 0u64;
                 for round in 0..ROUNDS {
@@ -340,10 +314,7 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
     for (t, &wrote) in per_writer.iter().enumerate() {
         let mut c = NetClient::connect(
             TcpTransport::new(addr.to_string()),
-            ClientConfig {
-                tenant: t as u32,
-                ..Default::default()
-            },
+            ClientConfig { tenant: t as u32 },
         )
         .expect("stats client");
         let s = c.stats().expect("stats");
