@@ -718,9 +718,11 @@ impl ReadSession {
         let endpoint = &self.shared.endpoints[k];
         let conn = &mut self.conns[k];
         if conn.client.is_none() || (fo && !conn.on_follower) {
-            let addr = match &endpoint.follower {
-                Some(follower) if fo => follower,
-                _ => &endpoint.addr,
+            let addr = if fo {
+                let follower = endpoint.follower.as_deref();
+                follower.expect("failed-over range has a follower endpoint")
+            } else {
+                &endpoint.addr
             };
             conn.client = Some(connect(addr, self.shared.cfg.tenant)?);
             conn.on_follower = fo;
