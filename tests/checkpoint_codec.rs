@@ -18,13 +18,17 @@
 //! is lost either. A PPR subset saved with rows still dirty (which a host never is
 //! between windows, so it gets its own property) must come back refreshing
 //! those rows whole, onto the same matrix bytes.
+//!
+//! Neither property sees a change that both encode and decode make alike,
+//! so the bytes of one fixed host are pinned by a golden digest as well.
 
 use tree_svd::prelude::*;
 use tsvd_rt::bin::{decode_all, Encode};
 use tsvd_rt::check::{Checker, Gen};
 use tsvd_rt::ensure;
 use tsvd_rt::json::ToJson;
-use tsvd_store::checkpoint::{read_host, write_host};
+use tsvd_serve::HostSection;
+use tsvd_store::checkpoint::{read_host, write_host, SectionReader, CHECKPOINT_HEADER_LEN};
 
 const NODES: usize = 48;
 
@@ -206,4 +210,48 @@ fn a_subset_saved_dirty_refreshes_its_rows_whole_onto_the_same_matrix() {
         dirty.get(),
         patched.get()
     );
+}
+
+/// The checkpoint bytes of one fixed host, pinned: a change to how any
+/// section is laid out, or to what state a window leaves behind, moves
+/// this digest, whatever the round trip above still accepts. The digest
+/// runs over the header and every section's tag and payload, with the
+/// wall-clock part of each tenant's `timings` zeroed (the three `f64`
+/// seconds before a `Rest` section's last 8 bytes, the update count): the
+/// one part of a checkpoint that differs on every run by nature. Re-pin
+/// only from the commit before a deliberate format change, never from the
+/// change itself.
+const GOLDEN_CHECKPOINT_SUM: u64 = 0x5678_1470_a0d6_be69;
+
+#[test]
+fn a_fixed_host_checkpoint_keeps_its_golden_bytes() {
+    let mut g = Gen::from_seed(0xC4EC_0040);
+    let mut host = TenantHost::new(&random_graph(&mut g));
+    for t in 0..2usize {
+        let sources: Vec<u32> = (0..6).map(|i| (t * 5 + i * 7) as u32).collect();
+        host.register(
+            t as TenantId,
+            &sources,
+            ppr_cfg(),
+            tree_cfg(UpdatePolicy::Lazy { delta: 0.3 }, 11 + t as u64),
+        )
+        .expect("fresh id");
+    }
+    for _ in 0..12 {
+        host.apply_batch(&random_window(&mut g));
+    }
+    let file = encode(&host);
+    let mut reader = SectionReader::open(&file[..]).expect("a checkpoint header");
+    let (mut pinned, mut buf) = (file[..CHECKPOINT_HEADER_LEN].to_vec(), Vec::new());
+    while let Some(section) = reader.next_section(&mut buf).expect("a whole section") {
+        if section == HostSection::Rest {
+            let end = buf.len() - 8;
+            buf[end - 24..end].fill(0);
+        }
+        pinned.push(section as u8);
+        pinned.extend_from_slice(&buf);
+    }
+    let sum = tsvd_rt::bin::checksum(&pinned);
+    println!("golden checkpoint: {} bytes, sum {sum:#018x}", file.len());
+    assert_eq!(sum, GOLDEN_CHECKPOINT_SUM, "checkpoint bytes moved");
 }
