@@ -50,6 +50,12 @@
 #      dropped_handle_flushes_and_checkpoints_without_waiting_for_deadline:
 #      a count flush, a deadline flush, a deadline a later submission
 #      does not move, and a flush + checkpoint once every sender is gone);
+#      and the flat PPR map (tsvd-rt `flat`: random operation sequences
+#      against std's HashMap, contents and bytes, and decode refusals)
+#      with the whole tsvd-ppr package with --release, because the probe
+#      loop's index arithmetic and the push loop's `debug_assert!`s
+#      (endpoint seeding ≡ a full residue scan) behave differently
+#      without debug checks;
 #   7. env matrix — three env vars are settings a suite reads (the rest
 #      pass paths and roles to child processes), and each leg runs exactly
 #      the suites that read its var under a value steps 5–6 did not
@@ -156,7 +162,7 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop, reactor triggers"
+step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop, reactor triggers, flat PPR map + tsvd-ppr"
 cargo test --release -q -p tsvd-store
 cargo test --release -q -p tsvd-serve --test net_props
 cargo test --release -q -p tsvd-linalg topk
@@ -165,6 +171,8 @@ cargo test --release -q -p tsvd-serve --test query_equivalence
 cargo test --release -q -p tsvd-serve --lib conn
 cargo test --release -q -p tsvd-serve --test net_loopback a_client_that_reads_nothing
 cargo test --release -q -p tsvd-serve --lib -- count_trigger deadline_trigger dropped_handle
+cargo test --release -q -p tsvd-rt flat
+cargo test --release -q -p tsvd-ppr
 
 # Env matrix (header, step 7).
 step "env matrix: tenants3 (TSVD_TENANTS=3)"

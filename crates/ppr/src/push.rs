@@ -31,8 +31,8 @@ pub fn forward_push(g: &DynGraph, dir: Direction, alpha: f64, r_max: f64, state:
     // persists across pushes.
     let mut seeds = std::mem::take(&mut state.scratch.seeds);
     debug_assert!(seeds.is_empty(), "scratch not clean");
-    seeds.extend(state.r.keys().copied());
-    seeds.sort_unstable(); // deterministic order regardless of hash state
+    seeds.extend(state.r.keys());
+    seeds.sort_unstable(); // ascending, not slot order
     push_loop(g, dir, alpha, r_max, state, &seeds);
     seeds.clear();
     state.scratch.seeds = seeds;

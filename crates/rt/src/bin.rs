@@ -26,7 +26,7 @@
 //! | `Vec<T>`, `[T]` | `u32` count, then the elements |
 //! | `(A, B)` | `A` then `B` |
 //! | `Option<T>` | one byte `0`/`1`, then `T` if `1` |
-//! | `HashMap<K, V>` | `u32` count, then `(K, V)` pairs in **strictly ascending key order** |
+//! | [`FlatMap`](crate::flat::FlatMap) | `u32` count, then `(u32, f64)` pairs in **strictly ascending key order** |
 //! | struct | its listed fields, in list order |
 //! | enum | one byte: the variant's position in the list, then that variant's fields |
 //!
@@ -44,9 +44,7 @@
 //! allocate more than a constant factor of its own length, in debug or in
 //! release.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
 
 /// Decode failure: the bytes are not an encoding of the requested type.
 #[derive(Debug, Clone)]
@@ -342,39 +340,6 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     }
 }
 
-impl<K: Encode + Ord, V: Encode, S> Encode for HashMap<K, V, S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // The key-sorted run: bytes must not depend on hash order.
-        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        put_count(out, pairs.len());
-        for (k, v) in pairs {
-            k.encode(out);
-            v.encode(out);
-        }
-    }
-}
-
-impl<K: Decode + Ord + Hash + Copy, V: Decode, S: BuildHasher + Default> Decode
-    for HashMap<K, V, S>
-{
-    const MIN_BYTES: usize = 4;
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, BinError> {
-        let n = c.count(K::MIN_BYTES + V::MIN_BYTES)?;
-        let mut out = HashMap::with_capacity_and_hasher(n, S::default());
-        let mut prev: Option<K> = None;
-        for _ in 0..n {
-            let k = K::decode(c)?;
-            if prev.is_some_and(|p| p >= k) {
-                return err("map keys are not strictly ascending");
-            }
-            prev = Some(k);
-            out.insert(k, V::decode(c)?);
-        }
-        Ok(out)
-    }
-}
-
 /// The seed of a fresh [`checksum`] (FNV-1a's 64-bit offset basis).
 pub const CHECKSUM_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -478,47 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn a_map_is_its_key_sorted_run_whatever_the_hash_order() {
-        let mut a: HashMap<u32, f64> = HashMap::new();
-        let mut b: HashMap<u32, f64> = HashMap::with_capacity(4096);
-        for k in 0..300u32 {
-            a.insert(k * 7919 % 1000, k as f64);
-        }
-        for k in (0..300u32).rev() {
-            b.insert(k * 7919 % 1000, k as f64);
-        }
-        let bytes = bytes_of(&a);
-        assert_eq!(bytes, bytes_of(&b));
-        assert_eq!(bytes.len(), 4 + 300 * 12);
-        let keys: Vec<u32> = bytes[4..]
-            .chunks(12)
-            .map(|e| u32::from_le_bytes(e[..4].try_into().unwrap()))
-            .collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(decode_all::<HashMap<u32, f64>>(&bytes).unwrap(), a);
-
-        // Only the canonical form decodes: a swapped pair or a repeated
-        // key is an error, so encode(decode(b)) == b for every b accepted.
-        let two = |k1: u32, k2: u32| {
-            let mut out = bytes_of(&2u32);
-            for k in [k1, k2] {
-                out.extend(bytes_of(&(k, 1.0f64)));
-            }
-            out
-        };
-        assert!(decode_all::<HashMap<u32, f64>>(&two(3, 9)).is_ok());
-        assert!(decode_all::<HashMap<u32, f64>>(&two(9, 3)).is_err());
-        assert!(decode_all::<HashMap<u32, f64>>(&two(3, 3)).is_err());
-    }
-
-    #[test]
     fn a_count_is_checked_against_the_bytes_that_remain_before_anything_is_allocated() {
         // Four billion elements announced, none present: an error, not a
         // 32 GB reservation (which would abort the test).
         let huge = bytes_of(&u32::MAX);
         assert!(decode_all::<Vec<u64>>(&huge).is_err());
         assert!(decode_all::<Vec<Vec<(u32, f64)>>>(&huge).is_err());
-        assert!(decode_all::<HashMap<u32, f64>>(&huge).is_err());
         assert!(decode_all::<String>(&huge).is_err());
         // One more than fits is caught by the same check…
         let mut off_by_one = bytes_of(&3u32);

@@ -15,7 +15,6 @@
 //! - **Objects preserve insertion order** (a `Vec` of pairs, not a map), so
 //!   output is deterministic given deterministic field order.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Codec failure: malformed text on parse, or a shape mismatch on decode.
@@ -662,66 +661,6 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
-/// Types usable as JSON object keys (JSON keys are always strings).
-pub trait JsonKey: Sized + Ord {
-    /// Render as a key string.
-    fn to_key(&self) -> String;
-    /// Parse back from a key string.
-    fn from_key(s: &str) -> Result<Self, JsonError>;
-}
-
-impl JsonKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
-    }
-    fn from_key(s: &str) -> Result<String, JsonError> {
-        Ok(s.to_string())
-    }
-}
-
-macro_rules! impl_json_key_int {
-    ($($t:ty),*) => {$(
-        impl JsonKey for $t {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-            fn from_key(s: &str) -> Result<$t, JsonError> {
-                s.parse().map_err(|_| JsonError(format!("bad integer key '{s}'")))
-            }
-        }
-    )*};
-}
-
-impl_json_key_int!(u32, u64, usize, i64);
-
-impl<K: JsonKey, V: ToJson, S: std::hash::BuildHasher> ToJson for HashMap<K, V, S> {
-    fn to_json(&self) -> Json {
-        // Sort keys so serialised output is deterministic despite hash order.
-        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0));
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_key(), v.to_json()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: JsonKey + std::hash::Hash + Eq, V: FromJson, S: std::hash::BuildHasher + Default> FromJson
-    for HashMap<K, V, S>
-{
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Obj(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_json(v)?)))
-                .collect(),
-            _ => err(format!("expected object, got {j}")),
-        }
-    }
-}
-
 /// Generate both codecs — [`ToJson`]/[`FromJson`] and
 /// [`Encode`](crate::bin::Encode)/[`Decode`](crate::bin::Decode) — for a
 /// struct with named fields from **one** field list: the replacement for
@@ -972,15 +911,6 @@ mod tests {
         let back: Vec<(u32, f64)> =
             FromJson::from_json(&Json::parse(&v.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(v, back);
-
-        let mut m: HashMap<u32, f64> = HashMap::new();
-        m.insert(3, 0.1);
-        m.insert(1, 2.0);
-        let back: HashMap<u32, f64> =
-            FromJson::from_json(&Json::parse(&m.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(m, back);
-        // Deterministic output despite hash iteration order.
-        assert_eq!(m.to_json().to_string(), "{\"1\":2.0,\"3\":0.1}");
 
         let o: Option<f64> = None;
         assert_eq!(o.to_json(), Json::Null);

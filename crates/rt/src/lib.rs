@@ -8,7 +8,9 @@
 //! ([`json`], and [`bin`] for state that is saved more often than it is
 //! read by a person), `proptest` ([`check`]), and `criterion` ([`mod@bench`]) with
 //! in-tree implementations small enough to audit and deterministic by
-//! construction. The workspace builds hermetically: `cargo build` touches no
+//! construction. [`flat`] holds the one hash table the push state needs,
+//! a `u32 → f64` map with a fixed hash and no per-process seed. The
+//! workspace builds hermetically: `cargo build` touches no
 //! registry, no network, no vendored sources.
 //!
 //! Determinism is the organising principle, not a nice-to-have: every
@@ -29,6 +31,7 @@ pub mod bench;
 pub mod bin;
 pub mod check;
 mod cpu;
+pub mod flat;
 pub mod json;
 pub mod pool;
 pub mod rng;
