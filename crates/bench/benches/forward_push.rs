@@ -2,7 +2,8 @@
 //! sparse state), dynamic updates at several batch sizes, and the two
 //! numbers that say whether a window costs what its delta costs — one
 //! state's two-event update against its residue size, and a whole subset's
-//! replay + row drain against `|S|`.
+//! replay + row drain against `|S|` — and the two walks over every
+//! estimate map that no delta bounds: whole-row composition and encode.
 
 use tsvd_datasets::{DatasetConfig, SyntheticDataset};
 use tsvd_graph::{Direction, DynGraph, EdgeEvent};
@@ -11,6 +12,7 @@ use tsvd_ppr::dynamic::{
 };
 use tsvd_ppr::{forward_push, FreshPushWorkspace, PprConfig, PprState, RecordedBatch, SubsetPpr};
 use tsvd_rt::bench::BenchHarness;
+use tsvd_rt::bin::Encode;
 use tsvd_rt::rng::StdRng;
 use tsvd_rt::rng::{Rng, SeedableRng};
 
@@ -154,6 +156,23 @@ fn bench_subset_replay(h: &mut BenchHarness, g0: &DynGraph) {
     }
 }
 
+/// The two whole-subset walks over every estimate map: the whole-row
+/// composition (`proximity_rows`, what the traced `ppr.rows_ms` times) and
+/// the checkpoint encode of every state (each map as its key-sorted run).
+/// Neither depends on the delta, so both read the cost of iterating the
+/// maps themselves.
+fn bench_whole_rows(h: &mut BenchHarness, g0: &DynGraph) {
+    let sources: Vec<u32> = (0..300).collect();
+    let ppr = SubsetPpr::build(g0, &sources, PprConfig::default());
+    h.bench("whole_rows/proximity/S300", || ppr.proximity_rows());
+    let mut buf = Vec::new();
+    h.bench("whole_rows/encode/S300", || {
+        buf.clear();
+        ppr.encode(&mut buf);
+        buf.len()
+    });
+}
+
 fn main() {
     let (_, g) = test_graph();
     let mut h = BenchHarness::from_args("forward_push");
@@ -161,5 +180,6 @@ fn main() {
     bench_dynamic_update(&mut h, &g);
     bench_in_place_update(&mut h, &g);
     bench_subset_replay(&mut h, &g);
+    bench_whole_rows(&mut h, &g);
     h.finish();
 }
