@@ -20,9 +20,9 @@
 //!
 //! A single call whose transport fails with a transient error (the
 //! connection or the process behind it is gone) reconnects and is sent
-//! again, at most twice, if its request is idempotent: every request but
-//! `SubmitEvents` and `Shutdown` (`Ping`, `Flush`, `GetRows`, `TopK`,
-//! `GetEmbedding`, `GetStats`, `GetWindows`, `GetCheckpoint`).
+//! again, at most twice, if its request is idempotent (a flag of its
+//! entry in the wire's message table): every request but `SubmitEvents`
+//! and `Shutdown`.
 //! `SubmitEvents` is **never** auto-retried: the failure may have struck
 //! after the server applied the batch, and a blind resend would
 //! double-apply events. The caller decides (e.g. by comparing
@@ -88,12 +88,6 @@ pub(crate) fn is_transient(e: &io::Error) -> bool {
             | io::ErrorKind::TimedOut
             | io::ErrorKind::WouldBlock
     )
-}
-
-/// Whether `req` may be sent twice: all but the two that change state
-/// ([`NetClient::submit_events`], [`NetClient::shutdown_server`]).
-fn idempotent(req: &Request) -> bool {
-    !matches!(req, Request::SubmitEvents(_) | Request::Shutdown)
 }
 
 /// One open connection: a transport's [`Duplex`] behind the buffered
@@ -393,7 +387,7 @@ impl NetClient {
         let mut retries = 0;
         loop {
             match self.dispatch(&req).and_then(|id| self.collect(id)) {
-                Err(e) if is_transient(&e) && idempotent(&req) && retries < MAX_RETRIES => {
+                Err(e) if is_transient(&e) && req.idempotent() && retries < MAX_RETRIES => {
                     retries += 1;
                 }
                 done => return done,

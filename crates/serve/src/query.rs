@@ -20,6 +20,7 @@
 
 use tsvd_core::TaggedEmbedding;
 use tsvd_linalg::topk::{topk_scan_batch, Hit, ScanQuery, ScanScratch};
+use tsvd_rt::bin::{BinError, Cursor, Decode, Encode};
 
 /// Similarity metric of a top-k query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,21 +31,23 @@ pub enum Metric {
     Cosine,
 }
 
-impl Metric {
-    /// Wire encoding.
-    pub fn as_u8(self) -> u8 {
-        match self {
+/// One byte on the wire: 0 = dot, 1 = cosine.
+impl Encode for Metric {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
             Metric::Dot => 0,
             Metric::Cosine => 1,
-        }
+        });
     }
+}
 
-    /// Wire decoding; `None` for unknown bytes.
-    pub fn from_u8(b: u8) -> Option<Metric> {
-        match b {
-            0 => Some(Metric::Dot),
-            1 => Some(Metric::Cosine),
-            _ => None,
+impl Decode for Metric {
+    const MIN_BYTES: usize = 1;
+    fn decode(c: &mut Cursor<'_>) -> Result<Metric, BinError> {
+        match u8::decode(c)? {
+            0 => Ok(Metric::Dot),
+            1 => Ok(Metric::Cosine),
+            _ => Err(BinError("bad metric byte".into())),
         }
     }
 }
@@ -227,10 +230,14 @@ mod tests {
 
     #[test]
     fn metric_wire_codes_round_trip() {
-        for m in [Metric::Dot, Metric::Cosine] {
-            assert_eq!(Metric::from_u8(m.as_u8()), Some(m));
+        for (m, byte) in [(Metric::Dot, 0u8), (Metric::Cosine, 1)] {
+            let mut out = Vec::new();
+            m.encode(&mut out);
+            assert_eq!(out, [byte]);
+            assert_eq!(tsvd_rt::bin::decode_all::<Metric>(&out).unwrap(), m);
         }
-        assert_eq!(Metric::from_u8(2), None);
-        assert_eq!(Metric::from_u8(255), None);
+        for bad in [2u8, 255] {
+            assert!(tsvd_rt::bin::decode_all::<Metric>(&[bad]).is_err());
+        }
     }
 }

@@ -17,7 +17,7 @@ use tsvd_rt::{ensure, ensure_eq};
 use tsvd_serve::net::wire::{
     decode_frame, encode_frame, frame_checksum, CheckpointReply, EmbeddingReply, Message, Reply,
     Request, RowsReply, TopKReply, WindowsReply, WireError, HEADER_LEN, MAX_PAYLOAD, MAX_TOP_K,
-    WIRE_VERSION,
+    MESSAGE_IDS, WIRE_VERSION,
 };
 use tsvd_serve::{HostStats, Metric, ServeStats, StatsReply};
 
@@ -70,30 +70,38 @@ fn gen_top_k_reply(g: &mut Gen) -> TopKReply {
     }
 }
 
-/// A randomized message of any type (finite floats: the identity check
-/// uses `PartialEq`; NaN bit preservation is pinned by a codec unit test).
+/// A randomized message of any declared type (finite floats: the
+/// identity check uses `PartialEq`; NaN bit preservation is pinned by a
+/// codec unit test).
 fn gen_message(g: &mut Gen) -> Message {
-    match g.usize_in(0..22) {
-        0 => Message::Request(Request::Ping),
-        1 => Message::Request(Request::SubmitEvents(gen_events(g, 40))),
-        2 => Message::Request(Request::Flush),
-        3 => {
+    let id = MESSAGE_IDS[g.usize_in(0..MESSAGE_IDS.len())];
+    gen_message_of(g, id)
+}
+
+/// A randomized message with wire id `id`; panics on an id it has no
+/// generator for.
+fn gen_message_of(g: &mut Gen, id: u8) -> Message {
+    match id {
+        0x01 => Message::Request(Request::Ping),
+        0x02 => Message::Request(Request::SubmitEvents(gen_events(g, 40))),
+        0x03 => Message::Request(Request::Flush),
+        0x04 => {
             let n = g.usize_in(0..40);
             Message::Request(Request::GetRows(
                 (0..n).map(|_| g.u32_in(0..10_000)).collect(),
             ))
         }
-        4 => Message::Request(Request::GetEmbedding),
-        5 => Message::Request(Request::GetStats),
-        6 => Message::Request(Request::Shutdown),
-        7 => Message::Reply(Reply::Pong),
-        8 => Message::Reply(Reply::SubmitAck {
+        0x05 => Message::Request(Request::GetEmbedding),
+        0x06 => Message::Request(Request::GetStats),
+        0x07 => Message::Request(Request::Shutdown),
+        0x81 => Message::Reply(Reply::Pong),
+        0x82 => Message::Reply(Reply::SubmitAck {
             accepted: g.u64_in(0..u64::MAX),
         }),
-        9 => Message::Reply(Reply::FlushAck {
+        0x83 => Message::Reply(Reply::FlushAck {
             epoch: g.u64_in(0..u64::MAX),
         }),
-        10 => {
+        0x84 => {
             let dim = g.usize_in(1..9);
             let n = g.usize_in(0..12);
             let rows = (0..n)
@@ -112,7 +120,7 @@ fn gen_message(g: &mut Gen) -> Message {
                 rows,
             }))
         }
-        11 => {
+        0x85 => {
             let dim = g.usize_in(1..9);
             let n = g.usize_in(0..12);
             let data: Vec<f64> = (0..n * dim).map(|_| g.f64_in(-1e6..1e6)).collect();
@@ -124,7 +132,7 @@ fn gen_message(g: &mut Gen) -> Message {
                 data,
             }))
         }
-        12 => Message::Reply(Reply::Stats(Box::new(StatsReply {
+        0x86 => Message::Reply(Reply::Stats(Box::new(StatsReply {
             tenant: ServeStats {
                 tenant: g.u32_in(0..64),
                 epoch: g.u64_in(0..1_000_000),
@@ -154,13 +162,13 @@ fn gen_message(g: &mut Gen) -> Message {
                 events_pending: g.u64_in(0..1_000_000),
             },
         }))),
-        13 => Message::Reply(Reply::ShutdownAck),
-        14 => Message::Request(gen_top_k(g)),
-        15 => Message::Request(Request::GetWindows {
+        0x87 => Message::Reply(Reply::ShutdownAck),
+        0x0A => Message::Request(gen_top_k(g)),
+        0x08 => Message::Request(Request::GetWindows {
             after_epoch: g.u64_in(0..u64::MAX),
             max: g.u32_in(0..u32::MAX),
         }),
-        16 => {
+        0x88 => {
             let n = g.usize_in(0..6);
             let windows = (0..n).map(|_| gen_events(g, 20)).collect();
             Message::Reply(Reply::Windows(WindowsReply {
@@ -169,8 +177,8 @@ fn gen_message(g: &mut Gen) -> Message {
                 windows,
             }))
         }
-        17 => Message::Request(Request::GetCheckpoint),
-        18 => {
+        0x09 => Message::Request(Request::GetCheckpoint),
+        0x89 => {
             // Checkpoint bodies are checkpoint files in production, but
             // the codec promises byte transparency for any bytes — fuzz it
             // as such.
@@ -181,19 +189,30 @@ fn gen_message(g: &mut Gen) -> Message {
                 host,
             })))
         }
-        19 => Message::Reply(Reply::JournalGap {
+        0x8A => Message::Reply(Reply::JournalGap {
             oldest: g.u64_in(0..u64::MAX),
             requested: g.u64_in(0..u64::MAX),
         }),
-        20 => Message::Reply(Reply::TopKReply(gen_top_k_reply(g))),
-        _ => {
+        0x8B => Message::Reply(Reply::TopKReply(gen_top_k_reply(g))),
+        0xFF => {
             let n = g.usize_in(0..120);
             let msg: String = (0..n)
                 .map(|_| char::from_u32(g.u32_in(32..0x2500)).unwrap_or('?'))
                 .collect();
             Message::Reply(Reply::Error(msg))
         }
+        other => panic!("no generator for declared message id {other:#04x}"),
     }
+}
+
+#[test]
+fn every_declared_message_has_a_generator() {
+    Checker::new(20).run("wire_ids", |g| {
+        for &id in MESSAGE_IDS {
+            ensure_eq!(gen_message_of(g, id).msg_id(), id);
+        }
+        Ok(())
+    });
 }
 
 #[test]
