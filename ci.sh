@@ -26,11 +26,14 @@
 #      stay equivalent to the parallel paths;
 #   6b. the tsvd-store package (unit tests, fault_injection, and
 #      sharded_checkpoints: committed files written with row-range PPR
-#      shards decode to the one-pipeline host, bitwise) and the wire
+#      shards decode to the one-pipeline host, bitwise), the wire
 #      codec's property battery (tsvd-serve's net_props: round trips,
-#      every byte flip, truncations, fuzz) once more with --release: what
-#      a decoder refuses must not depend on overflow checks or a
-#      `debug_assert!` that an optimised build compiles out; and the
+#      every byte flip, truncations, fuzz) and its unit battery
+#      (tsvd-serve's lib `wire` tests: counts refused before allocation,
+#      trailing bytes, top-k refusals, the golden ids and payload bytes)
+#      once more with --release: what a decoder refuses must not depend
+#      on overflow checks or a `debug_assert!` that an optimised build
+#      compiles out; and the
 #      top-k kernel's tests (tsvd-linalg `topk`: batch ≡ naive per query,
 #      bitwise) plus the top-k serving equivalence suite with --release,
 #      because the vectorised form of the batch scan exists only in
@@ -162,9 +165,10 @@ cargo test --workspace -q
 step "cargo test --workspace (TSVD_THREADS=1, serial fallbacks)"
 TSVD_THREADS=1 cargo test --workspace -q
 
-step "release: tsvd-store + wire net_props (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop, reactor triggers, flat PPR map + tsvd-ppr"
+step "release: tsvd-store + wire net_props and unit battery (bounds without debug checks), top-k kernel + equivalence, merge kernel, connection loop, reactor triggers, flat PPR map + tsvd-ppr"
 cargo test --release -q -p tsvd-store
 cargo test --release -q -p tsvd-serve --test net_props
+cargo test --release -q -p tsvd-serve --lib wire
 cargo test --release -q -p tsvd-linalg topk
 cargo test --release -q -p tsvd-linalg -- usigma left_only
 cargo test --release -q -p tsvd-serve --test query_equivalence

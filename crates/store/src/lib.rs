@@ -59,6 +59,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use tsvd_core::UpdateStats;
 use tsvd_graph::EdgeEvent;
 use tsvd_rt::json::Json;
 use tsvd_serve::checkpoint::CheckpointError;
@@ -271,6 +272,9 @@ pub struct Recovered {
     pub checkpoint_epoch: u64,
     /// WAL windows replayed on top of the checkpoint.
     pub windows_replayed: u64,
+    /// The replay's work, summed over its windows and every tenant: how
+    /// many blocks fired and merges re-ran, beside what the replay cost.
+    pub replay_stats: UpdateStats,
     /// A store positioned to append the next window (hand it back to
     /// [`EmbeddingServer::start_host_with_store`]).
     ///
@@ -289,6 +293,7 @@ pub fn recover(cfg: StoreConfig) -> Result<Recovered, StoreError> {
     let (ck_epoch, mut host) = checkpoint::load_checkpoint(&cfg.dir)?;
     let windows = scan_log(&cfg.dir, true)?;
     let mut replayed = 0u64;
+    let mut replay_stats = UpdateStats::default();
     for (epoch, events) in &windows {
         if *epoch <= ck_epoch {
             continue;
@@ -299,7 +304,9 @@ pub fn recover(cfg: StoreConfig) -> Result<Recovered, StoreError> {
                 "log gap: next durable window is epoch {epoch} but replay needs {expected}"
             )));
         }
-        host.apply_batch(events);
+        for (_, stats) in host.apply_batch(events) {
+            replay_stats += stats;
+        }
         replayed += 1;
     }
     let next = host.batches_recorded() + 1;
@@ -307,6 +314,7 @@ pub fn recover(cfg: StoreConfig) -> Result<Recovered, StoreError> {
         host,
         checkpoint_epoch: ck_epoch,
         windows_replayed: replayed,
+        replay_stats,
         store: WalStore {
             cfg,
             seg: None,

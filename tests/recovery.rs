@@ -23,6 +23,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use tree_svd::prelude::*;
+use tsvd_core::UpdateStats;
 use tsvd_graph::{DynGraph, EdgeEvent};
 use tsvd_rt::rng::{Rng, SeedableRng, StdRng};
 use tsvd_serve::{DurabilitySink, EmbeddingServer, ServeConfig, TenantHost};
@@ -174,10 +175,18 @@ fn kill_and_recover_matches_offline_replay() {
     assert_eq!(windows.len() as u64, rec.host.batches_recorded());
     let g = base_graph();
     let mut offline = build_host(&g);
+    let mut replay_stats = UpdateStats::default();
     for (i, (epoch, events)) in windows.iter().enumerate() {
         assert_eq!(*epoch, i as u64 + 1, "log epochs must be dense");
-        offline.apply_batch(events);
+        for (_, stats) in offline.apply_batch(events) {
+            if *epoch > rec.checkpoint_epoch {
+                replay_stats += stats;
+            }
+        }
     }
+    // The recovery's summed work is the offline replay's over the same
+    // windows: recovery re-ran exactly what the crashed server ran.
+    assert_eq!(rec.replay_stats, replay_stats);
     for t in 0..num_tenants() as u32 {
         let a = rec.host.tagged(t).unwrap();
         let b = offline.tagged(t).unwrap();
@@ -323,11 +332,15 @@ fn one_epoch_in_both_formats_recovers_from_either() {
     let mut live = build_host(&g);
     let mut store = WalStore::create(StoreConfig::new(&dir), &live).unwrap();
     store.checkpoint(0, &live.to_json()).unwrap();
+    let mut replay_stats = UpdateStats::default();
     for k in 0..3u64 {
         let window = batch(k);
         store.append_window(k + 1, &window).unwrap();
-        live.apply_batch(&window);
+        for (_, stats) in live.apply_batch(&window) {
+            replay_stats += stats;
+        }
     }
+    assert!(replay_stats.blocks_total > 0, "three windows did no work");
     drop(store);
     assert_eq!(
         checkpoints_in(&dir),
@@ -343,6 +356,7 @@ fn one_epoch_in_both_formats_recovers_from_either() {
         }
         let rec = recover(StoreConfig::new(&dir)).expect("recovery");
         assert_eq!((rec.checkpoint_epoch, rec.windows_replayed), (0, 3));
+        assert_eq!(rec.replay_stats, replay_stats);
         assert!(state(&rec.host) == state(&live), "recovered != live");
     }
     let _ = std::fs::remove_dir_all(&dir);
