@@ -29,6 +29,6 @@ pub use blocked::BlockedProximityMatrix;
 pub use config::{Level1Method, PartitionStrategy, TreeSvdConfig, UpdatePolicy};
 pub use dynamic_tree::{DynamicTreeSvd, UpdateStats};
 pub use embedding::{Embedding, TaggedEmbedding};
-pub use persist::{atomic_write, atomic_write_with, PersistError};
+pub use persist::{atomic_write_with, PersistError};
 pub use pipeline::{PipelineTimings, TreeSvdPipeline};
 pub use static_tree::TreeSvd;

@@ -5,23 +5,25 @@
 //! the PPR states, proximity matrix, and Tree-SVD caches must survive a
 //! restart — rebuilding them from the raw graph costs exactly the static
 //! pass the dynamic algorithm exists to avoid. The whole
-//! [`TreeSvdPipeline`](crate::TreeSvdPipeline) serialises losslessly: a
-//! reloaded pipeline produces bit-identical embeddings and continues
-//! incremental updates from where it stopped.
+//! [`TreeSvdPipeline`](crate::TreeSvdPipeline) saves losslessly, as the
+//! `rt::bin` encoding of its parts (every `f64` as its bits): a reloaded
+//! pipeline produces bit-identical embeddings and continues incremental
+//! updates from where it stopped.
 
 use crate::pipeline::TreeSvdPipeline;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use tsvd_rt::json::{FromJson, Json, JsonError, ToJson};
+use tsvd_rt::bin::{BinError, Cursor, Decode, Encode};
 
 /// Persistence failures.
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Serialisation/deserialisation failure (corrupt or mismatched file).
-    Codec(JsonError),
+    /// The file is not a saved pipeline (corrupt, truncated or another
+    /// format).
+    Decode(BinError),
     /// A partial write or failed rename during an atomic replace. The
     /// destination file was never touched; at worst a `.tmp` sibling may
     /// be left behind (and is removed on a best-effort basis).
@@ -38,7 +40,7 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "io error: {e}"),
-            PersistError::Codec(e) => write!(f, "codec error: {e}"),
+            PersistError::Decode(e) => write!(f, "not a saved pipeline: {e}"),
             PersistError::Atomic { stage, source } => {
                 write!(f, "atomic replace failed at {stage}: {source}")
             }
@@ -54,24 +56,19 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-impl From<JsonError> for PersistError {
-    fn from(e: JsonError) -> Self {
-        PersistError::Codec(e)
+impl From<BinError> for PersistError {
+    fn from(e: BinError) -> Self {
+        PersistError::Decode(e)
     }
 }
 
-/// Write `bytes` to `path` atomically: write + fsync a `.tmp` sibling,
-/// then rename it over the destination, then fsync the directory. A crash
-/// at any point leaves either the old file or the new file, never a torn
-/// mix. Failures surface as [`PersistError::Atomic`]; single-writer only
-/// (concurrent writers to one `path` race on the same temp name).
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    atomic_write_with(path, |w| w.write_all(bytes))
-}
-
-/// [`atomic_write`] for content produced piece by piece: `fill` writes the
-/// file through a buffered writer, so nothing has to hold the whole of it
-/// in memory first. Same guarantees, same failure reporting.
+/// Write `path` atomically: `fill` writes a `.tmp` sibling through a
+/// buffered writer (so nothing has to hold the whole file in memory
+/// first), which is fsynced and renamed over the destination, and then the
+/// directory is fsynced. A crash at any point leaves either the old file
+/// or the new file, never a torn mix. Failures surface as
+/// [`PersistError::Atomic`]; single-writer only (concurrent writers to one
+/// `path` race on the same temp name).
 pub fn atomic_write_with(
     path: &Path,
     fill: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
@@ -123,17 +120,43 @@ pub fn atomic_write_with(
 }
 
 impl TreeSvdPipeline {
-    /// Serialise the full pipeline state to `path` (JSON), atomically: a
-    /// crash mid-save leaves the previous checkpoint intact rather than a
-    /// torn file.
+    /// Write the full pipeline state to `path`, atomically: the five parts
+    /// [`TreeSvdPipeline::from_parts`] takes, in its order, each its
+    /// `rt::bin` encoding. A crash mid-save leaves the previous file intact
+    /// rather than a torn one.
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, self.to_json().to_string().as_bytes())
+        let parts: [&dyn Encode; 5] = [
+            self.ppr(),
+            self.matrix(),
+            self.tree(),
+            self.embedding(),
+            &self.timings(),
+        ];
+        atomic_write_with(path, |w| {
+            let mut buf = Vec::new();
+            for part in parts {
+                buf.clear();
+                part.encode(&mut buf);
+                w.write_all(&buf)?;
+            }
+            Ok(())
+        })
     }
 
     /// Restore a pipeline previously written with [`TreeSvdPipeline::save`].
     pub fn load(path: &Path) -> Result<TreeSvdPipeline, PersistError> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(TreeSvdPipeline::from_json(&Json::parse(&text)?)?)
+        let bytes = std::fs::read(path)?;
+        let mut cursor = Cursor::new(&bytes);
+        let c = &mut cursor;
+        let pipe = TreeSvdPipeline::from_parts(
+            Decode::decode(c)?,
+            Decode::decode(c)?,
+            Decode::decode(c)?,
+            Decode::decode(c)?,
+            Decode::decode(c)?,
+        );
+        cursor.finish()?;
+        Ok(pipe)
     }
 }
 
@@ -178,9 +201,14 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("tsvd_persist_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pipeline.json");
+        let path = dir.join("pipeline.bin");
         pipe.save(&path).expect("save");
         let mut restored = TreeSvdPipeline::load(&path).expect("load");
+        // A file cut short by one byte is refused, not half-loaded.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        let cut = TreeSvdPipeline::load(&path).unwrap_err();
+        assert!(matches!(cut, PersistError::Decode(_)), "{cut}");
         std::fs::remove_dir_all(&dir).ok();
 
         // Identical embedding after reload.
@@ -211,16 +239,16 @@ mod tests {
     fn load_rejects_garbage() {
         let dir = std::env::temp_dir().join(format!("tsvd_garbage_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("broken.json");
-        std::fs::write(&path, b"{not json at all").unwrap();
+        let path = dir.join("broken.bin");
+        std::fs::write(&path, b"{not a pipeline at all").unwrap();
         let err = TreeSvdPipeline::load(&path).unwrap_err();
         std::fs::remove_dir_all(&dir).ok();
-        assert!(matches!(err, PersistError::Codec(_)));
+        assert!(matches!(err, PersistError::Decode(_)));
     }
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = TreeSvdPipeline::load(Path::new("/nonexistent/tsvd.json")).unwrap_err();
+        let err = TreeSvdPipeline::load(Path::new("/nonexistent/tsvd.bin")).unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
     }
 
@@ -229,8 +257,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tsvd_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.json");
-        atomic_write(&path, b"old").unwrap();
-        atomic_write(&path, b"new").unwrap();
+        atomic_write_with(&path, |w| w.write_all(b"old")).unwrap();
+        atomic_write_with(&path, |w| w.write_all(b"new")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new");
         assert!(
             !dir.join("state.json.tmp").exists(),
@@ -243,7 +271,10 @@ mod tests {
     fn atomic_write_failure_is_typed_and_leaves_target_untouched() {
         // The parent directory does not exist, so the temp-file create fails
         // before anything could touch the (equally nonexistent) target.
-        let err = atomic_write(Path::new("/nonexistent/tsvd/state.json"), b"x").unwrap_err();
+        let err = atomic_write_with(Path::new("/nonexistent/tsvd/state.json"), |w| {
+            w.write_all(b"x")
+        })
+        .unwrap_err();
         assert!(matches!(err, PersistError::Atomic { stage: "write", .. }));
     }
 
