@@ -44,7 +44,13 @@
 #      with --release, because the four-column Householder loops
 #      vectorise differently in optimised builds; and the connection
 #      loop's write-log tests under both fronts' handlers, its registry
-#      leak test and the loopback backpressure test with --release,
+#      leak test, its stop tests (a front with a listener and idle TCP and
+#      loopback connections shuts down in under 10 ms and joins every
+#      thread; a new connection's first ping waits on no accept poll; a
+#      wire Shutdown is acked and closes every other connection; a
+#      connection registered after the stop is closed at registration; a
+#      stopping loop stops between frames on a busy line) and the
+#      loopback backpressure test with --release,
 #      because every benchmark number is taken from an optimised build;
 #      and the server reactor's trigger tests with --release, for the
 #      same reason (count_trigger_flushes_without_waiting_for_deadline,

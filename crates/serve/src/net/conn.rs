@@ -33,24 +33,23 @@
 //! connection run strictly in arrival order, so replies need no
 //! reordering metadata beyond the echoed request id.
 //!
-//! Reads (the server's sockets and the loopback pipes) carry a short
-//! timeout so the loop observes the stop flag promptly; a frame in flight
-//! is never torn by the timeout (see [`FrameReader::read_frame_until`]).
+//! Every read blocks without a timeout: the accept loop in `accept`, a
+//! connection in [`FrameReader::read_frame`]. [`Conns::stop`] closes what
+//! they wait on — each connection's read half, so a blocked read returns
+//! EOF, and each listener, woken by a connect to its own address — and
+//! the loop checks the stop flag before every frame.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::query::Metric;
 
 use super::transport::Duplex;
 use super::wire::{Frame, FrameReader, FrameWriter, Message, Reply, Request};
-
-/// Poll interval for stop-flag checks in blocking reads and accept loops.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
 
 /// Most pipelined `TopK` requests answered as one run.
 const TOP_K_RUN_CAP: usize = 64;
@@ -123,8 +122,9 @@ impl Run {
 }
 
 /// Serve one connection to completion on the calling thread (see the
-/// module docs). Returns when the peer disconnects, a protocol violation
-/// occurs, a write fails, a reply closes the connection, or `stop` is set.
+/// module docs). Returns when the peer disconnects or the read half is
+/// closed, a protocol violation occurs, a write fails, a reply closes the
+/// connection, or `stop` is set.
 pub(crate) fn serve<H: Handler, W: Write>(
     handler: &mut H,
     reader: impl Read,
@@ -136,8 +136,10 @@ pub(crate) fn serve<H: Handler, W: Write>(
     // The byte stream became unusable: answered with a connection-level
     // error (request id 0) after everything ahead of it, then closed.
     let mut corrupt = None;
-    loop {
-        let (id, tenant, req) = match reader.read_frame_until(|| stop.load(Ordering::Acquire)) {
+    // Checked before every frame, even one already buffered: a peer that
+    // never pauses cannot keep a stopping loop alive.
+    while !stop.load(Ordering::Acquire) {
+        let (id, tenant, req) = match reader.read_frame() {
             Ok(Some(Frame {
                 request_id,
                 tenant,
@@ -147,7 +149,7 @@ pub(crate) fn serve<H: Handler, W: Write>(
                 corrupt = Some("reply-direction frame on the request path".to_string());
                 break;
             }
-            Ok(None) => break, // clean EOF or stop
+            Ok(None) => break, // clean EOF, or the read half closed
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 corrupt = Some(e.to_string());
                 break;
@@ -204,17 +206,40 @@ pub(crate) fn serve<H: Handler, W: Write>(
     let _ = out.flush(); // nothing answered stays behind
 }
 
+/// Closes one connection's read half, so that a blocked read returns EOF:
+/// a TCP socket's read half shut down, or a loopback pipe closed. It holds
+/// the connection weakly: once the connection's thread ends it is a no-op.
+pub(crate) type Closer = Box<dyn Fn() + Send>;
+
+/// A [`Closer`] that calls `close` on `of` while anything else holds it.
+pub(crate) fn closer<T: Send + Sync + 'static>(of: &Arc<T>, close: fn(&T)) -> Closer {
+    let of = Arc::downgrade(of);
+    Box::new(move || {
+        if let Some(of) = of.upgrade() {
+            close(&of);
+        }
+    })
+}
+
 /// The threads of one network front — its accept loops and one per
-/// connection — and the flag that stops them all.
+/// connection — and the one [`stop`](Self::stop) that ends them all.
 pub(crate) struct Conns {
     /// Thread name prefix (`<name>-accept`, `<name>-conn`).
     name: &'static str,
-    /// Set once; listeners and connections wind down when they see it.
+    /// Raised once, under the registry lock, by [`stop`](Self::stop).
     pub(crate) stop: AtomicBool,
-    listeners: Mutex<Vec<JoinHandle<()>>>,
-    /// Connection threads not joined yet: the live ones, and any that
-    /// finished since the last [`spawn`](Self::spawn).
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    reg: Mutex<Registry>,
+    /// Signalled by [`stop`](Self::stop), for [`wait_stopped`](Self::wait_stopped).
+    stopped: Condvar,
+}
+
+#[derive(Default)]
+struct Registry {
+    /// Each listener's bound address and accept thread.
+    listeners: Vec<(SocketAddr, JoinHandle<()>)>,
+    /// Connection threads not joined yet, each with its closer: the live
+    /// ones, and any that finished since the last [`spawn`](Conns::spawn).
+    conns: Vec<(JoinHandle<()>, Closer)>,
 }
 
 impl Conns {
@@ -222,8 +247,8 @@ impl Conns {
         Arc::new(Conns {
             name,
             stop: AtomicBool::new(false),
-            listeners: Mutex::new(Vec::new()),
-            conns: Mutex::new(Vec::new()),
+            reg: Mutex::new(Registry::default()),
+            stopped: Condvar::new(),
         })
     }
 
@@ -231,37 +256,44 @@ impl Conns {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Block (polling) until stopped or `timeout` elapses.
-    pub(crate) fn wait_stopped(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.is_stopped() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
-        true
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.reg.lock().expect("connection registry poisoned")
     }
 
-    /// Serve one connection on a thread of its own. The threads of
-    /// connections that have closed are joined first, so a closed
-    /// connection does not keep its stack mapped until shutdown.
-    pub(crate) fn spawn(&self, serve: impl FnOnce() + Send + 'static) {
+    /// Block until stopped or `timeout` elapses.
+    pub(crate) fn wait_stopped(&self, timeout: Duration) -> bool {
+        let reg = self.registry();
+        let waited = self
+            .stopped
+            .wait_timeout_while(reg, timeout, |_| !self.is_stopped());
+        !waited.expect("connection registry poisoned").1.timed_out()
+    }
+
+    /// Serve one connection on a thread of its own; `close` wakes its
+    /// blocked read. After [`stop`](Self::stop) the connection is closed
+    /// here instead, and `serve` dropped unrun. The threads of connections
+    /// that have closed are joined first, so a closed connection does not
+    /// keep its stack mapped until shutdown.
+    pub(crate) fn spawn(&self, close: Closer, serve: impl FnOnce() + Send + 'static) {
+        let mut reg = self.registry();
+        if self.is_stopped() {
+            return close();
+        }
         let jh = thread::Builder::new()
             .name(format!("{}-conn", self.name))
             .spawn(serve)
             .expect("spawn a connection thread");
-        let mut conns = self.conns.lock().expect("connection registry poisoned");
-        let (done, live) = conns.drain(..).partition(|jh| jh.is_finished());
-        *conns = live;
-        conns.push(jh);
-        drop(conns);
-        join_all(done);
+        let (done, live) = reg.conns.drain(..).partition(|(jh, _)| jh.is_finished());
+        reg.conns = live;
+        reg.conns.push((jh, close));
+        drop(reg);
+        join_all(done.into_iter().map(|(jh, _)| jh));
     }
 
     /// Bind a TCP listener on `addr` (port 0 for an OS-assigned port) and
     /// accept on a thread of its own, handing each connection to `serve`
-    /// on a thread of its own. Returns the bound address.
+    /// on a thread of its own. Returns the bound address. After
+    /// [`stop`](Self::stop) the listener is dropped at once.
     pub(crate) fn listen(
         self: &Arc<Self>,
         addr: &str,
@@ -269,57 +301,93 @@ impl Conns {
     ) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut reg = self.registry();
+        if self.is_stopped() {
+            return Ok(local);
+        }
         let conns = self.clone();
         let jh = thread::Builder::new()
             .name(format!("{}-accept", self.name))
-            .spawn(move || {
-                while !conns.is_stopped() {
-                    let Ok((stream, peer)) = listener.accept() else {
-                        thread::sleep(POLL);
-                        continue;
-                    };
-                    if stream.set_nodelay(true).is_err()
-                        || stream.set_read_timeout(Some(POLL)).is_err()
-                    {
-                        continue;
-                    }
-                    let Ok(reader) = stream.try_clone() else {
-                        continue;
-                    };
-                    let serve = serve.clone();
-                    let duplex = Duplex {
-                        reader: Box::new(reader),
-                        writer: Box::new(stream),
-                        peer: peer.to_string(),
-                    };
-                    conns.spawn(move || serve(duplex));
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                // The wake-up connect from `stop`, or a connection that
+                // raced it: either way the listener is done.
+                if conns.is_stopped() {
+                    break;
                 }
+                let Ok((stream, peer)) = accepted else {
+                    continue;
+                };
+                let (Ok(reader), Ok(())) = (stream.try_clone(), stream.set_nodelay(true)) else {
+                    continue;
+                };
+                let reader = Arc::new(reader);
+                let close = closer(&reader, |s| drop(s.shutdown(Shutdown::Read)));
+                let serve = serve.clone();
+                let duplex = Duplex {
+                    reader: Box::new(SharedRead(reader)),
+                    writer: Box::new(stream),
+                    peer: peer.to_string(),
+                };
+                conns.spawn(close, move || serve(duplex));
             })
             .expect("spawn an accept thread");
-        self.listeners
-            .lock()
-            .expect("listener registry poisoned")
-            .push(jh);
+        reg.listeners.push((local, jh));
         Ok(local)
     }
 
-    /// Set the stop flag, then join every listener and connection thread.
+    /// Stop the front: raise the flag, close every registered connection,
+    /// wake every listener and [`wait_stopped`](Self::wait_stopped). Joins
+    /// nothing, so a connection's own handler may call it (a wire
+    /// `Shutdown`); only the first call acts.
+    pub(crate) fn stop(&self) {
+        let reg = self.registry();
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        for (_, close) in &reg.conns {
+            close();
+        }
+        for &(at, _) in &reg.listeners {
+            drop(TcpStream::connect(loopback(at)));
+        }
+        self.stopped.notify_all();
+    }
+
+    /// [`stop`](Self::stop), then join every listener and connection thread.
     pub(crate) fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop();
         // Listeners first: one may still hand over a connection it
         // accepted before it saw the flag.
-        let listeners =
-            std::mem::take(&mut *self.listeners.lock().expect("listener registry poisoned"));
-        join_all(listeners);
-        let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry poisoned"));
-        join_all(conns);
+        let listeners = std::mem::take(&mut self.registry().listeners);
+        join_all(listeners.into_iter().map(|(_, jh)| jh));
+        let conns = std::mem::take(&mut self.registry().conns);
+        join_all(conns.into_iter().map(|(jh, _)| jh));
+    }
+}
+
+/// A TCP connection's read half, shared with its [`Closer`].
+struct SharedRead(Arc<TcpStream>);
+
+impl Read for SharedRead {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+/// Where a connect reaches a listener bound at `at`: an unspecified IP
+/// is reached on the loopback address of its family.
+fn loopback(at: SocketAddr) -> SocketAddr {
+    match at.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, at.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, at.port()).into(),
+        _ => at,
     }
 }
 
 /// Join threads whose panics, if any, were already reported by the
 /// default hook; the connection they served is closed either way.
-fn join_all(threads: Vec<JoinHandle<()>>) {
+fn join_all(threads: impl IntoIterator<Item = JoinHandle<()>>) {
     for jh in threads {
         let _ = jh.join();
     }
@@ -329,18 +397,22 @@ fn join_all(threads: Vec<JoinHandle<()>>) {
 pub(crate) mod tests {
     use tsvd_graph::EdgeEvent;
 
+    use std::time::Instant;
+
     use super::super::transport::{pipe, PipeWriter, Transport};
-    use super::super::wire::{decode_frame, MAX_PAYLOAD};
+    use super::super::wire::{decode_frame, encode_frame, MAX_PAYLOAD};
     use super::*;
     use crate::server::EmbeddingReader;
-    use crate::{net, ClientConfig, NetClient, TcpTransport};
+    use crate::{net, ClientConfig, NetClient, NetFront, TcpTransport};
 
     /// One front under test: how to serve a connection on it, and what it
     /// serves.
     pub(crate) struct Served {
-        /// Serve the server end of a connection, with payload cap `cap`,
-        /// on a connection thread of the front.
-        pub serve: Box<dyn Fn(Duplex, u32)>,
+        /// Serve the server end of a connection, closed by the closer,
+        /// with payload cap `cap`, on a connection thread of the front.
+        pub serve: Box<dyn Fn(Closer, Duplex, u32)>,
+        /// The front's threads and stop.
+        pub conns: Arc<Conns>,
         /// The epoch the front serves (a router's shards flush in
         /// lockstep, so shard 0's).
         pub reader: EmbeddingReader,
@@ -352,7 +424,8 @@ pub(crate) mod tests {
         /// The client's ends of a connection served with payload cap
         /// `cap`, and the log of the server's writes on it.
         pub fn connect_raw(&self, cap: u32) -> (Duplex, WriteLog) {
-            let (c2s_w, c2s_r) = pipe(64 << 10, Some(POLL));
+            let (c2s_w, c2s_r) = pipe(64 << 10, None);
+            let close = c2s_r.closer();
             let (s2c_w, s2c_r) = pipe(1 << 20, Some(Duration::from_secs(10)));
             let log = WriteLog::default();
             let server_end = Duplex {
@@ -364,7 +437,7 @@ pub(crate) mod tests {
                 }),
                 peer: "test".into(),
             };
-            (self.serve)(server_end, cap);
+            (self.serve)(close, server_end, cap);
             let client_end = Duplex {
                 reader: Box::new(s2c_r),
                 writer: Box::new(c2s_w),
@@ -552,7 +625,7 @@ pub(crate) mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let live = connect();
-            let held = conns.conns.lock().unwrap().len();
+            let held = conns.registry().conns.len();
             if held <= 1 {
                 break;
             }
@@ -561,8 +634,142 @@ pub(crate) mod tests {
                 "{held} connection handles held with one connection live"
             );
             drop(live);
-            thread::sleep(POLL);
+            thread::sleep(Duration::from_millis(25));
         }
         conns.shutdown();
+    }
+
+    /// Sets the stop flag while answering the first request.
+    struct StopAtFirst<'a>(&'a AtomicBool);
+
+    impl Handler for StopAtFirst<'_> {
+        fn execute(&mut self, _tenant: u32, _req: Request) -> (Reply, bool) {
+            self.0.store(true, Ordering::Release);
+            (Reply::Pong, false)
+        }
+    }
+
+    /// The loop checks the stop flag before every frame, even one already
+    /// buffered: a peer that never pauses cannot keep a stopping loop
+    /// alive.
+    #[test]
+    fn a_stopping_loop_stops_between_frames_even_on_a_busy_line() {
+        let mut burst = Vec::new();
+        for id in 1..=3 {
+            encode_frame(id, 0, &Message::Request(Request::Ping), &mut burst);
+        }
+        let stop = AtomicBool::new(false);
+        let mut wrote = Vec::new();
+        serve(
+            &mut StopAtFirst(&stop),
+            &burst[..],
+            FrameWriter::new(&mut wrote),
+            &stop,
+        );
+        let (reply, used) = decode_frame(&wrote).unwrap();
+        assert_eq!((reply.request_id, used), (1, wrote.len()), "one reply only");
+    }
+
+    /// A wire `Shutdown` stops the whole front from inside one of its
+    /// connections: the sender still gets its ack, another idle
+    /// connection reads EOF, and `wait_stopped` returns.
+    #[test]
+    fn a_wire_shutdown_is_acked_and_closes_every_other_connection() {
+        for served in both() {
+            let (mut sender, _) = served.connect(MAX_PAYLOAD);
+            let (mut idle, _) = served.connect_raw(MAX_PAYLOAD);
+            sender.ping().unwrap();
+            sender.shutdown_server().unwrap();
+            assert_eq!(idle.reader.read(&mut [0; 1]).unwrap(), 0, "EOF");
+            assert!(served.conns.wait_stopped(Duration::from_secs(10)));
+            drop((sender, idle));
+            served.shutdown();
+        }
+    }
+
+    /// A connection that reaches the registry after the stop (a loopback
+    /// open or an accept racing it) is closed there and never served, so
+    /// `shutdown` has nothing to wait on.
+    #[test]
+    fn a_connection_registered_after_stop_is_closed_at_registration() {
+        let conns = Conns::new("tsvd-test");
+        conns.stop();
+        let (_writer, mut reader) = pipe(16, Some(Duration::from_secs(5)));
+        let served = Arc::new(AtomicBool::new(false));
+        let flag = served.clone();
+        conns.spawn(reader.closer(), move || flag.store(true, Ordering::Release));
+        assert_eq!(reader.read(&mut [0; 1]).unwrap(), 0, "EOF");
+        conns.shutdown();
+        assert!(!served.load(Ordering::Acquire));
+        assert!(conns.registry().conns.is_empty());
+    }
+
+    /// A `Pong` front listening on loopback TCP: its threads, and its
+    /// address.
+    fn pong_front() -> (Arc<Conns>, String) {
+        let conns = Conns::new("tsvd-test");
+        let flag = conns.clone();
+        let addr = conns
+            .listen("127.0.0.1:0", move |duplex: Duplex| {
+                let out = FrameWriter::new(duplex.writer);
+                serve(&mut Pong, duplex.reader, out, &flag.stop)
+            })
+            .unwrap();
+        (conns, addr.to_string())
+    }
+
+    /// The accept loop blocks in `accept`, so a new connection is served
+    /// at once: no round waits out a poll interval (25 ms before the
+    /// accept loop blocked, in about half the rounds).
+    #[test]
+    fn a_new_connection_is_answered_without_waiting_to_be_accepted() {
+        let slow = (0..11)
+            .filter(|_| {
+                let (conns, addr) = pong_front();
+                let t = Instant::now();
+                let mut client =
+                    NetClient::connect(TcpTransport::new(addr), ClientConfig::default()).unwrap();
+                client.ping().unwrap();
+                let took = t.elapsed();
+                drop(client);
+                conns.shutdown();
+                took > Duration::from_millis(10)
+            })
+            .count();
+        assert!(slow <= 2, "{slow} of 11 first pings took over 10 ms");
+    }
+
+    /// `shutdown` closes what every thread waits on and joins them all:
+    /// the accept loop, an idle TCP connection and an idle loopback one.
+    /// Nothing waits out a poll interval (25 ms every time before reads
+    /// blocked).
+    #[test]
+    fn a_front_with_idle_connections_shuts_down_at_once_and_joins_every_thread() {
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                let front = NetFront::start(net::frontend::tests::server(&[0, 1, 2, 3]));
+                let addr = front.listen("127.0.0.1:0").unwrap().to_string();
+                let conns = net::frontend::tests::conns_of(&front);
+                let mut tcp_client =
+                    NetClient::connect(TcpTransport::new(addr), ClientConfig::default()).unwrap();
+                let mut lb_client =
+                    NetClient::connect(front.loopback(), ClientConfig::default()).unwrap();
+                tcp_client.ping().unwrap();
+                lb_client.ping().unwrap();
+                let t = Instant::now();
+                drop(front.shutdown());
+                let took = t.elapsed();
+                let reg = conns.registry();
+                assert!(reg.listeners.is_empty() && reg.conns.is_empty());
+                // Neither connection is served any more.
+                assert!(tcp_client.ping().is_err() && lb_client.ping().is_err());
+                took
+            })
+            .collect();
+        took.sort();
+        assert!(
+            took[2] < Duration::from_millis(10),
+            "shutdown took {took:?}"
+        );
     }
 }

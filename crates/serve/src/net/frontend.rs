@@ -20,7 +20,6 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -30,7 +29,7 @@ use crate::server::{EmbeddingReader, ServerHandle, SubmitError};
 use crate::snapshot::TopKQuery;
 use crate::tenant::{TenantHost, TenantId};
 
-use super::conn::{self, Conns, Handler, TopK, POLL};
+use super::conn::{self, Conns, Handler, TopK};
 use super::transport::{pipe, Duplex, Transport};
 use super::wire::{
     CheckpointReply, EmbeddingReply, FrameWriter, Reply, Request, RowsReply, TopKReply,
@@ -128,7 +127,7 @@ impl NetFront {
         self.shared.conns.is_stopped()
     }
 
-    /// Block (polling) until the front is stopped or `timeout` elapses.
+    /// Block until the front is stopped or `timeout` elapses.
     pub fn wait_stopped(&self, timeout: Duration) -> bool {
         self.shared.conns.wait_stopped(timeout)
     }
@@ -181,9 +180,9 @@ impl Transport for LoopbackTransport {
                 "network front is shut down",
             ));
         }
-        // client → server direction: server reads with the poll timeout so
-        // its connection loop observes the stop flag like a TCP socket would.
-        let (c2s_w, c2s_r) = pipe(LOOPBACK_PIPE_CAP, Some(POLL));
+        // client → server direction: no timeout; the front's stop closes it.
+        let (c2s_w, c2s_r) = pipe(LOOPBACK_PIPE_CAP, None);
+        let close = c2s_r.closer();
         // server → client direction: the client's reply-read timeout.
         let (s2c_w, s2c_r) = pipe(LOOPBACK_PIPE_CAP, Some(Duration::from_secs(10)));
         let shared = self.shared.clone();
@@ -192,9 +191,9 @@ impl Transport for LoopbackTransport {
             writer: Box::new(s2c_w),
             peer: "loopback-peer".into(),
         };
-        self.shared
-            .conns
-            .spawn(move || serve_connection(&shared, duplex, MAX_PAYLOAD));
+        self.shared.conns.spawn(close, move || {
+            serve_connection(&shared, duplex, MAX_PAYLOAD)
+        });
         Ok(Duplex {
             reader: Box::new(s2c_r),
             writer: Box::new(c2s_w),
@@ -303,7 +302,7 @@ impl Handler for &FrontShared {
                 if let Some(h) = &*shared.handle.read().unwrap() {
                     h.flush_sync();
                 }
-                shared.conns.stop.store(true, Ordering::Release);
+                shared.conns.stop();
                 (Reply::ShutdownAck, true)
             }
             Request::GetWindows { after_epoch, max } => match &*shared.handle.read().unwrap() {
@@ -467,15 +466,21 @@ pub(crate) mod tests {
         let front = NetFront::start(handle);
         let shared = front.shared.clone();
         Served {
-            serve: Box::new(move |duplex, cap| {
+            conns: shared.conns.clone(),
+            serve: Box::new(move |close, duplex, cap| {
                 let conn = shared.clone();
                 shared
                     .conns
-                    .spawn(move || serve_connection(&conn, duplex, cap));
+                    .spawn(close, move || serve_connection(&conn, duplex, cap));
             }),
             reader,
             shutdown: Box::new(move || drop(front.shutdown())),
         }
+    }
+
+    /// The threads and stop of `front`.
+    pub(crate) fn conns_of(front: &NetFront) -> Arc<Conns> {
+        front.shared.conns.clone()
     }
 
     fn top_k(node: u32, k: u32, metric: Metric, query: Option<Vec<f64>>) -> Request {

@@ -725,15 +725,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
 /// `FrameWriter` writes out even with more requests waiting (64 KiB).
 pub(crate) const IO_BUF: usize = 64 << 10;
 
-/// A read that consumed nothing and may be retried: a read timeout
-/// (socket `set_read_timeout`, or the pipe's equivalent) or a signal.
-fn is_retryable(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
 /// The read half of a connection: frames off a byte stream through one
 /// 64 KiB buffer, so a pipelined burst costs one `read` rather than three
 /// per frame, and a frame that sits whole in the buffer is checked and
@@ -760,106 +751,35 @@ impl<R: Read> FrameReader<R> {
                 >= u32::from_le_bytes(b[16..20].try_into().expect("4 bytes")) as usize
     }
 
-    /// Read one frame. Returns `Ok(None)` on clean EOF (the peer closed
-    /// between frames); EOF mid-frame is an error, and so is a read
-    /// timeout (the caller decides whether to reconnect). Protocol
-    /// violations surface as [`io::ErrorKind::InvalidData`] wrapping a
-    /// [`WireError`].
+    /// Read one frame, blocking until it is all here. Returns `Ok(None)`
+    /// on clean EOF (the peer closed between frames, or the server closed
+    /// the connection's read half to stop it); EOF mid-frame is an error,
+    /// and so is a read timeout (the caller decides whether to reconnect).
+    /// Protocol violations surface as [`io::ErrorKind::InvalidData`]
+    /// wrapping a [`WireError`].
     pub fn read_frame(&mut self) -> io::Result<Option<Frame>> {
-        self.next(None)
-    }
-
-    /// Like [`read_frame`](Self::read_frame), but built for a stream with
-    /// a short read timeout: timeouts are retried so slow frames are never
-    /// torn, and `should_stop` is polled before each frame and between
-    /// retries so the loop can be told to give up. Returns `Ok(None)` on
-    /// clean EOF or when stopped.
-    pub fn read_frame_until(
-        &mut self,
-        mut should_stop: impl FnMut() -> bool,
-    ) -> io::Result<Option<Frame>> {
-        self.next(Some(&mut should_stop))
-    }
-
-    fn next(
-        &mut self,
-        mut should_stop: Option<&mut dyn FnMut() -> bool>,
-    ) -> io::Result<Option<Frame>> {
-        // Between frames the stop flag is polled even on a busy line: a
-        // peer that never pauses for a read timeout cannot keep a stopping
-        // loop alive.
-        if should_stop.as_mut().is_some_and(|stop| stop()) {
-            return Ok(None);
-        }
-        // A retryable read error: `Ok(true)` to stop, `Ok(false)` to retry,
-        // the error itself when there is no stop flag to poll.
-        let mut idle = |e: io::Error| match should_stop.as_mut() {
-            _ if e.kind() == io::ErrorKind::Interrupted => Ok(false),
-            Some(stop) => Ok(stop()),
-            None => Err(e),
-        };
-        // Wait for the first byte of a frame — nothing has been consumed
-        // yet, so bailing is safe.
-        loop {
-            match self.inner.fill_buf() {
-                Ok([]) => return Ok(None),
-                Ok(_) => break,
-                Err(e) if is_retryable(&e) => {
-                    if idle(e)? {
-                        return Ok(None);
-                    }
-                }
-                Err(e) => return Err(e),
+        while let Err(e) = self.inner.fill_buf() {
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
             }
+        }
+        if self.inner.buffer().is_empty() {
+            return Ok(None);
         }
         if self.has_buffered_frame() {
             let (frame, used) = decode_frame(self.inner.buffer())?;
             self.inner.consume(used);
             return Ok(Some(frame));
         }
-        // A frame has started but is not all here: finish it, retrying
-        // timeouts (the peer may be mid-write) but still honouring the stop
-        // flag, so shutdown cannot hang on a peer that died mid-frame.
-        // The header is checked before the payload is allocated.
+        // A frame has started but is not all here: the header is checked
+        // before the payload is allocated.
         let mut header = [0u8; HEADER_LEN];
-        if !fill(&mut self.inner, &mut header, &mut idle)? {
-            return Ok(None);
-        }
+        self.inner.read_exact(&mut header)?;
         let mut bytes = header.to_vec();
         bytes.resize(HEADER_LEN + decode_header(&header)?.payload_len as usize, 0);
-        if !fill(&mut self.inner, &mut bytes[HEADER_LEN..], &mut idle)? {
-            return Ok(None);
-        }
+        self.inner.read_exact(&mut bytes[HEADER_LEN..])?;
         Ok(Some(decode_frame(&bytes)?.0))
     }
-}
-
-/// Fill `buf` from `r`, handing retryable errors to `idle`; `Ok(false)`
-/// when it says stop.
-fn fill(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    idle: &mut impl FnMut(io::Error) -> io::Result<bool>,
-) -> io::Result<bool> {
-    let mut done = 0;
-    while done < buf.len() {
-        match r.read(&mut buf[done..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "mid-frame EOF",
-                ))
-            }
-            Ok(n) => done += n,
-            Err(e) if is_retryable(&e) => {
-                if idle(e)? {
-                    return Ok(false);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 /// The write half of a connection: frames are encoded into one reused
@@ -1003,20 +923,6 @@ mod tests {
             self.0 = &self.0[n..];
             Ok(n)
         }
-    }
-
-    #[test]
-    fn a_stopping_reader_stops_between_frames_even_on_a_busy_line() {
-        let mut buf = Vec::new();
-        for id in 1..=3 {
-            encode_frame(id, 0, &Message::Request(Request::Ping), &mut buf);
-        }
-        let mut r = FrameReader::new(&buf[..]);
-        let mut stop = false;
-        assert_eq!(r.read_frame_until(|| stop).unwrap().unwrap().request_id, 1);
-        stop = true;
-        assert!(r.has_buffered_frame());
-        assert!(r.read_frame_until(|| stop).unwrap().is_none());
     }
 
     #[test]

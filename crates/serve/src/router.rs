@@ -93,10 +93,8 @@ use crate::query::Metric;
 use crate::stats::RouterStats;
 
 /// The contiguous-range split of the subset's global row order across N
-/// shards — the cross-process analogue of
-/// [`ShardedEngine`](crate::ShardedEngine)'s in-process split. Global row
-/// `i` is the `i`-th source in the full subset; shard `k` owns rows
-/// `range(k).0 .. range(k).1`.
+/// shard processes. Global row `i` is the `i`-th source in the full
+/// subset; shard `k` owns rows `range(k).0 .. range(k).1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     sources: Vec<u32>,
@@ -1041,7 +1039,7 @@ impl RouterFront {
         self.inner.conns.is_stopped()
     }
 
-    /// Block (polling) until stopped or `timeout` elapses.
+    /// Block until stopped or `timeout` elapses.
     pub fn wait_stopped(&self, timeout: Duration) -> bool {
         self.inner.conns.wait_stopped(timeout)
     }
@@ -1157,7 +1155,7 @@ impl Handler for RouterConn<'_> {
             Request::Shutdown => {
                 router.shutdown_shards();
                 *guard = None;
-                inner.conns.stop.store(true, Ordering::Release);
+                inner.conns.stop();
                 (Reply::ShutdownAck, true)
             }
         }
@@ -1189,11 +1187,12 @@ pub(crate) mod tests {
         let front = RouterFront::start(router);
         let inner = front.inner.clone();
         Served {
-            serve: Box::new(move |duplex, cap| {
+            conns: inner.conns.clone(),
+            serve: Box::new(move |close, duplex, cap| {
                 let conn = inner.clone();
                 inner
                     .conns
-                    .spawn(move || serve_connection(&conn, duplex, cap));
+                    .spawn(close, move || serve_connection(&conn, duplex, cap));
             }),
             reader: shards[0].2.clone(),
             shutdown: Box::new(move || {

@@ -302,9 +302,8 @@ fn tcp_soak_interleaved_tenant_writers_replay_bitwise() {
     // tenant exactly; the host rollup sums to the global total.
     let mut drain = NetClient::connect(
         TcpTransport {
-            addr: addr.to_string(),
             read_timeout: Some(Duration::from_secs(30)),
-            nodelay: true,
+            ..TcpTransport::new(addr.to_string())
         },
         ClientConfig::default(),
     )

@@ -113,9 +113,8 @@ fn multi_client_tcp_soak_matches_offline_replay_bitwise() {
     // Drain everything still pending, then check global accounting.
     let mut tail = NetClient::connect(
         TcpTransport {
-            addr: addr.to_string(),
             read_timeout: Some(Duration::from_secs(30)),
-            nodelay: true,
+            ..TcpTransport::new(addr.to_string())
         },
         ClientConfig::default(),
     )
